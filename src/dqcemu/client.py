@@ -31,7 +31,7 @@ from .errors import (
     ValidationFailed,
 )
 from .protocol import connect, request
-from .registry import RegistryEntry
+from .registry import RegistryEntry, pid_alive
 from .server import ResultRecord
 from .wire import circuit_to_obj
 
@@ -173,7 +173,7 @@ def get_qpus(on_node: bool = True, family: str | None = None) -> list[QpuHandle]
     for e in entries:
         if e.is_executor:
             continue
-        if not _pid_alive(e.pid):
+        if not pid_alive(e.pid):
             continue
         if family is not None and e.family != family:
             continue
@@ -184,17 +184,6 @@ def get_qpus(on_node: bool = True, family: str | None = None) -> list[QpuHandle]
         raise NoQpusAvailable(
             f"no live vQPUs (family={family!r}, on_node={on_node}, node={node!r})")
     return handles
-
-
-def _pid_alive(pid: int) -> bool:
-    import os
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 def _new_job_id() -> str:

@@ -23,10 +23,11 @@ import numpy as np
 
 from .errors import EmulatorError, UnsupportedInstruction, WidthExceeded
 from .gates import DISTRIBUTED
-from .statevector import GateOp, StateVector, apply_gate, measure_qubit, reset_qubit
+from .statevector import StateVector, compile_gate, measure_qubit, reset_qubit
 
 DEFAULT_MAX_QUBITS = 26
 RNG_ALGORITHM = "pcg64"
+_NOT_GATES = ("measure", "reset", *DISTRIBUTED)
 
 
 @dataclass
@@ -103,9 +104,11 @@ def run_sampled(circuit, shots: int, seed=None,
             for q, c in zip(ins.qubits, ins.clbits):
                 clbit_source[c] = q
         else:
-            apply_gate(state, GateOp(ins.name, tuple(ins.qubits), tuple(ins.params)))
+            compile_gate(state.num_qubits, ins.name, ins.qubits,
+                         ins.params)(state.amplitudes)
 
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state.amplitudes)
+    np.square(probs, out=probs)
     probs /= probs.sum()
     rng = job_rng(seed)
     outcomes = rng.choice(state.dim, size=shots, p=probs)
@@ -118,6 +121,46 @@ def run_sampled(circuit, shots: int, seed=None,
     return {format_key(int(v), nb): int(t) for v, t in zip(values, tallies)}
 
 
+def _compile(circuit) -> Callable:
+    """Resolve every gate once per job; the returned run(rng, hooks,
+    shot_index) executes the instruction list once on a fresh state and
+    returns the state and the classical bit register."""
+    n = circuit.num_qubits
+    kernels = []
+    for ins in circuit.instructions:
+        gate = ins.remote.gate_name if ins.name == "remote_c_if" else ins.name
+        kernels.append(None if gate in _NOT_GATES else
+                       compile_gate(n, gate, ins.qubits, ins.params))
+
+    def run(rng: np.random.Generator, hooks: ChannelHooks, shot_index: int):
+        state = StateVector.zero(n)
+        bits = [0] * circuit.num_clbits
+        for ins, kernel in zip(circuit.instructions, kernels):
+            name = ins.name
+            if name == "measure":
+                for q, c in zip(ins.qubits, ins.clbits):
+                    bits[c], state = measure_qubit(state, q, rng)
+            elif name == "reset":
+                for q in ins.qubits:
+                    state = reset_qubit(state, q, rng)
+            elif name == "measure_and_send":
+                outcome, state = measure_qubit(state, ins.qubits[0], rng)
+                hooks.send(ins.remote.peer_circuit_id, shot_index,
+                           ins.remote.sequence, outcome)
+            elif name == "remote_c_if":
+                bit = hooks.recv(ins.remote.peer_circuit_id, shot_index,
+                                 ins.remote.sequence)
+                if bit == 1:
+                    kernel(state.amplitudes)
+            elif name in DISTRIBUTED:
+                raise UnsupportedInstruction(
+                    f"{name} requires the quantum-communication executor")
+            elif not ins.clbits or bits[ins.clbits[0]] == 1:
+                kernel(state.amplitudes)
+        return state, bits
+    return run
+
+
 def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = None,
              shot_index: int = 0) -> tuple[StateVector, list[int]]:
     """Execute the instruction list once on a fresh state.
@@ -125,37 +168,7 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
     Returns the final state and the classical bit register. Unitary
     instructions carrying a clbit are conditionals triggered on bit == 1.
     """
-    if hooks is None:
-        hooks = null_hooks()
-    state = StateVector.zero(circuit.num_qubits)
-    bits = [0] * circuit.num_clbits
-    for ins in circuit.instructions:
-        name = ins.name
-        if name == "measure":
-            for q, c in zip(ins.qubits, ins.clbits):
-                outcome, state = measure_qubit(state, q, rng)
-                bits[c] = outcome
-        elif name == "reset":
-            for q in ins.qubits:
-                state = reset_qubit(state, q, rng)
-        elif name == "measure_and_send":
-            outcome, state = measure_qubit(state, ins.qubits[0], rng)
-            hooks.send(ins.remote.peer_circuit_id, shot_index,
-                       ins.remote.sequence, outcome)
-        elif name == "remote_c_if":
-            bit = hooks.recv(ins.remote.peer_circuit_id, shot_index,
-                             ins.remote.sequence)
-            if bit == 1:
-                apply_gate(state, GateOp(ins.remote.gate_name,
-                                         tuple(ins.qubits), tuple(ins.params)))
-        elif name in DISTRIBUTED:
-            raise UnsupportedInstruction(
-                f"{name} requires the quantum-communication executor")
-        else:
-            if ins.clbits and bits[ins.clbits[0]] != 1:
-                continue
-            apply_gate(state, GateOp(name, tuple(ins.qubits), tuple(ins.params)))
-    return state, bits
+    return _compile(circuit)(rng, hooks or null_hooks(), shot_index)
 
 
 def run_shot_loop(circuit, shots: int, seed=None,
@@ -168,10 +181,11 @@ def run_shot_loop(circuit, shots: int, seed=None,
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
 
+    run, hooks = _compile(circuit), hooks or null_hooks()
     tally: Counter[int] = Counter()
     for shot in range(shots):
         try:
-            _, bits = run_once(circuit, shot_rng(seed, shot), hooks, shot_index=shot)
+            _, bits = run(shot_rng(seed, shot), hooks, shot)
         except EmulatorError as exc:
             raise type(exc)(f"shot {shot}: {exc}") from exc
         code = 0

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import socket
 import socketserver
 import threading
 import time
@@ -34,13 +33,7 @@ from .errors import (
     EmulatorError,
     MergeDeadlock,
 )
-from .protocol import (
-    ConnectionClosed,
-    error_frame,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
+from .protocol import error_frame, frame_server
 from .server import ResultRecord
 from .wire import circuit_from_obj
 
@@ -381,29 +374,7 @@ class ExecutorServer:
         self.port = 0
 
     def start(self) -> None:
-        host, port = parse_address(self.config.listen_address)
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                while True:
-                    try:
-                        frame = recv_frame(self.request)
-                    except (ConnectionClosed, OSError, ValueError):
-                        return
-                    reply = outer._dispatch(frame)
-                    if reply is not None:
-                        try:
-                            send_frame(self.request, reply)
-                        except OSError:
-                            return
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._tcp = Server((host, port), Handler)
+        self._tcp = frame_server(self.config.listen_address, self._dispatch)
         self.host, self.port = self._tcp.server_address[:2]
         threading.Thread(target=self._tcp.serve_forever, daemon=True).start()
         if self.config.ttl_seconds > 0:

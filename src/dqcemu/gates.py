@@ -41,8 +41,21 @@ GATE_ARITY: dict[str, tuple[int, int]] = {
     "swap": (2, 0),
 }
 
-#: instructions handled by the engine but not unitary gates
-NON_UNITARY = ("measure", "reset")
+#: gate name -> kernel class, i.e. how the statevector applies the gate:
+#:   diagonal    - scale the amplitude slices whose factor is not 1, in place
+#:   permutation - exchange the two slices the matrix swaps
+#:   controlled  - apply CONTROLLED_TARGET's gate where the first qubit is 1
+#:   dense       - mix a qubit's two slices (one-qubit gates only)
+KERNEL_CLASS: dict[str, str] = {
+    **dict.fromkeys(("id", "z", "s", "sdg", "t", "tdg", "rz", "cz", "crz", "cp"),
+                    "diagonal"),
+    **dict.fromkeys(("x", "swap"), "permutation"),
+    **dict.fromkeys(("cx", "cy"), "controlled"),
+    **dict.fromkeys(("h", "rx", "ry", "y", "u"), "dense"),
+}
+
+#: one-qubit gate a controlled gate applies to its second qubit
+CONTROLLED_TARGET: dict[str, str] = {"cx": "x", "cy": "y"}
 
 #: distributed instruction names (resolved by channels or the executor)
 DISTRIBUTED = ("measure_and_send", "remote_c_if", "qsend", "qrecv",
@@ -107,10 +120,6 @@ def _cp(lam: float) -> np.ndarray:
 
 
 _PARAMETRIC = {"rx": _rx, "ry": _ry, "rz": _rz, "u": _u, "crz": _crz, "cp": _cp}
-
-
-def is_unitary_gate(name: str) -> bool:
-    return name in GATE_ARITY
 
 
 def check_arity(name: str, num_qubits: int, num_params: int) -> None:

@@ -26,8 +26,8 @@ from .errors import (
     NotSupported,
     PortExhausted,
 )
-from .protocol import connect, request
-from .registry import RegistryEntry
+from .protocol import ConnectionClosed, connect, request
+from .registry import RegistryEntry, pid_alive
 
 SPAWN_WAIT_S = 10.0
 PROBE_TIMEOUT_S = 0.2
@@ -49,16 +49,6 @@ def parse_ttl(text: str) -> int:
 
 def format_ttl(seconds: int) -> str:
     return f"{seconds // 3600:02d}:{seconds % 3600 // 60:02d}:{seconds % 60:02d}"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 def _wait_announce(path: Path, proc: subprocess.Popen, what: str,
@@ -95,16 +85,22 @@ def _spawn(module: str, config_obj: dict, home: Path, name: str,
         log.close()
 
 
-def _probe_status(host: str, port: int, timeout: float = PROBE_TIMEOUT_S):
+def _request_once(host: str, port: int, frame: dict, timeout: float):
+    """The reply to `frame` on a fresh connection, or None when the process
+    cannot be reached or closes without replying (e.g. it is exiting)."""
     try:
         sock = connect(host, port, timeout=timeout)
         try:
             sock.settimeout(timeout)
-            return request(sock, {"type": "status"})
+            return request(sock, frame)
         finally:
             sock.close()
-    except (OSError, ValueError):
+    except (ConnectionClosed, OSError, ValueError):
         return None
+
+
+def _probe_status(host: str, port: int, timeout: float = PROBE_TIMEOUT_S):
+    return _request_once(host, port, {"type": "status"}, timeout)
 
 
 def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector",
@@ -236,17 +232,7 @@ def qdrop(selector: str, quiet: bool = False) -> int:
         return 0
 
     for entry in targets:
-        status = _probe_status(entry.host, entry.port, timeout=0.5)
-        if status is not None:
-            try:
-                sock = connect(entry.host, entry.port, timeout=0.5)
-                try:
-                    sock.settimeout(0.5)
-                    request(sock, {"type": "shutdown"})
-                finally:
-                    sock.close()
-            except (OSError, ValueError):
-                pass
+        _request_once(entry.host, entry.port, {"type": "shutdown"}, timeout=0.5)
 
     count = 0
     deadline = time.monotonic() + 5.0
@@ -258,7 +244,7 @@ def qdrop(selector: str, quiet: bool = False) -> int:
                 os.waitpid(entry.pid, os.WNOHANG)
             except (ChildProcessError, OSError):
                 pass
-            if not _pid_alive(entry.pid):
+            if not pid_alive(entry.pid):
                 count += 1
                 del pending[vid]
         if pending:
@@ -271,7 +257,7 @@ def qdrop(selector: str, quiet: bool = False) -> int:
     if pending:
         time.sleep(0.3)
         for entry in pending.values():
-            if _pid_alive(entry.pid):
+            if pid_alive(entry.pid):
                 try:
                     os.kill(entry.pid, signal.SIGKILL)
                 except OSError:
@@ -290,7 +276,7 @@ def qinfo(family: str | None = None) -> list[dict]:
     """Rows describing live registry entries; dead pids are pruned."""
     home = registry.cunqa_home()
     entries = registry.read_registry(home)
-    dead = [e.vqpu_id for e in entries if not _pid_alive(e.pid)]
+    dead = [e.vqpu_id for e in entries if not pid_alive(e.pid)]
     if dead:
         registry.remove_entries(lambda e: e.vqpu_id in dead, home)
         entries = [e for e in entries if e.vqpu_id not in dead]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import struct
 
 _HEADER = struct.Struct(">I")
@@ -58,6 +59,32 @@ def connect(host: str, port: int, timeout: float | None = 10.0) -> socket.socket
 def parse_address(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")
     return host, int(port)
+
+
+def frame_server(address: str, dispatch) -> socketserver.ThreadingTCPServer:
+    """A server (not yet serving) that answers each frame of a connection
+    with dispatch(frame), sending nothing when that is None, until the peer
+    closes."""
+    class Handler(socketserver.BaseRequestHandler):
+        def handle(self):
+            self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while True:
+                try:
+                    frame = recv_frame(self.request)
+                except (ConnectionClosed, OSError, ValueError):
+                    return
+                reply = dispatch(frame)
+                if reply is not None:
+                    try:
+                        send_frame(self.request, reply)
+                    except OSError:
+                        return
+
+    class Server(socketserver.ThreadingTCPServer):
+        allow_reuse_address = True
+        daemon_threads = True
+
+    return Server(parse_address(address), Handler)
 
 
 def error_frame(code: str, message: str, retriable: bool = False, **extra) -> dict:

@@ -116,3 +116,14 @@ def remove_entries(predicate, home: Path | None = None) -> list[RegistryEntry]:
         if removed:
             write_registry([e for e in entries if not predicate(e)], h)
         return removed
+
+
+def pid_alive(pid: int) -> bool:
+    """True while a process with this pid exists, ours or not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True

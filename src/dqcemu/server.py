@@ -32,8 +32,8 @@ from .protocol import (
     ConnectionClosed,
     connect,
     error_frame,
+    frame_server,
     parse_address,
-    recv_frame,
     request,
     send_frame,
 )
@@ -168,30 +168,8 @@ class VqpuServer:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        host, port = parse_address(self.config.listen_address)
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                while True:
-                    try:
-                        frame = recv_frame(self.request)
-                    except (ConnectionClosed, OSError, ValueError):
-                        return
-                    reply = outer._dispatch(frame)
-                    if reply is not None:
-                        try:
-                            send_frame(self.request, reply)
-                        except OSError:
-                            return
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
         try:
-            self._tcp = Server((host, port), Handler)
+            self._tcp = frame_server(self.config.listen_address, self._dispatch)
         except OSError as exc:
             from .errors import BindFailure
             raise BindFailure(f"cannot bind {self.config.listen_address}: {exc}")

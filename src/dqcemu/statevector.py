@@ -2,19 +2,26 @@
 
 Endianness: little-endian (qubit 0 = bit 0 of the basis-state index = LSB).
 All mutating operations preserve the norm to within 1e-12.
+
+Gates act on reshape views of the amplitudes, never through index arrays,
+as their kernel class in ``gates.KERNEL_CLASS`` says (README: Simulation
+engine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .errors import QubitOutOfRange, ZeroNorm
-from .gates import gate_matrix
+from .gates import CONTROLLED_TARGET, KERNEL_CLASS, gate_matrix
 
 _NORM_TOL = 1e-12
+#: amplitudes a dense kernel updates at once: its temporaries then stay in
+#: cache instead of being fresh pages of half the state on every gate
+_CHUNK = 1 << 15
 
 
 @dataclass
@@ -24,7 +31,6 @@ class GateOp:
     name: str
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
-    condition: tuple[int, int] | None = None  # (clbit, required value)
 
 
 @dataclass
@@ -50,77 +56,82 @@ class StateVector:
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def probability_one(self, qubit: int) -> float:
-        """Probability of measuring 1 on `qubit`."""
-        self._check_qubit(qubit)
-        view = self.amplitudes.reshape(-1, 2, 1 << qubit)
-        return float(np.sum(np.abs(view[:, 1, :]) ** 2))
 
-    def _check_qubit(self, qubit: int) -> None:
-        if not 0 <= qubit < self.num_qubits:
-            raise QubitOutOfRange(
-                f"qubit {qubit} out of range for {self.num_qubits}-qubit state")
+def _check_qubit(num_qubits: int, qubit: int) -> None:
+    if not 0 <= qubit < num_qubits:
+        raise QubitOutOfRange(
+            f"qubit {qubit} out of range for {num_qubits}-qubit state")
 
 
-def _pair_indices_uncached(num_qubits: int, qa: int, qb: int):
-    """Index arrays for the 4 sub-blocks of a 2-qubit gate on (qa, qb).
-
-    qa is the most significant local bit, matching the gate-matrix layout.
-    Built from three broadcast segments so no 2^n scratch array is needed;
-    int32 suffices below the engine's width range.
-    """
+def _slices(num_qubits: int, qubits) -> tuple[tuple[int, ...], list[tuple]]:
+    """Reshape of the amplitudes that gives each qubit of the gate its own
+    axis, and the index of the slice of every local basis state, in
+    gate-matrix order (the first qubit is the most significant)."""
+    if len(qubits) == 1:
+        q = qubits[0]
+        return (1 << (num_qubits - q - 1), 2, 1 << q), [np.s_[:, 0], np.s_[:, 1]]
+    qa, qb = qubits
     hi, lo = max(qa, qb), min(qa, qb)
-    high = np.arange(1 << (num_qubits - hi - 1), dtype=np.int32) << (hi + 1)
-    mid = np.arange(1 << (hi - lo - 1), dtype=np.int32) << (lo + 1)
-    low = np.arange(1 << lo, dtype=np.int32)
-    base = (high[:, None, None] | mid[None, :, None] | low[None, None, :]).ravel()
-    i00 = base
-    i01 = base | np.int32(1 << qb)
-    i10 = base | np.int32(1 << qa)
-    i11 = base | np.int32((1 << qa) | (1 << qb))
-    for a in (i00, i01, i10, i11):
-        a.setflags(write=False)
-    return i00, i01, i10, i11
+    shape = (1 << (num_qubits - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    return shape, [np.s_[:, a, :, b] if qa > qb else np.s_[:, b, :, a]
+                   for a in (0, 1) for b in (0, 1)]
 
 
-_pair_indices_cached = lru_cache(maxsize=64)(_pair_indices_uncached)
+def _scale(view: np.ndarray, slots) -> None:
+    for index, factor in slots:
+        view[index] *= factor
 
 
-def _pair_indices(num_qubits: int, qa: int, qb: int):
-    # shot loops hammer the same pairs; cache only while the arrays are small
-    if num_qubits <= 19:
-        return _pair_indices_cached(num_qubits, qa, qb)
-    return _pair_indices_uncached(num_qubits, qa, qb)
+def _swap(view: np.ndarray, i, j) -> None:
+    t = view[i].copy()
+    view[i] = view[j]
+    view[j] = t
 
 
-def _apply_1q(amps: np.ndarray, num_qubits: int, q: int, mat: np.ndarray) -> None:
-    view = amps.reshape(1 << (num_qubits - q - 1), 2, 1 << q)
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :].copy()
-    view[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-    view[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
+def _mix(view: np.ndarray, i, j, mat: np.ndarray) -> None:
+    hi, lo = view.shape[0], view.shape[-1]
+    row = view.size // hi
+    if row <= _CHUNK:
+        step = _CHUNK // row
+        parts = (view[r:r + step] for r in range(0, hi, step))
+    else:  # a row alone is over a chunk: split it along the last axis
+        step = max(1, lo * _CHUNK // row)
+        parts = (view[r:r + 1, ..., c:c + step]
+                 for r in range(hi) for c in range(0, lo, step))
+    for part in parts:
+        a, b = part[i], part[j]
+        t = mat[1, 0] * a
+        a *= mat[0, 0]
+        a += mat[0, 1] * b
+        b *= mat[1, 1]
+        b += t
 
 
-def _apply_2q(amps: np.ndarray, num_qubits: int, qa: int, qb: int,
-              mat: np.ndarray) -> None:
-    i00, i01, i10, i11 = _pair_indices(num_qubits, qa, qb)
-    v = np.stack([amps[i00], amps[i01], amps[i10], amps[i11]])
-    r = mat @ v
-    amps[i00], amps[i01], amps[i10], amps[i11] = r[0], r[1], r[2], r[3]
+def compile_gate(num_qubits: int, name: str, qubits, params=()
+                 ) -> Callable[[np.ndarray], None]:
+    """Resolve a gate once for states of `num_qubits`: the returned function
+    applies it in place to such a state's amplitude array."""
+    for q in qubits:
+        _check_qubit(num_qubits, q)
+    if len(set(qubits)) != len(qubits):
+        raise QubitOutOfRange(f"{name} applied to duplicate qubits {tuple(qubits)}")
+    mat = gate_matrix(name, params)
+    shape, index = _slices(num_qubits, qubits)
+    kind = KERNEL_CLASS[name]
+    if kind == "controlled":  # the target's kernel on the control = 1 half
+        kind, mat, index = KERNEL_CLASS[CONTROLLED_TARGET[name]], mat[2:, 2:], index[2:]
+    if kind == "diagonal":
+        fn, args = _scale, ([(i, d) for i, d in zip(index, np.diag(mat)) if d != 1],)
+    elif kind == "permutation":  # the two basis states the matrix exchanges
+        fn, args = _swap, tuple(index[k] for k in np.flatnonzero(np.diag(mat) == 0))
+    else:
+        fn, args = _mix, (index[0], index[1], mat)
+    return lambda amps: fn(amps.reshape(shape), *args)
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply a unitary gate in place; conditions must be resolved already."""
-    for q in op.qubits:
-        state._check_qubit(q)
-    if len(set(op.qubits)) != len(op.qubits):
-        raise QubitOutOfRange(f"{op.name} applied to duplicate qubits {op.qubits}")
-    mat = gate_matrix(op.name, op.params)
-    if len(op.qubits) == 1:
-        _apply_1q(state.amplitudes, state.num_qubits, op.qubits[0], mat)
-    else:
-        _apply_2q(state.amplitudes, state.num_qubits, op.qubits[0],
-                  op.qubits[1], mat)
+    compile_gate(state.num_qubits, op.name, op.qubits, op.params)(state.amplitudes)
     return state
 
 
@@ -128,12 +139,14 @@ def measure_qubit(state: StateVector, qubit: int,
                   rng: np.random.Generator) -> tuple[int, StateVector]:
     """Sample `qubit` in the computational basis, project and renormalize.
 
-    Deterministic for a fixed generator state and input state.
+    Deterministic for a fixed generator state and input state: one
+    rng.random() per call, outcome 1 when it falls below P(1).
     """
-    state._check_qubit(qubit)
+    _check_qubit(state.num_qubits, qubit)
     view = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    w0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
-    w1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
+    # |amplitude|^2 summed per half, reducing along the longer axis first
+    lanes = view if view.shape[2] >= view.shape[0] else view.transpose(2, 1, 0)
+    w0, w1 = np.vecdot(lanes, lanes).real.sum(axis=0)
     total = w0 + w1
     if total <= _NORM_TOL:
         raise ZeroNorm(f"state norm collapsed to {total:.3e}")
@@ -142,15 +155,17 @@ def measure_qubit(state: StateVector, qubit: int,
     if w <= _NORM_TOL:
         raise ZeroNorm(
             f"measurement of qubit {qubit} collapsed onto a branch of weight {w:.3e}")
-    view[:, 1 - outcome, :] = 0.0
-    state.amplitudes /= np.sqrt(w)
+    view[:, outcome] /= np.sqrt(w)
+    view[:, 1 - outcome] = 0.0
     return outcome, state
 
 
 def reset_qubit(state: StateVector, qubit: int,
                 rng: np.random.Generator) -> StateVector:
-    """Measure and, on outcome 1, flip: leaves `qubit` in |0> disentangled."""
-    outcome, state = measure_qubit(state, qubit, rng)
-    if outcome == 1:
-        apply_gate(state, GateOp("x", (qubit,)))
+    """Measure and, on outcome 1, move the kept half to |0>: leaves `qubit`
+    in |0> disentangled."""
+    if measure_qubit(state, qubit, rng)[0] == 1:
+        view = state.amplitudes.reshape(-1, 2, 1 << qubit)
+        view[:, 0] = view[:, 1]
+        view[:, 1] = 0.0
     return state

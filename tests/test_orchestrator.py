@@ -1,6 +1,9 @@
 import json
 import os
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -10,7 +13,8 @@ from dqcemu import registry
 from dqcemu.backend import backend_to_obj, default_backend
 from dqcemu.cli import qdrop_main, qinfo_main, qraise_main
 from dqcemu.errors import ConflictingFlags, DuplicateFamilyName, NotSupported
-from dqcemu.orchestrator import parse_ttl, qdrop, qinfo, qraise
+from dqcemu.orchestrator import _probe_status, parse_ttl, qdrop, qinfo, qraise
+from dqcemu.protocol import ConnectionClosed, recv_frame
 
 
 def test_parse_ttl():
@@ -93,6 +97,48 @@ def test_qdrop_all_counts_everything(raise_family):
     raise_family(2, name="fam-a")
     raise_family(3, name="fam-b")
     assert qdrop("all", quiet=True) == 5
+
+
+@pytest.fixture()
+def closes_without_reply():
+    """A local listener that reads one request per connection and closes it
+    without replying, like a vQPU exiting before it acks `shutdown`."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                try:
+                    recv_frame(conn)
+                except (ConnectionClosed, OSError):
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield listener.getsockname()
+    stop.set()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    listener.close()
+
+
+def test_peer_closing_mid_request_is_not_an_error(cunqa_home, closes_without_reply):
+    host, port = closes_without_reply
+    assert _probe_status(host, port) is None
+
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait(timeout=30)
+    registry.add_entries([registry.RegistryEntry(
+        family="closing", vqpu_id="closing-0", host=host, port=port,
+        backend_path="", comm_mode="none", co_located=False, pid=exited.pid,
+        raised_at=time.time(), ttl_seconds=600)])
+    assert qdrop("closing", quiet=True) == 1
 
 
 def test_qinfo_family_filter(raise_family):

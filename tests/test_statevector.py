@@ -1,9 +1,14 @@
+import copy
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqcemu.errors import QubitOutOfRange, ZeroNorm
+from dqcemu.gates import GATE_ARITY
 from dqcemu.statevector import (
     GateOp,
     StateVector,
@@ -12,7 +17,12 @@ from dqcemu.statevector import (
     reset_qubit,
 )
 
-from oracles import full_gate_matrix, random_unitary_circuit, reduced_density
+from oracles import (
+    apply_by_tensordot,
+    full_gate_matrix,
+    random_unitary_circuit,
+    reduced_density,
+)
 
 
 def bell_state() -> StateVector:
@@ -56,17 +66,92 @@ def test_crz_phase_against_matrix_oracle():
     assert np.allclose(s.amplitudes[3], np.exp(2j), atol=1e-12)
 
 
+def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return amps / np.linalg.norm(amps)
+
+
 def test_two_qubit_gates_any_orientation():
+    # every ordered pair of 4 qubits: qa > qb, adjacent, 0 and n-1
     rng = np.random.default_rng(5)
-    for name in ("cx", "cz", "swap", "crz", "cp", "cy"):
-        for qubits in ([0, 2], [2, 0], [1, 2]):
-            params = [1.3] if name in ("crz", "cp") else []
-            start = rng.normal(size=8) + 1j * rng.normal(size=8)
-            start /= np.linalg.norm(start)
-            s = StateVector(3, start.copy())
-            apply_gate(s, GateOp(name, tuple(qubits), tuple(params)))
-            oracle = full_gate_matrix(3, name, qubits, params) @ start
+    for name in (g for g, (arity, _) in GATE_ARITY.items() if arity == 2):
+        for qubits in itertools.permutations(range(4), 2):
+            params = [1.3] * GATE_ARITY[name][1]
+            start = random_state(rng, 4)
+            s = StateVector(4, start.copy())
+            apply_gate(s, GateOp(name, qubits, tuple(params)))
+            oracle = full_gate_matrix(4, name, qubits, params) @ start
             assert np.allclose(s.amplitudes, oracle, atol=1e-12), (name, qubits)
+
+
+@st.composite
+def gate_on_state(draw):
+    name = draw(st.sampled_from(sorted(GATE_ARITY)))
+    arity, n_params = GATE_ARITY[name]
+    n = draw(st.integers(arity, 10))
+    qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                                 max_size=arity, unique=True)))
+    params = tuple(draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi),
+                                 min_size=n_params, max_size=n_params)))
+    return name, n, qubits, params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gate_on_state())
+def test_every_gate_matches_dense_oracle(case):
+    name, n, qubits, params, seed = case
+    start = random_state(np.random.default_rng(seed), n)
+    s = StateVector(n, start.copy())
+    apply_gate(s, GateOp(name, qubits, params))
+    oracle = full_gate_matrix(n, name, qubits, params) @ start
+    assert np.allclose(s.amplitudes, oracle, atol=1e-12)
+    # the two oracles agree, so the wider-state test below can use the second
+    assert np.allclose(apply_by_tensordot(start, n, name, qubits, params), oracle,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("name, qubits", [
+    ("h", (0,)), ("h", (1,)), ("u", (13,)), ("ry", (14,)), ("h", (15,)),
+    ("y", (16,)), ("cy", (16, 0)), ("cy", (0, 16)), ("cy", (15, 14)),
+    ("cy", (2, 9)), ("cx", (16, 1)), ("swap", (0, 16)), ("cp", (3, 15))])
+def test_kernels_on_states_wider_than_a_chunk(name, qubits):
+    # 2^17 amplitudes: dense kernels work through the state chunk by chunk
+    n = 17
+    params = (0.4, -1.1, 2.5)[:GATE_ARITY[name][1]]
+    start = random_state(np.random.default_rng(17), n)
+    s = StateVector(n, start.copy())
+    apply_gate(s, GateOp(name, qubits, params))
+    oracle = apply_by_tensordot(start, n, name, qubits, params)
+    assert np.allclose(s.amplitudes, oracle, atol=1e-12)
+
+
+def projected(amps: np.ndarray, qubit: int, value: int) -> tuple[np.ndarray, float]:
+    """The normalised projection of `amps` onto qubit == value, and its weight."""
+    keep = ((np.arange(amps.size) >> qubit) & 1) == value
+    out = np.where(keep, amps, 0)
+    weight = float(np.sum(np.abs(out) ** 2))
+    return out / math.sqrt(weight), weight
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_measure_and_reset_match_projector_oracle(n, data, seed):
+    qubit = data.draw(st.integers(0, n - 1))
+    start = random_state(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed + 1)
+    once = copy.deepcopy(rng)
+    outcome = 1 if once.random() < projected(start, qubit, 1)[1] else 0
+    post = projected(start, qubit, outcome)[0]
+
+    used = copy.deepcopy(rng)
+    measured, s = measure_qubit(StateVector(n, start.copy()), qubit, used)
+    assert measured == outcome
+    assert np.allclose(s.amplitudes, post, atol=1e-12)
+    assert used.random() == once.random()  # exactly one draw consumed
+
+    s = reset_qubit(StateVector(n, start.copy()), qubit, copy.deepcopy(rng))
+    flip = full_gate_matrix(n, "x", [qubit]) if outcome else np.eye(1 << n)
+    assert np.allclose(s.amplitudes, flip @ post, atol=1e-12)
 
 
 def test_measure_deterministic_basis_state():
