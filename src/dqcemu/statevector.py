@@ -19,9 +19,6 @@ from .errors import QubitOutOfRange, ZeroNorm
 from .gates import CONTROLLED_TARGET, KERNEL_CLASS, gate_matrix
 
 _NORM_TOL = 1e-12
-#: amplitudes a dense kernel updates at once: its temporaries then stay in
-#: cache instead of being fresh pages of half the state on every gate
-_CHUNK = 1 << 15
 
 
 @dataclass
@@ -89,22 +86,12 @@ def _swap(view: np.ndarray, i, j) -> None:
 
 
 def _mix(view: np.ndarray, i, j, mat: np.ndarray) -> None:
-    hi, lo = view.shape[0], view.shape[-1]
-    row = view.size // hi
-    if row <= _CHUNK:
-        step = _CHUNK // row
-        parts = (view[r:r + step] for r in range(0, hi, step))
-    else:  # a row alone is over a chunk: split it along the last axis
-        step = max(1, lo * _CHUNK // row)
-        parts = (view[r:r + 1, ..., c:c + step]
-                 for r in range(hi) for c in range(0, lo, step))
-    for part in parts:
-        a, b = part[i], part[j]
-        t = mat[1, 0] * a
-        a *= mat[0, 0]
-        a += mat[0, 1] * b
-        b *= mat[1, 1]
-        b += t
+    a, b = view[i], view[j]
+    t = mat[1, 0] * a
+    a *= mat[0, 0]
+    a += mat[0, 1] * b
+    b *= mat[1, 1]
+    b += t
 
 
 def compile_gate(num_qubits: int, name: str, qubits, params=()
@@ -144,9 +131,12 @@ def measure_qubit(state: StateVector, qubit: int,
     """
     _check_qubit(state.num_qubits, qubit)
     view = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    # |amplitude|^2 summed per half, reducing along the longer axis first
-    lanes = view if view.shape[2] >= view.shape[0] else view.transpose(2, 1, 0)
-    w0, w1 = np.vecdot(lanes, lanes).real.sum(axis=0)
+    # |amplitude|^2 summed per half: dot products of the real and imaginary
+    # parts over the float view, taken along its longer axis
+    lanes = state.amplitudes.view(np.float64).reshape(-1, 2, 2 << qubit)
+    if lanes.shape[2] < lanes.shape[0]:
+        lanes = lanes.transpose(2, 1, 0)
+    w0, w1 = (lanes[..., None, :] @ lanes[..., :, None]).sum(axis=0).ravel()
     total = w0 + w1
     if total <= _NORM_TOL:
         raise ZeroNorm(f"state norm collapsed to {total:.3e}")

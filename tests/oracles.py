@@ -37,18 +37,6 @@ def full_gate_matrix(num_qubits: int, name: str, qubits, params=()) -> np.ndarra
     return full
 
 
-def apply_by_tensordot(amplitudes: np.ndarray, num_qubits: int, name: str,
-                       qubits, params=()) -> np.ndarray:
-    """A gate applied by contracting its matrix with the state as an n-axis
-    tensor (numpy axis k holds qubit n - 1 - k); usable where the explicit
-    2^n x 2^n matrix is too large."""
-    gate = gate_matrix(name, params).reshape([2] * (2 * len(qubits)))
-    axes = [num_qubits - 1 - q for q in qubits]
-    psi = np.tensordot(gate, amplitudes.reshape([2] * num_qubits),
-                       axes=(list(range(len(qubits), 2 * len(qubits))), axes))
-    return np.moveaxis(psi, list(range(len(qubits))), axes).reshape(-1)
-
-
 def statevector_by_matmul(circuit: Circuit) -> np.ndarray:
     """Evolve |0...0> by explicit full-matrix products over all unitaries."""
     dim = 1 << circuit.num_qubits

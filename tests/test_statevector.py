@@ -18,7 +18,6 @@ from dqcemu.statevector import (
 )
 
 from oracles import (
-    apply_by_tensordot,
     full_gate_matrix,
     random_unitary_circuit,
     reduced_density,
@@ -104,24 +103,6 @@ def test_every_gate_matches_dense_oracle(case):
     s = StateVector(n, start.copy())
     apply_gate(s, GateOp(name, qubits, params))
     oracle = full_gate_matrix(n, name, qubits, params) @ start
-    assert np.allclose(s.amplitudes, oracle, atol=1e-12)
-    # the two oracles agree, so the wider-state test below can use the second
-    assert np.allclose(apply_by_tensordot(start, n, name, qubits, params), oracle,
-                       atol=1e-12)
-
-
-@pytest.mark.parametrize("name, qubits", [
-    ("h", (0,)), ("h", (1,)), ("u", (13,)), ("ry", (14,)), ("h", (15,)),
-    ("y", (16,)), ("cy", (16, 0)), ("cy", (0, 16)), ("cy", (15, 14)),
-    ("cy", (2, 9)), ("cx", (16, 1)), ("swap", (0, 16)), ("cp", (3, 15))])
-def test_kernels_on_states_wider_than_a_chunk(name, qubits):
-    # 2^17 amplitudes: dense kernels work through the state chunk by chunk
-    n = 17
-    params = (0.4, -1.1, 2.5)[:GATE_ARITY[name][1]]
-    start = random_state(np.random.default_rng(17), n)
-    s = StateVector(n, start.copy())
-    apply_gate(s, GateOp(name, qubits, params))
-    oracle = apply_by_tensordot(start, n, name, qubits, params)
     assert np.allclose(s.amplitudes, oracle, atol=1e-12)
 
 
