@@ -15,15 +15,11 @@ Run as a process with ``python -m dqcemu.executor --config <json-file>``.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
 
-from . import engine, registry
+from . import engine
 from .circuit import Circuit, Instruction
 from .errors import (
     CommQubitCollision,
@@ -33,7 +29,7 @@ from .errors import (
     EmulatorError,
     MergeDeadlock,
 )
-from .protocol import error_frame, frame_server
+from .protocol import FramedService, error_code, error_frame
 from .server import ResultRecord
 from .wire import circuit_from_obj
 
@@ -339,15 +335,6 @@ class ExecutorConfig:
         if not self.executor_id:
             self.executor_id = f"{self.family}-executor"
 
-    def to_obj(self) -> dict:
-        return {"family": self.family, "listen_address": self.listen_address,
-                "ttl_seconds": self.ttl_seconds, "executor_id": self.executor_id,
-                "max_qubits": self.max_qubits, "announce_path": self.announce_path}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ExecutorConfig":
-        return cls(**obj)
-
 
 class _JobAssembly:
     def __init__(self, k: int):
@@ -358,74 +345,23 @@ class _JobAssembly:
         self.error: tuple[str, str] | None = None
 
 
-class ExecutorServer:
+class ExecutorServer(FramedService):
     """Collects the k parts of each job, merges and simulates them once, and
     answers every submitting connection with the same aggregated result."""
 
+    config_type = ExecutorConfig
+    work_frames = ("part",)
+
     def __init__(self, config: ExecutorConfig):
-        self.config = config
+        super().__init__(config, config.executor_id)
+        self.handlers["part"] = self._handle_part
         self._jobs: dict[str, _JobAssembly] = {}
         self._lock = threading.Lock()
         self._sim_lock = threading.Lock()  # one merged simulation at a time
-        self._busy = False
-        self._shutdown = threading.Event()
-        self._tcp: socketserver.ThreadingTCPServer | None = None
-        self.host = ""
-        self.port = 0
 
-    def start(self) -> None:
-        self._tcp = frame_server(self.config.listen_address, self._dispatch)
-        self.host, self.port = self._tcp.server_address[:2]
-        threading.Thread(target=self._tcp.serve_forever, daemon=True).start()
-        if self.config.ttl_seconds > 0:
-            threading.Thread(target=self._ttl_worker, daemon=True).start()
-        if self.config.announce_path:
-            with open(self.config.announce_path, "w", encoding="utf-8") as fh:
-                fh.write(f"{self.host} {self.port} {os.getpid()}\n")
-
-    def stop(self) -> None:
-        self._shutdown.set()
-        if self._tcp is not None:
-            self._tcp.shutdown()
-            self._tcp.server_close()
-
-    def wait(self) -> None:
-        self._shutdown.wait()
-
-    def _ttl_worker(self) -> None:
-        if not self._shutdown.wait(self.config.ttl_seconds):
-            self._deregister()
-            self.stop()
-
-    def _deregister(self) -> None:
-        try:
-            registry.remove_entries(
-                lambda e: e.vqpu_id == self.config.executor_id)
-        except OSError:
-            pass
-
-    def _dispatch(self, frame: dict):
-        kind = frame.get("type")
-        try:
-            if kind == "part":
-                return self._handle_part(frame)
-            if kind == "status":
-                with self._lock:
-                    pending = len(self._jobs)
-                return {"type": "ack", "state": "busy" if self._busy else "idle",
-                        "queued": pending}
-            if kind == "shutdown":
-                threading.Thread(target=self._bye, daemon=True).start()
-                return {"type": "ack"}
-            return error_frame("SchemaViolation", f"unknown frame type {kind!r}")
-        except EmulatorError as exc:
-            return error_frame(type(exc).__name__, str(exc))
-        except Exception as exc:
-            return error_frame("InternalError", f"{type(exc).__name__}: {exc}")
-
-    def _bye(self) -> None:
-        self._deregister()
-        self.stop()
+    def _queued(self) -> int:
+        with self._lock:
+            return len(self._jobs)
 
     def _handle_part(self, frame: dict):
         job_id = frame.get("job_id")
@@ -506,32 +442,12 @@ class ExecutorServer:
                 job.cond.notify_all()
         except Exception as exc:
             with job.cond:
-                if isinstance(exc, EmulatorError):
-                    job.error = (type(exc).__name__, str(exc))
-                else:
-                    job.error = ("InternalError", f"{type(exc).__name__}: {exc}")
+                job.error = error_code(exc)
                 job.cond.notify_all()
         finally:
             with self._lock:
                 self._jobs.pop(job_id, None)
 
 
-def serve(config: ExecutorConfig) -> None:
-    server = ExecutorServer(config)
-    server.start()
-    server.wait()
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="dqcemu-executor")
-    parser.add_argument("--config", required=True,
-                        help="path to a JSON ExecutorConfig")
-    args = parser.parse_args(argv)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = ExecutorConfig.from_obj(json.load(fh))
-    serve(config)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(ExecutorServer.main())

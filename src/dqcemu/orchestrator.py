@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 import uuid
+from dataclasses import asdict
 from pathlib import Path
 
 from . import registry
@@ -151,7 +152,7 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
             apath.unlink(missing_ok=True)
             cfg = ExecutorConfig(family=family, ttl_seconds=ttl_seconds,
                                  executor_id=exec_id, announce_path=str(apath))
-            proc = _spawn("dqcemu.executor", cfg.to_obj(), home, exec_id, env)
+            proc = _spawn("dqcemu.executor", asdict(cfg), home, exec_id, env)
             procs.append((exec_id, proc, apath))
 
         deadline = time.monotonic() + SPAWN_WAIT_S
@@ -220,10 +221,8 @@ def qdrop(selector: str, quiet: bool = False) -> int:
     """Terminate a family (or every family with selector 'all'); returns the
     number of terminated processes. Unknown families drop nothing."""
     home = registry.cunqa_home()
-    if selector == "all":
-        targets = registry.remove_entries(lambda e: True, home)
-    else:
-        targets = registry.remove_entries(lambda e: e.family == selector, home)
+    targets = registry.remove_entries(
+        lambda e: selector == "all" or e.family == selector, home)
     # a corrupt registry must never let qdrop signal the calling process
     targets = [e for e in targets if e.pid != os.getpid()]
     if not targets:

@@ -11,28 +11,25 @@ Run as a process with ``python -m dqcemu.server --config <json-file>``.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import queue
 import socket
-import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import engine, registry
+from . import engine
 from .backend import BackendSpec, backend_from_obj, backend_to_obj, default_backend, validate
 from .channel import BitMessage, ChannelEndpoint, is_bit_frame
 from .circuit import Circuit
-from .errors import EmulatorError, PeerUnreachable, ValidationFailed
+from .errors import PeerUnreachable, ValidationFailed
 from .protocol import (
     ConnectionClosed,
+    FramedService,
     connect,
+    error_code,
     error_frame,
-    frame_server,
     parse_address,
     request,
     send_frame,
@@ -61,26 +58,11 @@ class VqpuConfig:
     def __post_init__(self):
         if not self.vqpu_id:
             self.vqpu_id = f"{self.family}-{self.index}"
+        if isinstance(self.backend, dict):  # read from a config file
+            self.backend = backend_from_obj(self.backend)
 
     def to_obj(self) -> dict:
-        obj = {
-            "family": self.family, "index": self.index,
-            "listen_address": self.listen_address,
-            "backend": backend_to_obj(self.backend),
-            "comm_mode": self.comm_mode, "ttl_seconds": self.ttl_seconds,
-            "simulator": self.simulator, "vqpu_id": self.vqpu_id,
-            "executor_endpoint": self.executor_endpoint,
-            "queue_size": self.queue_size, "max_qubits": self.max_qubits,
-            "announce_path": self.announce_path,
-            "backend_path": self.backend_path,
-        }
-        return obj
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "VqpuConfig":
-        obj = dict(obj)
-        obj["backend"] = backend_from_obj(obj["backend"])
-        return cls(**obj)
+        return {**asdict(self), "backend": backend_to_obj(self.backend)}
 
 
 @dataclass
@@ -144,125 +126,45 @@ class TcpBitTransport:
             self._socks.clear()
 
 
-class VqpuServer:
-    """In-process server object; `serve()` wires it to a real listening port."""
+class VqpuServer(FramedService):
+    """In-process vQPU; `start()` binds it to a real listening port."""
+
+    config_type = VqpuConfig
+    work_frames = ("run", "upgrade_parameters")
 
     def __init__(self, config: VqpuConfig):
-        self.config = config
+        super().__init__(config, config.vqpu_id)
+        self.handlers.update({
+            "run": self._handle_run, "result": self._handle_result,
+            "upgrade_parameters": self._handle_upgrade, None: self._route_bit,
+        })
         self.tasks: queue.Queue[QuantumTask | None] = queue.Queue(config.queue_size)
         self._lock = threading.Lock()
         self._states: dict[str, str] = {}  # job -> queued|running|done|failed
         self._results: dict[str, ResultRecord] = {}
         self._failures: dict[str, tuple[str, str]] = {}
         self._retained: dict[str, QuantumTask] = {}
-        self._busy = False
-        self._draining = False
         self._endpoint: ChannelEndpoint | None = None
         self._stray_bits: list[BitMessage] = []
-        self._shutdown = threading.Event()
-        self._tcp: socketserver.ThreadingTCPServer | None = None
-        self._threads: list[threading.Thread] = []
-        self.host = ""
-        self.port = 0
-
-    # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        try:
-            self._tcp = frame_server(self.config.listen_address, self._dispatch)
-        except OSError as exc:
-            from .errors import BindFailure
-            raise BindFailure(f"cannot bind {self.config.listen_address}: {exc}")
-        self.host, self.port = self._tcp.server_address[0], self._tcp.server_address[1]
-
-        receiver = threading.Thread(target=self._tcp.serve_forever,
-                                    name="receiver", daemon=True)
-        sim = threading.Thread(target=self._sim_worker, name="simulator",
-                               daemon=True)
-        self._threads = [receiver, sim]
-        receiver.start()
-        sim.start()
-        if self.config.ttl_seconds > 0:
-            ttl = threading.Thread(target=self._ttl_worker, name="ttl", daemon=True)
-            self._threads.append(ttl)
-            ttl.start()
-        if self.config.announce_path:
-            with open(self.config.announce_path, "w", encoding="utf-8") as fh:
-                fh.write(f"{self.host} {self.port} {os.getpid()}\n")
+        super().start()
+        threading.Thread(target=self._sim_worker, name="simulator",
+                         daemon=True).start()
 
     def stop(self) -> None:
-        self._shutdown.set()
+        super().stop()
         try:
-            self.tasks.put_nowait(None)
+            self.tasks.put_nowait(None)  # wake the simulation worker
         except queue.Full:
             pass
-        if self._tcp is not None:
-            self._tcp.shutdown()
-            self._tcp.server_close()
 
-    def wait(self) -> None:
-        self._shutdown.wait()
-        # let the in-flight task finish before tearing the process down
-        for _ in range(600):
-            if not self._busy:
-                break
-            time.sleep(0.05)
-
-    def _ttl_worker(self) -> None:
-        expired = not self._shutdown.wait(self.config.ttl_seconds)
-        if expired:
-            self._draining = True
-            self._deregister()
-            self.stop()
-
-    def _deregister(self) -> None:
-        try:
-            registry.remove_entries(lambda e: e.vqpu_id == self.config.vqpu_id)
-        except OSError:
-            pass
+    def _queued(self) -> int:
+        return self.tasks.qsize()
 
     # -- receiver side --------------------------------------------------------
 
-    def _dispatch(self, frame: dict):
-        if "type" not in frame:
-            if is_bit_frame(frame):
-                self._route_bit(BitMessage.from_obj(frame))
-                return None  # bit frames are one-way
-            return error_frame("SchemaViolation", "frame without type")
-        kind = frame["type"]
-        try:
-            if kind == "run":
-                return self._handle_run(frame)
-            if kind == "status":
-                with self._lock:
-                    queued = self.tasks.qsize()
-                    busy = self._busy
-                return {"type": "ack", "state": "busy" if busy else "idle",
-                        "queued": queued}
-            if kind == "result":
-                return self._handle_result(frame)
-            if kind == "upgrade_parameters":
-                return self._handle_upgrade(frame)
-            if kind == "shutdown":
-                threading.Thread(target=self._graceful_exit, daemon=True).start()
-                return {"type": "ack"}
-            return error_frame("SchemaViolation", f"unknown frame type {kind!r}")
-        except EmulatorError as exc:
-            return error_frame(type(exc).__name__, str(exc))
-        except Exception as exc:  # defensive: the receiver must keep serving
-            return error_frame("InternalError", f"{type(exc).__name__}: {exc}")
-
-    def _graceful_exit(self) -> None:
-        self._draining = True
-        deadline = time.monotonic() + 10.0
-        while (self._busy or not self.tasks.empty()) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        self._deregister()
-        self.stop()
-
     def _handle_run(self, frame: dict):
-        if self._draining:
-            return error_frame("Expired", "vQPU is shutting down", retriable=False)
         job_id = frame.get("job_id")
         if not job_id or "circuit" not in frame:
             return error_frame("SchemaViolation", "run needs job_id and circuit")
@@ -280,14 +182,21 @@ class VqpuServer:
         )
         return self._enqueue(task)
 
-    def _enqueue(self, task: QuantumTask):
-        try:
-            self.tasks.put_nowait(task)
-        except queue.Full:
-            return error_frame("QueueFull", "task queue is full, retry later",
-                              retriable=True)
+    def _enqueue(self, task: QuantumTask, rerun: bool = False):
+        """Queue `task`; a `run` of a job id already known is acked again
+        without queueing anything, so a resent `run` runs once."""
         with self._lock:
+            if not rerun and task.job_id in self._states:
+                return {"type": "ack", "job_id": task.job_id}
+            try:
+                self.tasks.put_nowait(task)
+            except queue.Full:
+                return error_frame("QueueFull", "task queue is full, retry later",
+                                   retriable=True)
+            self._begin_work()
             self._states[task.job_id] = "queued"
+            if rerun:
+                self._results.pop(task.job_id, None)  # superseded
         return {"type": "ack", "job_id": task.job_id}
 
     def _handle_result(self, frame: dict):
@@ -329,21 +238,21 @@ class VqpuServer:
             seed=task.seed, mode=task.mode, params=list(params),
             plan=task.plan, enqueued_at=time.monotonic(),
         )
-        reply = self._enqueue(new_task)
-        if reply.get("type") == "ack":
-            with self._lock:
-                self._results.pop(job_id, None)  # superseded
-        return reply
+        return self._enqueue(new_task, rerun=True)
 
-    def _route_bit(self, msg: BitMessage) -> None:
+    def _route_bit(self, frame: dict):
+        if not is_bit_frame(frame):
+            return error_frame("SchemaViolation", "frame without type")
+        msg = BitMessage.from_obj(frame)
         with self._lock:
             ep = self._endpoint
             if ep is not None and ep.local_circuit == msg.dst_circuit:
                 target = ep
             else:
                 self._stray_bits.append(msg)
-                return
+                return None
         target.deliver(msg)
+        return None  # bit frames are one-way
 
     # -- simulation side ------------------------------------------------------
 
@@ -361,18 +270,14 @@ class VqpuServer:
                     self._results[task.job_id] = record
                     self._states[task.job_id] = "done"
                     self._retained[task.job_id] = task
-            except EmulatorError as exc:
-                with self._lock:
-                    self._failures[task.job_id] = (type(exc).__name__, str(exc))
-                    self._states[task.job_id] = "failed"
             except Exception as exc:  # crash isolation
                 with self._lock:
-                    self._failures[task.job_id] = (
-                        "InternalError", f"{type(exc).__name__}: {exc}")
+                    self._failures[task.job_id] = error_code(exc)
                     self._states[task.job_id] = "failed"
             finally:
                 with self._lock:
                     self._busy = False
+                self._end_work()
 
     def _execute(self, task: QuantumTask) -> ResultRecord:
         config = self.config
@@ -487,23 +392,5 @@ def _mode_violation(mode: str, needs: str):
                      f"circuit uses a {needs} but vQPU comm mode is {mode!r}")
 
 
-def serve(config: VqpuConfig) -> None:
-    """Run a vQPU until shutdown (blocking entry point for the process)."""
-    server = VqpuServer(config)
-    server.start()
-    server.wait()
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="dqcemu-vqpu")
-    parser.add_argument("--config", required=True,
-                        help="path to a JSON VqpuConfig")
-    args = parser.parse_args(argv)
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = VqpuConfig.from_obj(json.load(fh))
-    serve(config)
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(VqpuServer.main())
