@@ -1,20 +1,25 @@
-"""Circuit execution: terminal-measurement sampling and the per-shot loop.
+"""Circuit execution: terminal-measurement sampling and the shot-branching walk.
 
 Two entry points mirror the two execution styles a vQPU supports:
 
 * ``run_sampled``   - evolve the statevector once through all unitaries and
   sample the terminal measurement distribution; only admissible for circuits
   without mid-circuit effects (see ``is_sampled_admissible``).
-* ``run_shot_loop`` - re-run the full instruction list once per shot with a
-  fresh state, supporting mid-circuit measurement, reset, local conditionals
-  and the classical-communication instructions via channel hooks.
+* ``run_branched`` (and ``run_shot_loop``, its counts) - walk the instruction
+  list once for a chunk of shots, keeping one state per distinct measurement
+  history: a measurement, reset or received bit splits a branch by each
+  shot's outcome, and branches whose states and live clbits agree merge
+  again. Supports mid-circuit measurement, reset, local conditionals and the
+  classical-communication instructions via channel hooks.
 
 Randomness: PCG64, one independent stream per shot derived from
-(job seed, shot index), so distributed runs replay bit-identically.
+(job seed, shot index), so distributed runs replay bit-identically; the
+walk gives every shot the outcomes the shot would get if run alone.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -23,11 +28,19 @@ import numpy as np
 
 from .errors import EmulatorError, UnsupportedInstruction, WidthExceeded
 from .gates import DISTRIBUTED
-from .statevector import StateVector, compile_gate, measure_qubit, reset_qubit
+from .statevector import (
+    StateVector,
+    collapse,
+    compile_gate,
+    move_to_zero,
+    sample_outcomes,
+)
 
 DEFAULT_MAX_QUBITS = 26
 RNG_ALGORITHM = "pcg64"
-_NOT_GATES = ("measure", "reset", *DISTRIBUTED)
+#: bytes of statevectors and uniforms one chunk of shots may hold; the live
+#: branches of a chunk never outnumber its shots
+BRANCH_BUDGET_BYTES = 256 << 20
 
 
 @dataclass
@@ -52,6 +65,86 @@ def shot_rng(seed, shot_index: int) -> np.random.Generator:
     """Independent per-shot stream; reproducible for a fixed (seed, index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(shot_index,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+_M32 = (1 << 32) - 1
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_LOW32 = np.uint64(_M32)
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+
+
+def _words(n: int) -> list[int]:
+    """An int as SeedSequence reads it: 32-bit words, least significant first."""
+    out = [n & _M32]
+    while n >> 32:
+        n >>= 32
+        out.append(n & _M32)
+    return out
+
+
+def _hash_steps(h: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
+    """SeedSequence's running hash constant over n steps, as (before, after)."""
+    steps = []
+    for _ in range(n):
+        steps.append((np.uint32(h), np.uint32(h * mult & _M32)))
+        h = h * mult & _M32
+    return steps
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of each 64 x 64-bit product, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> np.uint64(32), b & _LOW32, b >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
+class _ShotStreams:
+    """The doubles shot_rng(seed, s).random() gives, for every shot s of a
+    range at once: `next_row` returns each shot's next double.
+
+    SeedSequence hashes the words [seed, zeros up to 4 words, shot]; the
+    seed's share is hashed once, the shot word and the PCG64 seed the pool
+    yields are hashed for all shots together in uint32 arithmetic, and the
+    128-bit PCG64 states step as (high, low) uint64 arrays. The tests
+    compare it with shot_rng."""
+
+    def __init__(self, seed, shots: range):
+        np.random.SeedSequence(seed)  # rejects what shot_rng would reject
+        run = _words(operator.index(seed))
+        run += [0] * (4 - len(run))
+        pool = [np.full(len(shots), w) for w in np.random.SeedSequence(run).pool]
+        index = np.arange(shots.start, shots.stop, dtype=np.uint32)
+        for i, (a, b) in enumerate(_hash_steps(0x43B0D7E5, 0x931E8875, 4 * len(run) + 4)[-4:]):
+            v = (index ^ a) * b
+            m = _MIX_L * pool[i] - _MIX_R * (v ^ v >> _SHIFT)
+            pool[i] = m ^ m >> _SHIFT
+        words = []
+        for i, (a, b) in enumerate(_hash_steps(0x8B51F9DD, 0x58F38DED, 8)):
+            v = (pool[i % 4] ^ a) * b
+            words.append((v ^ v >> _SHIFT).astype(np.uint64))
+        start_hi, start_lo, seq_hi, seq_lo = (
+            words[i] | words[i + 1] << np.uint64(32) for i in (0, 2, 4, 6))
+        # PCG64 seeding: inc = 2 * seq + 1, state = inc + start, one step
+        self._inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+        self._inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+        self._lo = self._inc_lo + start_lo
+        self._hi = self._inc_hi + start_hi + (self._lo < start_lo)
+        self._step()
+
+    def _step(self) -> None:
+        """state = state * multiplier + inc, modulo 2**128."""
+        hi, lo = self._hi, self._lo
+        lo_next = lo * _PCG_LO + self._inc_lo
+        self._hi = (_mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO
+                    + self._inc_hi + (lo_next < self._inc_lo))
+        self._lo = lo_next
+
+    def next_row(self) -> np.ndarray:
+        self._step()
+        x, rot = self._hi ^ self._lo, self._hi >> np.uint64(58)
+        out = x >> rot | x << (-rot & np.uint64(63))  # XSL-RR output
+        return (out >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
 def job_rng(seed) -> np.random.Generator:
@@ -121,76 +214,288 @@ def run_sampled(circuit, shots: int, seed=None,
     return {format_key(int(v), nb): int(t) for v, t in zip(values, tallies)}
 
 
-def _compile(circuit) -> Callable:
-    """Resolve every gate once per job; the returned run(rng, hooks,
-    shot_index) executes the instruction list once on a fresh state and
-    returns the state and the classical bit register."""
-    n = circuit.num_qubits
-    kernels = []
-    for ins in circuit.instructions:
-        gate = ins.remote.gate_name if ins.name == "remote_c_if" else ins.name
-        kernels.append(None if gate in _NOT_GATES else
-                       compile_gate(n, gate, ins.qubits, ins.params))
+@dataclass
+class _Op:
+    kind: str  # gate | cond | measure | reset | send | recv | unsupported
+    ins: object
+    kernel: Callable | None = None
+    targets: tuple = ()  # (qubit, clbit) per draw
+    live: int | None = None  # live clbit mask after the op where merges are tried
 
-    def run(rng: np.random.Generator, hooks: ChannelHooks, shot_index: int):
-        state = StateVector.zero(n)
-        bits = [0] * circuit.num_clbits
-        for ins, kernel in zip(circuit.instructions, kernels):
-            name = ins.name
-            if name == "measure":
-                for q, c in zip(ins.qubits, ins.clbits):
-                    bits[c], state = measure_qubit(state, q, rng)
-            elif name == "reset":
-                for q in ins.qubits:
-                    state = reset_qubit(state, q, rng)
-            elif name == "measure_and_send":
-                outcome, state = measure_qubit(state, ins.qubits[0], rng)
-                hooks.send(ins.remote.peer_circuit_id, shot_index,
-                           ins.remote.sequence, outcome)
-            elif name == "remote_c_if":
-                bit = hooks.recv(ins.remote.peer_circuit_id, shot_index,
-                                 ins.remote.sequence)
-                if bit == 1:
-                    kernel(state.amplitudes)
-            elif name in DISTRIBUTED:
-                raise UnsupportedInstruction(
-                    f"{name} requires the quantum-communication executor")
-            elif not ins.clbits or bits[ins.clbits[0]] == 1:
-                kernel(state.amplitudes)
-        return state, bits
-    return run
+
+@dataclass
+class _Program:
+    num_qubits: int
+    outputs: int
+    ops: list[_Op]
+    draws: int  # uniforms each shot consumes
+    linked: bool  # classical channel instructions: each shot walks alone
+    probe: np.ndarray  # fingerprint weights over the state's float view
+    tail: int  # the first op after the last merge point
+    tail_draws: int  # uniforms the ops from `tail` on consume
+
+
+@dataclass
+class _Branch:
+    amps: np.ndarray
+    bits: int  # packed classical register; clbit c is bit c
+    shots: np.ndarray  # rows of the chunk's shots that share this history
+
+
+def _compile(circuit, outputs: int | None = None) -> _Program:
+    """Resolve every gate once per job, count the uniforms each shot draws,
+    and mark where branches may merge: after every reset and wherever a
+    clbit dies. The first `outputs` clbits (all by default) are the result;
+    any other clbit is dead after its last conditional read."""
+    n = circuit.num_qubits
+    ops, draws = [], 0
+    for ins in circuit.instructions:
+        name = ins.name
+        if name in ("measure", "reset", "measure_and_send"):
+            qubits = ins.qubits[:1] if name == "measure_and_send" else ins.qubits
+            clbits = ins.clbits if name == "measure" else [None] * len(qubits)
+            targets = tuple(zip(qubits, clbits))
+            draws += len(targets)
+            ops.append(_Op("send" if name == "measure_and_send" else name, ins,
+                           targets=targets))
+        elif name == "remote_c_if":
+            ops.append(_Op("recv", ins, compile_gate(
+                n, ins.remote.gate_name, ins.qubits, ins.params)))
+        elif name in DISTRIBUTED:
+            ops.append(_Op("unsupported", ins))
+        else:
+            ops.append(_Op("cond" if ins.clbits else "gate", ins,
+                           compile_gate(n, name, ins.qubits, ins.params)))
+
+    outputs = circuit.num_clbits if outputs is None else outputs
+    live = (1 << outputs) - 1
+    for op in reversed(ops):
+        after, writes = live, 0
+        if op.kind == "measure":
+            for c in op.ins.clbits:
+                writes |= 1 << c
+        live &= ~writes
+        if op.kind == "cond":
+            live |= 1 << op.ins.clbits[0]
+        if op.kind == "reset" or (live | writes) & ~after:
+            op.live = after
+
+    merges = [i for i, op in enumerate(ops) if op.live is not None]
+    tail = merges[-1] + 1 if merges else 0
+    floats = 2 << n
+    probe = np.random.default_rng(0).random(floats // min(64, floats))
+    return _Program(n, outputs, ops, draws, circuit.has_classical_link(), probe,
+                    tail, sum(len(op.targets) for op in ops[tail:]))
+
+
+def _fork(branch: _Branch, take: np.ndarray) -> _Branch:
+    """Split off the shots where `take` holds into a branch with a copy of
+    the state; `branch` keeps the rest."""
+    child = _Branch(branch.amps.copy(), branch.bits, branch.shots[take])
+    branch.shots = branch.shots[~take]
+    return child
+
+
+def _measure(branch: _Branch, qubit: int, uniforms: np.ndarray
+             ) -> tuple[tuple[int, _Branch], ...]:
+    """The branch's shots split by the outcome each draws, every part
+    collapsed onto its outcome: ((outcome, branch), ...)."""
+    ones, weights = sample_outcomes(branch.amps, qubit, uniforms[branch.shots])
+    n1 = np.count_nonzero(ones)
+    parts = (((0, branch), (1, _fork(branch, ones))) if 0 < n1 < len(ones)
+             else ((1 if n1 else 0, branch),))
+    for outcome, part in parts:
+        collapse(part.amps, qubit, outcome, weights[outcome])
+    return parts
+
+
+def _fingerprint(amps: np.ndarray, probe: np.ndarray) -> bytes:
+    """Weighted sums over 64 blocks of the state: equal states give equal
+    bytes, distinct ones almost never do."""
+    return (amps.view(np.float64).reshape(-1, len(probe)) @ probe + 0.0).tobytes()
+
+
+def _merge(branches: list[_Branch], probe: np.ndarray) -> list[_Branch]:
+    """One branch per distinct (clbits, state): a fingerprint finds the
+    candidates and np.array_equal decides."""
+    kept: dict[tuple[int, bytes], list[_Branch]] = {}
+    out = []
+    for b in branches:
+        same = kept.setdefault((b.bits, _fingerprint(b.amps, probe)), [])
+        for r in same:
+            if np.array_equal(r.amps, b.amps):
+                r.shots = np.concatenate((r.shots, b.shots))
+                break
+        else:
+            same.append(b)
+            out.append(b)
+    return out
+
+
+def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
+          shot_ids: range, hooks: ChannelHooks) -> list[_Branch]:
+    """Run one op on every branch; each of its draws takes `next_row()`,
+    every shot's next uniform. Returns the branches after it."""
+    kind = op.kind
+    if kind == "gate":
+        for b in branches:
+            op.kernel(b.amps)
+    elif kind == "cond":
+        bit = op.ins.clbits[0]
+        for b in branches:
+            if b.bits >> bit & 1:
+                op.kernel(b.amps)
+    elif kind == "recv":
+        remote, split = op.ins.remote, []
+        for b in branches:
+            try:
+                got = [hooks.recv(remote.peer_circuit_id, shot_ids[s], remote.sequence)
+                       for s in b.shots.tolist()]
+            except EmulatorError as exc:
+                raise _at_shot(exc, b, shot_ids) from exc
+            n1 = got.count(1)
+            if n1 == len(got):
+                op.kernel(b.amps)
+            elif n1:
+                split.append(_fork(b, np.array(got) == 1))
+                op.kernel(split[-1].amps)
+            split.append(b)
+        return split
+    elif kind == "unsupported":
+        raise _at_shot(UnsupportedInstruction(
+            f"{op.ins.name} requires the quantum-communication executor"),
+            branches[0], shot_ids)
+    else:
+        for qubit, clbit in op.targets:
+            uniforms, split = next_row(), []
+            for b in branches:
+                try:
+                    parts = _measure(b, qubit, uniforms)
+                    for outcome, part in parts:
+                        if kind == "measure":
+                            part.bits = part.bits & ~(1 << clbit) | outcome << clbit
+                        elif kind == "reset" and outcome:
+                            move_to_zero(part.amps, qubit)
+                        elif kind == "send":
+                            remote = op.ins.remote
+                            for s in part.shots.tolist():
+                                hooks.send(remote.peer_circuit_id, shot_ids[s],
+                                           remote.sequence, outcome)
+                except EmulatorError as exc:
+                    raise _at_shot(exc, b, shot_ids) from exc
+                split += [part for _, part in parts]
+            branches = split
+    return branches
+
+
+def _at_shot(exc: EmulatorError, branch: _Branch, shot_ids: range) -> EmulatorError:
+    """`exc` naming the first shot of the branch it hit."""
+    return type(exc)(f"shot {shot_ids[int(branch.shots.min())]}: {exc}")
+
+
+def _walk(prog: _Program, next_row: Callable[[], np.ndarray], shot_ids: range,
+          hooks: ChannelHooks, finish: Callable[[_Branch], None]) -> int:
+    """Evolve the shots `shot_ids` through the program together; each draw
+    takes `next_row()`, every shot's next uniform. Every branch that has run
+    the whole program is passed to `finish`. Returns the peak number of live
+    branches.
+
+    Up to the last merge point the branches advance op by op together, so
+    equal ones can meet. After it no two branches merge again, so each runs
+    to the end alone, depth first: only the branches a split left waiting
+    hold a state, not one per final history."""
+    root = _Branch(np.zeros(1 << prog.num_qubits, dtype=np.complex128), 0,
+                   np.arange(len(shot_ids)))
+    root.amps[0] = 1.0
+    branches, peak, ops = [root], 1, prog.ops
+    for op in ops[:prog.tail]:
+        branches = _step(op, branches, next_row, shot_ids, hooks)
+        peak = max(peak, len(branches))
+        if op.live is not None and len(branches) > 1:
+            for b in branches:
+                b.bits &= op.live
+            branches = _merge(branches, prog.probe)
+    rows = [next_row() for _ in range(prog.tail_draws)]
+    waiting = [(prog.tail, 0, b) for b in reversed(branches)]
+    while waiting:
+        start, row, b = waiting.pop()
+        taken = iter(rows[row:]).__next__
+        for i in range(start, len(ops)):
+            parts = _step(ops[i], [b], taken, shot_ids, hooks)
+            row += len(ops[i].targets)
+            b = parts[0]
+            if len(parts) > 1:
+                waiting += [(i + 1, row, part) for part in parts[1:]]
+                peak = max(peak, len(waiting) + 1)
+        finish(b)
+    return peak
 
 
 def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = None,
              shot_index: int = 0) -> tuple[StateVector, list[int]]:
-    """Execute the instruction list once on a fresh state.
+    """Execute the instruction list once on a fresh state, drawing from `rng`.
 
     Returns the final state and the classical bit register. Unitary
     instructions carrying a clbit are conditionals triggered on bit == 1.
     """
-    return _compile(circuit)(rng, hooks or null_hooks(), shot_index)
+    prog, finished = _compile(circuit), []
+    _walk(prog, iter(rng.random((prog.draws, 1))).__next__,
+          range(shot_index, shot_index + 1), hooks or null_hooks(), finished.append)
+    (b,) = finished
+    return (StateVector(circuit.num_qubits, b.amps),
+            [b.bits >> c & 1 for c in range(circuit.num_clbits)])
+
+
+def run_branched(circuit, shots: int, seed=None,
+                 hooks: ChannelHooks | None = None,
+                 max_qubits: int = DEFAULT_MAX_QUBITS,
+                 outputs: int | None = None) -> tuple[dict[str, int], dict]:
+    """Counts over the first `outputs` clbits (all by default) of `shots`
+    shots, and the walk's counters: the peak number of live branches and
+    the number of walks (chunks, or shots of a channel-linked circuit).
+
+    Shot s draws its uniforms from shot_rng(seed, s) in instruction order,
+    so the counts are those of running every shot alone. Shots are drawn
+    and walked in chunks whose statevectors and uniforms fit
+    BRANCH_BUDGET_BYTES; a circuit that talks to a classical channel walks
+    each chunk one shot at a time, as its bits go out and are awaited in
+    shot order.
+    """
+    if not 1 <= shots <= 1 << 32:
+        raise ValueError("shots must be between 1 and 2**32")
+    _check_width(circuit, max_qubits)
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
+
+    prog, hooks = _compile(circuit, outputs), hooks or null_hooks()
+    chunk = max(1, BRANCH_BUDGET_BYTES // ((16 << prog.num_qubits) + 8 * prog.draws))
+    mask = (1 << prog.outputs) - 1
+    tally: Counter[int] = Counter()
+    peak = chunks = 0
+
+    def count(b: _Branch) -> None:
+        tally[b.bits & mask] += len(b.shots)
+
+    for start in range(0, shots, chunk):
+        ids = range(start, min(start + chunk, shots))
+        streams = _ShotStreams(seed, ids)
+        if prog.linked:  # every shot walks alone on its column of the draws
+            rows = np.array([streams.next_row() for _ in range(prog.draws)])
+            rows = rows.reshape(prog.draws, len(ids))
+            walks = [(iter(rows[:, j:j + 1]).__next__, ids[j:j + 1])
+                     for j in range(len(ids))]
+        else:
+            walks = [(streams.next_row, ids)]
+        for next_row, walk_ids in walks:
+            top = _walk(prog, next_row, walk_ids, hooks, count)
+            peak, chunks = max(peak, top), chunks + 1
+    counts = {format_key(code, prog.outputs): n for code, n in sorted(tally.items())}
+    return counts, {"peak_branches": peak, "chunks": chunks}
 
 
 def run_shot_loop(circuit, shots: int, seed=None,
                   hooks: ChannelHooks | None = None,
                   max_qubits: int = DEFAULT_MAX_QUBITS) -> dict[str, int]:
-    """Counts assembled from `shots` independent executions of the circuit."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    _check_width(circuit, max_qubits)
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
-
-    run, hooks = _compile(circuit), hooks or null_hooks()
-    tally: Counter[int] = Counter()
-    for shot in range(shots):
-        try:
-            _, bits = run(shot_rng(seed, shot), hooks, shot)
-        except EmulatorError as exc:
-            raise type(exc)(f"shot {shot}: {exc}") from exc
-        code = 0
-        for c, b in enumerate(bits):
-            code |= b << c
-        tally[code] += 1
-    nb = circuit.num_clbits
-    return {format_key(code, nb): n for code, n in sorted(tally.items())}
+    """Counts over every clbit of `shots` shots, as `run_branched` gives
+    them; the name is kept from when each shot ran alone."""
+    return run_branched(circuit, shots, seed, hooks, max_qubits)[0]

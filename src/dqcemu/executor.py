@@ -297,26 +297,22 @@ def merge_circuits(parts: list[Circuit]) -> MergePlan:
 
 def execute_merged(plan: MergePlan, shots: int, seed=None, job_id: str = "",
                    max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> ResultRecord:
-    """Run the merged circuit per shot and aggregate counts over the user
-    clbits only (protocol scratch bits are stripped)."""
+    """Run the merged circuit and count the user clbits only: the protocol
+    scratch bits are no output, so they die after their last read."""
     if plan.merged is None:
         raise ValueError("plan is not expanded; call merge_circuits first")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     t0 = time.perf_counter()
-    raw = engine.run_shot_loop(plan.merged, shots, seed=seed,
-                               max_qubits=max_qubits)
+    counts, counters = engine.run_branched(plan.merged, shots, seed=seed,
+                                           max_qubits=max_qubits,
+                                           outputs=plan.user_clbits)
     elapsed = time.perf_counter() - t0
-    user = plan.user_clbits
-    counts: dict[str, int] = {}
-    for key, num in raw.items():
-        user_key = key[-user:] if user else ""
-        counts[user_key] = counts.get(user_key, 0) + num
     return ResultRecord(
         job_id=job_id, counts=counts, time_taken=elapsed,
         metadata={"seed": seed, "engine": "statevector", "shots": shots,
                   "rng": engine.RNG_ALGORITHM, "merged_qubits": plan.total_qubits,
-                  "parts": [c.id for c, _, _ in plan.parts]})
+                  "parts": [c.id for c, _, _ in plan.parts], **counters})
 
 
 # -- executor server ---------------------------------------------------------
@@ -378,10 +374,14 @@ class ExecutorServer(FramedService):
         seed = cfg.get("seed")
 
         with self._lock:
+            if self._draining:  # _refuse_pending has swept the jobs
+                return error_frame("Expired", f"{self.service_id} is shutting down")
             job = self._jobs.get(job_id)
             if job is None:
                 job = self._jobs[job_id] = _JobAssembly(k)
         with job.cond:
+            if job.error is not None:
+                return error_frame(*job.error, job_id=job_id)
             if job.k != k:
                 return error_frame("SchemaViolation",
                                    f"conflicting part count for job {job_id!r}")
@@ -419,6 +419,20 @@ class ExecutorServer(FramedService):
                 code, message = job.error
                 return error_frame(code, message, job_id=job_id)
             return job.result.to_obj()
+
+    def _refuse_pending(self) -> None:
+        """A job still missing parts can no longer complete: its waiting
+        parts get Expired now instead of at PART_TIMEOUT_S."""
+        with self._lock:
+            jobs = list(self._jobs.items())
+        for job_id, job in jobs:
+            with job.cond:
+                if len(job.parts) < job.k and job.error is None:
+                    job.error = ("Expired", f"job {job_id!r}: {self.service_id} is "
+                                 f"shutting down with {len(job.parts)}/{job.k} parts")
+                    job.cond.notify_all()
+                    with self._lock:
+                        self._jobs.pop(job_id, None)
 
     def _run_job(self, job_id: str, job: _JobAssembly) -> None:
         try:

@@ -122,7 +122,8 @@ class FramedService:
     receiver keeps serving.
 
     `shutdown` and TTL expiry take the same drain path: frames listed in
-    `work_frames` are refused with Expired, the process leaves the registry,
+    `work_frames` are refused with Expired, work that waits for such frames
+    fails with Expired (`_refuse_pending`), the process leaves the registry,
     the requests being answered and the work a subclass counts with
     `_begin_work`/`_end_work` get up to DRAIN_S seconds to finish, and the
     service stops.
@@ -182,7 +183,7 @@ class FramedService:
             self._drain()
 
     def _drain(self) -> None:
-        self._draining = True
+        self._refuse_work()
         try:
             registry.remove_entries(lambda e: e.vqpu_id == self.service_id)
         except OSError:
@@ -190,6 +191,14 @@ class FramedService:
         with self._work_changed:
             self._work_changed.wait_for(lambda: self._work == 0, timeout=DRAIN_S)
         self.stop()
+
+    def _refuse_work(self) -> None:
+        self._draining = True
+        self._refuse_pending()
+
+    def _refuse_pending(self) -> None:
+        """Called as the drain starts: fail accepted work that could only
+        complete with frames the drain now refuses."""
 
     def _begin_work(self) -> None:
         with self._work_changed:
@@ -223,6 +232,7 @@ class FramedService:
                 "queued": self._queued()}
 
     def _handle_shutdown(self, frame: dict) -> dict:
+        self._refuse_work()  # before the ack: no work frame after it is taken
         threading.Thread(target=self._drain, name="drain", daemon=True).start()
         return {"type": "ack"}
 

@@ -143,7 +143,7 @@ class VqpuServer(FramedService):
         self._states: dict[str, str] = {}  # job -> queued|running|done|failed
         self._results: dict[str, ResultRecord] = {}
         self._failures: dict[str, tuple[str, str]] = {}
-        self._retained: dict[str, QuantumTask] = {}
+        self._retained: dict[str, QuantumTask] = {}  # done, with param slots
         self._endpoint: ChannelEndpoint | None = None
         self._stray_bits: list[BitMessage] = []
 
@@ -218,15 +218,15 @@ class VqpuServer(FramedService):
         with self._lock:
             task = self._retained.get(job_id)
             state = self._states.get(job_id)
+        if task is None and state == "done":  # only tasks with slots are kept
+            return error_frame("NoParamSlots",
+                               f"job {job_id!r} has no parameter slots", job_id=job_id)
         if task is None or state is None:
             return error_frame("UnknownJob", f"no completed job {job_id!r}",
                               job_id=job_id)
         if state != "done":
             return error_frame("InvalidState",
                                f"job {job_id!r} is {state}, not done", job_id=job_id)
-        if not task.param_slots:
-            return error_frame("NoParamSlots",
-                               f"job {job_id!r} has no parameter slots", job_id=job_id)
         if not isinstance(params, list) or len(params) != len(task.param_slots):
             return error_frame(
                 "ArityMismatch",
@@ -269,7 +269,8 @@ class VqpuServer(FramedService):
                 with self._lock:
                     self._results[task.job_id] = record
                     self._states[task.job_id] = "done"
-                    self._retained[task.job_id] = task
+                    if task.param_slots:  # what upgrade_parameters reruns
+                        self._retained[task.job_id] = task
             except Exception as exc:  # crash isolation
                 with self._lock:
                     self._failures[task.job_id] = error_code(exc)
@@ -332,13 +333,14 @@ class VqpuServer(FramedService):
             mode = "sampled" if engine.is_sampled_admissible(circuit) else "shot_loop"
         try:
             t0 = time.perf_counter()
-            if mode == "sampled":
+            if mode == "sampled":  # one state, sampled once
                 counts = engine.run_sampled(circuit, task.shots, seed=seed,
                                             max_qubits=config.max_qubits)
+                counters = {"peak_branches": 1, "chunks": 1}
             else:
-                counts = engine.run_shot_loop(circuit, task.shots, seed=seed,
-                                              hooks=hooks,
-                                              max_qubits=config.max_qubits)
+                counts, counters = engine.run_branched(
+                    circuit, task.shots, seed=seed, hooks=hooks,
+                    max_qubits=config.max_qubits)
             elapsed = time.perf_counter() - t0
         finally:
             if endpoint is not None:
@@ -350,7 +352,7 @@ class VqpuServer(FramedService):
             metadata={"seed": seed, "engine": config.simulator,
                       "shots": task.shots, "rng": engine.RNG_ALGORITHM,
                       "mode": mode, "queue_wait": queue_wait,
-                      "vqpu_id": config.vqpu_id})
+                      "vqpu_id": config.vqpu_id, **counters})
 
     def _forward_part(self, task: QuantumTask, circuit: Circuit, seed: int,
                       queue_wait: float) -> ResultRecord:

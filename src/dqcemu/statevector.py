@@ -122,6 +122,41 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     return state
 
 
+def sample_outcomes(amplitudes: np.ndarray, qubit: int, uniforms: np.ndarray
+                    ) -> tuple[np.ndarray, tuple[float, float]]:
+    """The outcome rule of every measurement: outcome 1 wherever a uniform
+    falls below P(1) of `qubit`. Returns that mask and the weights (w0, w1)
+    of the two halves; the state is not changed."""
+    # |amplitude|^2 summed per half: dot products of the real and imaginary
+    # parts over the float view, taken along its longer axis
+    lanes = amplitudes.view(np.float64).reshape(-1, 2, 2 << qubit)
+    if lanes.shape[2] < lanes.shape[0]:
+        lanes = lanes.transpose(2, 1, 0)
+    w0, w1 = (lanes[..., None, :] @ lanes[..., :, None]).sum(axis=0).ravel()
+    total = w0 + w1
+    if total <= _NORM_TOL:
+        raise ZeroNorm(f"state norm collapsed to {total:.3e}")
+    return uniforms < w1 / total, (w0, w1)
+
+
+def collapse(amplitudes: np.ndarray, qubit: int, outcome: int, weight: float) -> None:
+    """Project `qubit` onto `outcome` in place; `weight` is that half's
+    weight from `sample_outcomes`."""
+    if weight <= _NORM_TOL:
+        raise ZeroNorm(
+            f"measurement of qubit {qubit} collapsed onto a branch of weight {weight:.3e}")
+    view = amplitudes.reshape(-1, 2, 1 << qubit)
+    view[:, outcome] /= np.sqrt(weight)
+    view[:, 1 - outcome] = 0.0
+
+
+def move_to_zero(amplitudes: np.ndarray, qubit: int) -> None:
+    """After a collapse onto 1, move the kept half into the |0> slot."""
+    view = amplitudes.reshape(-1, 2, 1 << qubit)
+    view[:, 0] = view[:, 1]
+    view[:, 1] = 0.0
+
+
 def measure_qubit(state: StateVector, qubit: int,
                   rng: np.random.Generator) -> tuple[int, StateVector]:
     """Sample `qubit` in the computational basis, project and renormalize.
@@ -130,23 +165,9 @@ def measure_qubit(state: StateVector, qubit: int,
     rng.random() per call, outcome 1 when it falls below P(1).
     """
     _check_qubit(state.num_qubits, qubit)
-    view = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    # |amplitude|^2 summed per half: dot products of the real and imaginary
-    # parts over the float view, taken along its longer axis
-    lanes = state.amplitudes.view(np.float64).reshape(-1, 2, 2 << qubit)
-    if lanes.shape[2] < lanes.shape[0]:
-        lanes = lanes.transpose(2, 1, 0)
-    w0, w1 = (lanes[..., None, :] @ lanes[..., :, None]).sum(axis=0).ravel()
-    total = w0 + w1
-    if total <= _NORM_TOL:
-        raise ZeroNorm(f"state norm collapsed to {total:.3e}")
-    outcome = 1 if rng.random() < w1 / total else 0
-    w = w1 if outcome == 1 else w0
-    if w <= _NORM_TOL:
-        raise ZeroNorm(
-            f"measurement of qubit {qubit} collapsed onto a branch of weight {w:.3e}")
-    view[:, outcome] /= np.sqrt(w)
-    view[:, 1 - outcome] = 0.0
+    ones, weights = sample_outcomes(state.amplitudes, qubit, rng.random(1))
+    outcome = int(ones[0])
+    collapse(state.amplitudes, qubit, outcome, weights[outcome])
     return outcome, state
 
 
@@ -155,7 +176,5 @@ def reset_qubit(state: StateVector, qubit: int,
     """Measure and, on outcome 1, move the kept half to |0>: leaves `qubit`
     in |0> disentangled."""
     if measure_qubit(state, qubit, rng)[0] == 1:
-        view = state.amplitudes.reshape(-1, 2, 1 << qubit)
-        view[:, 0] = view[:, 1]
-        view[:, 1] = 0.0
+        move_to_zero(state.amplitudes, qubit)
     return state

@@ -3,14 +3,22 @@
 These deliberately avoid the engine's strided in-place updates: full
 unitaries are assembled as explicit 2^n x 2^n matrices and states evolve by
 matrix-vector products, so the engine and the oracle share no code path.
+The per-shot reference loop is the exception: it runs the engine's gate
+kernels and measurement rule one shot at a time, as the engine did before
+it walked shot branches, and so checks the walk and nothing below it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
+from dqcemu import engine
 from dqcemu.circuit import Circuit
-from dqcemu.gates import GATE_ARITY, gate_matrix
+from dqcemu.errors import EmulatorError, UnsupportedInstruction
+from dqcemu.gates import DISTRIBUTED, GATE_ARITY, gate_matrix
+from dqcemu.statevector import StateVector, compile_gate, measure_qubit, reset_qubit
 
 
 def full_gate_matrix(num_qubits: int, name: str, qubits, params=()) -> np.ndarray:
@@ -48,6 +56,59 @@ def statevector_by_matmul(circuit: Circuit) -> np.ndarray:
         psi = full_gate_matrix(circuit.num_qubits, ins.name, ins.qubits,
                                ins.params) @ psi
     return psi
+
+
+def run_once_reference(circuit: Circuit, rng: np.random.Generator,
+                       hooks: engine.ChannelHooks, shot_index: int = 0):
+    """The instruction list executed once on a fresh state, one shot at a
+    time: the per-shot loop the engine's branch walk must reproduce bit for
+    bit. Returns the final state and the classical bit register."""
+    n = circuit.num_qubits
+    state = StateVector.zero(n)
+    bits = [0] * circuit.num_clbits
+    for ins in circuit.instructions:
+        name = ins.name
+        if name == "measure":
+            for q, c in zip(ins.qubits, ins.clbits):
+                bits[c], state = measure_qubit(state, q, rng)
+        elif name == "reset":
+            for q in ins.qubits:
+                state = reset_qubit(state, q, rng)
+        elif name == "measure_and_send":
+            outcome, state = measure_qubit(state, ins.qubits[0], rng)
+            hooks.send(ins.remote.peer_circuit_id, shot_index,
+                       ins.remote.sequence, outcome)
+        elif name == "remote_c_if":
+            bit = hooks.recv(ins.remote.peer_circuit_id, shot_index,
+                             ins.remote.sequence)
+            if bit == 1:
+                compile_gate(n, ins.remote.gate_name, ins.qubits,
+                             ins.params)(state.amplitudes)
+        elif name in DISTRIBUTED:
+            raise UnsupportedInstruction(
+                f"{name} requires the quantum-communication executor")
+        elif not ins.clbits or bits[ins.clbits[0]] == 1:
+            compile_gate(n, ins.name, ins.qubits, ins.params)(state.amplitudes)
+    return state, bits
+
+
+def run_shot_loop_reference(circuit: Circuit, shots: int, seed,
+                            hooks: engine.ChannelHooks | None = None,
+                            outputs: int | None = None) -> dict[str, int]:
+    """Counts over the first `outputs` clbits (all by default) from
+    `shots` independent executions, each drawing from its own
+    `engine.shot_rng(seed, shot)` stream."""
+    hooks = hooks or engine.null_hooks()
+    outputs = circuit.num_clbits if outputs is None else outputs
+    tally: Counter[int] = Counter()
+    for shot in range(shots):
+        try:
+            _, bits = run_once_reference(circuit, engine.shot_rng(seed, shot),
+                                         hooks, shot)
+        except EmulatorError as exc:
+            raise type(exc)(f"shot {shot}: {exc}") from exc
+        tally[sum(b << c for c, b in enumerate(bits[:outputs]))] += 1
+    return {engine.format_key(code, outputs): n for code, n in sorted(tally.items())}
 
 
 def reduced_density(amplitudes: np.ndarray, num_qubits: int, keep) -> np.ndarray:
@@ -107,7 +168,6 @@ def run_ipea_loopback(chain, shots: int, seed: int,
     over the in-memory channel. Returns per-circuit counts in chain order."""
     import threading
 
-    from dqcemu import engine
     from dqcemu.channel import establish
 
     endpoints = establish({c.id: c.id for c in chain.circuits}, transport=hub)

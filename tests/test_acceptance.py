@@ -116,7 +116,7 @@ def test_criterion_1c_quantum_n8(raise_family):
 
 @pytest.mark.longrun
 def test_criterion_1c_quantum_n16(raise_family):
-    # hours of single-process joint simulation: give the family a long TTL
+    # minutes of single-process joint simulation: give the family a long TTL
     fam = raise_family(2, ttl="23:59:59", quantum_comm=True)
     qpus = get_qpus(family=fam)
     anc, tgt = build_distributed_qpe(QpeConfig(n_ancilla=16, theta=2.0))
@@ -223,14 +223,14 @@ def test_criterion_5_shot_distribution(raise_family):
 
 def _calibrated_workload() -> tuple[Circuit, int]:
     """A shot-loop circuit and a shot count tuned to about 1 s."""
-    c = Circuit(6, 6, id="work")
+    c = Circuit(6, 22, id="work")
     c.rz(Param("t"), 0)  # unbound slots are rejected; bind at submit
-    for _ in range(8):
+    for r in range(8):  # a branch per shot: every round's bits are kept
         for q in range(6):
             c.h(q)
         c.cx(0, 1)
         c.cx(2, 3)
-        c.reset(5)
+        c.measure([4, 5], [6 + 2 * r, 7 + 2 * r])
     for q in range(6):
         c.measure(q, q)
     probe_shots = 300

@@ -162,8 +162,10 @@ def test_no_loss_or_duplication_under_delay_injection():
 
 
 def test_lockstep_bounded_skew_on_a_ring():
-    """Ring topology: every participant sends then receives each epoch, so
-    blocking receives keep completion skew within one epoch."""
+    """Ring topology: every participant sends then receives each epoch. A
+    node logs epoch e only after its predecessor sent e, which the
+    predecessor does only after logging e-1; so when anyone logs e, every
+    node of a k-ring has logged e-(k-1) or later."""
     k, epochs = 4, 25
     rng = np.random.default_rng(21)
     hub = InMemoryHub(delay=lambda msg: float(rng.uniform(0, 0.001)))
@@ -189,6 +191,5 @@ def test_lockstep_bounded_skew_on_a_ring():
     completed: dict[str, int] = {}
     for name, epoch in log:
         completed[name] = epoch
-        if epoch >= 2:
-            # everyone must have completed epoch-2 before anyone logs epoch
-            assert all(completed.get(n, -1) >= epoch - 2 for n in names), log
+        # everyone must have completed epoch-(k-1) before anyone logs epoch
+        assert all(completed.get(n, -1) >= epoch - (k - 1) for n in names), log

@@ -223,12 +223,12 @@ def test_upgrade_parameters_uploads_circuit_once(raise_family):
 def test_upgrade_before_completion_is_invalid(raise_family):
     raise_family(1)
     handle = get_qpus()[0]
-    c = Circuit(4, 4, id="slow")
+    c = Circuit(4, 24, id="slow")
     c.rz(Param("t"), 0)
-    for _ in range(10):
+    for r in range(10):  # a branch per shot: every round's bits are kept
         for q in range(4):
             c.h(q)
-        c.reset(3)
+        c.measure([2, 3], [4 + 2 * r, 5 + 2 * r])
     for q in range(4):
         c.measure(q, q)
     job = run(handle, c, shots=4000, mode="shot_loop", params=[0.3])

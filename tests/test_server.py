@@ -49,12 +49,14 @@ def poll_result(sock, job_id, timeout=10.0) -> dict:
 
 
 def slow_circuit(shots_scale=200) -> tuple[Circuit, int]:
-    c = Circuit(4, 4, id="slow")
-    for _ in range(12):
+    """About a millisecond per shot: mid-circuit measurements into clbits
+    of their own give nearly every shot its own branch."""
+    c = Circuit(4, 28, id="slow")
+    for r in range(12):
         for q in range(4):
             c.h(q)
         c.cx(0, 1)
-        c.reset(3)
+        c.measure([2, 3], [4 + 2 * r, 5 + 2 * r])
     for q in range(4):
         c.measure(q, q)
     return c, shots_scale
@@ -136,6 +138,19 @@ def test_mode_auto_selection(conn):
     assert reply["metadata"]["mode"] == "shot_loop"
     submit(conn, bell(), job_id="plain", shots=50, seed=1)
     assert poll_result(conn, "plain")["metadata"]["mode"] == "sampled"
+
+
+def test_result_carries_the_walk_counters(conn):
+    circuit, shots = slow_circuit()
+    submit(conn, circuit, job_id="walk", shots=shots, seed=2)
+    meta = poll_result(conn, "walk")["metadata"]
+    assert meta["mode"] == "shot_loop"
+    assert 1 <= meta["peak_branches"] <= shots
+    assert meta["chunks"] == 1
+    submit(conn, bell(), job_id="once", shots=50, seed=2)
+    meta = poll_result(conn, "once")["metadata"]
+    assert meta["mode"] == "sampled"
+    assert (meta["peak_branches"], meta["chunks"]) == (1, 1)
 
 
 def test_queue_backpressure():

@@ -12,13 +12,12 @@ import time
 import pytest
 
 from dqcemu import registry
-from dqcemu.algorithms import QpeConfig, build_distributed_qpe
 from dqcemu.circuit import Circuit
 from dqcemu.client import get_qpus, run_distributed
 from dqcemu.errors import JobFailed
 from dqcemu.executor import ExecutorConfig, ExecutorServer
 from dqcemu.orchestrator import _probe_status
-from dqcemu.protocol import connect, recv_frame, request, send_frame
+from dqcemu.protocol import DRAIN_S, connect, recv_frame, request, send_frame
 from dqcemu.registry import RegistryEntry
 from dqcemu.server import VqpuConfig, VqpuServer
 from dqcemu.wire import circuit_to_obj
@@ -44,13 +43,15 @@ def open_conn(srv, timeout=10.0):
 
 
 def slow_circuit() -> Circuit:
-    """About a millisecond per shot on the shot loop."""
-    c = Circuit(4, 4, id="slow")
-    for _ in range(12):
+    """About a millisecond per shot on the shot loop: two fresh
+    superpositions per round are measured into clbits of their own, so
+    nearly every shot has its own measurement history and its own branch."""
+    c = Circuit(4, 28, id="slow")
+    for r in range(12):
         for q in range(4):
             c.h(q)
         c.cx(0, 1)
-        c.reset(3)
+        c.measure([2, 3], [4 + 2 * r, 5 + 2 * r])
     for q in range(4):
         c.measure(q, q)
     return c
@@ -61,17 +62,29 @@ def run_frame(job_id, circuit, **config) -> dict:
             "config": config}
 
 
-def teleport_part(index, job_id, shots) -> dict:
-    if index == 0:
-        circuit = Circuit(1, 0, id="a")
-        circuit.x(0)
-        circuit.qsend(0, "b")
-    else:
-        circuit = Circuit(1, 1, id="b")
-        circuit.qrecv(0, "a")
-        circuit.measure(0, 0)
+def teleport_circuits(idle: int = 0) -> list[Circuit]:
+    """Part a teleports |1> to part b, which measures it: every shot reads 1.
+    Each of a's `idle` extra qubits takes two h gates and is never measured:
+    the counts stay the same, but a wide state makes every chunk of shots
+    slow and lets fewer shots share a chunk."""
+    a = Circuit(1 + idle, 0, id="a")
+    a.x(0)
+    for _ in range(2):
+        for q in range(1, 1 + idle):
+            a.h(q)
+    a.qsend(0, "b")
+    b = Circuit(1, 1, id="b")
+    b.qrecv(0, "a")
+    b.measure(0, 0)
+    return [a, b]
+
+
+SLOW_IDLE = 13  # about 1 s for 2,000 shots of the merged 17-qubit circuit
+
+
+def teleport_part(index, job_id, shots, idle=0) -> dict:
     return {"type": "part", "job_id": job_id, "k": 2, "index": index,
-            "circuit": circuit_to_obj(circuit),
+            "circuit": circuit_to_obj(teleport_circuits(idle)[index]),
             "config": {"shots": shots, "seed": 3}}
 
 
@@ -161,7 +174,8 @@ def test_shutdown_during_merged_job_drains_it(cunqa_home):
 
     def submit(index):
         sock = open_conn(srv, timeout=30.0)
-        replies[index] = request(sock, teleport_part(index, "merged", 10_000))
+        replies[index] = request(sock, teleport_part(index, "merged", 2000,
+                                                     idle=SLOW_IDLE))
         sock.close()
 
     parts = [threading.Thread(target=submit, args=(i,)) for i in (0, 1)]
@@ -181,7 +195,36 @@ def test_shutdown_during_merged_job_drains_it(cunqa_home):
             t.join(5.0)
             assert not t.is_alive()
         assert [replies[i]["type"] for i in (0, 1)] == ["result", "result"]
-        assert replies[0]["counts"] == replies[1]["counts"] == {"1": 10_000}
+        assert replies[0]["counts"] == replies[1]["counts"] == {"1": 2000}
+    finally:
+        srv.stop()
+
+
+def test_shutdown_fails_a_half_assembled_job_at_once(cunqa_home):
+    srv = SERVICES["executor"]()
+    srv.start()
+    replies = {}
+
+    def submit():
+        sock = open_conn(srv, timeout=30.0)
+        replies[0] = request(sock, teleport_part(0, "half", 10))
+        sock.close()
+
+    part0 = threading.Thread(target=submit)
+    try:
+        part0.start()
+        wait_until(lambda: srv._queued() == 1, 10, "part 0 never arrived")
+        sock = open_conn(srv)
+        assert request(sock, {"type": "shutdown"}) == {"type": "ack"}
+        late = request(sock, teleport_part(1, "half", 10))
+        assert late["type"] == "error" and late["code"] == "Expired"
+        sock.close()
+        t0 = time.monotonic()
+        wait_in_thread(srv, timeout=DRAIN_S)
+        assert time.monotonic() - t0 < 2.0
+        part0.join(5.0)
+        assert not part0.is_alive()
+        assert replies[0]["type"] == "error" and replies[0]["code"] == "Expired"
     finally:
         srv.stop()
 
@@ -190,8 +233,8 @@ def test_killed_executor_fails_both_parts(raise_family):
     fam = raise_family(2, quantum_comm=True)
     executor = next(e for e in registry.read_registry()
                     if e.family == fam and e.is_executor)
-    anc, tgt = build_distributed_qpe(QpeConfig(n_ancilla=4, theta=2.0))
-    jobs = run_distributed([anc, tgt], get_qpus(family=fam), shots=50_000, seed=1)
+    jobs = run_distributed(teleport_circuits(SLOW_IDLE), get_qpus(family=fam),
+                           shots=20_000, seed=1)
     wait_until(lambda: (_probe_status(executor.host, executor.port) or {})
                .get("state") == "busy", 10, "merged job never started")
     os.kill(executor.pid, signal.SIGKILL)
