@@ -19,7 +19,6 @@ walk gives every shot the outcomes the shot would get if run alone.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -39,8 +38,9 @@ from .statevector import (
 DEFAULT_MAX_QUBITS = 26
 RNG_ALGORITHM = "pcg64"
 #: bytes of statevectors and uniforms one chunk of shots may hold; the live
-#: branches of a chunk never outnumber its shots
-BRANCH_BUDGET_BYTES = 256 << 20
+#: branches of a chunk never outnumber its shots, so when every shot has a
+#: history of its own a job holds at most this much more than one state
+BRANCH_BUDGET_BYTES = 2 << 20
 
 
 @dataclass
@@ -65,86 +65,6 @@ def shot_rng(seed, shot_index: int) -> np.random.Generator:
     """Independent per-shot stream; reproducible for a fixed (seed, index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(shot_index,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-_M32 = (1 << 32) - 1
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_LOW32 = np.uint64(_M32)
-_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-
-
-def _words(n: int) -> list[int]:
-    """An int as SeedSequence reads it: 32-bit words, least significant first."""
-    out = [n & _M32]
-    while n >> 32:
-        n >>= 32
-        out.append(n & _M32)
-    return out
-
-
-def _hash_steps(h: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
-    """SeedSequence's running hash constant over n steps, as (before, after)."""
-    steps = []
-    for _ in range(n):
-        steps.append((np.uint32(h), np.uint32(h * mult & _M32)))
-        h = h * mult & _M32
-    return steps
-
-
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High 64 bits of each 64 x 64-bit product, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> np.uint64(32), b & _LOW32, b >> np.uint64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-
-
-class _ShotStreams:
-    """The doubles shot_rng(seed, s).random() gives, for every shot s of a
-    range at once: `next_row` returns each shot's next double.
-
-    SeedSequence hashes the words [seed, zeros up to 4 words, shot]; the
-    seed's share is hashed once, the shot word and the PCG64 seed the pool
-    yields are hashed for all shots together in uint32 arithmetic, and the
-    128-bit PCG64 states step as (high, low) uint64 arrays. The tests
-    compare it with shot_rng."""
-
-    def __init__(self, seed, shots: range):
-        np.random.SeedSequence(seed)  # rejects what shot_rng would reject
-        run = _words(operator.index(seed))
-        run += [0] * (4 - len(run))
-        pool = [np.full(len(shots), w) for w in np.random.SeedSequence(run).pool]
-        index = np.arange(shots.start, shots.stop, dtype=np.uint32)
-        for i, (a, b) in enumerate(_hash_steps(0x43B0D7E5, 0x931E8875, 4 * len(run) + 4)[-4:]):
-            v = (index ^ a) * b
-            m = _MIX_L * pool[i] - _MIX_R * (v ^ v >> _SHIFT)
-            pool[i] = m ^ m >> _SHIFT
-        words = []
-        for i, (a, b) in enumerate(_hash_steps(0x8B51F9DD, 0x58F38DED, 8)):
-            v = (pool[i % 4] ^ a) * b
-            words.append((v ^ v >> _SHIFT).astype(np.uint64))
-        start_hi, start_lo, seq_hi, seq_lo = (
-            words[i] | words[i + 1] << np.uint64(32) for i in (0, 2, 4, 6))
-        # PCG64 seeding: inc = 2 * seq + 1, state = inc + start, one step
-        self._inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
-        self._inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
-        self._lo = self._inc_lo + start_lo
-        self._hi = self._inc_hi + start_hi + (self._lo < start_lo)
-        self._step()
-
-    def _step(self) -> None:
-        """state = state * multiplier + inc, modulo 2**128."""
-        hi, lo = self._hi, self._lo
-        lo_next = lo * _PCG_LO + self._inc_lo
-        self._hi = (_mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO
-                    + self._inc_hi + (lo_next < self._inc_lo))
-        self._lo = lo_next
-
-    def next_row(self) -> np.ndarray:
-        self._step()
-        x, rot = self._hi ^ self._lo, self._hi >> np.uint64(58)
-        out = x >> rot | x << (-rot & np.uint64(63))  # XSL-RR output
-        return (out >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
 def job_rng(seed) -> np.random.Generator:
@@ -229,10 +149,9 @@ class _Program:
     outputs: int
     ops: list[_Op]
     draws: int  # uniforms each shot consumes
-    linked: bool  # classical channel instructions: each shot walks alone
     probe: np.ndarray  # fingerprint weights over the state's float view
-    tail: int  # the first op after the last merge point
-    tail_draws: int  # uniforms the ops from `tail` on consume
+    solo: int  # the first channel instruction: from it on each shot walks alone
+    solo_draws: int  # uniforms the ops before `solo` consume
 
 
 @dataclass
@@ -280,12 +199,11 @@ def _compile(circuit, outputs: int | None = None) -> _Program:
         if op.kind == "reset" or (live | writes) & ~after:
             op.live = after
 
-    merges = [i for i, op in enumerate(ops) if op.live is not None]
-    tail = merges[-1] + 1 if merges else 0
     floats = 2 << n
     probe = np.random.default_rng(0).random(floats // min(64, floats))
-    return _Program(n, outputs, ops, draws, circuit.has_classical_link(), probe,
-                    tail, sum(len(op.targets) for op in ops[tail:]))
+    solo = next((i for i, op in enumerate(ops) if op.kind in ("send", "recv")), len(ops))
+    return _Program(n, outputs, ops, draws, probe, solo,
+                    sum(len(op.targets) for op in ops[:solo]))
 
 
 def _fork(branch: _Branch, take: np.ndarray) -> _Branch:
@@ -393,42 +311,27 @@ def _at_shot(exc: EmulatorError, branch: _Branch, shot_ids: range) -> EmulatorEr
     return type(exc)(f"shot {shot_ids[int(branch.shots.min())]}: {exc}")
 
 
-def _walk(prog: _Program, next_row: Callable[[], np.ndarray], shot_ids: range,
-          hooks: ChannelHooks, finish: Callable[[_Branch], None]) -> int:
-    """Evolve the shots `shot_ids` through the program together; each draw
-    takes `next_row()`, every shot's next uniform. Every branch that has run
-    the whole program is passed to `finish`. Returns the peak number of live
-    branches.
+def _root(prog: _Program, shots: int) -> _Branch:
+    amps = np.zeros(1 << prog.num_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return _Branch(amps, 0, np.arange(shots))
 
-    Up to the last merge point the branches advance op by op together, so
-    equal ones can meet. After it no two branches merge again, so each runs
-    to the end alone, depth first: only the branches a split left waiting
-    hold a state, not one per final history."""
-    root = _Branch(np.zeros(1 << prog.num_qubits, dtype=np.complex128), 0,
-                   np.arange(len(shot_ids)))
-    root.amps[0] = 1.0
-    branches, peak, ops = [root], 1, prog.ops
-    for op in ops[:prog.tail]:
+
+def _walk(prog: _Program, ops: list[_Op], branches: list[_Branch],
+          next_row: Callable[[], np.ndarray], shot_ids: range,
+          hooks: ChannelHooks) -> tuple[list[_Branch], int]:
+    """Evolve the branches through `ops` together, op by op; each draw
+    takes `next_row()`, the next uniform of every shot of `shot_ids`.
+    Returns the branches at the end and the peak number of live branches."""
+    peak = len(branches)
+    for op in ops:
         branches = _step(op, branches, next_row, shot_ids, hooks)
         peak = max(peak, len(branches))
         if op.live is not None and len(branches) > 1:
             for b in branches:
                 b.bits &= op.live
             branches = _merge(branches, prog.probe)
-    rows = [next_row() for _ in range(prog.tail_draws)]
-    waiting = [(prog.tail, 0, b) for b in reversed(branches)]
-    while waiting:
-        start, row, b = waiting.pop()
-        taken = iter(rows[row:]).__next__
-        for i in range(start, len(ops)):
-            parts = _step(ops[i], [b], taken, shot_ids, hooks)
-            row += len(ops[i].targets)
-            b = parts[0]
-            if len(parts) > 1:
-                waiting += [(i + 1, row, part) for part in parts[1:]]
-                peak = max(peak, len(waiting) + 1)
-        finish(b)
-    return peak
+    return branches, peak
 
 
 def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = None,
@@ -438,10 +341,10 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
     Returns the final state and the classical bit register. Unitary
     instructions carrying a clbit are conditionals triggered on bit == 1.
     """
-    prog, finished = _compile(circuit), []
-    _walk(prog, iter(rng.random((prog.draws, 1))).__next__,
-          range(shot_index, shot_index + 1), hooks or null_hooks(), finished.append)
-    (b,) = finished
+    prog = _compile(circuit)
+    (b,), _ = _walk(prog, prog.ops, [_root(prog, 1)],
+                    iter(rng.random((prog.draws, 1))).__next__,
+                    range(shot_index, shot_index + 1), hooks or null_hooks())
     return (StateVector(circuit.num_qubits, b.amps),
             [b.bits >> c & 1 for c in range(circuit.num_clbits)])
 
@@ -452,17 +355,17 @@ def run_branched(circuit, shots: int, seed=None,
                  outputs: int | None = None) -> tuple[dict[str, int], dict]:
     """Counts over the first `outputs` clbits (all by default) of `shots`
     shots, and the walk's counters: the peak number of live branches and
-    the number of walks (chunks, or shots of a channel-linked circuit).
+    the number of chunks.
 
     Shot s draws its uniforms from shot_rng(seed, s) in instruction order,
     so the counts are those of running every shot alone. Shots are drawn
     and walked in chunks whose statevectors and uniforms fit
-    BRANCH_BUDGET_BYTES; a circuit that talks to a classical channel walks
-    each chunk one shot at a time, as its bits go out and are awaited in
-    shot order.
+    BRANCH_BUDGET_BYTES. A chunk walks together up to the first instruction
+    that talks to a classical channel; from there each shot walks alone, in
+    shot order, as the channel's bits go out and are awaited in that order.
     """
-    if not 1 <= shots <= 1 << 32:
-        raise ValueError("shots must be between 1 and 2**32")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     _check_width(circuit, max_qubits)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
@@ -471,24 +374,37 @@ def run_branched(circuit, shots: int, seed=None,
     chunk = max(1, BRANCH_BUDGET_BYTES // ((16 << prog.num_qubits) + 8 * prog.draws))
     mask = (1 << prog.outputs) - 1
     tally: Counter[int] = Counter()
+
+    def count(ends: list[_Branch]) -> None:
+        for b in ends:
+            tally[b.bits & mask] += len(b.shots)
+
+    def alone(branch: _Branch, rows: np.ndarray, ids: range) -> None:
+        """Walk one shot from the first channel instruction on and count it."""
+        ends, _ = _walk(prog, prog.ops[prog.solo:], [branch], iter(rows).__next__,
+                        ids, hooks)
+        count(ends)
+
+    def walk(rows: np.ndarray, ids: range) -> int:
+        """Count one chunk's shots; its states are freed on return."""
+        shared, peak = _walk(prog, prog.ops[:prog.solo], [_root(prog, len(ids))],
+                             iter(rows).__next__, ids, hooks)
+        if prog.solo == len(prog.ops):
+            count(shared)
+            return peak
+        owner = {s: b for b in shared for s in b.shots.tolist()}
+        last = {int(b.shots.max()) for b in shared}  # takes the branch's state
+        for s in range(len(ids)):
+            b = owner[s]
+            alone(_Branch(b.amps if s in last else b.amps.copy(), b.bits, np.array([s])),
+                  rows[prog.solo_draws:], ids)
+        return max(peak, len(shared) + (1 if len(shared) < len(ids) else 0))
+
     peak = chunks = 0
-
-    def count(b: _Branch) -> None:
-        tally[b.bits & mask] += len(b.shots)
-
     for start in range(0, shots, chunk):
         ids = range(start, min(start + chunk, shots))
-        streams = _ShotStreams(seed, ids)
-        if prog.linked:  # every shot walks alone on its column of the draws
-            rows = np.array([streams.next_row() for _ in range(prog.draws)])
-            rows = rows.reshape(prog.draws, len(ids))
-            walks = [(iter(rows[:, j:j + 1]).__next__, ids[j:j + 1])
-                     for j in range(len(ids))]
-        else:
-            walks = [(streams.next_row, ids)]
-        for next_row, walk_ids in walks:
-            top = _walk(prog, next_row, walk_ids, hooks, count)
-            peak, chunks = max(peak, top), chunks + 1
+        rows = np.array([shot_rng(seed, s).random(prog.draws) for s in ids]).T
+        peak, chunks = max(peak, walk(rows, ids)), chunks + 1
     counts = {format_key(code, prog.outputs): n for code, n in sorted(tally.items())}
     return counts, {"peak_branches": peak, "chunks": chunks}
 

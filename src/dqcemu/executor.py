@@ -374,7 +374,7 @@ class ExecutorServer(FramedService):
         seed = cfg.get("seed")
 
         with self._lock:
-            if self._draining:  # _refuse_pending has swept the jobs
+            if self._draining:  # _refuse_pending fails the jobs already here
                 return error_frame("Expired", f"{self.service_id} is shutting down")
             job = self._jobs.get(job_id)
             if job is None:

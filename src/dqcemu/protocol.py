@@ -183,7 +183,8 @@ class FramedService:
             self._drain()
 
     def _drain(self) -> None:
-        self._refuse_work()
+        self._draining = True
+        self._refuse_pending()
         try:
             registry.remove_entries(lambda e: e.vqpu_id == self.service_id)
         except OSError:
@@ -191,10 +192,6 @@ class FramedService:
         with self._work_changed:
             self._work_changed.wait_for(lambda: self._work == 0, timeout=DRAIN_S)
         self.stop()
-
-    def _refuse_work(self) -> None:
-        self._draining = True
-        self._refuse_pending()
 
     def _refuse_pending(self) -> None:
         """Called as the drain starts: fail accepted work that could only
@@ -232,7 +229,7 @@ class FramedService:
                 "queued": self._queued()}
 
     def _handle_shutdown(self, frame: dict) -> dict:
-        self._refuse_work()  # before the ack: no work frame after it is taken
+        self._draining = True  # before the ack: no work frame after it is taken
         threading.Thread(target=self._drain, name="drain", daemon=True).start()
         return {"type": "ack"}
 

@@ -20,19 +20,25 @@ GATES = sorted(g for g, (arity, _) in GATE_ARITY.items() if arity <= 2)
 
 
 @st.composite
-def mid_circuit_programs(draw):
+def mid_circuit_programs(draw, linked=False):
     """Circuits up to 6 qubits mixing gates with mid-circuit measure,
-    reset and c_if, so branches split, merge and condition."""
+    reset and c_if, so branches split, merge and condition; `linked` adds
+    measure_and_send and remote_c_if to a peer."""
     n = draw(st.integers(1, 6))
     nc = draw(st.integers(1, 4))
     c = Circuit(n, nc, id="random")
+    kinds = ["gate", "gate", "measure", "reset", "c_if"] + ["send", "recv"] * linked
     for _ in range(draw(st.integers(1, 24))):
-        kind = draw(st.sampled_from(["gate", "gate", "measure", "reset", "c_if"]))
+        kind = draw(st.sampled_from(kinds))
         q = draw(st.integers(0, n - 1))
         if kind == "measure":
             c.measure(q, draw(st.integers(0, nc - 1)))
         elif kind == "reset":
             c.reset(q)
+        elif kind == "send":
+            c.measure_and_send(q, "peer")
+        elif kind == "recv":
+            c.remote_c_if(draw(st.sampled_from(["x", "z", "h"])), q, "peer")
         else:
             name = draw(st.sampled_from(GATES if n > 1 else
                                         [g for g in GATES if GATE_ARITY[g][0] == 1]))
@@ -63,14 +69,39 @@ def test_run_once_matches_the_reference(circuit, seed):
     assert np.array_equal(state.amplitudes, ref_state.amplitudes)
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 9, 2 ** 130 + 1])
-def test_shot_streams_are_shot_rng(seed):
-    for shots in (range(0, 1), range(0, 40), range(12_345, 12_350),
-                  range(2 ** 32 - 3, 2 ** 32)):
-        streams = engine._ShotStreams(seed, shots)
-        drawn = [streams.next_row() for _ in range(6)]
-        expected = [engine.shot_rng(seed, s).random(6) for s in shots]
-        assert np.array_equal(np.array(drawn), np.array(expected).T)
+def logging_hooks(log: list) -> engine.ChannelHooks:
+    """Hooks that log every channel call; a received bit depends on the
+    shot and the sequence number."""
+    def send(peer, epoch, seq, bit):
+        log.append(("send", epoch, seq, bit))
+
+    def recv(peer, epoch, seq):
+        log.append(("recv", epoch, seq))
+        return (3 * epoch + seq) % 5 % 2
+    return engine.ChannelHooks(send=send, recv=recv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mid_circuit_programs(linked=True), st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+def test_channel_linked_walk_matches_the_shot_loop(circuit, seed, shots):
+    """Same counts, and the same channel calls in the same order: shots
+    share the walk only up to the first channel instruction."""
+    walked, looped = [], []
+    counts = engine.run_shot_loop(circuit, shots, seed=seed, hooks=logging_hooks(walked))
+    assert counts == run_shot_loop_reference(circuit, shots, seed,
+                                             hooks=logging_hooks(looped))
+    assert walked == looped
+
+
+def test_any_seed_shot_rng_takes_works_in_every_mode():
+    """Both execution styles take the seeds SeedSequence takes."""
+    c = Circuit(2, 2, id="seeded")
+    c.h(0).measure(0, 0).reset(0).h(1).measure(1, 1)
+    assert (engine.run_shot_loop(c, 50, seed=[1, 2])
+            == run_shot_loop_reference(c, 50, [1, 2]))
+    sampled = Circuit(1, 1, id="sampled")
+    sampled.h(0).measure(0, 0)
+    assert sum(engine.run_sampled(sampled, 50, seed=[1, 2]).values()) == 50
 
 
 def teledata_parts() -> list[Circuit]:
@@ -153,11 +184,11 @@ def test_telegate_histories_reconverge():
     reset, so the walk ends with at most one branch per output history."""
     n, shots = 4, 2000
     program = engine._compile(telegate_plan(n).merged, outputs=n)
-    finished = []
-    peak = engine._walk(program, engine._ShotStreams(9, range(shots)).next_row,
-                        range(shots), engine.null_hooks(), finished.append)
-    assert len(finished) <= 2 ** n
-    assert sum(len(b.shots) for b in finished) == shots
+    rows = np.array([engine.shot_rng(9, s).random(program.draws) for s in range(shots)])
+    ends, peak = engine._walk(program, program.ops, [engine._root(program, shots)],
+                              iter(rows.T).__next__, range(shots), engine.null_hooks())
+    assert len(ends) <= 2 ** n
+    assert sum(len(b.shots) for b in ends) == shots
     assert peak <= 2 ** n
 
 
@@ -167,12 +198,13 @@ def test_executor_result_carries_the_walk_counters():
     assert 1 <= record.metadata["peak_branches"] <= 300
 
 
-def test_channel_linked_circuits_walk_one_shot_per_chunk():
-    c = Circuit(1, 1, id="src")
-    c.h(0).measure_and_send(0, "dst").measure(0, 0)
+def test_channel_linked_shots_share_the_walk_up_to_the_channel():
+    c = Circuit(2, 2, id="src")
+    c.h(0).h(1).measure(1, 1).measure_and_send(0, "dst").measure(0, 0)
     sent = []
     hooks = engine.ChannelHooks(send=lambda *a: sent.append(a), recv=lambda *a: 0)
     counts, counters = engine.run_branched(c, 20, seed=8, hooks=hooks)
-    assert counters == {"peak_branches": 1, "chunks": 20}
     assert [epoch for _, epoch, _, _ in sent] == list(range(20))
+    # two branches from the shared measurement, plus the shot walking alone
+    assert counters == {"peak_branches": 3, "chunks": 1}
     assert counts == run_shot_loop_reference(c, 20, 8, hooks=hooks)

@@ -79,7 +79,7 @@ def teleport_circuits(idle: int = 0) -> list[Circuit]:
     return [a, b]
 
 
-SLOW_IDLE = 13  # about 1 s for 2,000 shots of the merged 17-qubit circuit
+SLOW_IDLE = 9  # about 0.5 s for 2,000 shots of the merged 13-qubit circuit
 
 
 def teleport_part(index, job_id, shots, idle=0) -> dict:
