@@ -37,9 +37,10 @@ from .statevector import (
 
 DEFAULT_MAX_QUBITS = 26
 RNG_ALGORITHM = "pcg64"
-#: bytes of statevectors and uniforms one chunk of shots may hold; the live
-#: branches of a chunk never outnumber its shots, so when every shot has a
-#: history of its own a job holds at most this much more than one state
+#: bytes one chunk of shots may hold beyond its first state: at most half
+#: for its shots' uniforms, the rest for live states. A chunk starts with as
+#: many shots as half the budget holds and is cut when its branches would
+#: outgrow the rest, so a job holds at most this much more than one state
 BRANCH_BUDGET_BYTES = 2 << 20
 
 
@@ -214,17 +215,33 @@ def _fork(branch: _Branch, take: np.ndarray) -> _Branch:
     return child
 
 
-def _measure(branch: _Branch, qubit: int, uniforms: np.ndarray
-             ) -> tuple[tuple[int, _Branch], ...]:
-    """The branch's shots split by the outcome each draws, every part
-    collapsed onto its outcome: ((outcome, branch), ...)."""
-    ones, weights = sample_outcomes(branch.amps, qubit, uniforms[branch.shots])
-    n1 = np.count_nonzero(ones)
-    parts = (((0, branch), (1, _fork(branch, ones))) if 0 < n1 < len(ones)
-             else ((1 if n1 else 0, branch),))
-    for outcome, part in parts:
-        collapse(part.amps, qubit, outcome, weights[outcome])
-    return parts
+def _split(branches: list[_Branch], qubit: int, uniforms: np.ndarray,
+           shot_ids: range, room: int | None):
+    """Test every branch's shots against P(1) of `qubit` before any state is
+    copied: (branch, outcome-1 mask, its count, weights) per branch, and
+    the shots kept. When the parts the branches split into would be more
+    than `room` live states, the chunk is cut first: it keeps its shots
+    below the first shot of the (room + 1)-th part, so exactly `room` parts
+    remain, and branches left without shots are freed."""
+    tests = []
+    for b in branches:
+        try:
+            ones, weights = sample_outcomes(b.amps, qubit, uniforms[b.shots])
+        except EmulatorError as exc:
+            raise _at_shot(exc, b, shot_ids) from exc
+        tests.append((b, ones, np.count_nonzero(ones), weights))
+    if room is None or room >= sum(1 + (0 < n1 < len(ones)) for _, ones, n1, _ in tests):
+        return tests, shot_ids
+    firsts = sorted(int(b.shots[side].min()) for b, ones, _, _ in tests
+                    for side in (ones, ~ones) if side.any())
+    shot_ids = shot_ids[:firsts[room]]
+    cut = []
+    for b, ones, _, weights in tests:
+        keep = b.shots < len(shot_ids)
+        if keep.any():
+            b.shots, ones = b.shots[keep], ones[keep]
+            cut.append((b, ones, np.count_nonzero(ones), weights))
+    return cut, shot_ids
 
 
 def _fingerprint(amps: np.ndarray, probe: np.ndarray) -> bytes:
@@ -251,9 +268,11 @@ def _merge(branches: list[_Branch], probe: np.ndarray) -> list[_Branch]:
 
 
 def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
-          shot_ids: range, hooks: ChannelHooks) -> list[_Branch]:
+          shot_ids: range, hooks: ChannelHooks, room: int | None
+          ) -> tuple[list[_Branch], range]:
     """Run one op on every branch; each of its draws takes `next_row()`,
-    every shot's next uniform. Returns the branches after it."""
+    every shot's next uniform, and may cut the chunk (`_split`). Returns
+    the branches after it and the shots kept."""
     kind = op.kind
     if kind == "gate":
         for b in branches:
@@ -278,18 +297,21 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
                 split.append(_fork(b, np.array(got) == 1))
                 op.kernel(split[-1].amps)
             split.append(b)
-        return split
+        return split, shot_ids
     elif kind == "unsupported":
         raise _at_shot(UnsupportedInstruction(
             f"{op.ins.name} requires the quantum-communication executor"),
             branches[0], shot_ids)
     else:
         for qubit, clbit in op.targets:
-            uniforms, split = next_row(), []
-            for b in branches:
+            tests, shot_ids = _split(branches, qubit, next_row(), shot_ids, room)
+            branches = []
+            for b, ones, n1, weights in tests:
+                parts = (((0, b), (1, _fork(b, ones))) if 0 < n1 < len(ones)
+                         else ((1 if n1 else 0, b),))
                 try:
-                    parts = _measure(b, qubit, uniforms)
                     for outcome, part in parts:
+                        collapse(part.amps, qubit, outcome, weights)
                         if kind == "measure":
                             part.bits = part.bits & ~(1 << clbit) | outcome << clbit
                         elif kind == "reset" and outcome:
@@ -301,9 +323,8 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
                                            remote.sequence, outcome)
                 except EmulatorError as exc:
                     raise _at_shot(exc, b, shot_ids) from exc
-                split += [part for _, part in parts]
-            branches = split
-    return branches
+                branches += [part for _, part in parts]
+    return branches, shot_ids
 
 
 def _at_shot(exc: EmulatorError, branch: _Branch, shot_ids: range) -> EmulatorError:
@@ -319,19 +340,22 @@ def _root(prog: _Program, shots: int) -> _Branch:
 
 def _walk(prog: _Program, ops: list[_Op], branches: list[_Branch],
           next_row: Callable[[], np.ndarray], shot_ids: range,
-          hooks: ChannelHooks) -> tuple[list[_Branch], int]:
+          hooks: ChannelHooks, room: int | None = None
+          ) -> tuple[list[_Branch], int, range]:
     """Evolve the branches through `ops` together, op by op; each draw
-    takes `next_row()`, the next uniform of every shot of `shot_ids`.
-    Returns the branches at the end and the peak number of live branches."""
+    takes `next_row()`, the next uniform of every shot of `shot_ids`. With
+    a `room`, a draw that would leave more live states than that cuts the
+    chunk first (`_split`). Returns the branches at the end, the peak
+    number of live branches and the shots kept."""
     peak = len(branches)
     for op in ops:
-        branches = _step(op, branches, next_row, shot_ids, hooks)
+        branches, shot_ids = _step(op, branches, next_row, shot_ids, hooks, room)
         peak = max(peak, len(branches))
         if op.live is not None and len(branches) > 1:
             for b in branches:
                 b.bits &= op.live
             branches = _merge(branches, prog.probe)
-    return branches, peak
+    return branches, peak, shot_ids
 
 
 def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = None,
@@ -342,9 +366,9 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
     instructions carrying a clbit are conditionals triggered on bit == 1.
     """
     prog = _compile(circuit)
-    (b,), _ = _walk(prog, prog.ops, [_root(prog, 1)],
-                    iter(rng.random((prog.draws, 1))).__next__,
-                    range(shot_index, shot_index + 1), hooks or null_hooks())
+    (b,), _, _ = _walk(prog, prog.ops, [_root(prog, 1)],
+                       iter(rng.random((prog.draws, 1))).__next__,
+                       range(shot_index, shot_index + 1), hooks or null_hooks())
     return (StateVector(circuit.num_qubits, b.amps),
             [b.bits >> c & 1 for c in range(circuit.num_clbits)])
 
@@ -358,11 +382,15 @@ def run_branched(circuit, shots: int, seed=None,
     the number of chunks.
 
     Shot s draws its uniforms from shot_rng(seed, s) in instruction order,
-    so the counts are those of running every shot alone. Shots are drawn
-    and walked in chunks whose statevectors and uniforms fit
-    BRANCH_BUDGET_BYTES. A chunk walks together up to the first instruction
-    that talks to a classical channel; from there each shot walks alone, in
-    shot order, as the channel's bits go out and are awaited in that order.
+    so the counts are those of running every shot alone. Shots are walked
+    in chunks that hold at most BRANCH_BUDGET_BYTES beyond their first
+    state: a chunk starts with at most as many shots as half the budget
+    holds uniforms for, and a draw that would leave more live states than
+    the rest holds cuts it, the dropped shots starting the next chunk. A
+    chunk walks together up to the first instruction that talks to a
+    classical channel, and is cut only before it; from there each shot
+    walks alone, in shot order, as the channel's bits go out and are
+    awaited in that order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -371,7 +399,16 @@ def run_branched(circuit, shots: int, seed=None,
         seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
 
     prog, hooks = _compile(circuit, outputs), hooks or null_hooks()
-    chunk = max(1, BRANCH_BUDGET_BYTES // ((16 << prog.num_qubits) + 8 * prog.draws))
+    # a chunk's shots, their uniforms and row indices, take at most half the
+    # budget and live states beyond the first the rest; a chunk that cannot
+    # hold a second state holds one shot
+    shot_bytes = 8 * (prog.draws + 1)
+    per = min(shots, max(1, BRANCH_BUDGET_BYTES // 2 // shot_bytes))
+    states = 1 + (BRANCH_BUDGET_BYTES - per * shot_bytes) // (16 << prog.num_qubits)
+    if states < 2:
+        per = 1
+    linked = prog.solo < len(prog.ops)
+    room = max(1, states - linked)  # a linked shot walking alone copies its state
     mask = (1 << prog.outputs) - 1
     tally: Counter[int] = Counter()
 
@@ -381,30 +418,43 @@ def run_branched(circuit, shots: int, seed=None,
 
     def alone(branch: _Branch, rows: np.ndarray, ids: range) -> None:
         """Walk one shot from the first channel instruction on and count it."""
-        ends, _ = _walk(prog, prog.ops[prog.solo:], [branch], iter(rows).__next__,
-                        ids, hooks)
+        ends, _, _ = _walk(prog, prog.ops[prog.solo:], [branch], iter(rows).__next__,
+                           ids, hooks)
         count(ends)
 
-    def walk(rows: np.ndarray, ids: range) -> int:
-        """Count one chunk's shots; its states are freed on return."""
-        shared, peak = _walk(prog, prog.ops[:prog.solo], [_root(prog, len(ids))],
-                             iter(rows).__next__, ids, hooks)
-        if prog.solo == len(prog.ops):
+    def walk(rows: np.ndarray, ids: range) -> tuple[int, range]:
+        """Count the shots of one chunk that it keeps; its states are freed
+        on return. Returns the peak of live branches and the shots kept."""
+        shared, peak, ids = _walk(prog, prog.ops[:prog.solo], [_root(prog, len(ids))],
+                                  iter(rows.T).__next__, ids, hooks, room)
+        if not linked:
             count(shared)
-            return peak
+            return peak, ids
         owner = {s: b for b in shared for s in b.shots.tolist()}
         last = {int(b.shots.max()) for b in shared}  # takes the branch's state
         for s in range(len(ids)):
             b = owner[s]
             alone(_Branch(b.amps if s in last else b.amps.copy(), b.bits, np.array([s])),
-                  rows[prog.solo_draws:], ids)
-        return max(peak, len(shared) + (1 if len(shared) < len(ids) else 0))
+                  rows.T[prog.solo_draws:], ids)
+        return max(peak, len(shared) + (1 if len(shared) < len(ids) else 0)), ids
 
-    peak = chunks = 0
-    for start in range(0, shots, chunk):
-        ids = range(start, min(start + chunk, shots))
-        rows = np.array([shot_rng(seed, s).random(prog.draws) for s in ids]).T
-        peak, chunks = max(peak, walk(rows, ids)), chunks + 1
+    # rows[j] holds the uniforms of shot start + j for the first `drawn`
+    # rows; the rows of shots a cut dropped move to the front, not drawn again
+    rows = np.empty((per, prog.draws))
+    start = drawn = peak = chunks = 0
+    size = per
+    while start < shots:
+        ids = range(start, min(start + size, shots))
+        for j in range(drawn, len(ids)):
+            shot_rng(seed, ids[j]).random(out=rows[j])
+        drawn = max(drawn, len(ids))
+        chunk_peak, kept = walk(rows, ids)
+        drawn -= len(kept)
+        rows[:drawn] = rows[len(kept):len(kept) + drawn]
+        # a cut shows how many shots fit: the next chunk starts with as many,
+        # and doubles while no cut comes
+        size = len(kept) if len(kept) < len(ids) else min(per, 2 * size)
+        start, peak, chunks = kept.stop, max(peak, chunk_peak), chunks + 1
     counts = {format_key(code, prog.outputs): n for code, n in sorted(tally.items())}
     return counts, {"peak_branches": peak, "chunks": chunks}
 

@@ -15,6 +15,7 @@ Run as a process with ``python -m dqcemu.executor --config <json-file>``.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -343,7 +344,12 @@ class _JobAssembly:
 
 class ExecutorServer(FramedService):
     """Collects the k parts of each job, merges and simulates them once, and
-    answers every submitting connection with the same aggregated result."""
+    answers every submitting connection with the same aggregated result.
+
+    Jobs run one at a time on one long-lived `simulator` thread, as on a
+    vQPU. Run on the connection thread of the part that completed them, as
+    every forwarded part opens a connection of its own, their allocations
+    landed in a new malloc arena each time and raised resident memory."""
 
     config_type = ExecutorConfig
     work_frames = ("part",)
@@ -353,7 +359,16 @@ class ExecutorServer(FramedService):
         self.handlers["part"] = self._handle_part
         self._jobs: dict[str, _JobAssembly] = {}
         self._lock = threading.Lock()
-        self._sim_lock = threading.Lock()  # one merged simulation at a time
+        self._complete: queue.Queue[tuple[str, _JobAssembly] | None] = queue.Queue()
+
+    def start(self) -> None:
+        super().start()
+        threading.Thread(target=self._sim_worker, name="simulator",
+                         daemon=True).start()
+
+    def stop(self) -> None:
+        super().stop()
+        self._complete.put(None)  # wake the simulation worker
 
     def _queued(self) -> int:
         with self._lock:
@@ -394,27 +409,24 @@ class ExecutorServer(FramedService):
                 job.cond.notify_all()
 
         if complete:
-            self._run_job(job_id, job)
-        else:
-            with job.cond:
-                # bounded wait for the sibling parts, then unbounded for the
-                # joint simulation itself
-                arrived = job.cond.wait_for(
-                    lambda: (len(job.parts) == job.k or job.result is not None
-                             or job.error is not None),
-                    timeout=PART_TIMEOUT_S)
-                if not arrived and job.result is None and job.error is None:
-                    job.error = ("PartsTimeout",
-                                 f"job {job_id!r}: only {len(job.parts)}/{job.k} "
-                                 f"parts arrived within {PART_TIMEOUT_S:.0f} s")
-                    job.cond.notify_all()
-                    with self._lock:
-                        self._jobs.pop(job_id, None)
-                else:
-                    job.cond.wait_for(
-                        lambda: job.result is not None or job.error is not None)
-
+            self._complete.put((job_id, job))
         with job.cond:
+            # bounded wait for the sibling parts, then unbounded for the
+            # joint simulation itself
+            arrived = job.cond.wait_for(
+                lambda: (len(job.parts) == job.k or job.result is not None
+                         or job.error is not None),
+                timeout=PART_TIMEOUT_S)
+            if not arrived and job.result is None and job.error is None:
+                job.error = ("PartsTimeout",
+                             f"job {job_id!r}: only {len(job.parts)}/{job.k} "
+                             f"parts arrived within {PART_TIMEOUT_S:.0f} s")
+                job.cond.notify_all()
+                with self._lock:
+                    self._jobs.pop(job_id, None)
+            else:
+                job.cond.wait_for(
+                    lambda: job.result is not None or job.error is not None)
             if job.error is not None:
                 code, message = job.error
                 return error_frame(code, message, job_id=job_id)
@@ -434,6 +446,10 @@ class ExecutorServer(FramedService):
                     with self._lock:
                         self._jobs.pop(job_id, None)
 
+    def _sim_worker(self) -> None:
+        while (item := self._complete.get()) is not None:
+            self._run_job(*item)
+
     def _run_job(self, job_id: str, job: _JobAssembly) -> None:
         try:
             shots_set = {shots for _, shots, _ in job.parts.values()}
@@ -443,14 +459,13 @@ class ExecutorServer(FramedService):
             parts = [job.parts[i][0] for i in range(job.k)]
             seed = job.parts[0][2]
             shots = shots_set.pop()
-            with self._sim_lock:
-                self._busy = True
-                try:
-                    plan = merge_circuits(parts)
-                    record = execute_merged(plan, shots, seed=seed, job_id=job_id,
-                                            max_qubits=self.config.max_qubits)
-                finally:
-                    self._busy = False
+            self._busy = True
+            try:
+                plan = merge_circuits(parts)
+                record = execute_merged(plan, shots, seed=seed, job_id=job_id,
+                                        max_qubits=self.config.max_qubits)
+            finally:
+                self._busy = False
             with job.cond:
                 job.result = record
                 job.cond.notify_all()

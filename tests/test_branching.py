@@ -3,6 +3,7 @@ seed gives every shot the outcomes it gets when run alone, whatever the
 merges and the chunking."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,11 +53,17 @@ def mid_circuit_programs(draw, linked=False):
     return c
 
 
+#: the default budget, and budgets small enough that chunks of random
+#: circuits are cut, down to one shot per chunk for 6 qubits
+BUDGETS = st.sampled_from([engine.BRANCH_BUDGET_BYTES, 1 << 12, 1 << 10])
+
+
 @settings(max_examples=60, deadline=None)
-@given(mid_circuit_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 60))
-def test_walk_matches_the_shot_loop(circuit, seed, shots):
-    assert (engine.run_shot_loop(circuit, shots, seed=seed)
-            == run_shot_loop_reference(circuit, shots, seed))
+@given(mid_circuit_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 60), BUDGETS)
+def test_walk_matches_the_shot_loop(circuit, seed, shots, budget):
+    with mock.patch.object(engine, "BRANCH_BUDGET_BYTES", budget):
+        counts = engine.run_shot_loop(circuit, shots, seed=seed)
+    assert counts == run_shot_loop_reference(circuit, shots, seed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -82,12 +89,15 @@ def logging_hooks(log: list) -> engine.ChannelHooks:
 
 
 @settings(max_examples=60, deadline=None)
-@given(mid_circuit_programs(linked=True), st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
-def test_channel_linked_walk_matches_the_shot_loop(circuit, seed, shots):
+@given(mid_circuit_programs(linked=True), st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       BUDGETS)
+def test_channel_linked_walk_matches_the_shot_loop(circuit, seed, shots, budget):
     """Same counts, and the same channel calls in the same order: shots
     share the walk only up to the first channel instruction."""
     walked, looped = [], []
-    counts = engine.run_shot_loop(circuit, shots, seed=seed, hooks=logging_hooks(walked))
+    with mock.patch.object(engine, "BRANCH_BUDGET_BYTES", budget):
+        counts = engine.run_shot_loop(circuit, shots, seed=seed,
+                                      hooks=logging_hooks(walked))
     assert counts == run_shot_loop_reference(circuit, shots, seed,
                                              hooks=logging_hooks(looped))
     assert walked == looped
@@ -149,34 +159,96 @@ def telegate_plan(n=4):
         QpeConfig(n_ancilla=n, theta=2 * math.pi * 0.35))))
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 7])
-def test_chunking_keeps_counts(monkeypatch, chunk):
+def budgeted_run(monkeypatch, circuit, shots, seed, budget, **kw):
+    """run_branched under a budget of `budget` bytes; also returns the most
+    shots a chunk started with."""
+    monkeypatch.setattr(engine, "BRANCH_BUDGET_BYTES", budget)
+    starts, root = [], engine._root
+    monkeypatch.setattr(engine, "_root",
+                        lambda prog, shots: (starts.append(shots), root(prog, shots))[1])
+    counts, counters = engine.run_branched(circuit, shots, seed=seed, **kw)
+    return counts, counters, max(starts)
+
+
+def assert_within_budget(circuit, budget, counters, most_shots):
+    """The chunk rule: a chunk's shots (8 bytes of uniform per draw and a row
+    index each) take at most half the budget, unless the chunk is one shot,
+    and its live states beyond the first fit in what they leave."""
+    shot_bytes = 8 * (engine._compile(circuit).draws + 1)
+    state_bytes = 16 << circuit.num_qubits
+    assert most_shots == 1 or most_shots * shot_bytes <= budget // 2
+    states = 1 + (budget - most_shots * shot_bytes) // state_bytes
+    assert counters["peak_branches"] <= max(1, states)
+    assert (most_shots * shot_bytes
+            + (counters["peak_branches"] - 1) * state_bytes) <= budget
+    if states < 2:  # no room for a second state: one shot per chunk
+        assert most_shots == 1
+
+
+@pytest.mark.parametrize("budget_states", [1, 3, 7])
+def test_chunking_keeps_counts(monkeypatch, budget_states):
+    """A budget of one state walks one shot per chunk; three and seven
+    states make chunks that are cut where their branches outgrow the
+    budget. The counts are those of one uncut chunk at the default budget."""
     plan = telegate_plan()
     merged = plan.merged
     whole, counters = engine.run_branched(merged, 50, seed=5,
                                           outputs=plan.user_clbits)
     assert counters["chunks"] == 1
-    draws = sum(len(ins.qubits) for ins in merged.instructions
-                if ins.name in ("measure", "reset"))
-    monkeypatch.setattr(engine, "BRANCH_BUDGET_BYTES",
-                        chunk * ((16 << merged.num_qubits) + 8 * draws))
-    chunked, counters = engine.run_branched(merged, 50, seed=5,
-                                            outputs=plan.user_clbits)
+    budget = budget_states * (16 << merged.num_qubits)
+    chunked, counters, most = budgeted_run(monkeypatch, merged, 50, 5, budget,
+                                           outputs=plan.user_clbits)
     assert chunked == whole
-    assert counters["chunks"] == math.ceil(50 / chunk)
+    assert_within_budget(merged, budget, counters, most)
+    if budget_states == 1:
+        assert counters["chunks"] == 50
+    else:  # more chunks than the shots' uniforms alone ask for: cuts
+        assert math.ceil(50 / most) < counters["chunks"] < 50
 
 
 def test_live_branch_bytes_stay_within_the_budget(monkeypatch):
     c = Circuit(5, 8, id="spread")
     for r in range(8):  # every shot draws its own 8-bit history
         c.h(r % 5).measure(r % 5, r)
-    state_bytes = 16 << c.num_qubits
-    budget = 20 * state_bytes
-    monkeypatch.setattr(engine, "BRANCH_BUDGET_BYTES", budget)
-    counts, counters = engine.run_branched(c, 300, seed=2)
-    assert counters["peak_branches"] * state_bytes <= budget
+    budget = 20 * (16 << c.num_qubits)
+    counts, counters, most = budgeted_run(monkeypatch, c, 300, 2, budget)
+    assert_within_budget(c, budget, counters, most)
     assert counters["chunks"] >= 300 // 20
     assert counts == run_shot_loop_reference(c, 300, 2)
+
+
+def test_channel_linked_chunks_are_cut_in_their_shared_prefix(monkeypatch):
+    """Histories diverge before the first channel instruction, so chunks are
+    cut there; bits still go out in shot order, call for call as the loop
+    makes them."""
+    c = Circuit(6, 3, id="src")
+    for q in range(3):
+        c.h(q).measure(q, q)
+    c.measure_and_send(0, "dst").remote_c_if("x", 1, "dst").measure(1, 1)
+    # room for every shot's 5 uniforms and row index, and for 3 more states
+    shots = 40
+    budget = shots * 8 * 6 + 3 * (16 << c.num_qubits)
+    walked, looped = [], []
+    counts, counters, most = budgeted_run(monkeypatch, c, shots, 8, budget,
+                                          hooks=logging_hooks(walked))
+    assert most == shots and counters["chunks"] > 1  # every chunk past the first is a cut
+    assert_within_budget(c, budget, counters, most)
+    assert [epoch for kind, epoch, *_ in walked if kind == "send"] == list(range(shots))
+    assert counts == run_shot_loop_reference(c, shots, 8, hooks=logging_hooks(looped))
+    assert walked == looped
+
+
+def test_telegate8_walks_in_one_chunk():
+    """The 2,000 shots of the merged 8-ancilla QPE, at a phase near a
+    multiple of 1/256 as the benchmark draws them, reconverge after every
+    telegate, so at the default budget they walk as one chunk."""
+    plan = executor.merge_circuits(list(build_distributed_qpe(
+        QpeConfig(n_ancilla=8, theta=2 * math.pi * (77 + 0.2) / 256))))
+    record = executor.execute_merged(plan, 2000, seed=21)
+    assert record.metadata["chunks"] == 1
+    assert sum(record.counts.values()) == 2000
+    assert_within_budget(plan.merged, engine.BRANCH_BUDGET_BYTES, record.metadata,
+                         2000)
 
 
 def test_telegate_histories_reconverge():
@@ -185,8 +257,10 @@ def test_telegate_histories_reconverge():
     n, shots = 4, 2000
     program = engine._compile(telegate_plan(n).merged, outputs=n)
     rows = np.array([engine.shot_rng(9, s).random(program.draws) for s in range(shots)])
-    ends, peak = engine._walk(program, program.ops, [engine._root(program, shots)],
-                              iter(rows.T).__next__, range(shots), engine.null_hooks())
+    ends, peak, kept = engine._walk(program, program.ops, [engine._root(program, shots)],
+                                    iter(rows.T).__next__, range(shots),
+                                    engine.null_hooks())
+    assert kept == range(shots)
     assert len(ends) <= 2 ** n
     assert sum(len(b.shots) for b in ends) == shots
     assert peak <= 2 ** n

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import pytest
@@ -55,6 +56,51 @@ def test_executor_joint_run(executor):
     assert replies[0]["type"] == "result"
     assert replies[0]["counts"] == {"1": 50}
     assert replies[0]["counts"] == replies[1]["counts"]  # aggregated once
+
+
+def test_jobs_run_one_at_a_time_on_the_simulator_thread(executor, monkeypatch):
+    """Merged jobs run on the executor's one simulation thread, never on the
+    connection thread of the part that completed them, and never two at
+    once, however many parts arrive together."""
+    ran, active, most = [], [0], [0]
+    lock = threading.Lock()
+    execute = executor_mod.execute_merged
+
+    def watched(*args, **kw):
+        with lock:
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+            ran.append(threading.current_thread().name)
+        try:
+            return execute(*args, **kw)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(executor_mod, "execute_merged", watched)
+    replies = {}
+
+    def submit(job_id, index, circuit):
+        sock = connect(executor.host, executor.port)
+        sock.settimeout(30.0)
+        replies[job_id, index] = request(sock, part_frame(job_id, index, circuit))
+        sock.close()
+
+    threads = [threading.Thread(target=submit, args=(f"j{j}", i, c))
+               for j in range(4) for i, c in enumerate(teleport_parts())]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.get("counts") == {"1": 50} for r in replies.values()), replies
+    assert len(replies) == 8
+    assert ran == ["simulator"] * 4 and most[0] == 1
 
 
 def test_executor_status(executor):

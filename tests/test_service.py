@@ -63,23 +63,25 @@ def run_frame(job_id, circuit, **config) -> dict:
 
 
 def teleport_circuits(idle: int = 0) -> list[Circuit]:
-    """Part a teleports |1> to part b, which measures it: every shot reads 1.
-    Each of a's `idle` extra qubits takes two h gates and is never measured:
-    the counts stay the same, but a wide state makes every chunk of shots
-    slow and lets fewer shots share a chunk."""
-    a = Circuit(1 + idle, 0, id="a")
+    """Part a teleports |1> to part b, which measures it: b's bit reads 1.
+    a puts each of its `idle` extra qubits in superposition and measures it
+    into its one clbit, which a measurement of a reset qubit overwrites at
+    the end, so the counts are {"10": shots} whatever `idle` is. The idle
+    outcomes leave each shot in one of 2^idle states: few shots share a
+    branch, so a chunk holds few shots and the job takes a while."""
+    a = Circuit(1 + idle, 1, id="a")
     a.x(0)
-    for _ in range(2):
-        for q in range(1, 1 + idle):
-            a.h(q)
+    for q in range(1, 1 + idle):
+        a.h(q).measure(q, 0)
     a.qsend(0, "b")
+    a.reset(0).measure(0, 0)
     b = Circuit(1, 1, id="b")
     b.qrecv(0, "a")
     b.measure(0, 0)
     return [a, b]
 
 
-SLOW_IDLE = 9  # about 0.5 s for 2,000 shots of the merged 13-qubit circuit
+SLOW_IDLE = 6  # about 0.5 s for 2,000 shots of the merged 10-qubit circuit
 
 
 def teleport_part(index, job_id, shots, idle=0) -> dict:
@@ -195,7 +197,7 @@ def test_shutdown_during_merged_job_drains_it(cunqa_home):
             t.join(5.0)
             assert not t.is_alive()
         assert [replies[i]["type"] for i in (0, 1)] == ["result", "result"]
-        assert replies[0]["counts"] == replies[1]["counts"] == {"1": 2000}
+        assert replies[0]["counts"] == replies[1]["counts"] == {"10": 2000}
     finally:
         srv.stop()
 
