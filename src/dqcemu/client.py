@@ -208,7 +208,7 @@ def _submit(handle: QpuHandle, job_id: str, circuit: Circuit, config: dict) -> Q
 
 
 def run(qpu: QpuHandle, circuit: Circuit, shots: int = 1024, seed=None,
-        mode: str | None = None, params=None) -> QJob:
+        params=None) -> QJob:
     """Submit a non-distributed circuit; returns as soon as it is enqueued."""
     if circuit.has_distributed():
         raise DistributedInstructionPresent(
@@ -220,8 +220,6 @@ def run(qpu: QpuHandle, circuit: Circuit, shots: int = 1024, seed=None,
     config = {"shots": shots}
     if seed is not None:
         config["seed"] = seed
-    if mode is not None:
-        config["mode"] = mode
     if params is not None:
         config["params"] = list(params)
     return _submit(qpu, _new_job_id(), circuit, config)
@@ -278,7 +276,7 @@ def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
         base = _new_job_id()
         plan = {c.id: h.entry.endpoint for c, h in zip(circuits, chosen)}
         for i, (circuit, handle) in enumerate(zip(circuits, chosen)):
-            config = {"shots": shots, "mode": "shot_loop"}
+            config = {"shots": shots}
             if required == "classical":
                 config["plan"] = plan
             part_seed = _part_seed(seed, i)
@@ -342,7 +340,7 @@ def split_shots(total: int, k: int) -> list[int]:
 
 
 def distribute_shots(total_shots: int, qpus: list[QpuHandle], circuit: Circuit,
-                     seed=None, **options) -> list[QJob]:
+                     seed=None) -> list[QJob]:
     """Shot-distribution helper: the same circuit on every handle, with the
     total split evenly (remainder to the lowest-index handles)."""
     shares = split_shots(total_shots, len(qpus))
@@ -350,8 +348,7 @@ def distribute_shots(total_shots: int, qpus: list[QpuHandle], circuit: Circuit,
     for i, (handle, share) in enumerate(zip(qpus, shares)):
         if share == 0:
             continue
-        jobs.append(run(handle, circuit, shots=share,
-                        seed=_part_seed(seed, i), **options))
+        jobs.append(run(handle, circuit, shots=share, seed=_part_seed(seed, i)))
     return jobs
 
 

@@ -1,20 +1,14 @@
-"""Circuit execution: terminal-measurement sampling and the shot-branching walk.
+"""Circuit execution: one engine, the shot-branching walk.
 
-Two entry points mirror the two execution styles a vQPU supports:
+``run_branched`` (``run_sampled`` and ``run_shot_loop`` are its counts)
+walks the instruction list once for a chunk of shots, keeping one state
+per distinct measurement history, and resolves the circuit's terminal
+measurements from each state it ends with.
 
-* ``run_sampled``   - evolve the statevector once through all unitaries and
-  sample the terminal measurement distribution; only admissible for circuits
-  without mid-circuit effects (see ``is_sampled_admissible``).
-* ``run_branched`` (and ``run_shot_loop``, its counts) - walk the instruction
-  list once for a chunk of shots, keeping one state per distinct measurement
-  history: a measurement, reset or received bit splits a branch by each
-  shot's outcome, and branches whose states and live clbits agree merge
-  again. Supports mid-circuit measurement, reset, local conditionals and the
-  classical-communication instructions via channel hooks.
-
-Randomness: PCG64, one independent stream per shot derived from
-(job seed, shot index), so distributed runs replay bit-identically; the
-walk gives every shot the outcomes the shot would get if run alone.
+Randomness: PCG64, one independent stream per shot derived from (job
+seed, shot index), so runs replay bit-identically and every shot gets the
+outcomes it would get run alone; a job that draws nothing before its
+terminal measurements samples them from one job stream instead.
 """
 
 from __future__ import annotations
@@ -25,9 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmulatorError, UnsupportedInstruction, WidthExceeded
+from .errors import EmulatorError, UnsupportedInstruction, WidthExceeded, ZeroNorm
 from .gates import DISTRIBUTED
 from .statevector import (
+    _NORM_TOL,
     StateVector,
     collapse,
     compile_gate,
@@ -77,64 +72,6 @@ def format_key(code: int, num_clbits: int) -> str:
     return format(code, f"0{num_clbits}b") if num_clbits else ""
 
 
-def is_sampled_admissible(circuit) -> bool:
-    """True when the circuit can run on the evolve-once-then-sample path:
-    no distributed instructions, no reset, no conditionals, and nothing acts
-    on a qubit after it was measured."""
-    measured: set[int] = set()
-    for ins in circuit.instructions:
-        if ins.name in DISTRIBUTED or ins.name == "reset":
-            return False
-        if ins.name == "measure":
-            measured.update(ins.qubits)
-            continue
-        if ins.clbits:  # unitary conditioned on a classical bit
-            return False
-        if any(q in measured for q in ins.qubits):
-            return False
-    return True
-
-
-def _check_width(circuit, max_qubits: int) -> None:
-    if circuit.num_qubits > max_qubits:
-        raise WidthExceeded(
-            f"circuit needs {circuit.num_qubits} qubits, engine cap is {max_qubits}")
-
-
-def run_sampled(circuit, shots: int, seed=None,
-                max_qubits: int = DEFAULT_MAX_QUBITS) -> dict[str, int]:
-    """Counts over `shots` samples of the terminal measurement distribution."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    _check_width(circuit, max_qubits)
-    if not is_sampled_admissible(circuit):
-        raise UnsupportedInstruction(
-            "circuit has mid-circuit or distributed effects; use run_shot_loop")
-
-    state = StateVector.zero(circuit.num_qubits)
-    clbit_source: dict[int, int] = {}  # clbit -> measured qubit (last write wins)
-    for ins in circuit.instructions:
-        if ins.name == "measure":
-            for q, c in zip(ins.qubits, ins.clbits):
-                clbit_source[c] = q
-        else:
-            compile_gate(state.num_qubits, ins.name, ins.qubits,
-                         ins.params)(state.amplitudes)
-
-    probs = np.abs(state.amplitudes)
-    np.square(probs, out=probs)
-    probs /= probs.sum()
-    rng = job_rng(seed)
-    outcomes = rng.choice(state.dim, size=shots, p=probs)
-
-    codes = np.zeros(shots, dtype=np.int64)
-    for c, q in clbit_source.items():
-        codes |= ((outcomes >> q) & 1) << c
-    values, tallies = np.unique(codes, return_counts=True)
-    nb = circuit.num_clbits
-    return {format_key(int(v), nb): int(t) for v, t in zip(values, tallies)}
-
-
 @dataclass
 class _Op:
     kind: str  # gate | cond | measure | reset | send | recv | unsupported
@@ -148,11 +85,13 @@ class _Op:
 class _Program:
     num_qubits: int
     outputs: int
-    ops: list[_Op]
-    draws: int  # uniforms each shot consumes
+    ops: list[_Op]  # every instruction, in order
+    walked: list[_Op]  # the ops but the terminal block's measures
+    block: list[tuple[int, int]]  # (qubit, clbit) per draw of the terminal block
+    draws: int  # uniforms each shot consumes, the block's last
     probe: np.ndarray  # fingerprint weights over the state's float view
-    solo: int  # the first channel instruction: from it on each shot walks alone
-    solo_draws: int  # uniforms the ops before `solo` consume
+    solo: int  # the first channel op walked: from it on each shot walks alone
+    solo_draws: int  # uniforms the walked ops before `solo` consume
 
 
 @dataclass
@@ -164,9 +103,11 @@ class _Branch:
 
 def _compile(circuit, outputs: int | None = None) -> _Program:
     """Resolve every gate once per job, count the uniforms each shot draws,
-    and mark where branches may merge: after every reset and wherever a
-    clbit dies. The first `outputs` clbits (all by default) are the result;
-    any other clbit is dead after its last conditional read."""
+    mark where branches may merge (after every reset and wherever a clbit
+    dies) and find the terminal block: the measures after which only other
+    block measures draw, no op but a measure touches their qubits and none
+    reads their clbits. The first `outputs` clbits (all by default) are the
+    result; any other clbit is dead after its last conditional read."""
     n = circuit.num_qubits
     ops, draws = [], 0
     for ins in circuit.instructions:
@@ -189,6 +130,7 @@ def _compile(circuit, outputs: int | None = None) -> _Program:
 
     outputs = circuit.num_clbits if outputs is None else outputs
     live = (1 << outputs) - 1
+    touched, read, drawn, block, walked = set(), set(), False, [], []
     for op in reversed(ops):
         after, writes = live, 0
         if op.kind == "measure":
@@ -199,12 +141,21 @@ def _compile(circuit, outputs: int | None = None) -> _Program:
             live |= 1 << op.ins.clbits[0]
         if op.kind == "reset" or (live | writes) & ~after:
             op.live = after
+        if (op.kind == "measure" and not drawn and touched.isdisjoint(op.ins.qubits)
+                and read.isdisjoint(op.ins.clbits)):
+            block[:0] = op.targets
+            continue
+        walked.insert(0, op)
+        drawn = drawn or bool(op.targets)
+        touched.update(op.ins.qubits)
+        read.update(op.ins.clbits if op.kind == "cond" else ())
 
     floats = 2 << n
     probe = np.random.default_rng(0).random(floats // min(64, floats))
-    solo = next((i for i, op in enumerate(ops) if op.kind in ("send", "recv")), len(ops))
-    return _Program(n, outputs, ops, draws, probe, solo,
-                    sum(len(op.targets) for op in ops[:solo]))
+    solo = next((i for i, op in enumerate(walked) if op.kind in ("send", "recv")),
+                len(walked))
+    return _Program(n, outputs, ops, walked, block, draws, probe, solo,
+                    sum(len(op.targets) for op in walked[:solo]))
 
 
 def _fork(branch: _Branch, take: np.ndarray) -> _Branch:
@@ -228,7 +179,7 @@ def _split(branches: list[_Branch], qubit: int, uniforms: np.ndarray,
         try:
             ones, weights = sample_outcomes(b.amps, qubit, uniforms[b.shots])
         except EmulatorError as exc:
-            raise _at_shot(exc, b, shot_ids) from exc
+            raise _at_shot(exc, b.shots, shot_ids) from exc
         tests.append((b, ones, np.count_nonzero(ones), weights))
     if room is None or room >= sum(1 + (0 < n1 < len(ones)) for _, ones, n1, _ in tests):
         return tests, shot_ids
@@ -289,7 +240,7 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
                 got = [hooks.recv(remote.peer_circuit_id, shot_ids[s], remote.sequence)
                        for s in b.shots.tolist()]
             except EmulatorError as exc:
-                raise _at_shot(exc, b, shot_ids) from exc
+                raise _at_shot(exc, b.shots, shot_ids) from exc
             n1 = got.count(1)
             if n1 == len(got):
                 op.kernel(b.amps)
@@ -301,7 +252,7 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
     elif kind == "unsupported":
         raise _at_shot(UnsupportedInstruction(
             f"{op.ins.name} requires the quantum-communication executor"),
-            branches[0], shot_ids)
+            branches[0].shots, shot_ids)
     else:
         for qubit, clbit in op.targets:
             tests, shot_ids = _split(branches, qubit, next_row(), shot_ids, room)
@@ -322,14 +273,14 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
                                 hooks.send(remote.peer_circuit_id, shot_ids[s],
                                            remote.sequence, outcome)
                 except EmulatorError as exc:
-                    raise _at_shot(exc, b, shot_ids) from exc
+                    raise _at_shot(exc, b.shots, shot_ids) from exc
                 branches += [part for _, part in parts]
     return branches, shot_ids
 
 
-def _at_shot(exc: EmulatorError, branch: _Branch, shot_ids: range) -> EmulatorError:
-    """`exc` naming the first shot of the branch it hit."""
-    return type(exc)(f"shot {shot_ids[int(branch.shots.min())]}: {exc}")
+def _at_shot(exc: EmulatorError, shots: np.ndarray, shot_ids: range) -> EmulatorError:
+    """`exc` naming the first of the shots (rows of `shot_ids`) it hit."""
+    return type(exc)(f"shot {shot_ids[int(shots.min())]}: {exc}")
 
 
 def _root(prog: _Program, shots: int) -> _Branch:
@@ -373,6 +324,43 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
             [b.bits >> c & 1 for c in range(circuit.num_clbits)])
 
 
+def _sample_block(branch: _Branch, seed) -> Callable[[int], np.ndarray]:
+    """The terminal block's outcome of each qubit for a branch of every shot
+    of a job: one draw per shot over the full distribution from job_rng(seed)."""
+    probs = np.abs(branch.amps)
+    np.square(probs, out=probs)
+    probs /= probs.sum()
+    outcomes = job_rng(seed).choice(len(probs), size=len(branch.shots), p=probs)
+    return lambda q: (outcomes >> q) & 1
+
+
+def _descend_block(prog: _Program, branch: _Branch, uniforms: np.ndarray,
+                   shot_ids: range) -> Callable[[int], np.ndarray]:
+    """The terminal block's outcome of each qubit for the branch's shots,
+    its state neither copied nor collapsed: each shot descends the marginal
+    table of the block's qubits in draw order with its own uniforms (one
+    row per draw), taking 1 where u < P(1) given the outcomes above, the
+    rule of sample_outcomes. A qubit measured again keeps its outcome."""
+    n, qubits = prog.num_qubits, list(dict.fromkeys(q for q, _ in prog.block))
+    floats = branch.amps.view(np.float64).reshape([2] * n + [2])
+    axes = list(range(n + 1))  # axis n - 1 - q is qubit q
+    table = np.einsum(floats, axes, floats, axes, [n - 1 - q for q in qubits]).ravel()
+    node, outcome = 0, {}  # each shot's node: the outcomes so far, the first highest
+    for (q, _), u in zip(prog.block, uniforms):
+        if q not in outcome:  # weigh both outcomes below each shot's node
+            w0, w1 = table.reshape(1 << len(outcome), 2, -1).sum(axis=2)[node].T
+            total = w0 + w1
+            ones = u < w1 / total
+            if (np.minimum(w0, w1) <= _NORM_TOL * total).any():  # then check each shot
+                low = np.where(ones, w1, w0) <= _NORM_TOL * total
+                if low.any():
+                    raise _at_shot(ZeroNorm(f"qubit {q} collapsed onto a weight <= 1e-12"),
+                                   branch.shots[low], shot_ids)
+            outcome[q] = ones.astype(np.int64)
+            node = 2 * node + outcome[q]
+    return outcome.__getitem__
+
+
 def run_branched(circuit, shots: int, seed=None,
                  hooks: ChannelHooks | None = None,
                  max_qubits: int = DEFAULT_MAX_QUBITS,
@@ -390,15 +378,45 @@ def run_branched(circuit, shots: int, seed=None,
     chunk walks together up to the first instruction that talks to a
     classical channel, and is cut only before it; from there each shot
     walks alone, in shot order, as the channel's bits go out and are
-    awaited in that order.
+    awaited in that order. Each end branch resolves the terminal block
+    (`_descend_block`); a job that draws nothing before it is one branch,
+    sampled at once (`_sample_block`), unless it is channel-linked.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    _check_width(circuit, max_qubits)
+    if circuit.num_qubits > max_qubits:
+        raise WidthExceeded(
+            f"circuit needs {circuit.num_qubits} qubits, engine cap is {max_qubits}")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
 
     prog, hooks = _compile(circuit, outputs), hooks or null_hooks()
+    linked = prog.solo < len(prog.walked)
+    mask = (1 << prog.outputs) - 1
+    writer = {c: q for q, c in prog.block}  # each block clbit's last-measured qubit
+    tally: Counter[int] = Counter()
+
+    def count(ends: list[_Branch], rows: np.ndarray | None, ids: range) -> None:
+        """Count the end branches' shots past the terminal block; `rows`
+        holds the chunk's uniforms, None where nothing is drawn."""
+        for b in ends:
+            if not prog.block:
+                tally[b.bits & mask] += len(b.shots)
+                continue
+            outcome = (_sample_block(b, seed) if rows is None else _descend_block(
+                prog, b, rows[b.shots, prog.draws - len(prog.block):].T, ids))
+            codes = b.bits & ~sum(1 << c for c in writer)
+            for c, q in writer.items():
+                codes = codes | outcome(q) << c
+            tally.update(map(int, codes & mask))
+
+    if not linked and prog.draws == len(prog.block):  # one branch of every shot
+        ends, peak, _ = _walk(prog, prog.walked, [_root(prog, shots)], None,
+                              range(shots), hooks)
+        count(ends, None, range(shots))
+        return ({format_key(c, prog.outputs): n for c, n in sorted(tally.items())},
+                {"peak_branches": peak, "chunks": 1})
+
     # a chunk's shots, their uniforms and row indices, take at most half the
     # budget and live states beyond the first the rest; a chunk that cannot
     # hold a second state holds one shot
@@ -407,35 +425,28 @@ def run_branched(circuit, shots: int, seed=None,
     states = 1 + (BRANCH_BUDGET_BYTES - per * shot_bytes) // (16 << prog.num_qubits)
     if states < 2:
         per = 1
-    linked = prog.solo < len(prog.ops)
     room = max(1, states - linked)  # a linked shot walking alone copies its state
-    mask = (1 << prog.outputs) - 1
-    tally: Counter[int] = Counter()
-
-    def count(ends: list[_Branch]) -> None:
-        for b in ends:
-            tally[b.bits & mask] += len(b.shots)
 
     def alone(branch: _Branch, rows: np.ndarray, ids: range) -> None:
         """Walk one shot from the first channel instruction on and count it."""
-        ends, _, _ = _walk(prog, prog.ops[prog.solo:], [branch], iter(rows).__next__,
-                           ids, hooks)
-        count(ends)
+        ends, _, _ = _walk(prog, prog.walked[prog.solo:], [branch],
+                           iter(rows.T[prog.solo_draws:]).__next__, ids, hooks)
+        count(ends, rows, ids)
 
     def walk(rows: np.ndarray, ids: range) -> tuple[int, range]:
         """Count the shots of one chunk that it keeps; its states are freed
         on return. Returns the peak of live branches and the shots kept."""
-        shared, peak, ids = _walk(prog, prog.ops[:prog.solo], [_root(prog, len(ids))],
+        shared, peak, ids = _walk(prog, prog.walked[:prog.solo], [_root(prog, len(ids))],
                                   iter(rows.T).__next__, ids, hooks, room)
         if not linked:
-            count(shared)
+            count(shared, rows, ids)
             return peak, ids
         owner = {s: b for b in shared for s in b.shots.tolist()}
         last = {int(b.shots.max()) for b in shared}  # takes the branch's state
         for s in range(len(ids)):
             b = owner[s]
             alone(_Branch(b.amps if s in last else b.amps.copy(), b.bits, np.array([s])),
-                  rows.T[prog.solo_draws:], ids)
+                  rows, ids)
         return max(peak, len(shared) + (1 if len(shared) < len(ids) else 0)), ids
 
     # rows[j] holds the uniforms of shot start + j for the first `drawn`
@@ -455,13 +466,18 @@ def run_branched(circuit, shots: int, seed=None,
         # and doubles while no cut comes
         size = len(kept) if len(kept) < len(ids) else min(per, 2 * size)
         start, peak, chunks = kept.stop, max(peak, chunk_peak), chunks + 1
-    counts = {format_key(code, prog.outputs): n for code, n in sorted(tally.items())}
-    return counts, {"peak_branches": peak, "chunks": chunks}
+    return ({format_key(c, prog.outputs): n for c, n in sorted(tally.items())},
+            {"peak_branches": peak, "chunks": chunks})
+
+
+def run_sampled(circuit, shots: int, seed=None,
+                max_qubits: int = DEFAULT_MAX_QUBITS) -> dict[str, int]:
+    """Counts over every clbit of `shots` shots, as `run_branched` gives them."""
+    return run_branched(circuit, shots, seed, max_qubits=max_qubits)[0]
 
 
 def run_shot_loop(circuit, shots: int, seed=None,
                   hooks: ChannelHooks | None = None,
                   max_qubits: int = DEFAULT_MAX_QUBITS) -> dict[str, int]:
-    """Counts over every clbit of `shots` shots, as `run_branched` gives
-    them; the name is kept from when each shot ran alone."""
+    """Counts over every clbit of `shots` shots, as `run_branched` gives them."""
     return run_branched(circuit, shots, seed, hooks, max_qubits)[0]

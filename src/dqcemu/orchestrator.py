@@ -1,7 +1,7 @@
 """Lifecycle management: raise, inspect and drop local vQPU processes.
 
-qraise spawns detached server processes (plus one executor in quantum mode),
-waits for each to announce its bound port, records everything in the
+qraise spawns detached server processes (plus one executor for the quantum
+model), waits for each to announce its bound port, records everything in the
 registry and prints the endpoints. Resource flags (-c, --mem-per-qpu,
 --n_nodes) are parsed and recorded but advisory at desk scale; --n_nodes
 also sizes the simulated node-label cycle used by the SDK's on-node filter.
@@ -110,8 +110,8 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
            cores: int | None = None, mem_per_qpu: str | None = None,
            n_nodes: int | None = None, noise_prop: str | None = None,
            quiet: bool = False) -> str:
-    """Spawn a family of n vQPUs (and an executor in quantum mode); returns
-    the family name once every process answers its status endpoint."""
+    """Spawn a family of n vQPUs (and an executor for the quantum model);
+    returns the family name once every process answers its status endpoint."""
     if n < 1:
         raise ValueError("need n >= 1 vQPUs")
     if classical_comm and quantum_comm:

@@ -71,11 +71,10 @@ class QuantumTask:
     circuit: Circuit
     shots: int
     seed: int | None = None
-    mode: str | None = None  # "sampled" | "shot_loop" | None = auto
     params: list | None = None  # initial values for declared slots
     param_slots: list[str] = field(default_factory=list)
     plan: dict[str, str] | None = None  # circuit id -> host:port (classical)
-    part_k: int | None = None  # quantum mode: total parts
+    part_k: int | None = None  # quantum model: total parts
     part_index: int | None = None
     enqueued_at: float = 0.0
 
@@ -175,8 +174,7 @@ class VqpuServer(FramedService):
             return error_frame("SchemaViolation", "config.shots must be >= 1")
         task = QuantumTask(
             job_id=job_id, circuit=circuit, shots=shots,
-            seed=cfg.get("seed"), mode=cfg.get("mode"),
-            params=cfg.get("params"), plan=cfg.get("plan"),
+            seed=cfg.get("seed"), params=cfg.get("params"), plan=cfg.get("plan"),
             part_k=cfg.get("k"), part_index=cfg.get("index"),
             enqueued_at=time.monotonic(),
         )
@@ -235,8 +233,8 @@ class VqpuServer(FramedService):
                 job_id=job_id)
         new_task = QuantumTask(
             job_id=job_id, circuit=task.circuit, shots=task.shots,
-            seed=task.seed, mode=task.mode, params=list(params),
-            plan=task.plan, enqueued_at=time.monotonic(),
+            seed=task.seed, params=list(params), plan=task.plan,
+            enqueued_at=time.monotonic(),
         )
         return self._enqueue(new_task, rerun=True)
 
@@ -308,7 +306,7 @@ class VqpuServer(FramedService):
         if task.part_k is not None:
             return self._forward_part(task, circuit, seed, queue_wait)
 
-        endpoint = None
+        endpoint = hooks = None
         if circuit.has_classical_link():
             if not task.plan:
                 raise ValidationFailed(
@@ -325,22 +323,12 @@ class VqpuServer(FramedService):
                                     if m.dst_circuit != circuit.id]
             for msg in strays:
                 endpoint.deliver(msg)
-        else:
-            hooks = None
 
-        mode = task.mode
-        if mode is None:
-            mode = "sampled" if engine.is_sampled_admissible(circuit) else "shot_loop"
         try:
             t0 = time.perf_counter()
-            if mode == "sampled":  # one state, sampled once
-                counts = engine.run_sampled(circuit, task.shots, seed=seed,
-                                            max_qubits=config.max_qubits)
-                counters = {"peak_branches": 1, "chunks": 1}
-            else:
-                counts, counters = engine.run_branched(
-                    circuit, task.shots, seed=seed, hooks=hooks,
-                    max_qubits=config.max_qubits)
+            counts, counters = engine.run_branched(
+                circuit, task.shots, seed=seed, hooks=hooks,
+                max_qubits=config.max_qubits)
             elapsed = time.perf_counter() - t0
         finally:
             if endpoint is not None:
@@ -351,8 +339,7 @@ class VqpuServer(FramedService):
             job_id=task.job_id, counts=counts, time_taken=elapsed,
             metadata={"seed": seed, "engine": config.simulator,
                       "shots": task.shots, "rng": engine.RNG_ALGORITHM,
-                      "mode": mode, "queue_wait": queue_wait,
-                      "vqpu_id": config.vqpu_id, **counters})
+                      "queue_wait": queue_wait, "vqpu_id": config.vqpu_id, **counters})
 
     def _forward_part(self, task: QuantumTask, circuit: Circuit, seed: int,
                       queue_wait: float) -> ResultRecord:
@@ -388,10 +375,10 @@ class VqpuServer(FramedService):
                                 f"{reply.get('message', '')}"])
 
 
-def _mode_violation(mode: str, needs: str):
+def _mode_violation(comm_mode: str, needs: str):
     from .backend import Violation
     return Violation("CommModeMismatch",
-                     f"circuit uses a {needs} but vQPU comm mode is {mode!r}")
+                     f"circuit uses a {needs} but vQPU comm_mode is {comm_mode!r}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ unitaries are assembled as explicit 2^n x 2^n matrices and states evolve by
 matrix-vector products, so the engine and the oracle share no code path.
 The per-shot reference loop is the exception: it runs the engine's gate
 kernels and measurement rule one shot at a time, as the engine did before
-it walked shot branches, and so checks the walk and nothing below it.
+it walked shot branches, and so checks the walk and nothing below it. The
+sampled reference is the same kind of check for jobs that draw nothing
+before their terminal measurements: it is the engine's sampler from before
+the walk resolved terminal measurements.
 """
 
 from __future__ import annotations
@@ -56,6 +59,59 @@ def statevector_by_matmul(circuit: Circuit) -> np.ndarray:
         psi = full_gate_matrix(circuit.num_qubits, ins.name, ins.qubits,
                                ins.params) @ psi
     return psi
+
+
+def sampled_admissible(circuit: Circuit) -> bool:
+    """True when every measurement commutes to the end of the circuit: no
+    distributed instruction, no reset, nothing acts on a qubit after it was
+    measured, and no conditional reads a clbit a measurement wrote before
+    it, so no conditional fires: what `is_sampled_admissible` admitted,
+    and conditionals that cannot fire."""
+    measured: set[int] = set()
+    written: set[int] = set()
+    for ins in circuit.instructions:
+        if ins.name in DISTRIBUTED or ins.name == "reset":
+            return False
+        if ins.name == "measure":
+            measured.update(ins.qubits)
+            written.update(ins.clbits)
+            continue
+        if ins.clbits and ins.clbits[0] in written:
+            return False
+        if any(q in measured for q in ins.qubits):
+            return False
+    return True
+
+
+def run_sampled_reference(circuit: Circuit, shots: int, seed) -> dict[str, int]:
+    """Counts of `shots` samples of the terminal measurement distribution,
+    all from `engine.job_rng(seed)`: every gate applied once (conditionals,
+    which never fire here, skipped), then one draw per shot over the basis
+    states, each clbit reading the qubit measured into it last."""
+    if not sampled_admissible(circuit):
+        raise UnsupportedInstruction(
+            "circuit has mid-circuit or distributed effects; use run_shot_loop_reference")
+    state = StateVector.zero(circuit.num_qubits)
+    clbit_source: dict[int, int] = {}  # clbit -> measured qubit (last write wins)
+    for ins in circuit.instructions:
+        if ins.name == "measure":
+            for q, c in zip(ins.qubits, ins.clbits):
+                clbit_source[c] = q
+        elif not ins.clbits:
+            compile_gate(state.num_qubits, ins.name, ins.qubits,
+                         ins.params)(state.amplitudes)
+
+    probs = np.abs(state.amplitudes)
+    np.square(probs, out=probs)
+    probs /= probs.sum()
+    outcomes = engine.job_rng(seed).choice(state.dim, size=shots, p=probs)
+
+    codes = np.zeros(shots, dtype=np.int64)
+    for c, q in clbit_source.items():
+        codes |= ((outcomes >> q) & 1) << c
+    values, tallies = np.unique(codes, return_counts=True)
+    nb = circuit.num_clbits
+    return {engine.format_key(int(v), nb): int(t) for v, t in zip(values, tallies)}
 
 
 def run_once_reference(circuit: Circuit, rng: np.random.Generator,
@@ -191,6 +247,33 @@ def run_ipea_loopback(chain, shots: int, seed: int,
     if errors:
         raise errors[0]
     return [results[c.id] for c in chain.circuits]
+
+
+def chi2_exact_pvalue(counts: dict[str, int], probs: dict[str, float]) -> float:
+    """Chi-square goodness of fit of `counts` to the exact distribution
+    `probs`, keys with fewer than 5 expected shots pooled into one cell;
+    a shot on an outcome of probability 0 fails it outright."""
+    from scipy.stats import chi2
+
+    shots = sum(counts.values())
+    stat, dof = 0.0, -1
+    pooled_o = pooled_e = 0.0
+    for key in set(counts) | set(probs):
+        observed, expected = counts.get(key, 0), shots * probs.get(key, 0.0)
+        if expected < 5:
+            pooled_o += observed
+            pooled_e += expected
+            continue
+        stat += (observed - expected) ** 2 / expected
+        dof += 1
+    if pooled_e > 0:
+        stat += (pooled_o - pooled_e) ** 2 / pooled_e
+        dof += 1
+    elif pooled_o:
+        return 0.0
+    if dof < 1:
+        return 1.0
+    return float(chi2.sf(stat, dof))
 
 
 def chi2_pvalue(counts_a: dict[str, int], counts_b: dict[str, int]) -> float:

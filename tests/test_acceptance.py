@@ -248,11 +248,11 @@ def test_criterion_5_parallel_dispatch(raise_family):
     fam = raise_family(4)
     qpus = get_qpus(family=fam)
 
-    solo = run(qpus[0], circuit, shots=shots, seed=9, mode="shot_loop",
+    solo = run(qpus[0], circuit, shots=shots, seed=9,
                params=[0.3]).wait()
     single_s = solo.time_taken
     t0 = time.monotonic()
-    jobs = [run(q, circuit, shots=shots, seed=9 + i, mode="shot_loop",
+    jobs = [run(q, circuit, shots=shots, seed=9 + i,
                 params=[0.3]) for i, q in enumerate(qpus)]
     gather(jobs)
     wall = time.monotonic() - t0

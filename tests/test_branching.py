@@ -13,9 +13,16 @@ from hypothesis import strategies as st
 from dqcemu import engine, executor
 from dqcemu.algorithms import QpeConfig, build_distributed_qpe
 from dqcemu.circuit import Circuit
+from dqcemu.errors import ZeroNorm
 from dqcemu.gates import GATE_ARITY
+from dqcemu.statevector import StateVector, collapse, sample_outcomes
 
-from oracles import run_once_reference, run_shot_loop_reference
+from oracles import (
+    run_once_reference,
+    run_sampled_reference,
+    run_shot_loop_reference,
+    sampled_admissible,
+)
 
 GATES = sorted(g for g, (arity, _) in GATE_ARITY.items() if arity <= 2)
 
@@ -61,9 +68,49 @@ BUDGETS = st.sampled_from([engine.BRANCH_BUDGET_BYTES, 1 << 12, 1 << 10])
 @settings(max_examples=60, deadline=None)
 @given(mid_circuit_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 60), BUDGETS)
 def test_walk_matches_the_shot_loop(circuit, seed, shots, budget):
+    """A circuit that draws nothing before its terminal measurements is
+    sampled from the job's stream, as the sampled reference does; any
+    other gives every shot the outcomes of the reference loop."""
     with mock.patch.object(engine, "BRANCH_BUDGET_BYTES", budget):
         counts = engine.run_shot_loop(circuit, shots, seed=seed)
-    assert counts == run_shot_loop_reference(circuit, shots, seed)
+    reference = (run_sampled_reference if sampled_admissible(circuit)
+                 else run_shot_loop_reference)
+    assert counts == reference(circuit, shots, seed)
+
+
+@st.composite
+def terminal_programs(draw):
+    """Circuits the old sampler admitted: gates, and measurements after
+    which only other qubits see gates, into clbits that may be written
+    again; a qubit may be measured more than once."""
+    n = draw(st.integers(1, 6))
+    nc = draw(st.integers(1, 4))
+    c = Circuit(n, nc, id="terminal")
+    measured: set[int] = set()
+    for _ in range(draw(st.integers(1, 24))):
+        free = [q for q in range(n) if q not in measured]
+        if not free or draw(st.integers(0, 2)) == 0:
+            q = draw(st.integers(0, n - 1))
+            c.measure(q, draw(st.integers(0, nc - 1)))
+            measured.add(q)
+            continue
+        name = draw(st.sampled_from(GATES if len(free) > 1 else
+                                    [g for g in GATES if GATE_ARITY[g][0] == 1]))
+        arity, n_params = GATE_ARITY[name]
+        qubits = draw(st.permutations(free))[:arity]
+        c.append(name, qubits, params=[draw(st.floats(-7, 7)) for _ in range(n_params)])
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(terminal_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 200))
+def test_terminal_circuits_match_the_sampled_reference(circuit, seed, shots):
+    """Such circuits are one branch of every shot to the end, and sample
+    the terminal block as the old sampler did: the same counts."""
+    assert sampled_admissible(circuit)
+    counts, counters = engine.run_branched(circuit, shots, seed=seed)
+    assert counts == run_sampled_reference(circuit, shots, seed)
+    assert counters == {"peak_branches": 1, "chunks": 1}
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,13 +140,18 @@ def logging_hooks(log: list) -> engine.ChannelHooks:
        BUDGETS)
 def test_channel_linked_walk_matches_the_shot_loop(circuit, seed, shots, budget):
     """Same counts, and the same channel calls in the same order: shots
-    share the walk only up to the first channel instruction."""
+    share the walk only up to the first channel instruction. A circuit
+    without channel instructions that draws nothing before its terminal
+    measurements is sampled, as in test_walk_matches_the_shot_loop."""
     walked, looped = [], []
     with mock.patch.object(engine, "BRANCH_BUDGET_BYTES", budget):
         counts = engine.run_shot_loop(circuit, shots, seed=seed,
                                       hooks=logging_hooks(walked))
-    assert counts == run_shot_loop_reference(circuit, shots, seed,
-                                             hooks=logging_hooks(looped))
+    if sampled_admissible(circuit):
+        assert counts == run_sampled_reference(circuit, shots, seed)
+    else:
+        assert counts == run_shot_loop_reference(circuit, shots, seed,
+                                                 hooks=logging_hooks(looped))
     assert walked == looped
 
 
@@ -148,7 +200,9 @@ def test_merges_compare_whole_states(monkeypatch):
     equal, branches whose states differ must still stay apart."""
     monkeypatch.setattr(engine, "_fingerprint", lambda amps, probe: b"")
     c = Circuit(1, 2, id="dead-bit")
-    c.h(0).measure(0, 1).measure(0, 0)  # clbit 1 is no output: dead at once
+    # clbit 1 is no output: dead at once; the closing h keeps both measures
+    # out of the terminal block, so the walk merges after the first
+    c.h(0).measure(0, 1).measure(0, 0).h(0)
     counts, _ = engine.run_branched(c, 200, seed=4, outputs=1)
     assert counts == run_shot_loop_reference(c, 200, 4, outputs=1)
     assert set(counts) == {"0", "1"}
@@ -157,6 +211,17 @@ def test_merges_compare_whole_states(monkeypatch):
 def telegate_plan(n=4):
     return executor.merge_circuits(list(build_distributed_qpe(
         QpeConfig(n_ancilla=n, theta=2 * math.pi * 0.35))))
+
+
+def diverging() -> Circuit:
+    """Every shot draws its own 8-bit history mid-circuit: the closing h
+    layer keeps each measurement out of the terminal block."""
+    c = Circuit(5, 8, id="spread")
+    for r in range(8):
+        c.h(r % 5).measure(r % 5, r)
+    for q in range(5):
+        c.h(q)
+    return c
 
 
 def budgeted_run(monkeypatch, circuit, shots, seed, budget, **kw):
@@ -188,28 +253,29 @@ def assert_within_budget(circuit, budget, counters, most_shots):
 @pytest.mark.parametrize("budget_states", [1, 3, 7])
 def test_chunking_keeps_counts(monkeypatch, budget_states):
     """A budget of one state walks one shot per chunk; three and seven
-    states make chunks that are cut where their branches outgrow the
-    budget. The counts are those of one uncut chunk at the default budget."""
+    states make chunks that are cut where their mid-circuit histories
+    outgrow the budget. The counts are those of one uncut chunk at the
+    default budget, and of the reference loop, for a diverging circuit
+    and for the merged telegate plan's outputs."""
     plan = telegate_plan()
-    merged = plan.merged
-    whole, counters = engine.run_branched(merged, 50, seed=5,
-                                          outputs=plan.user_clbits)
-    assert counters["chunks"] == 1
-    budget = budget_states * (16 << merged.num_qubits)
-    chunked, counters, most = budgeted_run(monkeypatch, merged, 50, 5, budget,
-                                           outputs=plan.user_clbits)
-    assert chunked == whole
-    assert_within_budget(merged, budget, counters, most)
-    if budget_states == 1:
-        assert counters["chunks"] == 50
-    else:  # more chunks than the shots' uniforms alone ask for: cuts
-        assert math.ceil(50 / most) < counters["chunks"] < 50
+    cases = [(diverging(), None), (plan.merged, plan.user_clbits)]
+    wholes = [engine.run_branched(c, 50, seed=5, outputs=outputs) for c, outputs in cases]
+    for (c, outputs), (whole, counters) in zip(cases, wholes):
+        assert counters["chunks"] == 1
+        assert whole == run_shot_loop_reference(c, 50, 5, outputs=outputs)
+        budget = budget_states * (16 << c.num_qubits)
+        chunked, counters, most = budgeted_run(monkeypatch, c, 50, 5, budget,
+                                               outputs=outputs)
+        assert chunked == whole
+        assert_within_budget(c, budget, counters, most)
+        if budget_states == 1:
+            assert counters["chunks"] == 50
+        elif outputs is None:  # more chunks than the uniforms alone ask for: cuts
+            assert math.ceil(50 / most) < counters["chunks"] < 50
 
 
 def test_live_branch_bytes_stay_within_the_budget(monkeypatch):
-    c = Circuit(5, 8, id="spread")
-    for r in range(8):  # every shot draws its own 8-bit history
-        c.h(r % 5).measure(r % 5, r)
+    c = diverging()
     budget = 20 * (16 << c.num_qubits)
     counts, counters, most = budgeted_run(monkeypatch, c, 300, 2, budget)
     assert_within_budget(c, budget, counters, most)
@@ -246,6 +312,9 @@ def test_telegate8_walks_in_one_chunk():
         QpeConfig(n_ancilla=8, theta=2 * math.pi * (77 + 0.2) / 256))))
     record = executor.execute_merged(plan, 2000, seed=21)
     assert record.metadata["chunks"] == 1
+    # the terminal measurements resolve without branching: at most the
+    # four states of the protocol's mid-circuit split are live at once
+    assert record.metadata["peak_branches"] <= 4
     assert sum(record.counts.values()) == 2000
     assert_within_budget(plan.merged, engine.BRANCH_BUDGET_BYTES, record.metadata,
                          2000)
@@ -282,3 +351,51 @@ def test_channel_linked_shots_share_the_walk_up_to_the_channel():
     # two branches from the shared measurement, plus the shot walking alone
     assert counters == {"peak_branches": 3, "chunks": 1}
     assert counts == run_shot_loop_reference(c, 20, 8, hooks=hooks)
+
+
+def test_channel_linked_terminal_block_matches_the_shot_loop():
+    """Measurements that commute past a remote_c_if on another qubit join
+    the terminal block of a linked circuit; each shot still sends and
+    awaits its bits call for call as the reference loop does."""
+    c = Circuit(3, 3, id="src")
+    c.h(0).h(1).h(2).measure_and_send(0, "dst").measure(1, 1)
+    c.remote_c_if("x", 2, "dst").cx(2, 0).measure(2, 2).measure(0, 0).measure(1, 2)
+    assert len(engine._compile(c).block) == 4
+    for seed in (1, 2, 3):
+        walked, looped = [], []
+        counts = engine.run_shot_loop(c, 60, seed=seed, hooks=logging_hooks(walked))
+        assert counts == run_shot_loop_reference(c, 60, seed, hooks=logging_hooks(looped))
+        assert walked == looped
+
+
+def test_terminal_block_raises_zero_norm_where_a_collapse_would():
+    """A shot whose uniform picks an outcome of conditional weight at most
+    1e-12 fails with ZeroNorm naming it, as collapsing onto it does."""
+    c = Circuit(2, 2, id="thin")
+    c.ry(1e-7, 0).h(1).measure(1, 1).measure(0, 0)  # P(qubit 0 = 1) ~ 2.5e-15
+    prog = engine._compile(c)
+    assert prog.block == [(1, 1), (0, 0)]
+    (branch,), _, _ = engine._walk(prog, prog.walked, [engine._root(prog, 3)], None,
+                                   range(10, 13), engine.null_hooks())
+    uniforms = np.array([[0.2, 0.6, 0.9], [0.5, 0.0, 0.3]])  # shot 11 takes 1
+    with pytest.raises(ZeroNorm, match="shot 11"):
+        engine._descend_block(prog, branch, uniforms, range(10, 13))
+    uniforms[1, 1] = 0.4
+    outcome = engine._descend_block(prog, branch, uniforms, range(10, 13))
+    assert outcome(1).tolist() == [1, 0, 0] and outcome(0).tolist() == [0, 0, 0]
+
+    state = StateVector.zero(2)
+    engine.compile_gate(2, "ry", [0], [1e-7])(state.amplitudes)
+    ones, weights = sample_outcomes(state.amplitudes, 0, np.array([0.0]))
+    with pytest.raises(ZeroNorm):
+        collapse(state.amplitudes, 0, int(ones[0]), weights)
+
+
+def test_terminal_block_overwrites_walked_clbits():
+    """A clbit a mid-circuit measurement wrote reads what the terminal
+    block measures into it last."""
+    c = Circuit(2, 2, id="overwrite")
+    c.x(0).measure(0, 0).x(0).measure(0, 1).measure(1, 0)
+    assert engine._compile(c).block == [(0, 1), (1, 0)]
+    counts = engine.run_shot_loop(c, 20, seed=1)
+    assert counts == run_shot_loop_reference(c, 20, 1) == {"00": 20}

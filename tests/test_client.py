@@ -173,6 +173,22 @@ def test_shot_distribution_aggregates(raise_family):
     assert set(total) == {"00", "11"}
 
 
+def test_link_free_parts_run_as_run_runs_them(raise_family):
+    """A part of a link-free run_distributed job gives the counts `run`
+    gives that circuit at the part's seed, with or without mid-circuit
+    effects."""
+    raise_family(2)
+    qpus = get_qpus()
+    terminal = Circuit(2, 2, id="terminal")
+    terminal.ry(1.1, 0).cx(0, 1).ry(0.4, 1).measure(0, 0).measure(1, 1)
+    mid = Circuit(2, 2, id="mid")
+    mid.h(0).measure(0, 0).c_if("x", 1, 0).h(1).measure(1, 1)
+    parts = gather(run_distributed([terminal, mid], qpus, shots=500, seed=12))
+    for circuit, part, handle in zip((terminal, mid), parts, qpus):
+        alone = run(handle, circuit, shots=500, seed=part.metadata["seed"]).wait()
+        assert part.counts == alone.counts
+
+
 def test_job_failure_surfaces_with_diagnostic(raise_family):
     raise_family(1)
     handle = get_qpus()[0]
@@ -231,7 +247,7 @@ def test_upgrade_before_completion_is_invalid(raise_family):
         c.measure([2, 3], [4 + 2 * r, 5 + 2 * r])
     for q in range(4):
         c.measure(q, q)
-    job = run(handle, c, shots=4000, mode="shot_loop", params=[0.3])
+    job = run(handle, c, shots=4000, params=[0.3])
     with pytest.raises(InvalidState):
         upgrade_parameters(job, [1.0])
     job.wait()

@@ -6,7 +6,12 @@ from dqcemu.circuit import Circuit
 from dqcemu.engine import ChannelHooks
 from dqcemu.errors import ChannelTimeout, UnsupportedInstruction, WidthExceeded
 
-from oracles import chi2_pvalue, random_unitary_circuit, statevector_by_matmul
+from oracles import (
+    chi2_exact_pvalue,
+    random_unitary_circuit,
+    run_shot_loop_reference,
+    statevector_by_matmul,
+)
 
 
 def test_sampled_completeness():
@@ -23,26 +28,25 @@ def test_sampled_trivial_zero_state():
     assert engine.run_sampled(c, 7, seed=0) == {"0": 7}
 
 
-def test_sampled_rejects_mid_circuit_effects():
+def test_sampled_runs_mid_circuit_effects():
+    """run_sampled is the one engine under another name: circuits the old
+    sampler refused give the reference loop's counts, or its error."""
     conditional = Circuit(2, 2, id="a")
     conditional.h(0).measure(0, 0).c_if("x", 1, 0).measure(1, 1)
-    with pytest.raises(UnsupportedInstruction):
-        engine.run_sampled(conditional, 10, seed=0)
-
     resetting = Circuit(1, 1, id="b")
     resetting.h(0).reset(0).measure(0, 0)
-    with pytest.raises(UnsupportedInstruction):
-        engine.run_sampled(resetting, 10, seed=0)
+    remeasured = Circuit(1, 2, id="d")
+    remeasured.h(0).measure(0, 0).h(0).measure(0, 1)
+    for circuit in (conditional, resetting, remeasured):
+        assert (engine.run_sampled(circuit, 200, seed=3)
+                == run_shot_loop_reference(circuit, 200, 3))
 
     distributed = Circuit(1, 1, id="c")
     distributed.measure_and_send(0, "peer")
     with pytest.raises(UnsupportedInstruction):
-        engine.run_sampled(distributed, 10, seed=0)
-
-    remeasured = Circuit(1, 2, id="d")
-    remeasured.h(0).measure(0, 0).h(0).measure(0, 1)
+        run_shot_loop_reference(distributed, 10, 0)
     with pytest.raises(UnsupportedInstruction):
-        engine.run_sampled(remeasured, 10, seed=0)
+        engine.run_sampled(distributed, 10, seed=0)
 
 
 def test_width_cap():
@@ -135,12 +139,16 @@ def test_seed_determinism_bit_exact():
 
 @pytest.mark.parametrize("circuit_seed", [11, 29, 73])
 def test_sampled_and_shot_loop_agree(circuit_seed):
+    """Both names run one sampler: each fits the exact distribution."""
     rng = np.random.default_rng(circuit_seed)
     c = random_unitary_circuit(rng, 4, 10, measured=True)
+    psi = statevector_by_matmul(c)
+    exact = {engine.format_key(i, 4): float(abs(a) ** 2) for i, a in enumerate(psi)}
     shots = 10_000
     sampled = engine.run_sampled(c, shots, seed=circuit_seed)
     looped = engine.run_shot_loop(c, shots, seed=circuit_seed + 1)
-    assert chi2_pvalue(sampled, looped) > 0.001
+    assert chi2_exact_pvalue(sampled, exact) > 0.001
+    assert chi2_exact_pvalue(looped, exact) > 0.001
 
 
 def test_final_state_matches_matrix_oracle():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from dqcemu import engine
 from dqcemu.circuit import Circuit, Param
 from dqcemu.protocol import connect, recv_frame, request, send_frame
 from dqcemu.server import VqpuConfig, VqpuServer
@@ -89,7 +90,7 @@ def test_tasks_execute_fifo_and_both_retrievable(conn):
 
 def test_status_answered_while_simulating(server, conn):
     circuit, shots = slow_circuit()
-    submit(conn, circuit, job_id="long", shots=shots * 20, mode="shot_loop")
+    submit(conn, circuit, job_id="long", shots=shots * 20)
     time.sleep(0.15)  # let the simulation start
     probe = connect(server.host, server.port)
     probe.settimeout(2.0)
@@ -130,27 +131,33 @@ def test_classical_circuit_needs_classical_mode(conn):
     assert "CommModeMismatch" in reply["message"]
 
 
-def test_mode_auto_selection(conn):
+def test_every_circuit_runs_on_the_one_engine(conn):
+    """A mid-circuit and a terminal-only circuit both run on run_branched:
+    the job gives the engine's counts and counters for its seed."""
     conditional = Circuit(2, 2, id="cond")
     conditional.h(0).measure(0, 0).c_if("x", 1, 0).measure(1, 1)
-    submit(conn, conditional, job_id="cond", shots=50, seed=1)
-    reply = poll_result(conn, "cond")
-    assert reply["metadata"]["mode"] == "shot_loop"
-    submit(conn, bell(), job_id="plain", shots=50, seed=1)
-    assert poll_result(conn, "plain")["metadata"]["mode"] == "sampled"
+    for job_id, circuit in (("cond", conditional), ("plain", bell())):
+        submit(conn, circuit, job_id=job_id, shots=50, seed=1)
+        reply = poll_result(conn, job_id)
+        counts, counters = engine.run_branched(circuit, 50, seed=1)
+        assert reply["counts"] == counts
+        assert {k: reply["metadata"][k] for k in counters} == counters
+        assert "mode" not in reply["metadata"]
 
 
 def test_result_carries_the_walk_counters(conn):
     circuit, shots = slow_circuit()
     submit(conn, circuit, job_id="walk", shots=shots, seed=2)
-    meta = poll_result(conn, "walk")["metadata"]
-    assert meta["mode"] == "shot_loop"
-    assert 1 <= meta["peak_branches"] <= shots
-    assert meta["chunks"] == 1
+    reply = poll_result(conn, "walk")
+    counts, counters = engine.run_branched(circuit, shots, seed=2)
+    assert reply["counts"] == counts
+    meta = reply["metadata"]
+    assert (meta["peak_branches"], meta["chunks"]) == (counters["peak_branches"], 1)
+    assert 1 < meta["peak_branches"] <= shots
     submit(conn, bell(), job_id="once", shots=50, seed=2)
-    meta = poll_result(conn, "once")["metadata"]
-    assert meta["mode"] == "sampled"
-    assert (meta["peak_branches"], meta["chunks"]) == (1, 1)
+    reply = poll_result(conn, "once")
+    assert reply["counts"] == engine.run_branched(bell(), 50, seed=2)[0]
+    assert (reply["metadata"]["peak_branches"], reply["metadata"]["chunks"]) == (1, 1)
 
 
 def test_queue_backpressure():
@@ -160,8 +167,8 @@ def test_queue_backpressure():
         sock = connect(srv.host, srv.port)
         sock.settimeout(10.0)
         circuit, shots = slow_circuit()
-        replies = [submit(sock, circuit, job_id=f"q{i}", shots=shots * 10,
-                          mode="shot_loop") for i in range(4)]
+        replies = [submit(sock, circuit, job_id=f"q{i}", shots=shots * 10)
+                   for i in range(4)]
         kinds = [r["type"] for r in replies]
         assert "error" in kinds
         rejected = [r for r in replies if r["type"] == "error"]

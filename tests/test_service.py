@@ -134,7 +134,7 @@ def test_repeated_run_is_acked_and_runs_once():
     srv.start()
     try:
         sock = open_conn(srv)
-        frame = run_frame("same", slow_circuit(), shots=200, mode="shot_loop")
+        frame = run_frame("same", slow_circuit(), shots=200)
         acks = [request(sock, frame) for _ in range(2)]
         wait_until(lambda: request(sock, {"type": "result", "job_id": "same"})
                    ["type"] == "result", 10, "job same never finished")
@@ -158,8 +158,7 @@ def test_ttl_expiry_drains_running_and_queued_work(cunqa_home):
     try:
         sock = open_conn(srv)
         for job_id, shots in (("running", 1200), ("queued", 400)):
-            reply = request(sock, run_frame(job_id, slow_circuit(), shots=shots,
-                                            mode="shot_loop"))
+            reply = request(sock, run_frame(job_id, slow_circuit(), shots=shots))
             assert reply["type"] == "ack"
         sock.close()
         wait_in_thread(srv, timeout=15.0)
