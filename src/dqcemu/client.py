@@ -2,7 +2,8 @@
 communication models, and collect results asynchronously.
 
 Submission returns immediately after the server acknowledges the enqueue;
-``QJob.result`` blocks (by polling) until the job finishes. Quantum-model
+``QJob.result`` blocks until the job finishes, on `result` frames the vQPU
+answers once the job is done or failed (or after up to 1 s). Quantum-model
 jobs are submitted part-by-part to their vQPUs, which forward them to the
 family executor and proxy back one aggregated result shared by all parts.
 """
@@ -10,7 +11,6 @@ family executor and proxy back one aggregated result shared by all parts.
 from __future__ import annotations
 
 import threading
-import time
 import uuid
 
 import numpy as np
@@ -32,11 +32,8 @@ from .errors import (
 )
 from .protocol import connect, request
 from .registry import RegistryEntry, pid_alive
-from .server import ResultRecord
+from .server import RESULT_WAIT_MAX_MS, ResultRecord
 from .wire import circuit_to_obj
-
-_POLL_START_S = 0.005
-_POLL_MAX_S = 0.1
 
 _STATE_RANK = {"submitted": 0, "running": 1, "done": 2, "failed": 2}
 _WIRE_STATE = {"queued": "submitted", "running": "running"}
@@ -124,10 +121,15 @@ class QJob:
 
     def poll(self) -> str:
         """One nonblocking status refresh; returns the current state."""
+        return self._refresh(0)
+
+    def _refresh(self, wait_ms: int) -> str:
+        """One `result` frame, which the vQPU answers once the job is done
+        or failed or `wait_ms` have passed; returns the current state."""
         if self.state in ("done", "failed"):
             return self.state
         reply = self.target.connection.request(
-            {"type": "result", "job_id": self.job_id})
+            {"type": "result", "job_id": self.job_id, "wait_ms": wait_ms})
         kind = reply.get("type")
         if kind == "result":
             self.cached_result = ResultRecord(
@@ -143,10 +145,8 @@ class QJob:
 
     def wait(self) -> ResultRecord:
         """Block until done; raises JobFailed with the server diagnostic."""
-        delay = _POLL_START_S
-        while self.poll() not in ("done", "failed"):
-            time.sleep(delay)
-            delay = min(delay * 2, _POLL_MAX_S)
+        while self._refresh(RESULT_WAIT_MAX_MS) not in ("done", "failed"):
+            pass
         if self.state == "failed":
             code, message = self._failure or ("Error", "")
             raise JobFailed(self.job_id, f"{code}: {message}")

@@ -45,7 +45,8 @@ GATE_ARITY: dict[str, tuple[int, int]] = {
 #:   diagonal    - scale the amplitude slices whose factor is not 1, in place
 #:   permutation - exchange the two slices the matrix swaps
 #:   controlled  - apply CONTROLLED_TARGET's gate where the first qubit is 1
-#:   dense       - mix a qubit's two slices (one-qubit gates only)
+#:   dense       - mix a qubit's two slices (one-qubit gates only); on the
+#:                 low qubits of a wide state, on a transposed copy of rows
 KERNEL_CLASS: dict[str, str] = {
     **dict.fromkeys(("id", "z", "s", "sdg", "t", "tdg", "rz", "cz", "crz", "cp"),
                     "diagonal"),

@@ -32,6 +32,9 @@ from .registry import RegistryEntry, pid_alive
 
 SPAWN_WAIT_S = 10.0
 PROBE_TIMEOUT_S = 0.2
+#: thread-count variables of the BLAS and OpenMP runtimes numpy may load,
+#: set to 1 in the environment of every spawned vQPU and executor
+SPAWN_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_ttl(text: str) -> int:
@@ -134,6 +137,9 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
 
     env = dict(os.environ)
     env["CUNQA_HOME"] = str(home)
+    # each process simulates on one thread: a BLAS thread pool only slows
+    # its start and contends with the other processes (README: Simulation engine)
+    env.update(dict.fromkeys(SPAWN_THREAD_VARS, "1"))
 
     from .server import VqpuConfig  # local import: avoid cycles at module load
     from .executor import ExecutorConfig

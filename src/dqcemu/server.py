@@ -37,6 +37,8 @@ from .protocol import (
 from .wire import circuit_from_obj, circuit_to_obj
 
 DEFAULT_QUEUE_SIZE = 64
+#: cap on a `result` frame's wait_ms: how long it may wait for its job
+RESULT_WAIT_MAX_MS = 1000
 
 
 @dataclass
@@ -139,6 +141,7 @@ class VqpuServer(FramedService):
         })
         self.tasks: queue.Queue[QuantumTask | None] = queue.Queue(config.queue_size)
         self._lock = threading.Lock()
+        self._settled = threading.Condition(self._lock)  # a job done or failed
         self._states: dict[str, str] = {}  # job -> queued|running|done|failed
         self._results: dict[str, ResultRecord] = {}
         self._failures: dict[str, tuple[str, str]] = {}
@@ -198,8 +201,18 @@ class VqpuServer(FramedService):
         return {"type": "ack", "job_id": task.job_id}
 
     def _handle_result(self, frame: dict):
+        """The job's result or error, or its state while it is pending; with
+        `wait_ms`, a pending job is waited for up to that long."""
         job_id = frame.get("job_id", "")
-        with self._lock:
+        wait_ms = frame.get("wait_ms", 0)
+        if (isinstance(wait_ms, bool) or not isinstance(wait_ms, int)
+                or not 0 <= wait_ms <= RESULT_WAIT_MAX_MS):
+            return error_frame("SchemaViolation",
+                               f"wait_ms must be an integer in 0..{RESULT_WAIT_MAX_MS}")
+        with self._settled:
+            self._settled.wait_for(
+                lambda: self._states.get(job_id) not in ("queued", "running"),
+                timeout=wait_ms / 1000)
             state = self._states.get(job_id)
             if state is None:
                 return error_frame("UnknownJob", f"no job {job_id!r}", job_id=job_id)
@@ -264,15 +277,17 @@ class VqpuServer(FramedService):
                 self._busy = True
             try:
                 record = self._execute(task)
-                with self._lock:
+                with self._settled:
                     self._results[task.job_id] = record
                     self._states[task.job_id] = "done"
                     if task.param_slots:  # what upgrade_parameters reruns
                         self._retained[task.job_id] = task
+                    self._settled.notify_all()
             except Exception as exc:  # crash isolation
-                with self._lock:
+                with self._settled:
                     self._failures[task.job_id] = error_code(exc)
                     self._states[task.job_id] = "failed"
+                    self._settled.notify_all()
             finally:
                 with self._lock:
                     self._busy = False

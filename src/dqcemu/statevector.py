@@ -19,6 +19,11 @@ from .errors import QubitOutOfRange, ZeroNorm
 from .gates import CONTROLLED_TARGET, KERNEL_CLASS, gate_matrix
 
 _NORM_TOL = 1e-12
+#: a one-qubit dense gate on a qubit below BLOCK_QUBITS of a state at least
+#: that wide mixes the transpose of BLOCK_ROWS rows of 2^BLOCK_QUBITS
+#: contiguous amplitudes at a time (a power of two: the rows split evenly)
+BLOCK_QUBITS = 5
+BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -94,6 +99,30 @@ def _mix(view: np.ndarray, i, j, mat: np.ndarray) -> None:
     b += t
 
 
+def _butterfly(view: np.ndarray, i, j, s: float) -> None:
+    """`h` on a float view: (a, b) -> s (a + b, a - b) in place."""
+    a, b = view[i], view[j]
+    b -= a
+    a *= 2
+    a += b
+    a *= s
+    b *= -s
+
+
+def _transposed(amps: np.ndarray, kernel: Callable[[np.ndarray], None]) -> None:
+    """`kernel` on the transpose of each BLOCK_ROWS rows of the
+    (-1, 2^BLOCK_QUBITS) view, copied into one buffer and back: there a low
+    qubit's slices run BLOCK_ROWS times longer than in the state."""
+    rows = amps.reshape(-1, 1 << BLOCK_QUBITS)
+    count = min(BLOCK_ROWS, len(rows))
+    buf = np.empty((1 << BLOCK_QUBITS, count), dtype=amps.dtype)
+    for start in range(0, len(rows), count):
+        part = rows[start:start + count]
+        buf[...] = part.T
+        kernel(buf)
+        part[...] = buf.T
+
+
 def compile_gate(num_qubits: int, name: str, qubits, params=()
                  ) -> Callable[[np.ndarray], None]:
     """Resolve a gate once for states of `num_qubits`: the returned function
@@ -111,8 +140,18 @@ def compile_gate(num_qubits: int, name: str, qubits, params=()
         fn, args = _scale, ([(i, d) for i, d in zip(index, np.diag(mat)) if d != 1],)
     elif kind == "permutation":  # the two basis states the matrix exchanges
         fn, args = _swap, tuple(index[k] for k in np.flatnonzero(np.diag(mat) == 0))
-    else:
+    elif len(qubits) == 2:  # the dense target of a controlled gate
         fn, args = _mix, (index[0], index[1], mat)
+    else:  # dense: `h` is the butterfly on the float view
+        fn, args, dtype = ((_butterfly, (index[0], index[1], mat[0, 0].real), np.float64)
+                           if name == "h" else (_mix, (index[0], index[1], mat), complex))
+        q = qubits[0]
+        if q < BLOCK_QUBITS <= num_qubits:  # bit q of the buffer's row index
+            split = (1 << (BLOCK_QUBITS - q - 1), 2, -1)
+            return lambda amps: _transposed(
+                amps, lambda buf: fn(buf.view(dtype).reshape(split), *args))
+        split = shape[:-1] + (-1,)
+        return lambda amps: fn(amps.view(dtype).reshape(split), *args)
     return lambda amps: fn(amps.reshape(shape), *args)
 
 

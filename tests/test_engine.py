@@ -5,10 +5,12 @@ from dqcemu import engine
 from dqcemu.circuit import Circuit
 from dqcemu.engine import ChannelHooks
 from dqcemu.errors import ChannelTimeout, UnsupportedInstruction, WidthExceeded
+from dqcemu.gates import GATE_ARITY
 
 from oracles import (
     chi2_exact_pvalue,
     random_unitary_circuit,
+    run_once_reference,
     run_shot_loop_reference,
     statevector_by_matmul,
 )
@@ -174,3 +176,27 @@ def test_empty_clbits_key():
     c = Circuit(1, 0, id="c")
     c.h(0)
     assert engine.run_shot_loop(c, 4, seed=0) == {"": 4}
+
+
+def test_run_once_matches_the_reference_through_low_qubit_blocks():
+    """7 qubits: dense gates on the qubits below BLOCK_QUBITS take the
+    transposed buffer, between mid-circuit measures, conditionals and resets."""
+    rng = np.random.default_rng(17)
+    dense = ["h", "rx", "ry", "y", "u"]
+    c = Circuit(7, 3, id="blocks")
+    for layer in range(6):
+        for q in range(7):
+            name = dense[(layer + q) % 5]
+            c.append(name, [q], params=rng.uniform(-7, 7, GATE_ARITY[name][1]).tolist())
+        c.cx(layer % 7, (layer + 3) % 7)
+        c.measure(layer % 5, layer % 3)
+        c.c_if("h", [(layer + 1) % 5], layer % 3)
+        if layer % 2:
+            c.reset(layer % 4)
+    for seed in range(20):
+        state, bits = engine.run_once(c, np.random.default_rng(seed))
+        ref_state, ref_bits = run_once_reference(
+            c, np.random.default_rng(seed), engine.null_hooks())
+        assert bits == ref_bits
+        assert np.array_equal(state.amplitudes, ref_state.amplitudes)
+

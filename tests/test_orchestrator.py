@@ -64,6 +64,23 @@ def test_quantum_family_spawns_executor(raise_family):
     assert count == 3
 
 
+def test_spawned_processes_run_one_blas_thread(raise_family, monkeypatch):
+    """The thread variables are 1 whatever the caller's environment says."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    fam = raise_family(2, quantum_comm=True)
+    entries = [e for e in registry.read_registry() if e.family == fam]
+    assert len(entries) == 3
+    for e in entries:
+        try:
+            with open(f"/proc/{e.pid}/environ", "rb") as fh:
+                env = dict(item.split(b"=", 1) for item in fh.read().split(b"\0") if item)
+        except OSError:
+            pytest.skip("no /proc/<pid>/environ on this host")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert env.get(var.encode()) == b"1", (e.vqpu_id, var)
+
+
 def test_conflicting_flags(cunqa_home):
     with pytest.raises(ConflictingFlags):
         qraise(n=1, ttl="00:01:00", classical_comm=True, quantum_comm=True,

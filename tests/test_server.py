@@ -1,12 +1,14 @@
 import socket
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from dqcemu import engine
 from dqcemu.circuit import Circuit, Param
-from dqcemu.protocol import connect, recv_frame, request, send_frame
-from dqcemu.server import VqpuConfig, VqpuServer
+from dqcemu.client import QJob, QpuConnection
+from dqcemu.protocol import DRAIN_S, connect, recv_frame, request, send_frame
+from dqcemu.server import RESULT_WAIT_MAX_MS, VqpuConfig, VqpuServer
 from dqcemu.wire import circuit_to_obj
 
 
@@ -255,3 +257,82 @@ def test_shutdown_frame(cunqa_home):
     sock.close()
     srv._shutdown.wait(5.0)
     assert srv._shutdown.is_set()
+
+
+def timed(sock, frame) -> tuple[dict, float]:
+    t0 = time.monotonic()
+    reply = request(sock, frame)
+    return reply, time.monotonic() - t0
+
+
+def test_job_finishing_within_wait_ms_takes_one_result_frame(server):
+    """QJob.wait blocks on the vQPU, not in a client sleep loop."""
+    connection = QpuConnection(server.host, server.port)
+    circuit, shots = slow_circuit()  # about 0.2 s
+    reply = connection.request({"type": "run", "job_id": "w",
+                                "circuit": circuit_to_obj(circuit),
+                                "config": {"shots": shots}})
+    assert reply["type"] == "ack"
+    t0 = time.monotonic()
+    record = QJob("w", SimpleNamespace(connection=connection)).wait()
+    elapsed = time.monotonic() - t0
+    assert sum(record.counts.values()) == shots
+    assert connection.frame_log == ["run", "result"]
+    assert elapsed < record.time_taken + 0.5  # answered as the job ended
+    connection.close()
+
+
+def test_unfinished_job_is_acked_after_wait_ms(conn):
+    circuit, shots = slow_circuit()
+    submit(conn, circuit, job_id="long", shots=shots * 5)  # about 1 s
+    reply, elapsed = timed(conn, {"type": "result", "job_id": "long", "wait_ms": 300})
+    assert reply == {"type": "ack", "job_id": "long", "state": "running"}
+    assert 0.29 <= elapsed < 1.0
+    assert poll_result(conn, "long", timeout=30)["type"] == "result"
+
+
+def test_failed_and_unknown_jobs_answer_at_once(conn):
+    bad = Circuit(1, 0, id="bad")
+    bad.qsend(0, "peer")  # quantum link on a comm_mode=none vQPU
+    submit(conn, bad, job_id="bad")
+    reply, elapsed = timed(conn, {"type": "result", "job_id": "bad",
+                                  "wait_ms": RESULT_WAIT_MAX_MS})
+    assert reply["type"] == "error" and reply["code"] == "ValidationFailed"
+    assert elapsed < 0.5
+    reply, elapsed = timed(conn, {"type": "result", "job_id": "ghost",
+                                  "wait_ms": RESULT_WAIT_MAX_MS})
+    assert reply["type"] == "error" and reply["code"] == "UnknownJob"
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("wait_ms", [-1, 1.5, "100", True, None,
+                                     RESULT_WAIT_MAX_MS + 1])
+def test_bad_wait_ms_is_a_schema_violation(conn, wait_ms):
+    submit(conn, bell(), job_id="j", shots=10)
+    reply = request(conn, {"type": "result", "job_id": "j", "wait_ms": wait_ms})
+    assert reply["type"] == "error" and reply["code"] == "SchemaViolation"
+
+
+def test_shutdown_during_a_blocked_result_answers_it_and_drains(cunqa_home):
+    """The drain waits for the job and the blocked `result`, which gets the
+    job's result when it finishes."""
+    srv = VqpuServer(VqpuConfig(family="bye", index=0))
+    srv.start()
+    conn = connect(srv.host, srv.port)
+    conn.settimeout(5.0)
+    circuit, shots = slow_circuit()
+    submit(conn, circuit, job_id="long", shots=shots * 2)  # about 0.4 s
+    send_frame(conn, {"type": "result", "job_id": "long",
+                      "wait_ms": RESULT_WAIT_MAX_MS})
+    time.sleep(0.1)  # the result is blocked
+    other = connect(srv.host, srv.port)
+    other.settimeout(2.0)
+    t0 = time.monotonic()
+    assert request(other, {"type": "shutdown"})["type"] == "ack"
+    reply = recv_frame(conn)
+    assert reply["type"] == "result" and reply["job_id"] == "long"
+    assert sum(reply["counts"].values()) == shots * 2
+    assert srv._shutdown.wait(DRAIN_S)
+    assert time.monotonic() - t0 < DRAIN_S
+    conn.close()
+    other.close()

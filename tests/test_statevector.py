@@ -1,14 +1,16 @@
 import copy
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqcemu import statevector
 from dqcemu.errors import QubitOutOfRange, ZeroNorm
-from dqcemu.gates import GATE_ARITY
+from dqcemu.gates import GATE_ARITY, KERNEL_CLASS
 from dqcemu.statevector import (
     GateOp,
     StateVector,
@@ -104,6 +106,29 @@ def test_every_gate_matches_dense_oracle(case):
     apply_gate(s, GateOp(name, qubits, params))
     oracle = full_gate_matrix(n, name, qubits, params) @ start
     assert np.allclose(s.amplitudes, oracle, atol=1e-12)
+
+
+DENSE = sorted(g for g, kind in KERNEL_CLASS.items() if kind == "dense")
+
+
+@pytest.mark.parametrize("rows", [statevector.BLOCK_ROWS, 2])
+@pytest.mark.parametrize("n", [4, 5, 6, 9])
+@pytest.mark.parametrize("name", DENSE)
+def test_dense_kernels_on_every_qubit(name, n, rows):
+    """Both sides of BLOCK_QUBITS: the transposed buffer on the low qubits
+    of a state at least that wide (and, with 2 rows a buffer, many buffers
+    a state), the whole-state views above it and on narrower states."""
+    assert DENSE == ["h", "rx", "ry", "u", "y"]
+    rng = np.random.default_rng(n * 101 + rows)
+    with mock.patch.object(statevector, "BLOCK_ROWS", rows):
+        for q in range(n):
+            params = tuple(rng.uniform(-2 * np.pi, 2 * np.pi, GATE_ARITY[name][1]))
+            start = random_state(rng, n)
+            s = StateVector(n, start.copy())
+            apply_gate(s, GateOp(name, (q,), params))
+            oracle = full_gate_matrix(n, name, (q,), params) @ start
+            assert np.allclose(s.amplitudes, oracle, rtol=0, atol=1e-12), (name, q)
+            assert abs(s.norm() - 1.0) <= 1e-12
 
 
 def projected(amps: np.ndarray, qubit: int, value: int) -> tuple[np.ndarray, float]:
