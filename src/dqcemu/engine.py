@@ -26,6 +26,7 @@ from .statevector import (
     StateVector,
     collapse,
     compile_gate,
+    compile_gates,
     move_to_zero,
     sample_outcomes,
 )
@@ -75,7 +76,8 @@ def format_key(code: int, num_clbits: int) -> str:
 @dataclass
 class _Op:
     kind: str  # gate | cond | measure | reset | send | recv | unsupported
-    ins: object
+    ins: object  # None for a gate op: it may stand for a run of gates
+    qubits: tuple
     kernel: Callable | None = None
     targets: tuple = ()  # (qubit, clbit) per draw
     live: int | None = None  # live clbit mask after the op where merges are tried
@@ -102,31 +104,44 @@ class _Branch:
 
 
 def _compile(circuit, outputs: int | None = None) -> _Program:
-    """Resolve every gate once per job, count the uniforms each shot draws,
-    mark where branches may merge (after every reset and wherever a clbit
-    dies) and find the terminal block: the measures after which only other
-    block measures draw, no op but a measure touches their qubits and none
-    reads their clbits. The first `outputs` clbits (all by default) are the
-    result; any other clbit is dead after its last conditional read."""
+    """Resolve every gate once per job, each run of consecutive
+    unconditional gates through `compile_gates` (so a run of diagonal ones
+    is one gate op, on the union of their qubits), count the uniforms each
+    shot draws, mark where branches may merge (after every reset and
+    wherever a clbit dies) and find the terminal block: the measures after
+    which only other block measures draw, no op but a measure touches their
+    qubits and none reads their clbits. The first `outputs` clbits (all by
+    default) are the result; any other clbit is dead after its last
+    conditional read."""
     n = circuit.num_qubits
-    ops, draws = [], 0
+    ops, draws, run = [], 0, []
+
+    def close_run() -> None:
+        ops.extend(_Op("gate", None, qubits, kernel)
+                   for kernel, qubits in compile_gates(n, run))
+        run.clear()
+
     for ins in circuit.instructions:
-        name = ins.name
+        name, qubits = ins.name, tuple(ins.qubits)
+        if name not in ("measure", "reset", *DISTRIBUTED) and not ins.clbits:
+            run.append((name, qubits, ins.params))
+            continue
+        close_run()
         if name in ("measure", "reset", "measure_and_send"):
-            qubits = ins.qubits[:1] if name == "measure_and_send" else ins.qubits
+            qubits = qubits[:1] if name == "measure_and_send" else qubits
             clbits = ins.clbits if name == "measure" else [None] * len(qubits)
             targets = tuple(zip(qubits, clbits))
             draws += len(targets)
-            ops.append(_Op("send" if name == "measure_and_send" else name, ins,
+            ops.append(_Op("send" if name == "measure_and_send" else name, ins, qubits,
                            targets=targets))
         elif name == "remote_c_if":
-            ops.append(_Op("recv", ins, compile_gate(
-                n, ins.remote.gate_name, ins.qubits, ins.params)))
+            ops.append(_Op("recv", ins, qubits, compile_gate(
+                n, ins.remote.gate_name, qubits, ins.params)))
         elif name in DISTRIBUTED:
-            ops.append(_Op("unsupported", ins))
+            ops.append(_Op("unsupported", ins, qubits))
         else:
-            ops.append(_Op("cond" if ins.clbits else "gate", ins,
-                           compile_gate(n, name, ins.qubits, ins.params)))
+            ops.append(_Op("cond", ins, qubits, compile_gate(n, name, qubits, ins.params)))
+    close_run()
 
     outputs = circuit.num_clbits if outputs is None else outputs
     live = (1 << outputs) - 1
@@ -141,13 +156,13 @@ def _compile(circuit, outputs: int | None = None) -> _Program:
             live |= 1 << op.ins.clbits[0]
         if op.kind == "reset" or (live | writes) & ~after:
             op.live = after
-        if (op.kind == "measure" and not drawn and touched.isdisjoint(op.ins.qubits)
+        if (op.kind == "measure" and not drawn and touched.isdisjoint(op.qubits)
                 and read.isdisjoint(op.ins.clbits)):
             block[:0] = op.targets
             continue
         walked.insert(0, op)
         drawn = drawn or bool(op.targets)
-        touched.update(op.ins.qubits)
+        touched.update(op.qubits)
         read.update(op.ins.clbits if op.kind == "cond" else ())
 
     floats = 2 << n
@@ -326,8 +341,11 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
 
 def _sample_block(branch: _Branch, seed) -> Callable[[int], np.ndarray]:
     """The terminal block's outcome of each qubit for a branch of every shot
-    of a job: one draw per shot over the full distribution from job_rng(seed)."""
+    of a job: one draw per shot over the full distribution from job_rng(seed).
+    The branch's state is dropped once its weights are taken, its last use,
+    so it is freed before `choice` builds its cumulative table."""
     probs = np.abs(branch.amps)
+    branch.amps = None
     np.square(probs, out=probs)
     probs /= probs.sum()
     outcomes = job_rng(seed).choice(len(probs), size=len(branch.shots), p=probs)

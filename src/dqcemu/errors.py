@@ -113,6 +113,10 @@ class NoParamSlots(EmulatorError):
     pass
 
 
+class Evicted(EmulatorError):
+    """The job finished and its result was dropped to bound the vQPU's memory."""
+
+
 # --- quantum executor ---
 
 class DanglingProtocol(EmulatorError):
@@ -200,7 +204,7 @@ ERROR_CODES = {
         UnsupportedInstruction, WidthExceeded, WidthMismatch, StraddlingGate,
         IndexOutOfRange, SelfLink, EmptyBody, NotSupported,
         PeerUnreachable, JobAborted, ChannelTimeout, EpochMismatch,
-        BindFailure, QueueFull, UnknownJob, NoParamSlots,
+        BindFailure, QueueFull, UnknownJob, NoParamSlots, Evicted,
         DanglingProtocol, MergeDeadlock, DuplicateId, CommQubitCollision,
         CommModeMismatch, InvalidState, NotEnoughQpus, UnknownPeerId,
     ]

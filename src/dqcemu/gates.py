@@ -42,7 +42,8 @@ GATE_ARITY: dict[str, tuple[int, int]] = {
 }
 
 #: gate name -> kernel class, i.e. how the statevector applies the gate:
-#:   diagonal    - scale the amplitude slices whose factor is not 1, in place
+#:   diagonal    - multiply the state by a phase table, once for each run of
+#:                 consecutive diagonal gates (statevector.compile_gates)
 #:   permutation - exchange the two slices the matrix swaps
 #:   controlled  - apply CONTROLLED_TARGET's gate where the first qubit is 1
 #:   dense       - mix a qubit's two slices (one-qubit gates only); on the

@@ -23,7 +23,7 @@ from . import engine
 from .backend import BackendSpec, backend_from_obj, backend_to_obj, default_backend, validate
 from .channel import BitMessage, ChannelEndpoint, is_bit_frame
 from .circuit import Circuit
-from .errors import PeerUnreachable, ValidationFailed
+from .errors import Evicted, PeerUnreachable, ValidationFailed
 from .protocol import (
     ConnectionClosed,
     FramedService,
@@ -39,6 +39,9 @@ from .wire import circuit_from_obj, circuit_to_obj
 DEFAULT_QUEUE_SIZE = 64
 #: cap on a `result` frame's wait_ms: how long it may wait for its job
 RESULT_WAIT_MAX_MS = 1000
+#: finished jobs whose result, error and parameter slots a vQPU keeps; past
+#: it the one that finished first is evicted, its id kept as "evicted"
+MAX_FINISHED_JOBS = 256
 
 
 @dataclass
@@ -142,10 +145,11 @@ class VqpuServer(FramedService):
         self.tasks: queue.Queue[QuantumTask | None] = queue.Queue(config.queue_size)
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)  # a job done or failed
-        self._states: dict[str, str] = {}  # job -> queued|running|done|failed
+        self._states: dict[str, str] = {}  # job -> queued|running|done|failed|evicted
         self._results: dict[str, ResultRecord] = {}
         self._failures: dict[str, tuple[str, str]] = {}
         self._retained: dict[str, QuantumTask] = {}  # done, with param slots
+        self._finished: dict[str, None] = {}  # done or failed, first finished first
         self._endpoint: ChannelEndpoint | None = None
         self._stray_bits: list[BitMessage] = []
 
@@ -198,6 +202,7 @@ class VqpuServer(FramedService):
             self._states[task.job_id] = "queued"
             if rerun:
                 self._results.pop(task.job_id, None)  # superseded
+                self._finished.pop(task.job_id, None)
         return {"type": "ack", "job_id": task.job_id}
 
     def _handle_result(self, frame: dict):
@@ -216,6 +221,8 @@ class VqpuServer(FramedService):
             state = self._states.get(job_id)
             if state is None:
                 return error_frame("UnknownJob", f"no job {job_id!r}", job_id=job_id)
+            if state == "evicted":
+                return _evicted(job_id)
             if state == "failed":
                 code, message = self._failures[job_id]
                 return error_frame(code, message, job_id=job_id)
@@ -229,6 +236,8 @@ class VqpuServer(FramedService):
         with self._lock:
             task = self._retained.get(job_id)
             state = self._states.get(job_id)
+        if state == "evicted":
+            return _evicted(job_id)
         if task is None and state == "done":  # only tasks with slots are kept
             return error_frame("NoParamSlots",
                                f"job {job_id!r} has no parameter slots", job_id=job_id)
@@ -282,16 +291,30 @@ class VqpuServer(FramedService):
                     self._states[task.job_id] = "done"
                     if task.param_slots:  # what upgrade_parameters reruns
                         self._retained[task.job_id] = task
-                    self._settled.notify_all()
+                    self._finish(task.job_id)
             except Exception as exc:  # crash isolation
                 with self._settled:
                     self._failures[task.job_id] = error_code(exc)
                     self._states[task.job_id] = "failed"
-                    self._settled.notify_all()
+                    self._finish(task.job_id)
             finally:
                 with self._lock:
                     self._busy = False
                 self._end_work()
+
+    def _finish(self, job_id: str) -> None:
+        """Record that `job_id` finished, evict the jobs that finished first
+        beyond MAX_FINISHED_JOBS and wake the blocked `result`s; the caller
+        holds the lock."""
+        self._finished[job_id] = None
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            old = next(iter(self._finished))
+            del self._finished[old]
+            self._results.pop(old, None)
+            self._failures.pop(old, None)
+            self._retained.pop(old, None)
+            self._states[old] = "evicted"
+        self._settled.notify_all()
 
     def _execute(self, task: QuantumTask) -> ResultRecord:
         config = self.config
@@ -388,6 +411,12 @@ class VqpuServer(FramedService):
         code = reply.get("code", "InternalError")
         raise ValidationFailed([f"executor rejected part: {code}: "
                                 f"{reply.get('message', '')}"])
+
+
+def _evicted(job_id: str) -> dict:
+    return error_frame(*error_code(Evicted(
+        f"job {job_id!r} finished more than {MAX_FINISHED_JOBS} jobs ago and "
+        "its result was dropped")), job_id=job_id)
 
 
 def _mode_violation(comm_mode: str, needs: str):

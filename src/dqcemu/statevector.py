@@ -4,12 +4,13 @@ Endianness: little-endian (qubit 0 = bit 0 of the basis-state index = LSB).
 All mutating operations preserve the norm to within 1e-12.
 
 Gates act on reshape views of the amplitudes, never through index arrays,
-as their kernel class in ``gates.KERNEL_CLASS`` says (README: Simulation
-engine).
+as their kernel class in ``gates.KERNEL_CLASS`` says; a run of consecutive
+diagonal gates is one pass (README: Simulation engine).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,6 +25,13 @@ _NORM_TOL = 1e-12
 #: contiguous amplitudes at a time (a power of two: the rows split evenly)
 BLOCK_QUBITS = 5
 BLOCK_ROWS = 1024
+#: a run of diagonal gates multiplies the state by one phase table: a row of
+#: 2^PHASE_LOW_QUBITS factors over the qubits below that (on a narrower
+#: state, a table over the run's qubits only), one row per value of the
+#: run's qubits at or above it, of which it spans at most PHASE_HIGH_QUBITS
+#: (more if one gate alone does)
+PHASE_LOW_QUBITS = 11
+PHASE_HIGH_QUBITS = 2
 
 
 @dataclass
@@ -79,11 +87,6 @@ def _slices(num_qubits: int, qubits) -> tuple[tuple[int, ...], list[tuple]]:
                    for a in (0, 1) for b in (0, 1)]
 
 
-def _scale(view: np.ndarray, slots) -> None:
-    for index, factor in slots:
-        view[index] *= factor
-
-
 def _swap(view: np.ndarray, i, j) -> None:
     t = view[i].copy()
     view[i] = view[j]
@@ -123,22 +126,23 @@ def _transposed(amps: np.ndarray, kernel: Callable[[np.ndarray], None]) -> None:
         part[...] = buf.T
 
 
-def compile_gate(num_qubits: int, name: str, qubits, params=()
-                 ) -> Callable[[np.ndarray], None]:
-    """Resolve a gate once for states of `num_qubits`: the returned function
-    applies it in place to such a state's amplitude array."""
+def _resolve(num_qubits: int, name: str, qubits, params) -> np.ndarray:
+    """The gate's matrix, its qubits checked against a state of `num_qubits`."""
     for q in qubits:
         _check_qubit(num_qubits, q)
     if len(set(qubits)) != len(qubits):
         raise QubitOutOfRange(f"{name} applied to duplicate qubits {tuple(qubits)}")
-    mat = gate_matrix(name, params)
+    return gate_matrix(name, params)
+
+
+def _kernel(num_qubits: int, name: str, qubits, mat: np.ndarray
+            ) -> Callable[[np.ndarray], None]:
+    """The in-place kernel of one gate that is not diagonal."""
     shape, index = _slices(num_qubits, qubits)
     kind = KERNEL_CLASS[name]
     if kind == "controlled":  # the target's kernel on the control = 1 half
         kind, mat, index = KERNEL_CLASS[CONTROLLED_TARGET[name]], mat[2:, 2:], index[2:]
-    if kind == "diagonal":
-        fn, args = _scale, ([(i, d) for i, d in zip(index, np.diag(mat)) if d != 1],)
-    elif kind == "permutation":  # the two basis states the matrix exchanges
+    if kind == "permutation":  # the two basis states the matrix exchanges
         fn, args = _swap, tuple(index[k] for k in np.flatnonzero(np.diag(mat) == 0))
     elif len(qubits) == 2:  # the dense target of a controlled gate
         fn, args = _mix, (index[0], index[1], mat)
@@ -153,6 +157,94 @@ def compile_gate(num_qubits: int, name: str, qubits, params=()
         split = shape[:-1] + (-1,)
         return lambda amps: fn(amps.view(dtype).reshape(split), *args)
     return lambda amps: fn(amps.reshape(shape), *args)
+
+
+def _phase_pass(num_qubits: int, run: list[tuple[tuple[int, ...], np.ndarray]]
+                ) -> tuple[Callable[[np.ndarray], None], tuple[int, ...]]:
+    """One kernel for a run of diagonal gates ((qubits, diagonal) each) and
+    the qubits it acts on. Their product is a table with one axis per
+    qubit of the run at or above PHASE_LOW_QUBITS and one per qubit below
+    it, built by broadcasting each gate's 2 or 4 entries onto its axes. The
+    kernel multiplies each row of the state's (-1, 2^low) view by the
+    table's row for that row's values of the run's high qubits; a table row
+    of ones is skipped, one of a single repeated factor is a scalar. On a
+    state no wider than PHASE_LOW_QUBITS the table spans only the run's
+    qubits and is broadcast onto the state in one multiply, so a job keeps
+    no row as large as its state."""
+    low = PHASE_LOW_QUBITS if num_qubits > PHASE_LOW_QUBITS else 0
+    qubits = sorted({q for gate_qubits, _ in run for q in gate_qubits}, reverse=True)
+    high = [q for q in qubits if q >= low]
+    axis = {q: i for i, q in enumerate(high + list(range(low - 1, -1, -1)))}
+    table = np.ones((2,) * len(axis), dtype=complex)
+    for gate_qubits, diag in run:  # gate-matrix order: the first qubit leads
+        entries = diag.reshape((2,) * len(gate_qubits))
+        if len(gate_qubits) == 2 and axis[gate_qubits[0]] > axis[gate_qubits[1]]:
+            entries = entries.T
+        table *= entries.reshape([2 if q in gate_qubits else 1 for q in axis])
+    # the state as (outer, 2, gap, 2, ..., gap, 2^low) with the high qubits,
+    # highest first, on the 2-axes; a row's index fixes them to its bits
+    shape, edge = [], num_qubits
+    for q in high:
+        shape += [1 << (edge - q - 1), 2]
+        edge = q
+    shape += [1 << (edge - low), 1 << low]
+    if not low:
+        factors = table.reshape([1, 2] * len(high) + [1, 1])
+
+        def narrow(amps: np.ndarray) -> None:
+            view = amps.reshape(shape)
+            view *= factors
+        return narrow, tuple(sorted(qubits))
+    index = [sum(((slice(None), bit) for bit in bits), ())
+             for bits in itertools.product((0, 1), repeat=len(high))]
+    rows = table.reshape(-1, 1 << low)
+    # each row kept is copied, so the table is freed; a row of one repeated
+    # factor is that factor: numpy multiplies by a scalar about twice as fast
+    same = (rows == rows[:, :1]).all(axis=1)
+    passes = [(index[r], row[0] if same[r] else row.copy())
+              for r, row in enumerate(rows) if not (same[r] and row[0] == 1)]
+
+    def kernel(amps: np.ndarray) -> None:
+        view = amps.reshape(shape)
+        for at, row in passes:
+            view[at] *= row
+    return kernel, tuple(sorted(qubits))
+
+
+def compile_gates(num_qubits: int, gates
+                  ) -> list[tuple[Callable[[np.ndarray], None], tuple[int, ...]]]:
+    """Resolve consecutive unconditional gates ((name, qubits, params) each)
+    once for states of `num_qubits`: each maximal run of diagonal gates is
+    one phase pass (`_phase_pass`), cut before it would span more than
+    PHASE_HIGH_QUBITS qubits at or above PHASE_LOW_QUBITS, and every other
+    gate its own kernel. Returns the kernels in order, each with the
+    qubits it acts on; a kernel applies its gates in place to the
+    amplitude array of such a state. A run rounds as its table's product,
+    not as the gates one after another."""
+    low = min(num_qubits, PHASE_LOW_QUBITS)
+    kernels, run, high = [], [], set()
+    for name, qubits, params in gates:
+        mat = _resolve(num_qubits, name, qubits, params)
+        diagonal, above = KERNEL_CLASS[name] == "diagonal", {q for q in qubits if q >= low}
+        if run and not (diagonal and len(high | above) <= PHASE_HIGH_QUBITS):
+            kernels.append(_phase_pass(num_qubits, run))
+            run, high = [], set()
+        if diagonal:
+            run.append((tuple(qubits), np.diag(mat)))
+            high |= above
+        else:
+            kernels.append((_kernel(num_qubits, name, qubits, mat), tuple(qubits)))
+    if run:
+        kernels.append(_phase_pass(num_qubits, run))
+    return kernels
+
+
+def compile_gate(num_qubits: int, name: str, qubits, params=()
+                 ) -> Callable[[np.ndarray], None]:
+    """Resolve one gate once for states of `num_qubits`: the returned
+    function applies it in place to such a state's amplitude array. A
+    diagonal gate is a phase pass of one."""
+    return compile_gates(num_qubits, [(name, qubits, params)])[0][0]
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:

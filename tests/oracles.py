@@ -8,7 +8,10 @@ kernels and measurement rule one shot at a time, as the engine did before
 it walked shot branches, and so checks the walk and nothing below it. The
 sampled reference is the same kind of check for jobs that draw nothing
 before their terminal measurements: it is the engine's sampler from before
-the walk resolved terminal measurements.
+the walk resolved terminal measurements. Both apply each run of
+consecutive unconditional gates through `compile_gates`, as the walk does,
+since a fused run of diagonal gates rounds differently from the gates one
+by one; `apply_by_index` checks that fusion against index arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ from dqcemu import engine
 from dqcemu.circuit import Circuit
 from dqcemu.errors import EmulatorError, UnsupportedInstruction
 from dqcemu.gates import DISTRIBUTED, GATE_ARITY, gate_matrix
-from dqcemu.statevector import StateVector, compile_gate, measure_qubit, reset_qubit
+from dqcemu.statevector import (
+    StateVector,
+    compile_gate,
+    compile_gates,
+    measure_qubit,
+    reset_qubit,
+)
 
 
 def full_gate_matrix(num_qubits: int, name: str, qubits, params=()) -> np.ndarray:
@@ -46,6 +55,23 @@ def full_gate_matrix(num_qubits: int, name: str, qubits, params=()) -> np.ndarra
                 i = (j & ~(1 << qa) & ~(1 << qb)) | (a_out << qa) | (b_out << qb)
                 full[i, j] += gate[row, col]
     return full
+
+
+def apply_by_index(amplitudes: np.ndarray, name: str, qubits, params=()) -> np.ndarray:
+    """A gate applied by index arithmetic, out of place: amplitude i of the
+    result sums M[r, c] * amplitudes[i with the gate's bits set to c] over
+    the local basis states c, r being i's own (the first qubit the most
+    significant). For a diagonal gate that is amplitude i times M[r, r]."""
+    gate = gate_matrix(name, params)
+    k = len(qubits)
+    index = np.arange(amplitudes.size)
+    row = sum(((index >> q) & 1) << (k - 1 - j) for j, q in enumerate(qubits))
+    rest = index & ~sum(1 << q for q in qubits)
+    out = np.zeros_like(amplitudes)
+    for col in range(1 << k):
+        source = rest | sum(((col >> (k - 1 - j)) & 1) << q for j, q in enumerate(qubits))
+        out += gate[row, col] * amplitudes[source]
+    return out
 
 
 def statevector_by_matmul(circuit: Circuit) -> np.ndarray:
@@ -83,6 +109,14 @@ def sampled_admissible(circuit: Circuit) -> bool:
     return True
 
 
+def apply_run(state: StateVector, run: list) -> None:
+    """Apply a run of consecutive unconditional gates ((name, qubits,
+    params) each) in place, as the engine does, and empty the list."""
+    for kernel, _ in compile_gates(state.num_qubits, run):
+        kernel(state.amplitudes)
+    run.clear()
+
+
 def run_sampled_reference(circuit: Circuit, shots: int, seed) -> dict[str, int]:
     """Counts of `shots` samples of the terminal measurement distribution,
     all from `engine.job_rng(seed)`: every gate applied once (conditionals,
@@ -93,13 +127,16 @@ def run_sampled_reference(circuit: Circuit, shots: int, seed) -> dict[str, int]:
             "circuit has mid-circuit or distributed effects; use run_shot_loop_reference")
     state = StateVector.zero(circuit.num_qubits)
     clbit_source: dict[int, int] = {}  # clbit -> measured qubit (last write wins)
+    run: list = []
     for ins in circuit.instructions:
+        if ins.name != "measure" and not ins.clbits:
+            run.append((ins.name, ins.qubits, ins.params))
+            continue
+        apply_run(state, run)
         if ins.name == "measure":
             for q, c in zip(ins.qubits, ins.clbits):
                 clbit_source[c] = q
-        elif not ins.clbits:
-            compile_gate(state.num_qubits, ins.name, ins.qubits,
-                         ins.params)(state.amplitudes)
+    apply_run(state, run)
 
     probs = np.abs(state.amplitudes)
     np.square(probs, out=probs)
@@ -122,8 +159,13 @@ def run_once_reference(circuit: Circuit, rng: np.random.Generator,
     n = circuit.num_qubits
     state = StateVector.zero(n)
     bits = [0] * circuit.num_clbits
+    run: list = []
     for ins in circuit.instructions:
         name = ins.name
+        if name not in ("measure", "reset", *DISTRIBUTED) and not ins.clbits:
+            run.append((name, ins.qubits, ins.params))
+            continue
+        apply_run(state, run)
         if name == "measure":
             for q, c in zip(ins.qubits, ins.clbits):
                 bits[c], state = measure_qubit(state, q, rng)
@@ -143,8 +185,9 @@ def run_once_reference(circuit: Circuit, rng: np.random.Generator,
         elif name in DISTRIBUTED:
             raise UnsupportedInstruction(
                 f"{name} requires the quantum-communication executor")
-        elif not ins.clbits or bits[ins.clbits[0]] == 1:
+        elif bits[ins.clbits[0]] == 1:
             compile_gate(n, ins.name, ins.qubits, ins.params)(state.amplitudes)
+    apply_run(state, run)
     return state, bits
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,59 @@ def test_run_once_matches_the_reference_through_low_qubit_blocks():
         assert bits == ref_bits
         assert np.array_equal(state.amplitudes, ref_state.amplitudes)
 
+
+
+def test_run_once_matches_the_reference_through_diagonal_runs():
+    """13 qubits: long runs of diagonal gates on both sides of qubit
+    PHASE_LOW_QUBITS, fused into phase passes, between mid-circuit
+    measures, conditionals and resets, and a conditional diagonal gate."""
+    rng = np.random.default_rng(19)
+    n = 13
+    c = Circuit(n, 4, id="phases")
+    for q in range(n):
+        c.h(q)
+    for layer in range(5):
+        for k in range(12):
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            c.append(["cp", "crz", "cz"][k % 3], [a, b],
+                     params=[] if k % 3 == 2 else [float(rng.uniform(-7, 7))])
+            c.append(["rz", "t", "s"][k % 3], [int(rng.integers(n))],
+                     params=[float(rng.uniform(-7, 7))] if k % 3 == 0 else [])
+        c.h(layer)
+        c.measure(layer % 4 + 9, layer % 4)
+        c.c_if("z", [(layer + 1) % n], layer % 4)
+        c.cp(0.3 * layer, 11, 12)
+        c.c_if("h", [layer + 2], (layer + 1) % 4)
+        if layer % 2:
+            c.reset(layer + 8)
+    for seed in range(20):
+        state, bits = engine.run_once(c, np.random.default_rng(seed))
+        ref_state, ref_bits = run_once_reference(
+            c, np.random.default_rng(seed), engine.null_hooks())
+        assert bits == ref_bits
+        assert np.array_equal(state.amplitudes, ref_state.amplitudes)
+
+
+@pytest.mark.parametrize("qubits", [[5, 1, 9], [0], [18, 0], [16, 17, 18], [3, 11, 4, 2]])
+def test_terminal_block_descends_the_marginal_table(qubits):
+    """The table `_descend_block` descends, against summing |amplitude|^2 by
+    each index's bits (19 qubits): one shot per path of outcomes, each
+    uniform 1e-10 on that path's side of its conditional P(1)."""
+    n, k = 19, len(qubits)
+    rng = np.random.default_rng(31)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps /= np.linalg.norm(amps)
+    index = np.arange(1 << n)
+    code = sum(((index >> q) & 1) << (k - 1 - j) for j, q in enumerate(qubits))
+    table = np.bincount(code, weights=np.abs(amps) ** 2, minlength=1 << k)
+    paths = np.arange(1 << k)  # shot s takes the outcomes of s's bits, the first highest
+    uniforms = np.empty((k, 1 << k))
+    for j in range(k):
+        node = table.reshape(1 << j, 2, -1).sum(axis=2)[paths >> (k - j)]
+        p1 = node[:, 1] / node.sum(axis=1)
+        uniforms[j] = np.where((paths >> (k - 1 - j)) & 1, p1 - 1e-10, p1 + 1e-10)
+    prog = SimpleNamespace(num_qubits=n, block=[(q, j) for j, q in enumerate(qubits)])
+    branch = engine._Branch(amps, 0, paths)
+    outcome = engine._descend_block(prog, branch, uniforms, range(1 << k))
+    for j, q in enumerate(qubits):
+        assert outcome(q).tolist() == ((paths >> (k - 1 - j)) & 1).tolist()

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from dqcemu import engine
+from dqcemu import server as server_module
 from dqcemu.circuit import Circuit, Param
 from dqcemu.client import QJob, QpuConnection
 from dqcemu.protocol import DRAIN_S, connect, recv_frame, request, send_frame
@@ -217,6 +218,52 @@ def test_upgrade_errors(conn):
     reply = request(conn, {"type": "upgrade_parameters", "job_id": "p",
                            "params": [1.0, 2.0]})
     assert reply["code"] == "ArityMismatch"
+
+
+def test_finished_jobs_are_evicted_oldest_first(server, conn, monkeypatch):
+    """Past MAX_FINISHED_JOBS finished jobs the one that finished first
+    loses its result, error or parameter slots; its id stays known, so a
+    resent `run` is acked and not run again, and `result` and
+    `upgrade_parameters` answer Evicted. A job run again by
+    `upgrade_parameters` finishes anew."""
+    monkeypatch.setattr(server_module, "MAX_FINISHED_JOBS", 2)
+    param = Circuit(1, 1, id="p")
+    param.rz(Param("a"), 0)
+    param.measure(0, 0)
+    bad = Circuit(1, 0, id="bad")
+    bad.qsend(0, "peer")  # fails validation on a comm_mode=none vQPU
+
+    submit(conn, param, job_id="p", shots=10, params=[0.1])
+    assert poll_result(conn, "p")["type"] == "result"
+    submit(conn, bad, job_id="bad")
+    assert poll_result(conn, "bad")["code"] == "ValidationFailed"
+    submit(conn, bell(), job_id="b1", shots=10)
+    assert poll_result(conn, "b1")["type"] == "result"  # evicts p
+    for frame in ({"type": "result", "job_id": "p"},
+                  {"type": "upgrade_parameters", "job_id": "p", "params": [0.2]}):
+        reply = request(conn, frame)
+        assert (reply["type"], reply["code"], reply["job_id"]) == ("error", "Evicted", "p")
+    assert submit(conn, param, job_id="p", shots=10, params=[0.1]) == {
+        "type": "ack", "job_id": "p"}
+    assert server.tasks.qsize() == 0
+    assert poll_result(conn, "p")["code"] == "Evicted"
+
+    submit(conn, param, job_id="q", shots=10, params=[0.1])
+    assert poll_result(conn, "q")["type"] == "result"  # evicts bad
+    assert poll_result(conn, "bad")["code"] == "Evicted"
+    submit(conn, bell(), job_id="b2", shots=10)
+    assert poll_result(conn, "b2")["type"] == "result"  # evicts b1
+    assert poll_result(conn, "b1")["code"] == "Evicted"
+    assert request(conn, {"type": "upgrade_parameters", "job_id": "q",
+                          "params": [0.3]})["type"] == "ack"
+    assert poll_result(conn, "q")["type"] == "result"  # now finished after b2
+    submit(conn, bell(), job_id="b3", shots=10)
+    assert poll_result(conn, "b3")["type"] == "result"  # evicts b2, not q
+    assert poll_result(conn, "b2")["code"] == "Evicted"
+    assert poll_result(conn, "q")["type"] == "result"
+    with server._lock:
+        assert sorted(server._results) == ["b3", "q"]
+        assert not server._failures and list(server._retained) == ["q"]
 
 
 def test_unbound_params_rejected(conn):

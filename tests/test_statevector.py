@@ -15,11 +15,13 @@ from dqcemu.statevector import (
     GateOp,
     StateVector,
     apply_gate,
+    compile_gates,
     measure_qubit,
     reset_qubit,
 )
 
 from oracles import (
+    apply_by_index,
     full_gate_matrix,
     random_unitary_circuit,
     reduced_density,
@@ -129,6 +131,101 @@ def test_dense_kernels_on_every_qubit(name, n, rows):
             oracle = full_gate_matrix(n, name, (q,), params) @ start
             assert np.allclose(s.amplitudes, oracle, rtol=0, atol=1e-12), (name, q)
             assert abs(s.norm() - 1.0) <= 1e-12
+
+
+DIAGONAL = sorted(g for g, kind in KERNEL_CLASS.items() if kind == "diagonal")
+
+
+@st.composite
+def gate_runs(draw):
+    """A width of 1 to 14 qubits, so runs span qubits on both sides of
+    PHASE_LOW_QUBITS and more high qubits than PHASE_HIGH_QUBITS, and a
+    sequence of gates, mostly diagonal, two-qubit ones in either order."""
+    n = draw(st.integers(1, 14))
+    diagonal = [g for g in DIAGONAL if GATE_ARITY[g][0] <= n]
+    other = [g for g in ("h", "x", "ry", "cx", "swap") if GATE_ARITY[g][0] <= n]
+    gates = []
+    for _ in range(draw(st.integers(1, 30))):
+        name = draw(st.sampled_from(other if draw(st.integers(0, 4)) == 0 else diagonal))
+        arity, n_params = GATE_ARITY[name]
+        qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                                     max_size=arity, unique=True)))
+        params = tuple(draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi),
+                                     min_size=n_params, max_size=n_params)))
+        gates.append((name, qubits, params))
+    return n, gates, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=gate_runs())
+def test_compile_gates_matches_index_arithmetic(case):
+    """Fused runs of diagonal gates, between other gates, do what the gates
+    do one by one, within rounding; each kernel names the qubits of its gates."""
+    n, gates, seed = case
+    start = random_state(np.random.default_rng(seed), n)
+    amps = start.copy()
+    kernels = compile_gates(n, gates)
+    for kernel, _ in kernels:
+        kernel(amps)
+    oracle = start
+    for name, qubits, params in gates:
+        oracle = apply_by_index(oracle, name, qubits, params)
+    assert np.allclose(amps, oracle, rtol=0, atol=1e-12)
+    assert set().union(*(qubits for _, qubits in kernels)) == set().union(
+        *(qubits for _, qubits, _ in gates))
+
+
+@pytest.mark.parametrize("name", ["crz", "cp", "cz"])
+def test_phase_pass_keeps_the_order_of_a_gates_qubits(name):
+    """crz(a, b) is not crz(b, a): pairs below, across and above qubit
+    PHASE_LOW_QUBITS, alone and fused with a run, and on a state no wider
+    than PHASE_LOW_QUBITS."""
+    low = statevector.PHASE_LOW_QUBITS
+    rng = np.random.default_rng(23)
+    params = (1.1,) * GATE_ARITY[name][1]
+    for n, a, b in [(14, 2, 7), (14, 3, low + 1), (14, low, low + 2), (14, 0, 13),
+                    (9, 2, 7), (low, 0, low - 1)]:
+        for qubits in ((a, b), (b, a)):
+            start = random_state(rng, n)
+            gates = [("t", (a,), ()), (name, qubits, params), ("rz", (b,), (0.4,))]
+            for run in (gates[1:2], gates):
+                amps = start.copy()
+                for kernel, _ in compile_gates(n, run):
+                    kernel(amps)
+                oracle = start
+                for gate in run:
+                    oracle = apply_by_index(oracle, *gate)
+                assert np.allclose(amps, oracle, rtol=0, atol=1e-12), (qubits, len(run))
+
+
+def test_phase_pass_skips_rows_of_ones():
+    """cp on two high qubits writes only the quarter of the state where both
+    are 1: an infinite amplitude elsewhere stays as it is (multiplied by
+    1 + 0j its imaginary part would become nan)."""
+    n, low = 14, statevector.PHASE_LOW_QUBITS
+    amps = random_state(np.random.default_rng(29), n)
+    both = ((np.arange(1 << n) >> low) & (np.arange(1 << n) >> (low + 1)) & 1) == 1
+    amps[~both] = np.inf
+    start = amps.copy()
+    ((kernel, qubits),) = compile_gates(n, [("cp", (low, low + 1), (0.9,))])
+    kernel(amps)
+    assert qubits == (low, low + 1)
+    assert np.array_equal(amps[~both], start[~both])
+    assert np.allclose(amps[both], start[both] * np.exp(0.9j), rtol=0, atol=1e-12)
+
+
+def test_compile_gates_cuts_runs():
+    """A run of diagonal gates is one kernel until a gate of another class,
+    or until it would span more than PHASE_HIGH_QUBITS high qubits."""
+    n, low = 16, statevector.PHASE_LOW_QUBITS
+    cap = statevector.PHASE_HIGH_QUBITS
+    low_run = [("cp", (q, q + 1), (0.3,)) for q in range(low - 1)]
+    assert [q for _, q in compile_gates(n, low_run)] == [tuple(range(low))]
+    split = low_run[:3] + [("h", (0,), ())] + low_run[3:]
+    assert len(compile_gates(n, split)) == 3
+    high_run = [("crz", (0, low + k), (0.5,)) for k in range(cap + 1)]
+    kernels = compile_gates(n, high_run)
+    assert [q for _, q in kernels] == [(0,) + tuple(range(low, low + cap)), (0, low + cap)]
 
 
 def projected(amps: np.ndarray, qubit: int, value: int) -> tuple[np.ndarray, float]:
