@@ -3,7 +3,9 @@
 ``run_branched`` (``run_sampled`` and ``run_shot_loop`` are its counts)
 walks the instruction list once for a chunk of shots, keeping one state
 per distinct measurement history, and resolves the circuit's terminal
-measurements from each state it ends with.
+measurements from each state it ends with. Until the first instruction
+that draws, reads or sends a bit, qubits in known basis states are held as
+bits, out of the state (`statevector.Fold`).
 
 Randomness: PCG64, one independent stream per shot derived from (job
 seed, shot index), so runs replay bit-identically and every shot gets the
@@ -23,6 +25,8 @@ from .errors import EmulatorError, UnsupportedInstruction, WidthExceeded, ZeroNo
 from .gates import DISTRIBUTED
 from .statevector import (
     _NORM_TOL,
+    Fold,
+    Grow,
     StateVector,
     collapse,
     compile_gate,
@@ -38,6 +42,13 @@ RNG_ALGORITHM = "pcg64"
 #: many shots as half the budget holds and is cut when its branches would
 #: outgrow the rest, so a job holds at most this much more than one state
 BRANCH_BUDGET_BYTES = 2 << 20
+#: qubits active from the start, the lowest ones (all of a narrower
+#: circuit): numpy multiplies a one-element array without the fused
+#: multiply-add of its vector loops, so every gate's slices must hold 2
+#: amplitudes or more to round as they do on the full state; and the
+#: terminal block sums a folded state's probabilities as one aligned block
+#: of 8 or more (`_compile`)
+START_WIDTH = 3
 
 
 @dataclass
@@ -75,8 +86,8 @@ def format_key(code: int, num_clbits: int) -> str:
 
 @dataclass
 class _Op:
-    kind: str  # gate | cond | measure | reset | send | recv | unsupported
-    ins: object  # None for a gate op: it may stand for a run of gates
+    kind: str  # gate | grow | cond | measure | reset | send | recv | unsupported
+    ins: object  # a run's gates before it is compiled, None for a gate or grow op
     qubits: tuple
     kernel: Callable | None = None
     targets: tuple = ()  # (qubit, clbit) per draw
@@ -87,13 +98,15 @@ class _Op:
 class _Program:
     num_qubits: int
     outputs: int
-    ops: list[_Op]  # every instruction, in order
-    walked: list[_Op]  # the ops but the terminal block's measures
+    walked: list[_Op]  # every instruction in order but the terminal block's measures
     block: list[tuple[int, int]]  # (qubit, clbit) per draw of the terminal block
     draws: int  # uniforms each shot consumes, the block's last
     probe: np.ndarray  # fingerprint weights over the state's float view
     solo: int  # the first channel op walked: from it on each shot walks alone
     solo_draws: int  # uniforms the walked ops before `solo` consume
+    end: Fold  # the qubits still folded after the walked ops
+    expand: bool  # whether `_sample_block` unfolds them before it samples
+    widest: int  # the most qubits a state of the job holds
 
 
 @dataclass
@@ -103,23 +116,29 @@ class _Branch:
     shots: np.ndarray  # rows of the chunk's shots that share this history
 
 
-def _compile(circuit, outputs: int | None = None) -> _Program:
-    """Resolve every gate once per job, each run of consecutive
-    unconditional gates through `compile_gates` (so a run of diagonal ones
-    is one gate op, on the union of their qubits), count the uniforms each
-    shot draws, mark where branches may merge (after every reset and
-    wherever a clbit dies) and find the terminal block: the measures after
-    which only other block measures draw, no op but a measure touches their
-    qubits and none reads their clbits. The first `outputs` clbits (all by
-    default) are the result; any other clbit is dead after its last
-    conditional read."""
+def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Program:
+    """Resolve every gate once per job, count the uniforms each shot draws,
+    mark where branches may merge (after every reset and wherever a clbit
+    dies) and find the terminal block (none unless `terminal`): the measures
+    after which only other block measures draw, no op but a measure touches
+    their qubits and none reads their clbits. The first `outputs` clbits
+    (all by default) are the result; any other clbit is dead after its last
+    conditional read.
+
+    Every qubit but the lowest START_WIDTH starts folded
+    (`statevector.Fold`): each run of consecutive
+    unconditional gates goes through `compile_gates` with the fold, which
+    emits gate ops (a run of diagonal ones is one, on the union of their
+    qubits) and the grow ops that activate qubits, until the first walked
+    op that draws, reads or sends a bit; a grow op before it activates
+    every qubit still folded, and from there on the state is full width."""
     n = circuit.num_qubits
     ops, draws, run = [], 0, []
 
     def close_run() -> None:
-        ops.extend(_Op("gate", None, qubits, kernel)
-                   for kernel, qubits in compile_gates(n, run))
-        run.clear()
+        if run:
+            ops.append(_Op("run", list(run), tuple({q for _, qs, _ in run for q in qs})))
+            run.clear()
 
     for ins in circuit.instructions:
         name, qubits = ins.name, tuple(ins.qubits)
@@ -156,8 +175,8 @@ def _compile(circuit, outputs: int | None = None) -> _Program:
             live |= 1 << op.ins.clbits[0]
         if op.kind == "reset" or (live | writes) & ~after:
             op.live = after
-        if (op.kind == "measure" and not drawn and touched.isdisjoint(op.qubits)
-                and read.isdisjoint(op.ins.clbits)):
+        if (terminal and op.kind == "measure" and not drawn
+                and touched.isdisjoint(op.qubits) and read.isdisjoint(op.ins.clbits)):
             block[:0] = op.targets
             continue
         walked.insert(0, op)
@@ -165,12 +184,31 @@ def _compile(circuit, outputs: int | None = None) -> _Program:
         touched.update(op.qubits)
         read.update(op.ins.clbits if op.kind == "cond" else ())
 
+    fold, ops = Fold(n, dict.fromkeys(range(START_WIDTH, n), 0)), []
+    for op in walked:
+        if op.kind == "run":
+            ops.extend(_Op("grow" if isinstance(kernel, Grow) else "gate", None, qubits, kernel)
+                       for kernel, qubits in compile_gates(n, op.ins, fold))
+            continue
+        if fold.bits:
+            ops.append(_Op("grow", None, tuple(fold.bits), fold.activate(list(fold.bits))))
+        ops.append(op)
+    # the folded layout is sampled as it is only where its active qubits are
+    # the lowest (START_WIDTH or more of them): then the nonzero amplitudes
+    # are one aligned block, which numpy sums as it sums the full state
+    expand = bool(block and fold.bits) and min(fold.bits) < fold.width
+    widest = n if expand else max((op.kernel.width for op in ops if op.kind == "grow"),
+                                  default=min(n, START_WIDTH))
     floats = 2 << n
     probe = np.random.default_rng(0).random(floats // min(64, floats))
-    solo = next((i for i, op in enumerate(walked) if op.kind in ("send", "recv")),
-                len(walked))
-    return _Program(n, outputs, ops, walked, block, draws, probe, solo,
-                    sum(len(op.targets) for op in walked[:solo]))
+    solo = next((i for i, op in enumerate(ops) if op.kind in ("send", "recv")), len(ops))
+    return _Program(n, outputs, ops, block, draws, probe, solo,
+                    sum(len(op.targets) for op in ops[:solo]), fold, expand, widest)
+
+
+def _unfold(fold: Fold) -> Grow:
+    """The growth step that activates every qubit `fold` leaves out."""
+    return Fold(fold.num_qubits, dict(fold.bits)).activate(list(fold.bits))
 
 
 def _fork(branch: _Branch, take: np.ndarray) -> _Branch:
@@ -243,6 +281,9 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
     if kind == "gate":
         for b in branches:
             op.kernel(b.amps)
+    elif kind == "grow":
+        for b in branches:
+            b.amps = op.kernel(b.amps)
     elif kind == "cond":
         bit = op.ins.clbits[0]
         for b in branches:
@@ -299,7 +340,9 @@ def _at_shot(exc: EmulatorError, shots: np.ndarray, shot_ids: range) -> Emulator
 
 
 def _root(prog: _Program, shots: int) -> _Branch:
-    amps = np.zeros(1 << prog.num_qubits, dtype=np.complex128)
+    """Every shot in one branch, in |0...0> on the START_WIDTH lowest
+    qubits, every other qubit folded at 0."""
+    amps = np.zeros(1 << min(prog.num_qubits, START_WIDTH), dtype=np.complex128)
     amps[0] = 1.0
     return _Branch(amps, 0, np.arange(shots))
 
@@ -331,24 +374,32 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
     Returns the final state and the classical bit register. Unitary
     instructions carrying a clbit are conditionals triggered on bit == 1.
     """
-    prog = _compile(circuit)
-    (b,), _, _ = _walk(prog, prog.ops, [_root(prog, 1)],
+    prog = _compile(circuit, terminal=False)
+    (b,), _, _ = _walk(prog, prog.walked, [_root(prog, 1)],
                        iter(rng.random((prog.draws, 1))).__next__,
                        range(shot_index, shot_index + 1), hooks or null_hooks())
-    return (StateVector(circuit.num_qubits, b.amps),
+    return (StateVector(circuit.num_qubits, _unfold(prog.end)(b.amps) if prog.end.bits
+                        else b.amps),
             [b.bits >> c & 1 for c in range(circuit.num_clbits)])
 
 
-def _sample_block(branch: _Branch, seed) -> Callable[[int], np.ndarray]:
+def _sample_block(prog: _Program, branch: _Branch, seed) -> Callable[[int], np.ndarray]:
     """The terminal block's outcome of each qubit for a branch of every shot
     of a job: one draw per shot over the full distribution from job_rng(seed).
-    The branch's state is dropped once its weights are taken, its last use,
-    so it is freed before `choice` builds its cumulative table."""
-    probs = np.abs(branch.amps)
-    branch.amps = None
+    Where qubits are still folded, the draw is over the active qubits'
+    distribution and a folded qubit reads its bit, unless the state is
+    unfolded first (`prog.expand`). The branch's state is dropped once its
+    weights are taken, its last use, so it is freed before `choice` builds
+    its cumulative table."""
+    probs, branch.amps = branch.amps, None
+    if prog.expand:
+        probs = _unfold(prog.end)(probs)
+    probs = np.abs(probs)
     np.square(probs, out=probs)
     probs /= probs.sum()
     outcomes = job_rng(seed).choice(len(probs), size=len(branch.shots), p=probs)
+    if not prog.expand:  # the active qubits are the lowest: set the folded bits
+        outcomes += sum(bit << q for q, bit in prog.end.bits.items())
     return lambda q: (outcomes >> q) & 1
 
 
@@ -384,8 +435,8 @@ def run_branched(circuit, shots: int, seed=None,
                  max_qubits: int = DEFAULT_MAX_QUBITS,
                  outputs: int | None = None) -> tuple[dict[str, int], dict]:
     """Counts over the first `outputs` clbits (all by default) of `shots`
-    shots, and the walk's counters: the peak number of live branches and
-    the number of chunks.
+    shots, and the walk's counters: the peak number of live branches, the
+    number of chunks and the most qubits a state held (`state_qubits`).
 
     Shot s draws its uniforms from shot_rng(seed, s) in instruction order,
     so the counts are those of running every shot alone. Shots are walked
@@ -421,7 +472,7 @@ def run_branched(circuit, shots: int, seed=None,
             if not prog.block:
                 tally[b.bits & mask] += len(b.shots)
                 continue
-            outcome = (_sample_block(b, seed) if rows is None else _descend_block(
+            outcome = (_sample_block(prog, b, seed) if rows is None else _descend_block(
                 prog, b, rows[b.shots, prog.draws - len(prog.block):].T, ids))
             codes = b.bits & ~sum(1 << c for c in writer)
             for c, q in writer.items():
@@ -433,7 +484,7 @@ def run_branched(circuit, shots: int, seed=None,
                               range(shots), hooks)
         count(ends, None, range(shots))
         return ({format_key(c, prog.outputs): n for c, n in sorted(tally.items())},
-                {"peak_branches": peak, "chunks": 1})
+                {"peak_branches": peak, "chunks": 1, "state_qubits": prog.widest})
 
     # a chunk's shots, their uniforms and row indices, take at most half the
     # budget and live states beyond the first the rest; a chunk that cannot
@@ -485,7 +536,7 @@ def run_branched(circuit, shots: int, seed=None,
         size = len(kept) if len(kept) < len(ids) else min(per, 2 * size)
         start, peak, chunks = kept.stop, max(peak, chunk_peak), chunks + 1
     return ({format_key(c, prog.outputs): n for c, n in sorted(tally.items())},
-            {"peak_branches": peak, "chunks": chunks})
+            {"peak_branches": peak, "chunks": chunks, "state_qubits": prog.widest})
 
 
 def run_sampled(circuit, shots: int, seed=None,

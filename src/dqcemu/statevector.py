@@ -5,7 +5,8 @@ All mutating operations preserve the norm to within 1e-12.
 
 Gates act on reshape views of the amplitudes, never through index arrays,
 as their kernel class in ``gates.KERNEL_CLASS`` says; a run of consecutive
-diagonal gates is one pass (README: Simulation engine).
+diagonal gates is one pass (README: Simulation engine). A state may leave
+out qubits that are in known basis states (`Fold`, README: Folded qubits).
 """
 
 from __future__ import annotations
@@ -159,45 +160,115 @@ def _kernel(num_qubits: int, name: str, qubits, mat: np.ndarray
     return lambda amps: fn(amps.reshape(shape), *args)
 
 
-def _phase_pass(num_qubits: int, run: list[tuple[tuple[int, ...], np.ndarray]]
+class Fold:
+    """Which qubits a state leaves out. A folded qubit is in a known
+    computational-basis state and is held as that bit (`bits`), not as an
+    axis of the amplitudes; the state's axes are the other, active, qubits
+    in their natural order, qubit q being bit `rank(q)` of the index. With
+    nothing folded (the default) it is the usual state of `num_qubits`
+    qubits."""
+
+    def __init__(self, num_qubits: int, bits: dict[int, int] | None = None):
+        self.num_qubits = num_qubits
+        self.bits = {} if bits is None else bits
+
+    @property
+    def width(self) -> int:
+        """The number of active qubits: the state has 2^width amplitudes."""
+        return self.num_qubits - len(self.bits)
+
+    def rank(self, qubit: int) -> int:
+        return qubit - sum(q < qubit for q in self.bits)
+
+    def activate(self, qubits) -> "Grow":
+        """Take the folded `qubits` into the state: returns the step that
+        widens a state to match."""
+        at = {q: self.bits.pop(q) for q in qubits}
+        index = [slice(None)] * self.width  # axis width - 1 - r is rank r
+        for q, bit in at.items():
+            index[self.width - 1 - self.rank(q)] = bit
+        return Grow(self.width, tuple(index))
+
+
+@dataclass(frozen=True)
+class Grow:
+    """A growth step: called on a state's amplitudes, returns those of the
+    state with `width` active qubits, the old amplitudes where the new
+    qubits hold their bits (`index` into the (2,) * width view) and zeros
+    elsewhere. The old array and the new one are both live until the caller
+    drops the old."""
+    width: int
+    index: tuple
+
+    def __call__(self, amps: np.ndarray) -> np.ndarray:
+        out = np.zeros(1 << self.width, dtype=amps.dtype)
+        view = out.reshape((2,) * self.width)[self.index + (...,)]
+        view[...] = amps.reshape(view.shape)
+        return out
+
+
+def _axes(width: int, ranks, low: int = 0) -> list[int]:
+    """Reshape of a state of `width` qubits that gives each of `ranks`
+    (highest first, none below `low`) an axis of 2, between the runs of
+    the qubits in between, and ends with the 2^low amplitudes below `low`."""
+    shape, edge = [], width
+    for r in ranks:
+        shape += [1 << (edge - r - 1), 2]
+        edge = r
+    return shape + [1 << (edge - low), 1 << low]
+
+
+def _phase_pass(fold: Fold, run: list[tuple[tuple[int, ...], np.ndarray]]
                 ) -> tuple[Callable[[np.ndarray], None], tuple[int, ...]]:
     """One kernel for a run of diagonal gates ((qubits, diagonal) each) and
-    the qubits it acts on. Their product is a table with one axis per
-    qubit of the run at or above PHASE_LOW_QUBITS and one per qubit below
-    it, built by broadcasting each gate's 2 or 4 entries onto its axes. The
-    kernel multiplies each row of the state's (-1, 2^low) view by the
-    table's row for that row's values of the run's high qubits; a table row
-    of ones is skipped, one of a single repeated factor is a scalar. On a
-    state no wider than PHASE_LOW_QUBITS the table spans only the run's
-    qubits and is broadcast onto the state in one multiply, so a job keeps
-    no row as large as its state."""
-    low = PHASE_LOW_QUBITS if num_qubits > PHASE_LOW_QUBITS else 0
+    the qubits it acts on. Their product is a table with one axis per qubit
+    of the run, built by broadcasting each gate's 2 or 4 entries onto its
+    axes in the run's order; a folded qubit's axis is then fixed at its bit,
+    and the active qubits are numbered by rank (`_phase_kernel`)."""
     qubits = sorted({q for gate_qubits, _ in run for q in gate_qubits}, reverse=True)
-    high = [q for q in qubits if q >= low]
-    axis = {q: i for i, q in enumerate(high + list(range(low - 1, -1, -1)))}
-    table = np.ones((2,) * len(axis), dtype=complex)
+    axis = {q: i for i, q in enumerate(qubits)}
+    table = np.ones((2,) * len(qubits), dtype=complex)
     for gate_qubits, diag in run:  # gate-matrix order: the first qubit leads
         entries = diag.reshape((2,) * len(gate_qubits))
         if len(gate_qubits) == 2 and axis[gate_qubits[0]] > axis[gate_qubits[1]]:
             entries = entries.T
-        table *= entries.reshape([2 if q in gate_qubits else 1 for q in axis])
-    # the state as (outer, 2, gap, 2, ..., gap, 2^low) with the high qubits,
-    # highest first, on the 2-axes; a row's index fixes them to its bits
-    shape, edge = [], num_qubits
-    for q in high:
-        shape += [1 << (edge - q - 1), 2]
-        edge = q
-    shape += [1 << (edge - low), 1 << low]
-    if not low:
-        factors = table.reshape([1, 2] * len(high) + [1, 1])
+        table *= entries.reshape([2 if q in gate_qubits else 1 for q in qubits])
+    table = table[tuple(fold.bits.get(q, slice(None)) for q in qubits) + (...,)]
+    ranks = [fold.rank(q) for q in qubits if q not in fold.bits]
+    return _phase_kernel(fold.width, ranks, table), tuple(sorted(qubits))
+
+
+def _phase_kernel(width: int, ranks: list[int], table: np.ndarray
+                  ) -> Callable[[np.ndarray], None]:
+    """Multiply a state of `width` qubits by `table`, whose axes are the
+    qubits `ranks`, highest first (none: a run on folded qubits only, whose
+    table is one factor, a global phase). A table of ones does nothing. On
+    a state wider than PHASE_LOW_QUBITS, each row of the state's
+    (-1, 2^low) view is multiplied by the table's row for that row's values
+    of the run's qubits at or above it; a table row of ones is skipped, one
+    of a single repeated factor is a scalar. On a narrower state the table
+    is broadcast onto the state in one multiply, so a job keeps no row as
+    large as its state."""
+    if (table == 1).all():
+        return lambda amps: None
+    if width <= PHASE_LOW_QUBITS:
+        shape = _axes(width, ranks)
+        factors = table.reshape([1, 2] * len(ranks) + [1, 1])
 
         def narrow(amps: np.ndarray) -> None:
             view = amps.reshape(shape)
             view *= factors
-        return narrow, tuple(sorted(qubits))
+        return narrow
+    low = PHASE_LOW_QUBITS
+    high = [r for r in ranks if r >= low]
+    # the table over the high ranks and every rank below low
+    full = np.empty((2,) * (len(high) + low), dtype=complex)
+    full[...] = table.reshape([2] * len(high) + [2 if r in ranks else 1
+                                                 for r in range(low - 1, -1, -1)])
+    shape = _axes(width, high, low)
     index = [sum(((slice(None), bit) for bit in bits), ())
              for bits in itertools.product((0, 1), repeat=len(high))]
-    rows = table.reshape(-1, 1 << low)
+    rows = full.reshape(-1, 1 << low)
     # each row kept is copied, so the table is freed; a row of one repeated
     # factor is that factor: numpy multiplies by a scalar about twice as fast
     same = (rows == rows[:, :1]).all(axis=1)
@@ -208,11 +279,11 @@ def _phase_pass(num_qubits: int, run: list[tuple[tuple[int, ...], np.ndarray]]
         view = amps.reshape(shape)
         for at, row in passes:
             view[at] *= row
-    return kernel, tuple(sorted(qubits))
+    return kernel
 
 
-def compile_gates(num_qubits: int, gates
-                  ) -> list[tuple[Callable[[np.ndarray], None], tuple[int, ...]]]:
+def compile_gates(num_qubits: int, gates, fold: Fold | None = None
+                  ) -> list[tuple[Callable, tuple[int, ...]]]:
     """Resolve consecutive unconditional gates ((name, qubits, params) each)
     once for states of `num_qubits`: each maximal run of diagonal gates is
     one phase pass (`_phase_pass`), cut before it would span more than
@@ -220,22 +291,36 @@ def compile_gates(num_qubits: int, gates
     gate its own kernel. Returns the kernels in order, each with the
     qubits it acts on; a kernel applies its gates in place to the
     amplitude array of such a state. A run rounds as its table's product,
-    not as the gates one after another."""
+    not as the gates one after another.
+
+    With a `fold`, the state leaves out its folded qubits, and `fold` is
+    updated as the gates go: `x` on a folded qubit flips its bit, a run is
+    cut where it would be with nothing folded and its table is taken at
+    the folded bits, and any other gate on a folded qubit is preceded by a
+    `Grow` step that activates it (listed with the qubits it activates).
+    Kernels act on the active qubits, numbered by rank."""
+    fold = Fold(num_qubits) if fold is None else fold
     low = min(num_qubits, PHASE_LOW_QUBITS)
     kernels, run, high = [], [], set()
     for name, qubits, params in gates:
         mat = _resolve(num_qubits, name, qubits, params)
         diagonal, above = KERNEL_CLASS[name] == "diagonal", {q for q in qubits if q >= low}
         if run and not (diagonal and len(high | above) <= PHASE_HIGH_QUBITS):
-            kernels.append(_phase_pass(num_qubits, run))
+            kernels.append(_phase_pass(fold, run))
             run, high = [], set()
+        folded = [q for q in qubits if q in fold.bits]
         if diagonal:
             run.append((tuple(qubits), np.diag(mat)))
             high |= above
+        elif name == "x" and folded:
+            fold.bits[qubits[0]] ^= 1
         else:
-            kernels.append((_kernel(num_qubits, name, qubits, mat), tuple(qubits)))
+            if folded:
+                kernels.append((fold.activate(folded), tuple(folded)))
+            kernels.append((_kernel(fold.width, name, [fold.rank(q) for q in qubits], mat),
+                            tuple(qubits)))
     if run:
-        kernels.append(_phase_pass(num_qubits, run))
+        kernels.append(_phase_pass(fold, run))
     return kernels
 
 

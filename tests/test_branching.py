@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqcemu import engine, executor
-from dqcemu.algorithms import QpeConfig, build_distributed_qpe
+from dqcemu.algorithms import QpeConfig, build_distributed_qpe, build_qpe
 from dqcemu.circuit import Circuit
 from dqcemu.errors import ZeroNorm
-from dqcemu.gates import GATE_ARITY
+from dqcemu.gates import GATE_ARITY, KERNEL_CLASS
 from dqcemu.statevector import StateVector, collapse, sample_outcomes
 
 from oracles import (
@@ -102,6 +102,22 @@ def terminal_programs(draw):
     return c
 
 
+def sampled_width(circuit) -> int:
+    """The most qubits a state holds in a job that draws nothing before its
+    terminal measurements: the engine.START_WIDTH lowest and those that a
+    gate other than `x` or a diagonal one acts on; or all of them, where
+    the measurements are sampled from the full state because a qubit left
+    out lies below one held."""
+    held = set(range(min(circuit.num_qubits, engine.START_WIDTH))) | {
+        q for ins in circuit.instructions if ins.name not in ("measure", "x")
+        and KERNEL_CLASS[ins.name] != "diagonal" for q in ins.qubits}
+    left = set(range(circuit.num_qubits)) - held
+    measured = any(ins.name == "measure" for ins in circuit.instructions)
+    if measured and left and min(left) < len(held):
+        return circuit.num_qubits
+    return len(held)
+
+
 @settings(max_examples=60, deadline=None)
 @given(terminal_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 200))
 def test_terminal_circuits_match_the_sampled_reference(circuit, seed, shots):
@@ -110,7 +126,8 @@ def test_terminal_circuits_match_the_sampled_reference(circuit, seed, shots):
     assert sampled_admissible(circuit)
     counts, counters = engine.run_branched(circuit, shots, seed=seed)
     assert counts == run_sampled_reference(circuit, shots, seed)
-    assert counters == {"peak_branches": 1, "chunks": 1}
+    assert counters == {"peak_branches": 1, "chunks": 1,
+                        "state_qubits": sampled_width(circuit)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -324,9 +341,9 @@ def test_telegate_histories_reconverge():
     """Protocol bits die after their corrections and the comm pair is
     reset, so the walk ends with at most one branch per output history."""
     n, shots = 4, 2000
-    program = engine._compile(telegate_plan(n).merged, outputs=n)
+    program = engine._compile(telegate_plan(n).merged, outputs=n, terminal=False)
     rows = np.array([engine.shot_rng(9, s).random(program.draws) for s in range(shots)])
-    ends, peak, kept = engine._walk(program, program.ops, [engine._root(program, shots)],
+    ends, peak, kept = engine._walk(program, program.walked, [engine._root(program, shots)],
                                     iter(rows.T).__next__, range(shots),
                                     engine.null_hooks())
     assert kept == range(shots)
@@ -341,6 +358,17 @@ def test_executor_result_carries_the_walk_counters():
     assert 1 <= record.metadata["peak_branches"] <= 300
 
 
+def test_results_carry_the_widest_state():
+    """QPE-20's target is prepared by one x and meets only crz, so it stays
+    folded to the end and its states hold 19 qubits; the merged telegate8
+    plan activates all 11 of its qubits before its first measure."""
+    qpe = build_qpe(QpeConfig(n_ancilla=19, theta=2 * math.pi * 0.3721))
+    assert engine.run_branched(qpe, 10, seed=1)[1]["state_qubits"] == 19
+    plan = executor.merge_circuits(list(build_distributed_qpe(
+        QpeConfig(n_ancilla=8, theta=2.0))))
+    assert executor.execute_merged(plan, 100, seed=1).metadata["state_qubits"] == 11
+
+
 def test_channel_linked_shots_share_the_walk_up_to_the_channel():
     c = Circuit(2, 2, id="src")
     c.h(0).h(1).measure(1, 1).measure_and_send(0, "dst").measure(0, 0)
@@ -349,7 +377,7 @@ def test_channel_linked_shots_share_the_walk_up_to_the_channel():
     counts, counters = engine.run_branched(c, 20, seed=8, hooks=hooks)
     assert [epoch for _, epoch, _, _ in sent] == list(range(20))
     # two branches from the shared measurement, plus the shot walking alone
-    assert counters == {"peak_branches": 3, "chunks": 1}
+    assert counters == {"peak_branches": 3, "chunks": 1, "state_qubits": 2}
     assert counts == run_shot_loop_reference(c, 20, 8, hooks=hooks)
 
 

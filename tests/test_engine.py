@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dqcemu import engine
 from dqcemu.circuit import Circuit
@@ -13,7 +15,9 @@ from oracles import (
     chi2_exact_pvalue,
     random_unitary_circuit,
     run_once_reference,
+    run_sampled_reference,
     run_shot_loop_reference,
+    sampled_admissible,
     statevector_by_matmul,
 )
 
@@ -258,3 +262,148 @@ def test_terminal_block_descends_the_marginal_table(qubits):
     outcome = engine._descend_block(prog, branch, uniforms, range(1 << k))
     for j, q in enumerate(qubits):
         assert outcome(q).tolist() == ((paths >> (k - 1 - j)) & 1).tolist()
+
+
+#: gates that leave a qubit in a basis state folded, and gates that activate it
+KEEP = ["x", "z", "s", "t", "rz", "cz", "cp", "crz", "id"]
+ACTIVATE = ["h", "rx", "u", "cx", "swap"]
+
+
+@st.composite
+def folding_programs(draw, mid_circuit: bool = True, widths=(1, 7)):
+    """Circuits whose qubits stay in basis states for a while: `x` and
+    diagonal gates, runs of them on basis-state qubits only among them,
+    mixed with `h`, `rx`, `u`, `cx` and `swap` that put qubits in
+    superposition, often the higher ones first. With `mid_circuit`,
+    measures, resets and c_if anywhere; without, measures after which only
+    other qubits see gates (a terminal block that may measure a qubit no
+    gate put in superposition)."""
+    n = draw(st.integers(*widths))
+    nc = draw(st.integers(1, 3))
+    c = Circuit(n, nc, id="fold")
+    measured: set[int] = set()
+    kinds = ["keep", "keep", "activate", "measure"] + ["reset", "c_if"] * mid_circuit
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(kinds))
+        free = [q for q in range(n) if mid_circuit or q not in measured]
+        if kind == "measure" or not free:
+            q = draw(st.integers(0, n - 1))
+            c.measure(q, draw(st.integers(0, nc - 1)))
+            measured.add(q)
+            continue
+        if kind == "reset":
+            c.reset(draw(st.integers(0, n - 1)))
+            continue
+        names = KEEP if kind == "keep" else ACTIVATE if kind == "activate" else KEEP + ACTIVATE
+        name = draw(st.sampled_from([g for g in names if GATE_ARITY[g][0] <= len(free)]))
+        arity, n_params = GATE_ARITY[name]
+        top = draw(st.booleans())  # the highest free qubits first
+        qubits = (sorted(free, reverse=True)[:arity] if top
+                  else draw(st.permutations(free))[:arity])
+        params = [draw(st.floats(-7, 7)) for _ in range(n_params)]
+        if kind == "c_if":
+            c.c_if(name, qubits, draw(st.integers(0, nc - 1)), params=params)
+        else:
+            c.append(name, qubits, params=params)
+    return c
+
+
+def _circuit(n: int, nc: int, *ops) -> Circuit:
+    c = Circuit(n, nc, id="fold")
+    for name, qubits, *params in ops:
+        if name == "measure":
+            c.measure(*qubits)
+        else:
+            c.append(name, list(qubits), params=list(params))
+    return c
+
+
+#: (qubits 0-2 are active from the start) folded qubits below an active
+#: one (the terminal block unfolds first); the target of QPE held at 1
+#: above three active qubits (it does not); only x and diagonal gates on
+#: folded qubits, so every run is a global phase; a dense gate with a
+#: complex matrix after phases on qubits 0 and 1, and two global phases on
+#: a 2-qubit state: where these ran on one-amplitude slices, numpy rounded
+#: their products otherwise than on the full state
+FOLDING_EXAMPLES = [
+    _circuit(6, 3, ("x", (3,)), ("h", (5,)), ("t", (3,)), ("cp", (3, 5), 0.4),
+             ("measure", (3, 0)), ("measure", (5, 1)), ("measure", (4, 2))),
+    _circuit(4, 3, ("h", (0,)), ("h", (1,)), ("h", (2,)), ("x", (3,)),
+             ("crz", (0, 3), 1.3), ("crz", (1, 3), 2.6), ("crz", (2, 3), 5.2),
+             ("h", (2,)), ("cp", (1, 2), -1.5), ("h", (1,)),
+             ("measure", (0, 0)), ("measure", (1, 1)), ("measure", (2, 2))),
+    _circuit(6, 2, ("x", (4,)), ("z", (4,)), ("s", (4,)), ("cp", (4, 5), 0.7),
+             ("x", (5,)), ("rz", (5,), 0.9), ("measure", (4, 0)), ("measure", (5, 1))),
+    _circuit(4, 2, ("x", (0,)), ("x", (1,)), ("rz", (0,), 1.1), ("rz", (1,), -2.3),
+             ("u", (0,), 1.2, 0.5, 2.0), ("measure", (0, 0)), ("measure", (1, 1))),
+    _circuit(2, 1, ("x", (0,)), ("z", (0,)), ("t", (0,)), ("x", (0,)), ("x", (0,)),
+             ("z", (0,)), ("t", (0,)), ("measure", (0, 0))),
+]
+
+
+def assert_run_once_matches(circuit: Circuit, seed: int) -> None:
+    state, bits = engine.run_once(circuit, np.random.default_rng(seed))
+    ref_state, ref_bits = run_once_reference(
+        circuit, np.random.default_rng(seed), engine.null_hooks())
+    assert bits == ref_bits
+    assert np.array_equal(state.amplitudes, ref_state.amplitudes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(folding_programs(mid_circuit=False), st.integers(0, 2 ** 32 - 1), st.integers(1, 200))
+@example(FOLDING_EXAMPLES[0], 7, 200)
+@example(FOLDING_EXAMPLES[1], 8, 200)
+@example(FOLDING_EXAMPLES[2], 9, 50)
+@example(FOLDING_EXAMPLES[3], 11, 200)
+@example(FOLDING_EXAMPLES[4], 0, 1)
+def test_folded_terminal_programs_match_the_references(circuit, seed, shots):
+    """A job that draws nothing before its terminal block walks folded to
+    the end: its final state is the reference loop's, and its counts are
+    the sampled reference's, whether the block samples the folded layout
+    or unfolds first."""
+    assert sampled_admissible(circuit)
+    assert_run_once_matches(circuit, seed)
+    assert engine.run_sampled(circuit, shots, seed=seed) == run_sampled_reference(
+        circuit, shots, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(folding_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+def test_folded_mid_circuit_programs_match_the_references(circuit, seed, shots):
+    """Folding ends before the first measure, reset or c_if: the state and
+    bits are the reference loop's, and so are the counts (the sampled
+    reference's where nothing draws before the terminal block)."""
+    assert_run_once_matches(circuit, seed)
+    reference = (run_sampled_reference if sampled_admissible(circuit)
+                 else run_shot_loop_reference)
+    assert engine.run_shot_loop(circuit, shots, seed=seed) == reference(circuit, shots, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(folding_programs(widths=(12, 14)), st.integers(0, 2 ** 32 - 1))
+def test_folded_wide_programs_match_the_reference(circuit, seed):
+    """12 to 14 qubits: phase tables in rows of 2^11 on the active qubits,
+    run cuts at qubits 11 and up where some of them are folded."""
+    assert_run_once_matches(circuit, seed)
+
+
+def test_folded_runs_are_cut_on_the_original_qubits():
+    """14 qubits, 11 to 13 held at 1 while 0-10 are active: runs of
+    diagonal gates over qubits 11-13 are cut where they span three of
+    them, as on the full state, and so round as the reference's do."""
+    rng = np.random.default_rng(37)
+    c = Circuit(14, 2, id="cuts")
+    for q in range(11):
+        c.h(q)
+    for q in (11, 12, 13):
+        c.x(q)
+    for _ in range(40):
+        a = int(rng.integers(11))
+        c.crz(float(rng.uniform(-7, 7)), a, int(rng.integers(11, 14)))
+        c.cp(float(rng.uniform(-7, 7)), int(rng.integers(11, 14)), a)
+    c.h(0).measure(0, 0).h(12).measure(12, 1)  # the terminal block unfolds 11 and 13
+    for seed in range(5):
+        assert_run_once_matches(c, seed)
+    counts, counters = engine.run_branched(c, 20, seed=1)
+    assert counts == run_sampled_reference(c, 20, 1)
+    assert counters["state_qubits"] == 14
