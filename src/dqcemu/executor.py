@@ -326,7 +326,7 @@ class ExecutorConfig:
     ttl_seconds: int = 0
     executor_id: str = ""
     max_qubits: int = engine.DEFAULT_MAX_QUBITS
-    announce_path: str = ""
+    listen_fd: int = -1  # an inherited listening socket, else bind listen_address
 
     def __post_init__(self):
         if not self.executor_id:

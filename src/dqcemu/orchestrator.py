@@ -1,10 +1,12 @@
 """Lifecycle management: raise, inspect and drop local vQPU processes.
 
-qraise spawns detached server processes (plus one executor for the quantum
-model), waits for each to announce its bound port, records everything in the
-registry and prints the endpoints. Resource flags (-c, --mem-per-qpu,
---n_nodes) are parsed and recorded but advisory at desk scale; --n_nodes
-also sizes the simulated node-label cycle used by the SDK's on-node filter.
+qraise binds one listening socket per process, spawns the detached server
+processes (plus one executor for the quantum model) in one round, each on the
+socket it inherits, waits for each one's first `status` reply, records
+everything in the registry and prints the endpoints. Resource flags (-c,
+--mem-per-qpu, --n_nodes) are parsed and recorded but advisory at desk scale;
+--n_nodes also sizes the simulated node-label cycle used by the SDK's on-node
+filter.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -27,7 +30,7 @@ from .errors import (
     NotSupported,
     PortExhausted,
 )
-from .protocol import ConnectionClosed, connect, request
+from .protocol import ConnectionClosed, _Server, connect, request
 from .registry import RegistryEntry, pid_alive
 
 SPAWN_WAIT_S = 10.0
@@ -55,25 +58,9 @@ def format_ttl(seconds: int) -> str:
     return f"{seconds // 3600:02d}:{seconds % 3600 // 60:02d}:{seconds % 60:02d}"
 
 
-def _wait_announce(path: Path, proc: subprocess.Popen, what: str,
-                   deadline: float) -> tuple[str, int, int]:
-    while time.monotonic() < deadline:
-        if path.exists():
-            text = path.read_text().strip()
-            if text:
-                host, port, pid = text.split()
-                return host, int(port), int(pid)
-        if proc.poll() is not None:
-            raise PortExhausted(
-                f"{what} exited with code {proc.returncode} before announcing; "
-                f"see its log for details")
-        time.sleep(0.02)
-    proc.kill()
-    raise PortExhausted(f"{what} did not announce within {SPAWN_WAIT_S:.0f} s")
-
-
 def _spawn(module: str, config_obj: dict, home: Path, name: str,
            env: dict) -> subprocess.Popen:
+    """Start `module` on `config_obj`, handing it its `listen_fd`."""
     cfg_path = home / "tmp" / f"{name}.json"
     cfg_path.parent.mkdir(parents=True, exist_ok=True)
     cfg_path.write_text(json.dumps(config_obj))
@@ -84,7 +71,7 @@ def _spawn(module: str, config_obj: dict, home: Path, name: str,
         return subprocess.Popen(
             [sys.executable, "-m", module, "--config", str(cfg_path)],
             stdout=log, stderr=log, stdin=subprocess.DEVNULL,
-            start_new_session=True, env=env)
+            pass_fds=(config_obj["listen_fd"],), start_new_session=True, env=env)
     finally:
         log.close()
 
@@ -105,6 +92,17 @@ def _request_once(host: str, port: int, frame: dict, timeout: float):
 
 def _probe_status(host: str, port: int, timeout: float = PROBE_TIMEOUT_S):
     return _request_once(host, port, {"type": "status"}, timeout)
+
+
+def _not_ready(proc_id: str, proc: subprocess.Popen) -> PortExhausted:
+    """The error for a spawned process that never answered `status`."""
+    try:
+        code = proc.wait(timeout=1.0)  # a closed port: it is exiting
+    except subprocess.TimeoutExpired:
+        return PortExhausted(
+            f"{proc_id} did not answer status within {SPAWN_WAIT_S:.0f} s")
+    return PortExhausted(f"{proc_id} exited with code {code} before answering "
+                         f"status; see its log for details")
 
 
 def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector",
@@ -144,75 +142,63 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
     from .server import VqpuConfig  # local import: avoid cycles at module load
     from .executor import ExecutorConfig
 
-    procs: list[tuple[str, subprocess.Popen, Path]] = []
-    executor_endpoint = None
+    # qraise binds every listening socket and each process inherits its own:
+    # all endpoints, the executor's included, are known before any process
+    # starts, so the whole family is spawned in one round
+    quantum = comm_mode == "quantum"
+    node_cycle = max(1, n_nodes or 1)
+    socks: list[socket.socket] = []
+    members: list[tuple[str, str, dict, str]] = []  # id, module, config, node
+    procs: list[subprocess.Popen] = []
     raised_at = time.time()
-
-    def announce_path(proc_name: str) -> Path:
-        return home / "tmp" / f"{proc_name}.addr"
-
     try:
-        if comm_mode == "quantum":
+        socks = [socket.create_server(  # SO_REUSEADDR, as _Server binds
+            ("127.0.0.1", 0), backlog=_Server.request_queue_size)
+            for _ in range(n + quantum)]
+        addresses = [sock.getsockname()[:2] for sock in socks]
+        executor_endpoint = "%s:%d" % addresses[0] if quantum else None
+        if quantum:
             exec_id = f"{family}-executor"
-            apath = announce_path(exec_id)
-            apath.unlink(missing_ok=True)
-            cfg = ExecutorConfig(family=family, ttl_seconds=ttl_seconds,
-                                 executor_id=exec_id, announce_path=str(apath))
-            proc = _spawn("dqcemu.executor", asdict(cfg), home, exec_id, env)
-            procs.append((exec_id, proc, apath))
-
-        deadline = time.monotonic() + SPAWN_WAIT_S
-        if comm_mode == "quantum":
-            exec_id, proc, apath = procs[0]
-            host, port, pid = _wait_announce(apath, proc, exec_id, deadline)
-            executor_endpoint = f"{host}:{port}"
-            announced = [(exec_id, host, port, pid)]
-        else:
-            announced = []
-
-        node_cycle = max(1, n_nodes or 1)
-        for i in range(n):
-            vqpu_id = f"{family}-{i}"
-            apath = announce_path(vqpu_id)
-            apath.unlink(missing_ok=True)
+            members.append((exec_id, "dqcemu.executor", asdict(ExecutorConfig(
+                family=family, ttl_seconds=ttl_seconds, executor_id=exec_id,
+                listen_fd=socks[0].fileno())), "node0"))
+        for i, sock in enumerate(socks[quantum:]):
             cfg = VqpuConfig(
                 family=family, index=i, backend=backend_spec,
                 comm_mode=comm_mode, ttl_seconds=ttl_seconds, simulator=sim,
-                vqpu_id=vqpu_id, executor_endpoint=executor_endpoint,
-                announce_path=str(apath), backend_path=backend_path)
-            proc = _spawn("dqcemu.server", cfg.to_obj(), home, vqpu_id, env)
-            procs.append((vqpu_id, proc, apath))
+                vqpu_id=f"{family}-{i}", executor_endpoint=executor_endpoint,
+                listen_fd=sock.fileno(), backend_path=backend_path)
+            members.append((cfg.vqpu_id, "dqcemu.server", cfg.to_obj(),
+                            "node0" if co_located else f"node{i % node_cycle}"))
+        for (proc_id, module, cfg, _node), sock in zip(members, socks):
+            procs.append(_spawn(module, cfg, home, proc_id, env))
+            sock.close()  # the process holds the only copy: its exit closes the port
 
-        for vqpu_id, proc, apath in procs[len(announced):]:
-            host, port, pid = _wait_announce(apath, proc, vqpu_id, deadline)
-            announced.append((vqpu_id, host, port, pid))
-
-        # block until every status endpoint responds (or the window closes)
-        for vqpu_id, host, port, _pid in announced:
-            while _probe_status(host, port) is None:
-                if time.monotonic() > deadline:
-                    raise PortExhausted(f"{vqpu_id} never answered status")
-                time.sleep(0.02)
+        # ready at the first status reply; a process that exits first
+        # closes its port, so its probe fails at once
+        deadline = time.monotonic() + SPAWN_WAIT_S
+        for (proc_id, *_), proc, (host, port) in zip(members, procs, addresses):
+            timeout = max(deadline - time.monotonic(), 0.01)
+            if _probe_status(host, port, timeout) is None:
+                raise _not_ready(proc_id, proc)
     except BaseException:
-        for _name, proc, _apath in procs:
-            if proc.poll() is None:
-                proc.kill()
+        for proc in procs:
+            proc.kill()
+            proc.wait()
         raise
+    finally:
+        for sock in socks:
+            sock.close()
+        for proc_id, *_ in members:  # read by now, or never to be read
+            (home / "tmp" / f"{proc_id}.json").unlink(missing_ok=True)
 
-    entries = []
-    for idx, (proc_name, host, port, pid) in enumerate(announced):
-        is_exec = proc_name.endswith("-executor") and comm_mode == "quantum" \
-            and idx == 0
-        vqpu_index = idx - (1 if comm_mode == "quantum" else 0)
-        node = ("node0" if is_exec or co_located
-                else f"node{vqpu_index % node_cycle}")
-        entries.append(RegistryEntry(
-            family=family, vqpu_id=proc_name, host=host, port=port,
-            backend_path=backend_path, comm_mode=comm_mode,
-            co_located=co_located, pid=pid, raised_at=raised_at,
-            ttl_seconds=ttl_seconds,
-            executor_endpoint=(f"{host}:{port}" if is_exec else executor_endpoint),
-            node=node))
+    entries = [RegistryEntry(
+        family=family, vqpu_id=proc_id, host=host, port=port,
+        backend_path=backend_path, comm_mode=comm_mode, co_located=co_located,
+        pid=proc.pid, raised_at=raised_at, ttl_seconds=ttl_seconds,
+        executor_endpoint=executor_endpoint, node=node)
+        for (proc_id, _module, _cfg, node), proc, (host, port)
+        in zip(members, procs, addresses)]
     registry.add_entries(entries, home)
 
     if not quiet:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import socket
 import socketserver
 import struct
@@ -112,14 +111,14 @@ class _Server(socketserver.ThreadingTCPServer):
 class FramedService:
     """A long-lived framed-JSON TCP process: the vQPU and the executor.
 
-    `start` binds the listen address, serves every connection on a receiver
-    thread, starts the TTL timer and writes the announce file
-    ("<host> <port> <pid>"). Each frame is answered by `handlers[frame type]`,
-    frames without a type by `handlers[None]` where there is one; a reply of
-    None sends nothing. A frame that is not a JSON object or names no handler
-    gets SchemaViolation. A handler's EmulatorError becomes an error frame
-    under its class name and any other exception an InternalError, so the
-    receiver keeps serving.
+    `start` serves every connection on a receiver thread, on the listening
+    socket inherited as fd `listen_fd` or, when that is -1, one bound to
+    `listen_address`, and starts the TTL timer. Each frame is answered by
+    `handlers[frame type]`, frames without a type by `handlers[None]` where
+    there is one; a reply of None sends nothing. A frame that is not a JSON
+    object or names no handler gets SchemaViolation. A handler's
+    EmulatorError becomes an error frame under its class name and any other
+    exception an InternalError, so the receiver keeps serving.
 
     `shutdown` and TTL expiry take the same drain path: frames listed in
     `work_frames` are refused with Expired, work that waits for such frames
@@ -153,20 +152,22 @@ class FramedService:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        try:
-            self._tcp = _Server(parse_address(self.config.listen_address), _Handler)
+        fd = self.config.listen_fd
+        try:  # an inherited socket is bound and listening already
+            self._tcp = _Server(parse_address(self.config.listen_address),
+                                _Handler, bind_and_activate=fd < 0)
+            if fd >= 0:
+                self._tcp.socket.close()
+                self._tcp.socket = socket.socket(fileno=fd)
         except OSError as exc:
-            raise BindFailure(
-                f"cannot bind {self.config.listen_address}: {exc}") from exc
+            raise BindFailure(f"cannot listen on {self.config.listen_address} "
+                              f"(listen_fd {fd}): {exc}") from exc
         self._tcp.service = self
-        self.host, self.port = self._tcp.server_address[:2]
+        self.host, self.port = self._tcp.socket.getsockname()[:2]
         threading.Thread(target=self._tcp.serve_forever, name="receiver",
                          daemon=True).start()
         if self.config.ttl_seconds > 0:
             threading.Thread(target=self._expire, name="ttl", daemon=True).start()
-        if self.config.announce_path:
-            with open(self.config.announce_path, "w", encoding="utf-8") as fh:
-                fh.write(f"{self.host} {self.port} {os.getpid()}\n")
 
     def stop(self) -> None:
         """Stop at once, without draining."""

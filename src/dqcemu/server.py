@@ -57,7 +57,7 @@ class VqpuConfig:
     executor_endpoint: str | None = None  # required for comm_mode="quantum"
     queue_size: int = DEFAULT_QUEUE_SIZE
     max_qubits: int = engine.DEFAULT_MAX_QUBITS
-    announce_path: str = ""
+    listen_fd: int = -1  # an inherited listening socket, else bind listen_address
     backend_path: str = ""
 
     def __post_init__(self):

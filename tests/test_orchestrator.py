@@ -9,11 +9,24 @@ import time
 
 import pytest
 
-from dqcemu import registry
+from dqcemu import orchestrator, registry
 from dqcemu.backend import backend_to_obj, default_backend
 from dqcemu.cli import qdrop_main, qinfo_main, qraise_main
-from dqcemu.errors import ConflictingFlags, DuplicateFamilyName, NotSupported
-from dqcemu.orchestrator import _probe_status, parse_ttl, qdrop, qinfo, qraise
+from dqcemu.errors import (
+    ConflictingFlags,
+    DuplicateFamilyName,
+    NotSupported,
+    PortExhausted,
+)
+from dqcemu.orchestrator import (
+    PROBE_TIMEOUT_S,
+    _probe_status,
+    parse_ttl,
+    qdrop,
+    qinfo,
+    qraise,
+)
+from dqcemu.registry import pid_alive
 from dqcemu.protocol import ConnectionClosed, recv_frame
 
 
@@ -47,8 +60,33 @@ def test_lifecycle_via_cli(cunqa_home, capsys):
     assert json.loads(capsys.readouterr().out) == []
 
 
-def test_quantum_family_spawns_executor(raise_family):
+@pytest.fixture()
+def spawn_log(monkeypatch):
+    """Records every spawn ("spawn", id, proc) and readiness probe
+    ("probe", host, port) qraise makes, in order."""
+    log = []
+    spawn, probe = orchestrator._spawn, orchestrator._probe_status
+
+    def recording_spawn(module, config_obj, home, name, env):
+        proc = spawn(module, config_obj, home, name, env)
+        log.append(("spawn", name, proc))
+        return proc
+
+    def recording_probe(host, port, *args):
+        log.append(("probe", host, port))
+        return probe(host, port, *args)
+
+    monkeypatch.setattr(orchestrator, "_spawn", recording_spawn)
+    monkeypatch.setattr(orchestrator, "_probe_status", recording_probe)
+    return log
+
+
+def test_quantum_family_spawns_executor(raise_family, spawn_log):
     fam = raise_family(2, quantum_comm=True)
+    spawned = {e[2].pid for e in spawn_log if e[0] == "spawn"}
+    for e in registry.read_registry():
+        assert e.pid in spawned and pid_alive(e.pid), e.vqpu_id
+        assert _probe_status(e.host, e.port)["type"] == "ack", e.vqpu_id
     rows = qinfo(family=fam)
     assert len(rows) == 3
     kinds = sorted(r["kind"] for r in rows)
@@ -62,6 +100,45 @@ def test_quantum_family_spawns_executor(raise_family):
     assert all(r["state"] == "idle" for r in rows)
     count = qdrop(fam, quiet=True)
     assert count == 3
+
+
+def test_family_spawns_in_one_round(raise_family, spawn_log):
+    """Every process of a quantum family starts before the first probe."""
+    fam = raise_family(2, quantum_comm=True)
+    kinds = [e[0] for e in spawn_log]
+    assert kinds == ["spawn"] * 3 + ["probe"] * 3
+    assert [e[1] for e in spawn_log[:3]] == [
+        f"{fam}-executor", f"{fam}-0", f"{fam}-1"]
+
+
+def test_process_exiting_before_it_serves_fails_fast(cunqa_home, spawn_log,
+                                                       monkeypatch):
+    """A vQPU that exits at start closes its inherited port: qraise names it
+    within about 2 s (not SPAWN_WAIT_S), and leaves no process, registry
+    entry or config file behind."""
+    spawn = orchestrator._spawn
+
+    def failing_spawn(module, config_obj, home, name, env):
+        if name.endswith("-1"):  # VqpuConfig rejects the unknown field
+            config_obj = {**config_obj, "no_such_field": 1}
+        return spawn(module, config_obj, home, name, env)
+
+    monkeypatch.setattr(orchestrator, "_spawn", failing_spawn)
+    t0 = time.monotonic()
+    with pytest.raises(PortExhausted, match="bad-1 exited with code 1"):
+        qraise(n=2, ttl="00:01:00", quantum_comm=True, name="bad", quiet=True)
+    assert time.monotonic() - t0 < 3.0
+    procs = [e[2] for e in spawn_log if e[0] == "spawn"]
+    assert len(procs) == 3
+    assert all(p.returncode is not None and not pid_alive(p.pid) for p in procs)
+    assert registry.read_registry() == []
+    assert list((cunqa_home / "tmp").iterdir()) == []
+
+
+def test_dropped_family_leaves_no_tmp_file(cunqa_home):
+    fam = qraise(n=2, ttl="00:01:00", quantum_comm=True, quiet=True)
+    assert qdrop(fam, quiet=True) == 3
+    assert list((cunqa_home / "tmp").iterdir()) == []
 
 
 def test_spawned_processes_run_one_blas_thread(raise_family, monkeypatch):
@@ -190,6 +267,27 @@ def test_ttl_self_expiry(raise_family):
     while time.monotonic() < deadline and qinfo(family=fam):
         time.sleep(0.2)
     assert qinfo(family=fam) == []
+
+
+def test_qinfo_across_ttl_expiry(raise_family):
+    """qinfo polled while a family's TTL runs out: every call returns within
+    PROBE_TIMEOUT_S per entry plus slack, and every row reads live or stale
+    until the entries are gone."""
+    fam = raise_family(2, ttl="00:00:02", quantum_comm=True)
+    bound = 3 * PROBE_TIMEOUT_S + 1.0
+    deadline = time.monotonic() + 10
+    calls = []
+    while time.monotonic() < deadline:
+        t0 = time.monotonic()
+        rows = qinfo(family=fam)
+        calls.append((time.monotonic() - t0, [r["state"] for r in rows]))
+        if not rows:
+            break
+        time.sleep(0.05)
+    assert len(calls[0][1]) == 3 and calls[-1][1] == [], calls
+    assert max(took for took, _ in calls) < bound, calls
+    assert {state for _, states in calls for state in states} <= {
+        "idle", "busy", "stale"}, calls
 
 
 def test_backend_flag_and_invalid_file(cunqa_home, raise_family, tmp_path):
