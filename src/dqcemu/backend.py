@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .circuit import EXPOSE_BODY_GATES, Circuit
+from .circuit import Circuit
 from .errors import BackendFileInvalid, SchemaViolation
-from .gates import DISTRIBUTED, GATE_ARITY
+from .gates import GATES, LINKS, arity_error
 from .wire import _check_fields, _is_int
 
 DEFAULT_BACKEND_QUBITS = 32
@@ -30,7 +30,7 @@ class BackendSpec:
 def default_backend() -> BackendSpec:
     """Noiseless 32-qubit backend supporting the full engine gate set."""
     return BackendSpec(name="default", n_qubits=DEFAULT_BACKEND_QUBITS,
-                       basis_gates=sorted(GATE_ARITY), version="1")
+                       basis_gates=sorted(GATES), version="1")
 
 
 def backend_to_obj(spec: BackendSpec) -> dict:
@@ -51,7 +51,7 @@ def backend_from_obj(obj) -> BackendSpec:
     gates = obj["basis_gates"]
     if not isinstance(gates, list) or not all(isinstance(g, str) for g in gates):
         raise SchemaViolation("basis_gates", "expected a list of gate names")
-    unknown = [g for g in gates if g not in GATE_ARITY]
+    unknown = [g for g in gates if g not in GATES]
     if unknown:
         raise SchemaViolation("basis_gates", f"not engine-supported: {unknown}")
     if not isinstance(obj["version"], str):
@@ -100,7 +100,7 @@ def _check_remote(ins, idx, circuit_id, out):
         out.append(Violation("MalformedRemote", "empty peer id", idx))
     elif link.peer_circuit_id == circuit_id:
         out.append(Violation("MalformedRemote", "circuit linked to itself", idx))
-    want_role = ("receiver" if ins.name in ("remote_c_if", "qrecv") else "sender")
+    want_role = LINKS[ins.name].role
     if link.role != want_role:
         out.append(Violation("MalformedRemote",
                              f"{ins.name} requires role {want_role!r}", idx))
@@ -109,15 +109,11 @@ def _check_remote(ins, idx, circuit_id, out):
     if ins.name == "remote_c_if":
         if link.gate_name is None:
             out.append(Violation("MalformedRemote", "remote_c_if missing gate name", idx))
-        elif link.gate_name not in GATE_ARITY:
+        elif link.gate_name not in GATES:
             out.append(Violation("UnknownGate",
                                  f"remote gate {link.gate_name!r}", idx))
-        else:
-            want_q, want_p = GATE_ARITY[link.gate_name]
-            if len(ins.qubits) != want_q or len(ins.params) != want_p:
-                out.append(Violation("ArityMismatch",
-                                     f"remote {link.gate_name} takes {want_q} "
-                                     f"qubit(s), {want_p} param(s)", idx))
+        elif error := arity_error(link.gate_name, len(ins.qubits), len(ins.params)):
+            out.append(Violation("ArityMismatch", error, idx))
     elif link.gate_name is not None:
         out.append(Violation("MalformedRemote",
                              f"{ins.name} does not take a gate name", idx))
@@ -136,8 +132,6 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
     basis = set(backend.basis_gates)
     in_region = False
     seq_tags: dict[tuple[str, str], list[int]] = {}
-    kinds = {"measure_and_send": "send_bit", "remote_c_if": "recv_bit",
-             "qsend": "qsend", "qrecv": "qrecv", "expose_begin": "expose"}
 
     for idx, ins in enumerate(circuit.instructions):
         name = ins.name
@@ -146,17 +140,14 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
             if ins.remote is not None:
                 out.append(Violation("MalformedRemote",
                                      "distributed instruction inside expose", idx))
-            if name not in EXPOSE_BODY_GATES:
+            if name not in GATES or not GATES[name].control:
                 out.append(Violation("UnknownGate",
                                      f"invalid expose body gate {name!r}", idx))
-            else:
-                want_q, want_p = GATE_ARITY[name]
-                if len(ins.qubits) != want_q - 1 or len(ins.params) != want_p:
-                    out.append(Violation("ArityMismatch",
-                                         f"expose body {name} arity", idx))
+            elif error := arity_error(name, len(ins.qubits), len(ins.params), body=True):
+                out.append(Violation("ArityMismatch", error, idx))
             continue
 
-        if name in DISTRIBUTED:
+        if name in LINKS:
             if name == "expose_begin":
                 if in_region:
                     out.append(Violation("MalformedRemote", "nested expose", idx))
@@ -167,21 +158,17 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
                                          "expose_end without begin", idx))
                 in_region = False
             _check_remote(ins, idx, circuit.id, out)
-            if ins.remote is not None and name in kinds:
-                key = (ins.remote.peer_circuit_id, kinds[name])
+            if ins.remote is not None and LINKS[name].kind:
+                key = (ins.remote.peer_circuit_id, LINKS[name].kind)
                 seq_tags.setdefault(key, []).append(ins.remote.sequence)
-            for q in ins.qubits:
-                if not 0 <= q < circuit.num_qubits:
-                    out.append(Violation("QubitOutOfRange",
-                                         f"qubit {q} in {name}", idx))
-            continue
-
-        if ins.remote is not None:
+        elif ins.remote is not None:
             out.append(Violation("MalformedRemote",
                                  f"{name} cannot carry a remote link", idx))
         for q in ins.qubits:
             if not 0 <= q < circuit.num_qubits:
                 out.append(Violation("QubitOutOfRange", f"qubit {q} in {name}", idx))
+        if name in LINKS:
+            continue
         if len(set(ins.qubits)) != len(ins.qubits):
             out.append(Violation("QubitOutOfRange",
                                  f"duplicate qubits in {name}", idx))
@@ -195,13 +182,12 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
                                      "measure maps each qubit to one clbit", idx))
         elif name == "reset":
             pass
-        elif name in GATE_ARITY:
+        elif name in GATES:
             if name not in basis:
                 out.append(Violation("UnsupportedGate",
                                      f"{name} not in backend basis", idx))
-            want_q, want_p = GATE_ARITY[name]
-            if len(ins.qubits) != want_q or len(ins.params) != want_p:
-                out.append(Violation("ArityMismatch", f"{name} arity", idx))
+            if error := arity_error(name, len(ins.qubits), len(ins.params)):
+                out.append(Violation("ArityMismatch", error, idx))
             if len(ins.clbits) > 1:
                 out.append(Violation("MalformedCondition",
                                      "conditional gate takes a single clbit", idx))

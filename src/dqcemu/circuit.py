@@ -21,22 +21,7 @@ from .errors import (
     UnknownGate,
     WidthMismatch,
 )
-from .gates import DISTRIBUTED, GATE_ARITY
-
-#: gates allowed inside an expose body: controlled gates whose control is
-#: substituted by the communication qubit at merge time
-EXPOSE_BODY_GATES = ("cx", "cy", "cz", "crz", "cp")
-
-ROLE_SENDER = "sender"
-ROLE_RECEIVER = "receiver"
-
-_SEQ_KINDS = {
-    "measure_and_send": "send_bit",
-    "remote_c_if": "recv_bit",
-    "qsend": "qsend",
-    "qrecv": "qrecv",
-    "expose_begin": "expose",
-}
+from .gates import GATES, LINKS, arity_error
 
 
 @dataclass(frozen=True)
@@ -107,8 +92,9 @@ class Circuit:
         c = cls(num_qubits, num_clbits, id=id)
         c.instructions = [ins.copy() for ins in instructions]
         for ins in c.instructions:
-            if ins.remote is not None and ins.name in _SEQ_KINDS:
-                key = (ins.remote.peer_circuit_id, _SEQ_KINDS[ins.name])
+            kind = LINKS[ins.name].kind if ins.name in LINKS else None
+            if ins.remote is not None and kind:
+                key = (ins.remote.peer_circuit_id, kind)
                 c._seq[key] = max(c._seq.get(key, 0), ins.remote.sequence + 1)
         return c
 
@@ -124,22 +110,16 @@ class Circuit:
         if not 0 <= c < self.num_clbits:
             raise QubitOutOfRange(f"clbit {c} out of range ({self.num_clbits} declared)")
 
-    def _next_seq(self, peer: str, kind: str) -> int:
-        n = self._seq.get((peer, kind), 0)
-        self._seq[(peer, kind)] = n + 1
-        return n
-
     def append(self, name: str, qubits, clbits=(), params=(),
                remote: RemoteLink | None = None) -> "Circuit":
         """Append a raw instruction; gate arity is checked for unitaries."""
         qubits = list(qubits)
         clbits = list(clbits)
         params = list(params)
-        if name in GATE_ARITY:
-            want_q, want_p = GATE_ARITY[name]
-            if len(qubits) != want_q or len(params) != want_p:
-                raise ArityMismatch(
-                    f"{name} takes {want_q} qubit(s), {want_p} param(s)")
+        if name in GATES:
+            error = arity_error(name, len(qubits), len(params))
+            if error:
+                raise ArityMismatch(error)
             if len(clbits) > 1:
                 raise ArityMismatch("a conditional gate takes a single clbit")
         elif name == "measure":
@@ -208,63 +188,58 @@ class Circuit:
         if peer == self.id:
             raise SelfLink(f"circuit {self.id!r} cannot link to itself")
 
+    def _append_link(self, name: str, qubits, peer: str, params=(),
+                     gate_name: str | None = None) -> "Circuit":
+        """Append a `name` instruction linked to `peer`, with the role LINKS
+        gives it and the next sequence tag of its kind."""
+        self._check_peer(peer)
+        link = LINKS[name]
+        key = (peer, link.kind)
+        self._seq[key] = self._seq.get(key, 0) + 1
+        remote = RemoteLink(peer, link.role, gate_name, self._seq[key] - 1)
+        self.instructions.append(Instruction(name, list(qubits), params=list(params),
+                                             remote=remote))
+        return self
+
     def measure_and_send(self, control_qubit: int, target_circuit: str) -> "Circuit":
         """Measure `control_qubit` and transmit the outcome bit to the peer."""
         self._check_qubit(control_qubit)
-        self._check_peer(target_circuit)
-        link = RemoteLink(target_circuit, ROLE_SENDER,
-                          sequence=self._next_seq(target_circuit, "send_bit"))
-        self.instructions.append(
-            Instruction("measure_and_send", [control_qubit], remote=link))
-        return self
+        return self._append_link("measure_and_send", [control_qubit], target_circuit)
 
     def remote_c_if(self, gate: str, target_qubits, control_circuit: str,
                     params=()) -> "Circuit":
         """Blocking receive of one bit from the peer; apply `gate` when it is 1."""
-        if gate not in GATE_ARITY:
+        if gate not in GATES:
             raise UnknownGate(f"unknown gate {gate!r}")
         target_qubits = ([target_qubits] if isinstance(target_qubits, int)
                          else list(target_qubits))
-        want_q, want_p = GATE_ARITY[gate]
-        if len(target_qubits) != want_q or len(params) != want_p:
-            raise ArityMismatch(
-                f"{gate} takes {want_q} qubit(s), {want_p} param(s)")
+        error = arity_error(gate, len(target_qubits), len(params))
+        if error:
+            raise ArityMismatch(error)
         for q in target_qubits:
             self._check_qubit(q)
-        self._check_peer(control_circuit)
-        link = RemoteLink(control_circuit, ROLE_RECEIVER, gate_name=gate,
-                          sequence=self._next_seq(control_circuit, "recv_bit"))
-        self.instructions.append(
-            Instruction("remote_c_if", target_qubits, params=list(params),
-                        remote=link))
-        return self
+        return self._append_link("remote_c_if", target_qubits, control_circuit,
+                                 params, gate_name=gate)
 
     def qsend(self, send_qubit: int, target_circuit: str) -> "Circuit":
         """Teleport `send_qubit`'s state to the peer; the local state is
         destroyed (left in the protocol's measurement basis state)."""
         self._check_qubit(send_qubit)
-        self._check_peer(target_circuit)
-        link = RemoteLink(target_circuit, ROLE_SENDER,
-                          sequence=self._next_seq(target_circuit, "qsend"))
-        self.instructions.append(Instruction("qsend", [send_qubit], remote=link))
-        return self
+        return self._append_link("qsend", [send_qubit], target_circuit)
 
     def qrecv(self, recv_qubit: int, control_circuit: str) -> "Circuit":
         """Receive a teleported state into `recv_qubit` (overwritten)."""
         self._check_qubit(recv_qubit)
-        self._check_peer(control_circuit)
-        link = RemoteLink(control_circuit, ROLE_RECEIVER,
-                          sequence=self._next_seq(control_circuit, "qrecv"))
-        self.instructions.append(Instruction("qrecv", [recv_qubit], remote=link))
-        return self
+        return self._append_link("qrecv", [recv_qubit], control_circuit)
 
     def expose(self, control_qubit: int, body, target_circuit: str) -> "Circuit":
         """Bracketed remote-control region (telegate).
 
         `body` is a list of (gate, target_qubits, params) entries naming
-        controlled gates; their control is the exposed local qubit, their
-        target indices refer to the *peer* circuit. Regions cannot nest and
-        cannot contain distributed instructions.
+        controlled gates (`gates.GATES` rows with `control`); their control
+        is the exposed local qubit, their target indices refer to the *peer*
+        circuit. Regions cannot nest and cannot contain distributed
+        instructions.
         """
         self._check_qubit(control_qubit)
         self._check_peer(target_circuit)
@@ -276,30 +251,24 @@ class Circuit:
             else:
                 gate, qubits, params = item
             qubits = [qubits] if isinstance(qubits, int) else list(qubits)
-            if gate in DISTRIBUTED or gate == "expose":
+            if gate in LINKS or gate == "expose":
                 raise NotSupported(
                     "expose regions cannot contain distributed instructions")
-            if gate not in EXPOSE_BODY_GATES:
-                raise UnknownGate(
-                    f"expose body gate must be one of {EXPOSE_BODY_GATES}, got {gate!r}")
-            want_q, want_p = GATE_ARITY[gate]
-            if len(qubits) != want_q - 1 or len(params) != want_p:
-                raise ArityMismatch(
-                    f"expose body {gate} takes {want_q - 1} target qubit(s), "
-                    f"{want_p} param(s)")
+            if gate not in GATES or not GATES[gate].control:
+                raise UnknownGate(f"expose body gate must be controlled, got {gate!r}")
+            error = arity_error(gate, len(qubits), len(params), body=True)
+            if error:
+                raise ArityMismatch(error)
             entries.append((gate, qubits, list(params)))
         if not entries:
             raise EmptyBody("expose requires at least one body gate")
-        seq = self._next_seq(target_circuit, "expose")
-        self.instructions.append(Instruction(
-            "expose_begin", [control_qubit],
-            remote=RemoteLink(target_circuit, ROLE_SENDER, sequence=seq)))
+        begin = self._append_link("expose_begin", [control_qubit], target_circuit
+                                  ).instructions[-1].remote
         for gate, qubits, params in entries:
             # body markers carry peer-relative qubit indices
             self.instructions.append(Instruction(gate, qubits, params=params))
-        self.instructions.append(Instruction(
-            "expose_end", [control_qubit],
-            remote=RemoteLink(target_circuit, ROLE_SENDER, sequence=seq)))
+        self.instructions.append(Instruction("expose_end", [control_qubit],
+                                             remote=begin.copy()))
         return self
 
     # -- introspection -----------------------------------------------------
@@ -320,14 +289,12 @@ class Circuit:
                 yield ins, False, None
 
     def has_distributed(self) -> bool:
-        return any(ins.name in DISTRIBUTED for ins in self.instructions)
+        return any(ins.name in LINKS for ins in self.instructions)
 
-    def has_quantum_link(self) -> bool:
-        return any(ins.name in ("qsend", "qrecv", "expose_begin", "expose_end")
-                   for ins in self.instructions)
-
-    def has_classical_link(self) -> bool:
-        return any(ins.name in ("measure_and_send", "remote_c_if")
+    def has_link(self, model: str) -> bool:
+        """True when an instruction needs the `model` ("classical" or
+        "quantum") communication of `gates.LINKS`."""
+        return any(ins.name in LINKS and LINKS[ins.name].model == model
                    for ins in self.instructions)
 
     def peer_ids(self) -> set[str]:
@@ -416,29 +383,15 @@ def concat(a: Circuit, b: Circuit) -> Circuit:
 
 def tensor_union(a: Circuit, b: Circuit) -> Circuit:
     """Stack b below a: b's qubit and clbit indices are offset by a's counts."""
-    out = Circuit._from_instructions(
-        a.num_qubits + b.num_qubits, a.num_clbits + b.num_clbits, a.instructions)
-    in_body = False
-    for ins in b.instructions:
-        moved = ins.copy()
-        if ins.name == "expose_begin":
-            in_body = True
-            moved.qubits = [q + a.num_qubits for q in moved.qubits]
-        elif ins.name == "expose_end":
-            in_body = False
-            moved.qubits = [q + a.num_qubits for q in moved.qubits]
-        elif in_body:
-            pass  # body markers stay peer-relative
-        else:
-            moved.qubits = [q + a.num_qubits for q in moved.qubits]
-            moved.clbits = [c + a.num_clbits for c in moved.clbits]
-        out.instructions.append(moved)
-    out._seq = {}
-    for ins in out.instructions:
-        if ins.remote is not None and ins.name in _SEQ_KINDS:
-            key = (ins.remote.peer_circuit_id, _SEQ_KINDS[ins.name])
-            out._seq[key] = max(out._seq.get(key, 0), ins.remote.sequence + 1)
-    return out
+    moved = []
+    for ins, in_body, _ in b._iter_with_regions():
+        ins = ins.copy()
+        if not in_body:  # body markers stay peer-relative
+            ins.qubits = [q + a.num_qubits for q in ins.qubits]
+            ins.clbits = [c + a.num_clbits for c in ins.clbits]
+        moved.append(ins)
+    return Circuit._from_instructions(a.num_qubits + b.num_qubits,
+                                      a.num_clbits + b.num_clbits, a.instructions + moved)
 
 
 def hor_split(c: Circuit, after_qubit: int) -> tuple[Circuit, Circuit]:

@@ -29,9 +29,9 @@ def qraise_main(argv=None) -> int:
                         help="make the family reachable from any node")
     parser.add_argument("--name", default=None, help="family name")
     parser.add_argument("-c", type=int, default=None, dest="cores",
-                        help="cores per vQPU (recorded, advisory)")
+                        help="cores per vQPU (accepted for CUNQA compatibility, ignored)")
     parser.add_argument("--mem-per-qpu", default=None, dest="mem_per_qpu",
-                        help="memory per vQPU (recorded, advisory)")
+                        help="memory per vQPU (accepted for CUNQA compatibility, ignored)")
     parser.add_argument("--n_nodes", type=int, default=None, dest="n_nodes",
                         help="simulated node count (advisory)")
     parser.add_argument("--noise-prop", default=None, dest="noise_prop",

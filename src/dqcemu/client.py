@@ -247,8 +247,8 @@ def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
                 raise UnknownPeerId(
                     f"circuit {c.id!r} references {peer!r}, which is not submitted")
 
-    quantum = any(c.has_quantum_link() for c in circuits)
-    classical = any(c.has_classical_link() for c in circuits)
+    quantum = any(c.has_link("quantum") for c in circuits)
+    classical = any(c.has_link("classical") for c in circuits)
     required = "quantum" if quantum else "classical" if classical else None
     chosen = qpus[:len(circuits)]
     if required is not None:

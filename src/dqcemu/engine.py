@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmulatorError, UnsupportedInstruction, WidthExceeded, ZeroNorm
-from .gates import DISTRIBUTED
+from .gates import GATES, LINKS
 from .statevector import (
     _NORM_TOL,
     Fold,
@@ -142,7 +142,7 @@ def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Pro
 
     for ins in circuit.instructions:
         name, qubits = ins.name, tuple(ins.qubits)
-        if name not in ("measure", "reset", *DISTRIBUTED) and not ins.clbits:
+        if name in GATES and not ins.clbits:
             run.append((name, qubits, ins.params))
             continue
         close_run()
@@ -156,7 +156,7 @@ def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Pro
         elif name == "remote_c_if":
             ops.append(_Op("recv", ins, qubits, compile_gate(
                 n, ins.remote.gate_name, qubits, ins.params)))
-        elif name in DISTRIBUTED:
+        elif name in LINKS:
             ops.append(_Op("unsupported", ins, qubits))
         else:
             ops.append(_Op("cond", ins, qubits, compile_gate(n, name, qubits, ins.params)))

@@ -30,6 +30,7 @@ from .errors import (
     EmulatorError,
     MergeDeadlock,
 )
+from .gates import LINKS
 from .protocol import FramedService, error_code, error_frame
 from .server import ResultRecord
 from .wire import circuit_from_obj
@@ -56,51 +57,31 @@ class MergePlan:
 
 @dataclass
 class _Step:
-    kind: str  # local | send_bit | recv_bit | qsend | qrecv | expose
+    kind: str  # local, or a sequence-tag kind of gates.LINKS
     ins: Instruction | None = None
     peer: str = ""
     seq: int = 0
-    gate: str | None = None
-    control: int = 0
     body: list = field(default_factory=list)  # (gate, peer-relative qubits, params)
 
 
 def _part_steps(circuit: Circuit) -> list[_Step]:
     steps: list[_Step] = []
-    i = 0
-    instructions = circuit.instructions
-    while i < len(instructions):
-        ins = instructions[i]
-        name = ins.name
-        if name == "measure_and_send":
-            steps.append(_Step("send_bit", ins, ins.remote.peer_circuit_id,
+    body = None  # the open expose region's body
+    for ins in circuit.instructions:
+        if body is not None:
+            if ins.name == "expose_end":
+                body = None
+            else:
+                body.append((ins.name, list(ins.qubits), list(ins.params)))
+        elif ins.name in LINKS and LINKS[ins.name].kind:
+            steps.append(_Step(LINKS[ins.name].kind, ins, ins.remote.peer_circuit_id,
                                ins.remote.sequence))
-        elif name == "remote_c_if":
-            steps.append(_Step("recv_bit", ins, ins.remote.peer_circuit_id,
-                               ins.remote.sequence, gate=ins.remote.gate_name))
-        elif name == "qsend":
-            steps.append(_Step("qsend", ins, ins.remote.peer_circuit_id,
-                               ins.remote.sequence))
-        elif name == "qrecv":
-            steps.append(_Step("qrecv", ins, ins.remote.peer_circuit_id,
-                               ins.remote.sequence))
-        elif name == "expose_begin":
-            body = []
-            j = i + 1
-            while j < len(instructions) and instructions[j].name != "expose_end":
-                marker = instructions[j]
-                body.append((marker.name, list(marker.qubits), list(marker.params)))
-                j += 1
-            if j == len(instructions):
-                raise DanglingProtocol(
-                    f"circuit {circuit.id!r}: unterminated expose region")
-            steps.append(_Step("expose", ins, ins.remote.peer_circuit_id,
-                               ins.remote.sequence, control=ins.qubits[0],
-                               body=body))
-            i = j  # skip to expose_end
+            if ins.name == "expose_begin":
+                body = steps[-1].body
         else:
             steps.append(_Step("local", ins))
-        i += 1
+    if body is not None:
+        raise DanglingProtocol(f"circuit {circuit.id!r}: unterminated expose region")
     return steps
 
 
@@ -244,7 +225,7 @@ def merge_circuits(parts: list[Circuit]) -> MergePlan:
                     continue  # stall until the matching send is emitted
                 sbit = sent_bits.pop(key)
                 emitted.append(Instruction(
-                    step.gate, [q_of(i, q) for q in step.ins.qubits],
+                    step.ins.remote.gate_name, [q_of(i, q) for q in step.ins.qubits],
                     [sbit], list(step.ins.params)))
                 plan.pairings.append(("classical", step.peer, ids[i], step.seq))
             elif step.kind in ("qsend", "qrecv"):
@@ -271,7 +252,7 @@ def merge_circuits(parts: list[Circuit]) -> MergePlan:
                 j = index_of[step.peer]
                 body = [(gate, [q_of(j, q) for q in qubits], params)
                         for gate, qubits, params in step.body]
-                emitted.extend(expand_telegate(plan, q_of(i, step.control), body))
+                emitted.extend(expand_telegate(plan, q_of(i, step.ins.qubits[0]), body))
                 plan.pairings.append(("telegate", ids[i], step.peer, step.seq))
             else:
                 raise AssertionError(step.kind)

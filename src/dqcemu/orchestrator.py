@@ -3,14 +3,15 @@
 qraise binds one listening socket per process, spawns the detached server
 processes (plus one executor for the quantum model) in one round, each on the
 socket it inherits, waits for each one's first `status` reply, records
-everything in the registry and prints the endpoints. Resource flags (-c,
---mem-per-qpu, --n_nodes) are parsed and recorded but advisory at desk scale;
---n_nodes also sizes the simulated node-label cycle used by the SDK's on-node
-filter.
+everything in the registry and prints the endpoints. -c and --mem-per-qpu are
+accepted for CUNQA command-line compatibility and ignored; --n_nodes only
+sizes the simulated node-label cycle used by the SDK's on-node filter. qdrop
+removes each dropped process's log when it is empty.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -258,6 +259,11 @@ def qdrop(selector: str, quiet: bool = False) -> int:
             except (ChildProcessError, OSError):
                 pass
             count += 1
+    for entry in targets:  # a log that holds something (a traceback) stays
+        log = home / "logs" / f"{entry.vqpu_id}.log"
+        with contextlib.suppress(FileNotFoundError):
+            if log.stat().st_size == 0:
+                log.unlink()
     if not quiet:
         print(f"qdrop: terminated {count} process(es)")
     return count

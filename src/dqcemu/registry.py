@@ -119,7 +119,18 @@ def remove_entries(predicate, home: Path | None = None) -> list[RegistryEntry]:
 
 
 def pid_alive(pid: int) -> bool:
-    """True while a process with this pid exists, ours or not."""
+    """True while a process with this pid runs, ours or not. A zombie (an
+    exited process nobody has reaped yet) reads as dead: its state, the field
+    after the last ")" of /proc/<pid>/stat, is Z or X. Where /proc is absent,
+    os.kill(pid, 0) decides, and it cannot tell a zombie apart."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rpartition(b")")[2].split()[0] not in (b"Z", b"X")
+    except (FileNotFoundError, ProcessLookupError):
+        if os.path.isdir("/proc/self"):  # /proc is there: no such process
+            return False
+    except OSError:
+        pass
     try:
         os.kill(pid, 0)
     except ProcessLookupError:

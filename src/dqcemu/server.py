@@ -320,9 +320,9 @@ class VqpuServer(FramedService):
         config = self.config
         circuit = task.circuit
         violations = validate(circuit, config.backend)
-        if circuit.has_quantum_link() and config.comm_mode != "quantum":
+        if circuit.has_link("quantum") and config.comm_mode != "quantum":
             violations.append(_mode_violation(config.comm_mode, "quantum link"))
-        if (circuit.has_classical_link() and task.part_k is None
+        if (circuit.has_link("classical") and task.part_k is None
                 and config.comm_mode != "classical"):
             violations.append(_mode_violation(config.comm_mode, "classical link"))
         if violations:
@@ -345,7 +345,7 @@ class VqpuServer(FramedService):
             return self._forward_part(task, circuit, seed, queue_wait)
 
         endpoint = hooks = None
-        if circuit.has_classical_link():
+        if circuit.has_link("classical"):
             if not task.plan:
                 raise ValidationFailed(
                     ["distributed circuit submitted without a channel plan"])

@@ -4,7 +4,7 @@ Endianness: little-endian (qubit 0 = bit 0 of the basis-state index = LSB).
 All mutating operations preserve the norm to within 1e-12.
 
 Gates act on reshape views of the amplitudes, never through index arrays,
-as their kernel class in ``gates.KERNEL_CLASS`` says; a run of consecutive
+as their kernel class in ``gates.GATES`` says; a run of consecutive
 diagonal gates is one pass (README: Simulation engine). A state may leave
 out qubits that are in known basis states (`Fold`, README: Folded qubits).
 """
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QubitOutOfRange, ZeroNorm
-from .gates import CONTROLLED_TARGET, KERNEL_CLASS, gate_matrix
+from .gates import GATES, gate_matrix
 
 _NORM_TOL = 1e-12
 #: a one-qubit dense gate on a qubit below BLOCK_QUBITS of a state at least
@@ -140,9 +140,9 @@ def _kernel(num_qubits: int, name: str, qubits, mat: np.ndarray
             ) -> Callable[[np.ndarray], None]:
     """The in-place kernel of one gate that is not diagonal."""
     shape, index = _slices(num_qubits, qubits)
-    kind = KERNEL_CLASS[name]
+    kind = GATES[name].kernel
     if kind == "controlled":  # the target's kernel on the control = 1 half
-        kind, mat, index = KERNEL_CLASS[CONTROLLED_TARGET[name]], mat[2:, 2:], index[2:]
+        kind, mat, index = GATES[GATES[name].target].kernel, mat[2:, 2:], index[2:]
     if kind == "permutation":  # the two basis states the matrix exchanges
         fn, args = _swap, tuple(index[k] for k in np.flatnonzero(np.diag(mat) == 0))
     elif len(qubits) == 2:  # the dense target of a controlled gate
@@ -304,7 +304,7 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None
     kernels, run, high = [], [], set()
     for name, qubits, params in gates:
         mat = _resolve(num_qubits, name, qubits, params)
-        diagonal, above = KERNEL_CLASS[name] == "diagonal", {q for q in qubits if q >= low}
+        diagonal, above = GATES[name].kernel == "diagonal", {q for q in qubits if q >= low}
         if run and not (diagonal and len(high | above) <= PHASE_HIGH_QUBITS):
             kernels.append(_phase_pass(fold, run))
             run, high = [], set()

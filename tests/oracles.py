@@ -23,7 +23,7 @@ import numpy as np
 from dqcemu import engine
 from dqcemu.circuit import Circuit
 from dqcemu.errors import EmulatorError, UnsupportedInstruction
-from dqcemu.gates import DISTRIBUTED, GATE_ARITY, gate_matrix
+from dqcemu.gates import DISTRIBUTED, GATES, gate_matrix
 from dqcemu.statevector import (
     StateVector,
     compile_gate,
@@ -243,7 +243,7 @@ def random_unitary_circuit(rng: np.random.Generator, num_qubits: int,
         else:
             name = one_q[rng.integers(len(one_q))]
             qubits = [int(rng.integers(num_qubits))]
-        _, n_params = GATE_ARITY[name]
+        n_params = GATES[name].params
         params = [float(rng.uniform(-2 * np.pi, 2 * np.pi))
                   for _ in range(n_params)]
         c.append(name, [int(q) for q in qubits], params=params)

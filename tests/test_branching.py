@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcemu import engine, executor
+from dqcemu import engine, executor, gates
 from dqcemu.algorithms import QpeConfig, build_distributed_qpe, build_qpe
 from dqcemu.circuit import Circuit
 from dqcemu.errors import ZeroNorm
-from dqcemu.gates import GATE_ARITY, KERNEL_CLASS
 from dqcemu.statevector import StateVector, collapse, sample_outcomes
 
 from oracles import (
@@ -24,7 +23,7 @@ from oracles import (
     sampled_admissible,
 )
 
-GATES = sorted(g for g, (arity, _) in GATE_ARITY.items() if arity <= 2)
+GATES = sorted(g for g, gate in gates.GATES.items() if gate.qubits <= 2)
 
 
 @st.composite
@@ -49,8 +48,8 @@ def mid_circuit_programs(draw, linked=False):
             c.remote_c_if(draw(st.sampled_from(["x", "z", "h"])), q, "peer")
         else:
             name = draw(st.sampled_from(GATES if n > 1 else
-                                        [g for g in GATES if GATE_ARITY[g][0] == 1]))
-            arity, n_params = GATE_ARITY[name]
+                                        [g for g in GATES if gates.GATES[g].qubits == 1]))
+            arity, n_params = gates.GATES[name].qubits, gates.GATES[name].params
             qubits = [q] if arity == 1 else draw(st.permutations(range(n)))[:2]
             params = [draw(st.floats(-7, 7)) for _ in range(n_params)]
             if kind == "c_if":
@@ -95,8 +94,8 @@ def terminal_programs(draw):
             measured.add(q)
             continue
         name = draw(st.sampled_from(GATES if len(free) > 1 else
-                                    [g for g in GATES if GATE_ARITY[g][0] == 1]))
-        arity, n_params = GATE_ARITY[name]
+                                    [g for g in GATES if gates.GATES[g].qubits == 1]))
+        arity, n_params = gates.GATES[name].qubits, gates.GATES[name].params
         qubits = draw(st.permutations(free))[:arity]
         c.append(name, qubits, params=[draw(st.floats(-7, 7)) for _ in range(n_params)])
     return c
@@ -110,7 +109,7 @@ def sampled_width(circuit) -> int:
     out lies below one held."""
     held = set(range(min(circuit.num_qubits, engine.START_WIDTH))) | {
         q for ins in circuit.instructions if ins.name not in ("measure", "x")
-        and KERNEL_CLASS[ins.name] != "diagonal" for q in ins.qubits}
+        and gates.GATES[ins.name].kernel != "diagonal" for q in ins.qubits}
     left = set(range(circuit.num_qubits)) - held
     measured = any(ins.name == "measure" for ins in circuit.instructions)
     if measured and left and min(left) < len(held):

@@ -9,7 +9,7 @@ from dqcemu import engine
 from dqcemu.circuit import Circuit
 from dqcemu.engine import ChannelHooks
 from dqcemu.errors import ChannelTimeout, UnsupportedInstruction, WidthExceeded
-from dqcemu.gates import GATE_ARITY
+from dqcemu.gates import GATES
 
 from oracles import (
     chi2_exact_pvalue,
@@ -193,7 +193,7 @@ def test_run_once_matches_the_reference_through_low_qubit_blocks():
     for layer in range(6):
         for q in range(7):
             name = dense[(layer + q) % 5]
-            c.append(name, [q], params=rng.uniform(-7, 7, GATE_ARITY[name][1]).tolist())
+            c.append(name, [q], params=rng.uniform(-7, 7, GATES[name].params).tolist())
         c.cx(layer % 7, (layer + 3) % 7)
         c.measure(layer % 5, layer % 3)
         c.c_if("h", [(layer + 1) % 5], layer % 3)
@@ -295,8 +295,8 @@ def folding_programs(draw, mid_circuit: bool = True, widths=(1, 7)):
             c.reset(draw(st.integers(0, n - 1)))
             continue
         names = KEEP if kind == "keep" else ACTIVATE if kind == "activate" else KEEP + ACTIVATE
-        name = draw(st.sampled_from([g for g in names if GATE_ARITY[g][0] <= len(free)]))
-        arity, n_params = GATE_ARITY[name]
+        name = draw(st.sampled_from([g for g in names if GATES[g].qubits <= len(free)]))
+        arity, n_params = GATES[name].qubits, GATES[name].params
         top = draw(st.booleans())  # the highest free qubits first
         qubits = (sorted(free, reverse=True)[:arity] if top
                   else draw(st.permutations(free))[:arity])

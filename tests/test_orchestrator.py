@@ -141,6 +141,19 @@ def test_dropped_family_leaves_no_tmp_file(cunqa_home):
     assert list((cunqa_home / "tmp").iterdir()) == []
 
 
+def test_dropped_family_leaves_no_empty_log(cunqa_home):
+    fam = qraise(n=2, ttl="00:01:00", quantum_comm=True, quiet=True)
+    logs = cunqa_home / "logs"
+    assert len([p for p in logs.iterdir() if p.name.startswith(fam)]) == 3
+    assert qdrop(fam, quiet=True) == 3
+    assert [p for p in logs.iterdir() if p.name.startswith(fam)] == []
+    # a log that holds something, e.g. a failure's traceback, is kept
+    kept = qraise(n=1, ttl="00:01:00", quiet=True)
+    (logs / f"{kept}-0.log").write_text("Traceback ...\n")
+    assert qdrop(kept, quiet=True) == 1
+    assert [p.name for p in logs.iterdir()] == [f"{kept}-0.log"]
+
+
 def test_spawned_processes_run_one_blas_thread(raise_family, monkeypatch):
     """The thread variables are 1 whatever the caller's environment says."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
@@ -249,10 +262,6 @@ def test_qinfo_prunes_dead_processes(raise_family):
     os.kill(entries[0].pid, signal.SIGKILL)
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
-        try:
-            os.waitpid(entries[0].pid, os.WNOHANG)
-        except OSError:
-            pass
         rows = qinfo(family=fam)
         if len(rows) == 1:
             break

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dqcemu import statevector
 from dqcemu.errors import QubitOutOfRange, ZeroNorm
-from dqcemu.gates import GATE_ARITY, KERNEL_CLASS
+from dqcemu.gates import GATES
 from dqcemu.statevector import (
     GateOp,
     StateVector,
@@ -77,9 +77,9 @@ def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 def test_two_qubit_gates_any_orientation():
     # every ordered pair of 4 qubits: qa > qb, adjacent, 0 and n-1
     rng = np.random.default_rng(5)
-    for name in (g for g, (arity, _) in GATE_ARITY.items() if arity == 2):
+    for name in (g for g, gate in GATES.items() if gate.qubits == 2):
         for qubits in itertools.permutations(range(4), 2):
-            params = [1.3] * GATE_ARITY[name][1]
+            params = [1.3] * GATES[name].params
             start = random_state(rng, 4)
             s = StateVector(4, start.copy())
             apply_gate(s, GateOp(name, qubits, tuple(params)))
@@ -89,8 +89,8 @@ def test_two_qubit_gates_any_orientation():
 
 @st.composite
 def gate_on_state(draw):
-    name = draw(st.sampled_from(sorted(GATE_ARITY)))
-    arity, n_params = GATE_ARITY[name]
+    name = draw(st.sampled_from(sorted(GATES)))
+    arity, n_params = GATES[name].qubits, GATES[name].params
     n = draw(st.integers(arity, 10))
     qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity,
                                  max_size=arity, unique=True)))
@@ -110,7 +110,7 @@ def test_every_gate_matches_dense_oracle(case):
     assert np.allclose(s.amplitudes, oracle, atol=1e-12)
 
 
-DENSE = sorted(g for g, kind in KERNEL_CLASS.items() if kind == "dense")
+DENSE = sorted(g for g, gate in GATES.items() if gate.kernel == "dense")
 
 
 @pytest.mark.parametrize("rows", [statevector.BLOCK_ROWS, 2])
@@ -124,7 +124,7 @@ def test_dense_kernels_on_every_qubit(name, n, rows):
     rng = np.random.default_rng(n * 101 + rows)
     with mock.patch.object(statevector, "BLOCK_ROWS", rows):
         for q in range(n):
-            params = tuple(rng.uniform(-2 * np.pi, 2 * np.pi, GATE_ARITY[name][1]))
+            params = tuple(rng.uniform(-2 * np.pi, 2 * np.pi, GATES[name].params))
             start = random_state(rng, n)
             s = StateVector(n, start.copy())
             apply_gate(s, GateOp(name, (q,), params))
@@ -133,7 +133,7 @@ def test_dense_kernels_on_every_qubit(name, n, rows):
             assert abs(s.norm() - 1.0) <= 1e-12
 
 
-DIAGONAL = sorted(g for g, kind in KERNEL_CLASS.items() if kind == "diagonal")
+DIAGONAL = sorted(g for g, gate in GATES.items() if gate.kernel == "diagonal")
 
 
 @st.composite
@@ -142,12 +142,12 @@ def gate_runs(draw):
     PHASE_LOW_QUBITS and more high qubits than PHASE_HIGH_QUBITS, and a
     sequence of gates, mostly diagonal, two-qubit ones in either order."""
     n = draw(st.integers(1, 14))
-    diagonal = [g for g in DIAGONAL if GATE_ARITY[g][0] <= n]
-    other = [g for g in ("h", "x", "ry", "cx", "swap") if GATE_ARITY[g][0] <= n]
+    diagonal = [g for g in DIAGONAL if GATES[g].qubits <= n]
+    other = [g for g in ("h", "x", "ry", "cx", "swap") if GATES[g].qubits <= n]
     gates = []
     for _ in range(draw(st.integers(1, 30))):
         name = draw(st.sampled_from(other if draw(st.integers(0, 4)) == 0 else diagonal))
-        arity, n_params = GATE_ARITY[name]
+        arity, n_params = GATES[name].qubits, GATES[name].params
         qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity,
                                      max_size=arity, unique=True)))
         params = tuple(draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi),
@@ -182,7 +182,7 @@ def test_phase_pass_keeps_the_order_of_a_gates_qubits(name):
     than PHASE_LOW_QUBITS."""
     low = statevector.PHASE_LOW_QUBITS
     rng = np.random.default_rng(23)
-    params = (1.1,) * GATE_ARITY[name][1]
+    params = (1.1,) * GATES[name].params
     for n, a, b in [(14, 2, 7), (14, 3, low + 1), (14, low, low + 2), (14, 0, 13),
                     (9, 2, 7), (low, 0, low - 1)]:
         for qubits in ((a, b), (b, a)):
