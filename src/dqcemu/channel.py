@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .engine import ChannelHooks
-from .errors import ChannelTimeout, EpochMismatch, JobAborted, PeerUnreachable
+from .errors import ChannelTimeout, EpochMismatch, PeerUnreachable
 
 DEFAULT_RECV_TIMEOUT_MS = 30_000
 
@@ -55,7 +55,6 @@ class ChannelEndpoint:
         self._transport = transport
         self._cond = threading.Condition()
         self._queues: dict[str, deque[BitMessage]] = {}
-        self._aborted = False
 
     # inbound path, fed by the transport reader
     def deliver(self, msg: BitMessage) -> None:
@@ -63,17 +62,10 @@ class ChannelEndpoint:
             self._queues.setdefault(msg.src_circuit, deque()).append(msg)
             self._cond.notify_all()
 
-    def abort(self) -> None:
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
-
     def send_bit(self, msg: BitMessage) -> None:
         if msg.src_circuit != self.local_circuit:
             raise ValueError(
                 f"endpoint {self.local_circuit!r} cannot send as {msg.src_circuit!r}")
-        if self._aborted:
-            raise JobAborted(f"channel for {self.local_circuit!r} is aborted")
         if msg.dst_circuit not in self.peer_map:
             raise PeerUnreachable(f"no address for peer {msg.dst_circuit!r}")
         self._transport.send(self.peer_map[msg.dst_circuit], msg)
@@ -82,9 +74,6 @@ class ChannelEndpoint:
         deadline = time.monotonic() + self.recv_timeout_ms / 1000.0
         with self._cond:
             while True:
-                if self._aborted:
-                    raise JobAborted(
-                        f"channel for {self.local_circuit!r} is aborted")
                 q = self._queues.get(from_circuit)
                 if q:
                     msg = q.popleft()
@@ -140,24 +129,13 @@ class InMemoryHub:
         ep.deliver(msg)
 
 
-def establish(job_plan: dict[str, object], local_circuit: str | None = None,
-              transport=None,
+def establish(job_plan: dict[str, object], transport: InMemoryHub | None = None,
               recv_timeout_ms: int = DEFAULT_RECV_TIMEOUT_MS):
-    """Create channel endpoints for a job plan (circuit id -> address).
-
-    With `local_circuit` set, returns that participant's single endpoint
-    bound to the given transport (required). Without it, returns a dict of
-    endpoints for every participant wired through one in-memory hub, for
-    single-process runs. Idempotent per job: endpoints connect lazily.
+    """Endpoints for every participant of a job plan (circuit id ->
+    address), by circuit id, wired through one in-memory hub (`transport`,
+    or a new one), for single-process runs. Endpoints connect lazily.
     """
-    if local_circuit is not None:
-        if transport is None:
-            raise ValueError("a transport is required for a single endpoint")
-        peers = {cid: addr for cid, addr in job_plan.items()
-                 if cid != local_circuit}
-        return ChannelEndpoint(local_circuit, peers, transport, recv_timeout_ms)
-
-    hub = transport if isinstance(transport, InMemoryHub) else InMemoryHub()
+    hub = transport or InMemoryHub()
     endpoints = {}
     for cid in job_plan:
         peers = {other: other for other in job_plan if other != cid}

@@ -20,7 +20,7 @@ def qraise_main(argv=None) -> int:
     parser.add_argument("--backend", default=None,
                         help="path to a backend JSON description")
     parser.add_argument("--sim", default="statevector",
-                        help="simulator engine identifier")
+                        help="simulator engine (only statevector is supported)")
     parser.add_argument("--classical_comm", action="store_true",
                         help="enable classical communications for the family")
     parser.add_argument("--quantum_comm", action="store_true",
@@ -41,8 +41,7 @@ def qraise_main(argv=None) -> int:
         qraise(n=args.n, ttl=args.ttl, backend=args.backend, sim=args.sim,
                classical_comm=args.classical_comm,
                quantum_comm=args.quantum_comm, co_located=args.co_located,
-               name=args.name, cores=args.cores, mem_per_qpu=args.mem_per_qpu,
-               n_nodes=args.n_nodes, noise_prop=args.noise_prop)
+               name=args.name, n_nodes=args.n_nodes, noise_prop=args.noise_prop)
     except (EmulatorError, ValueError) as exc:
         print(f"qraise: {exc}", file=sys.stderr)
         return 1

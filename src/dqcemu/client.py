@@ -33,9 +33,15 @@ from .errors import (
     UnknownPeerId,
     ValidationFailed,
 )
-from .protocol import RESULT_WAIT_MAX_MS, ConnectionClosed, connect, parse_address, request
+from .protocol import (
+    RESULT_WAIT_MAX_MS,
+    ConnectionClosed,
+    ResultRecord,
+    connect,
+    parse_address,
+    request,
+)
 from .registry import RegistryEntry, pid_alive
-from .server import ResultRecord
 from .wire import circuit_to_obj
 
 _STATE_RANK = {"submitted": 0, "running": 1, "done": 2, "failed": 2}

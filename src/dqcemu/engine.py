@@ -35,7 +35,8 @@ from .statevector import (
     sample_outcomes,
 )
 
-DEFAULT_MAX_QUBITS = 26
+MAX_QUBITS = 26  # the widest circuit the engine runs
+NAME = "statevector"  # the engine a result's metadata names
 RNG_ALGORITHM = "pcg64"
 #: bytes one chunk of shots may hold beyond its first state: at most half
 #: for its shots' uniforms, the rest for live states. A chunk starts with as
@@ -437,7 +438,6 @@ def fresh_seed() -> int:
 
 def run_branched(circuit, shots: int, seed=None,
                  hooks: ChannelHooks | None = None,
-                 max_qubits: int = DEFAULT_MAX_QUBITS,
                  outputs: int | None = None) -> tuple[dict[str, int], dict]:
     """Counts over the first `outputs` clbits (all by default) of `shots`
     shots, and the walk's counters: the peak number of live branches, the
@@ -458,11 +458,11 @@ def run_branched(circuit, shots: int, seed=None,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if circuit.num_qubits > max_qubits:
+    if circuit.num_qubits > MAX_QUBITS:
         raise WidthExceeded(
-            f"circuit needs {circuit.num_qubits} qubits, engine cap is {max_qubits}")
+            f"circuit needs {circuit.num_qubits} qubits, engine cap is {MAX_QUBITS}")
     if seed is None:
-        seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFF
+        seed = fresh_seed()
 
     prog, hooks = _compile(circuit, outputs), hooks or null_hooks()
     linked = prog.solo < len(prog.walked)
@@ -544,14 +544,12 @@ def run_branched(circuit, shots: int, seed=None,
             {"peak_branches": peak, "chunks": chunks, "state_qubits": prog.widest})
 
 
-def run_sampled(circuit, shots: int, seed=None,
-                max_qubits: int = DEFAULT_MAX_QUBITS) -> dict[str, int]:
+def run_sampled(circuit, shots: int, seed=None) -> dict[str, int]:
     """Counts over every clbit of `shots` shots, as `run_branched` gives them."""
-    return run_branched(circuit, shots, seed, max_qubits=max_qubits)[0]
+    return run_branched(circuit, shots, seed)[0]
 
 
 def run_shot_loop(circuit, shots: int, seed=None,
-                  hooks: ChannelHooks | None = None,
-                  max_qubits: int = DEFAULT_MAX_QUBITS) -> dict[str, int]:
+                  hooks: ChannelHooks | None = None) -> dict[str, int]:
     """Counts over every clbit of `shots` shots, as `run_branched` gives them."""
-    return run_branched(circuit, shots, seed, hooks, max_qubits)[0]
+    return run_branched(circuit, shots, seed, hooks)[0]

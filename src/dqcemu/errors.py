@@ -77,10 +77,6 @@ class PeerUnreachable(EmulatorError):
     pass
 
 
-class JobAborted(EmulatorError):
-    pass
-
-
 class ChannelTimeout(EmulatorError):
     pass
 
@@ -207,7 +203,7 @@ ERROR_CODES = {
         UnknownGate, ArityMismatch, QubitOutOfRange, ZeroNorm,
         UnsupportedInstruction, WidthExceeded, WidthMismatch, StraddlingGate,
         IndexOutOfRange, SelfLink, EmptyBody, NotSupported,
-        PeerUnreachable, JobAborted, ChannelTimeout, EpochMismatch,
+        PeerUnreachable, ChannelTimeout, EpochMismatch,
         BindFailure, QueueFull, UnknownJob, NoParamSlots, Evicted,
         DanglingProtocol, MergeDeadlock, DuplicateId, CommQubitCollision,
         CommModeMismatch, InvalidState, NotEnoughQpus, UnknownPeerId,

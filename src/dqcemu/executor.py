@@ -10,7 +10,8 @@ cat-disentangler). Protocol measurements land in scratch clbits that are
 stripped from the aggregated counts, so the result looks as if the whole
 circuit ran on a single vQPU.
 
-Run as a process with ``python -m dqcemu.executor --config <json-file>``.
+Run as a process with ``python -m dqcemu.executor --config <json-file>``, the
+file holding a `protocol.ServiceConfig`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from . import engine
-from .backend import BackendSpec, backend_from_obj, default_backend, validate
+from .backend import validate
 from .circuit import Circuit, Instruction
 from .errors import (
     CommQubitCollision,
@@ -32,8 +32,15 @@ from .errors import (
     ValidationFailed,
 )
 from .gates import LINKS
-from .protocol import FramedService, Job, error_code, error_frame
-from .server import ResultRecord
+from .protocol import (
+    FramedService,
+    Job,
+    ResultRecord,
+    ServiceConfig,
+    error_code,
+    error_frame,
+    run_job,
+)
 
 PART_TIMEOUT_S = 60.0
 
@@ -277,44 +284,19 @@ def merge_circuits(parts: list[Circuit]) -> MergePlan:
     return plan
 
 
-def execute_merged(plan: MergePlan, shots: int, seed=None, job_id: str = "",
-                   max_qubits: int = engine.DEFAULT_MAX_QUBITS) -> ResultRecord:
+def execute_merged(plan: MergePlan, shots: int, seed=None,
+                   job_id: str = "") -> ResultRecord:
     """Run the merged circuit and count the user clbits only: the protocol
     scratch bits are no output, so they die after their last read."""
     if plan.merged is None:
         raise ValueError("plan is not expanded; call merge_circuits first")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    t0 = time.perf_counter()
-    counts, counters = engine.run_branched(plan.merged, shots, seed=seed,
-                                           max_qubits=max_qubits,
-                                           outputs=plan.user_clbits)
-    elapsed = time.perf_counter() - t0
-    return ResultRecord(
-        job_id=job_id, counts=counts, time_taken=elapsed,
-        metadata={"seed": seed, "engine": "statevector", "shots": shots,
-                  "rng": engine.RNG_ALGORITHM, "merged_qubits": plan.total_qubits,
-                  "parts": [c.id for c, _, _ in plan.parts], **counters})
+    record = run_job(job_id, plan.merged, shots, seed, outputs=plan.user_clbits)
+    record.metadata.update(merged_qubits=plan.total_qubits,
+                           parts=[c.id for c, _, _ in plan.parts])
+    return record
 
 
 # -- executor server ---------------------------------------------------------
-
-
-@dataclass
-class ExecutorConfig:
-    family: str
-    listen_address: str = "127.0.0.1:0"
-    ttl_seconds: int = 0
-    executor_id: str = ""
-    max_qubits: int = engine.DEFAULT_MAX_QUBITS
-    listen_fd: int = -1  # an inherited listening socket, else bind listen_address
-    backend: BackendSpec = field(default_factory=default_backend)  # the family's
-
-    def __post_init__(self):
-        if not self.executor_id:
-            self.executor_id = f"{self.family}-executor"
-        if isinstance(self.backend, dict):  # read from a config file
-            self.backend = backend_from_obj(self.backend)
 
 
 @dataclass
@@ -324,7 +306,6 @@ class _Parts:
     k: int
     first_at: float  # when the first part arrived
     parts: dict[int, tuple[Circuit, int, int | None]] = field(default_factory=dict)
-    enqueued_at: float = 0.0
 
 
 class ExecutorServer(FramedService):
@@ -338,11 +319,10 @@ class ExecutorServer(FramedService):
     PartsTimeout once PART_TIMEOUT_S have passed since its first part, seen
     as frames arrive, and with Expired when a drain starts."""
 
-    config_type = ExecutorConfig
     work_frames = ("run",)
 
-    def __init__(self, config: ExecutorConfig):
-        super().__init__(config, config.executor_id)
+    def __init__(self, config: ServiceConfig):
+        super().__init__(config)
         self._assembling: dict[str, _Parts] = {}  # first part first
 
     def _queued(self) -> int:
@@ -359,7 +339,7 @@ class ExecutorServer(FramedService):
         Expired now instead of at PART_TIMEOUT_S."""
         with self._settled:
             self._fail_assembling("Expired", math.inf,
-                                  f"before {self.service_id} shut down")
+                                  f"before {self.config.service_id} shut down")
 
     def _fail_assembling(self, code: str, first_before: float, when: str) -> None:
         """Fail the jobs still missing parts whose first part arrived before
@@ -380,7 +360,8 @@ class ExecutorServer(FramedService):
             return error_frame("SchemaViolation",
                                "a part's config needs k >= 2 and 0 <= index < k")
         if self._draining:  # _refuse_pending fails the jobs already here
-            return error_frame("Expired", f"{self.service_id} is shutting down")
+            return error_frame("Expired",
+                               f"{self.config.service_id} is shutting down")
         parts = self._assembling.get(job_id)
         if parts is None:
             parts = self._assembling[job_id] = _Parts(job_id, k, time.monotonic())
@@ -401,7 +382,6 @@ class ExecutorServer(FramedService):
         parts.parts[index] = (circuit, config["shots"], config.get("seed"))
         if len(parts.parts) < k:
             return {"type": "ack", "job_id": job_id}
-        parts.enqueued_at = time.monotonic()
         reply = self._queue(parts)
         if reply["type"] == "ack":
             del self._assembling[job_id]
@@ -414,14 +394,9 @@ class ExecutorServer(FramedService):
         if len(shots) != 1:
             raise EmulatorError(
                 f"parts of job {job.job_id!r} disagree on shots: {sorted(shots)}")
-        seed = job.parts[0][2]
-        queue_wait = time.monotonic() - job.enqueued_at
         plan = merge_circuits([job.parts[i][0] for i in range(job.k)])
-        record = execute_merged(
-            plan, shots.pop(), seed=engine.fresh_seed() if seed is None else seed,
-            job_id=job.job_id, max_qubits=self.config.max_qubits)
-        record.metadata["queue_wait"] = queue_wait
-        return record
+        return execute_merged(plan, shots.pop(), seed=job.parts[0][2],
+                              job_id=job.job_id)
 
 
 if __name__ == "__main__":

@@ -2,13 +2,14 @@
 
 qraise binds one listening socket per process, spawns the detached server
 processes (plus, for the quantum model, one executor that runs each
-program's parts as one job) in one round, each on the socket it inherits,
-waits for each one's first `status` reply, records everything in the
-registry, each vQPU's row naming its executor, and prints the endpoints.
--c and --mem-per-qpu are accepted for CUNQA command-line compatibility and
-ignored; --n_nodes only sizes the simulated node-label cycle used by the
-SDK's on-node filter. qdrop removes each dropped process's log when it is
-empty.
+program's parts as one job) in one round, each from a
+`protocol.ServiceConfig` naming the socket it inherits, waits for each
+one's first `status` reply, records everything in the registry, each
+vQPU's row naming its executor, and prints the endpoints. The qraise
+command accepts -c and --mem-per-qpu for CUNQA command-line compatibility
+and ignores them; --n_nodes only sizes the simulated node-label cycle used
+by the SDK's on-node filter. qdrop removes each dropped process's log when
+it is empty.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import subprocess
 import sys
 import time
 import uuid
-from dataclasses import asdict
 from pathlib import Path
 
-from . import registry
+from . import engine, registry
 from .backend import load_backend
 from .errors import (
     ConflictingFlags,
@@ -33,7 +33,7 @@ from .errors import (
     NotSupported,
     PortExhausted,
 )
-from .protocol import ConnectionClosed, _Server, connect, request
+from .protocol import ConnectionClosed, ServiceConfig, _Server, connect, request
 from .registry import RegistryEntry, pid_alive
 
 SPAWN_WAIT_S = 10.0
@@ -98,20 +98,25 @@ def _probe_status(host: str, port: int, timeout: float = PROBE_TIMEOUT_S):
 
 
 def _not_ready(proc_id: str, proc: subprocess.Popen) -> PortExhausted:
-    """The error for a spawned process that never answered `status`."""
+    """The error for a spawned process that never answered `status`; one
+    that exited is named with the last line of its log."""
     try:
         code = proc.wait(timeout=1.0)  # a closed port: it is exiting
     except subprocess.TimeoutExpired:
         return PortExhausted(
             f"{proc_id} did not answer status within {SPAWN_WAIT_S:.0f} s")
+    try:
+        log = registry.cunqa_home() / "logs" / f"{proc_id}.log"
+        last = log.read_text(errors="replace").strip().rpartition("\n")[2]
+    except OSError as exc:
+        last = f"its log cannot be read ({exc})"
     return PortExhausted(f"{proc_id} exited with code {code} before answering "
-                         f"status; see its log for details")
+                         f"status: {last or 'its log is empty'}")
 
 
 def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector",
            classical_comm: bool = False, quantum_comm: bool = False,
            co_located: bool = False, name: str | None = None,
-           cores: int | None = None, mem_per_qpu: str | None = None,
            n_nodes: int | None = None, noise_prop: str | None = None,
            quiet: bool = False) -> str:
     """Spawn a family of n vQPUs (and, for the quantum model, an executor
@@ -124,6 +129,9 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
             "--classical_comm and --quantum_comm are mutually exclusive")
     if noise_prop is not None:
         raise NotSupported("--noise-prop is unsupported in this build")
+    if sim != engine.NAME:
+        raise NotSupported(f"--sim {sim} is unsupported in this build: the "
+                           f"only simulator is {engine.NAME}")
     ttl_seconds = parse_ttl(ttl)
     comm_mode = ("classical" if classical_comm
                  else "quantum" if quantum_comm else "none")
@@ -139,12 +147,12 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
 
     env = dict(os.environ)
     env["CUNQA_HOME"] = str(home)
+    # the processes import the dqcemu this one runs, on sys.path or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(__file__).resolve().parents[1]), env.get("PYTHONPATH"))))
     # each process simulates on one thread: a BLAS thread pool only slows
     # its start and contends with the other processes (README: Simulation engine)
     env.update(dict.fromkeys(SPAWN_THREAD_VARS, "1"))
-
-    from .server import VqpuConfig  # local import: avoid cycles at module load
-    from .executor import ExecutorConfig
 
     # qraise binds every listening socket and each process inherits its own:
     # all endpoints, the executor's included, are known before any process
@@ -161,19 +169,17 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
             for _ in range(n + quantum)]
         addresses = [sock.getsockname()[:2] for sock in socks]
         executor_endpoint = "%s:%d" % addresses[0] if quantum else None
-        if quantum:
-            exec_id = f"{family}-executor"
-            members.append((exec_id, "dqcemu.executor", asdict(ExecutorConfig(
-                family=family, ttl_seconds=ttl_seconds, executor_id=exec_id,
-                listen_fd=socks[0].fileno(), backend=backend_spec)), "node0"))
-        for i, sock in enumerate(socks[quantum:]):
-            cfg = VqpuConfig(
-                family=family, index=i, backend=backend_spec,
-                comm_mode=comm_mode, ttl_seconds=ttl_seconds, simulator=sim,
-                vqpu_id=f"{family}-{i}", listen_fd=sock.fileno(),
-                backend_path=backend_path)
-            members.append((cfg.vqpu_id, "dqcemu.server", cfg.to_obj(),
-                            "node0" if co_located else f"node{i % node_cycle}"))
+        for i, sock in enumerate(socks):
+            vqpu = i - quantum  # the executor, when there is one, comes first
+            proc_id = f"{family}-{vqpu}" if vqpu >= 0 else f"{family}-executor"
+            cfg = ServiceConfig(
+                family=family, service_id=proc_id, backend=backend_spec,
+                comm_mode=comm_mode, ttl_seconds=ttl_seconds,
+                listen_fd=sock.fileno())
+            members.append((
+                proc_id, "dqcemu.server" if vqpu >= 0 else "dqcemu.executor",
+                cfg.to_obj(),
+                "node0" if co_located or vqpu < 0 else f"node{vqpu % node_cycle}"))
         for (proc_id, module, cfg, _node), sock in zip(members, socks):
             procs.append(_spawn(module, cfg, home, proc_id, env))
             sock.close()  # the process holds the only copy: its exit closes the port

@@ -1,6 +1,7 @@
 """Framed JSON wire protocol shared by vQPU servers, the executor, the
-classical channel and the client SDK, and the service skeleton both server
-processes are built on, job table included.
+classical channel and the client SDK, and the one service definition both
+server processes are built on: their config, their result record and the
+service skeleton, job table included.
 
 Frame = 4-byte big-endian payload length + UTF-8 JSON payload. Protocol
 messages carry a "type" field; classical-channel bit messages are bare
@@ -17,16 +18,18 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass, field
 
-from . import registry
+from . import engine, registry
+from .backend import BackendSpec, backend_from_obj, backend_to_obj, default_backend
 from .errors import BindFailure, EmulatorError, Evicted
 from .wire import circuit_from_obj
 
 _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 DRAIN_S = 10.0  # bound on the work a shutdown or TTL expiry waits for
-DEFAULT_QUEUE_SIZE = 64
+QUEUE_SIZE = 64  # tasks a service holds queued; past it `run` gets QueueFull
 #: cap on a `result` frame's wait_ms: how long it may wait for its job
 RESULT_WAIT_MAX_MS = 1000
 #: finished jobs whose result, error and kept task a service keeps; past it
@@ -99,6 +102,57 @@ def _evicted(job_id: str) -> dict:
 
 
 @dataclass
+class ServiceConfig:
+    """What a family process is started with: a vQPU and the executor alike.
+
+    The process listens on the socket inherited as fd `listen_fd` or, when
+    that is -1, on one it binds to `listen_address`. `backend` is the
+    family's, `comm_mode` is "none", "classical" or "quantum", and a
+    `ttl_seconds` of 0 means no expiry."""
+    family: str
+    service_id: str
+    backend: BackendSpec = field(default_factory=default_backend)
+    comm_mode: str = "none"
+    ttl_seconds: int = 0
+    listen_fd: int = -1
+    listen_address: str = "127.0.0.1:0"
+
+    def __post_init__(self):
+        if isinstance(self.backend, dict):  # read from a config file
+            self.backend = backend_from_obj(self.backend)
+
+    def to_obj(self) -> dict:
+        return {**asdict(self), "backend": backend_to_obj(self.backend)}
+
+
+@dataclass
+class ResultRecord:
+    job_id: str
+    counts: dict[str, int]
+    time_taken: float
+    metadata: dict = field(default_factory=dict)
+
+    def to_obj(self) -> dict:
+        return {"type": "result", "job_id": self.job_id, "counts": self.counts,
+                "time_taken": self.time_taken, "metadata": self.metadata}
+
+
+def run_job(job_id: str, circuit, shots: int, seed=None, hooks=None,
+            outputs: int | None = None) -> ResultRecord:
+    """Run `circuit` with `engine.run_branched` under `seed`, or a fresh one
+    when it is None. The record's `time_taken` is the engine run's; its
+    metadata names the seed, the engine, the RNG and the shots, and holds
+    the engine's counters."""
+    seed = engine.fresh_seed() if seed is None else seed
+    t0 = time.perf_counter()
+    counts, counters = engine.run_branched(circuit, shots, seed, hooks, outputs)
+    elapsed = time.perf_counter() - t0
+    return ResultRecord(job_id, counts, elapsed, {
+        "seed": seed, "engine": engine.NAME, "shots": shots,
+        "rng": engine.RNG_ALGORITHM, **counters})
+
+
+@dataclass
 class Job:
     """A row of the job table."""
     state: str  # assembling|queued|running|done|failed|evicted
@@ -136,16 +190,18 @@ class FramedService:
     """A long-lived framed-JSON TCP process: the vQPU and the executor.
 
     `start` serves every connection on a receiver thread, on the listening
-    socket inherited as fd `listen_fd` or, when that is -1, one bound to
-    `listen_address`, starts the `simulator` thread and the TTL timer.
+    socket its ServiceConfig names, starts the `simulator` thread and the
+    TTL timer.
 
     Both keep one job table. A `run` frame of a job id the table holds
     (but for one still assembling its parts) is acked again and runs
     nothing; any other is handed to `_take`, which queues a task with
     `_queue` or, on the executor, records one part. The `simulator` thread
-    runs the queued tasks one at a time with `_execute`. `result` answers a
-    job's result or error, waiting up to `wait_ms` for a pending one. Past
-    MAX_FINISHED_JOBS finished jobs the one that finished first is evicted.
+    runs the queued tasks one at a time with `_execute` and adds to each
+    result record the time its task waited in the queue (`queue_wait`).
+    `result` answers a job's result or error, waiting up to `wait_ms` for a
+    pending one. Past MAX_FINISHED_JOBS finished jobs the one that finished
+    first is evicted.
 
     Each frame is answered by `handlers[frame type]`, frames without a type
     by `handlers[None]` where there is one; a reply of None sends nothing. A
@@ -162,13 +218,10 @@ class FramedService:
     service stops.
     """
 
-    config_type: type
     work_frames: tuple[str, ...] = ()
 
-    def __init__(self, config, service_id: str,
-                 queue_size: int = DEFAULT_QUEUE_SIZE):
+    def __init__(self, config: ServiceConfig):
         self.config = config
-        self.service_id = service_id
         self.handlers = {"status": self._handle_status,
                          "shutdown": self._handle_shutdown,
                          "run": self._handle_run, "result": self._handle_result}
@@ -180,7 +233,7 @@ class FramedService:
         self._work_changed = threading.Condition()
         self._shutdown = threading.Event()
         self._tcp: _Server | None = None
-        self.tasks: queue.Queue = queue.Queue(queue_size)
+        self.tasks: queue.Queue = queue.Queue(QUEUE_SIZE)  # (task, enqueued at)
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)  # a job done or failed
         self._jobs: dict[str, Job] = {}
@@ -247,7 +300,7 @@ class FramedService:
         self._draining = True
         self._refuse_pending()
         try:
-            registry.remove_entries(lambda e: e.vqpu_id == self.service_id)
+            registry.remove_entries(lambda e: e.vqpu_id == self.config.service_id)
         except OSError:
             pass
         with self._work_changed:
@@ -275,7 +328,8 @@ class FramedService:
                                f"frame is not a JSON object: {json.dumps(frame)[:40]}")
         kind = frame.get("type")
         if self._draining and kind in self.work_frames:
-            return error_frame("Expired", f"{self.service_id} is shutting down")
+            return error_frame("Expired",
+                               f"{self.config.service_id} is shutting down")
         handler = (self.handlers.get(kind)
                    if kind is None or isinstance(kind, str) else None)
         if handler is None:
@@ -303,7 +357,7 @@ class FramedService:
     def _queue(self, task) -> dict:
         """Queue `task` as a run of its job; the caller holds the lock."""
         try:
-            self.tasks.put_nowait(task)
+            self.tasks.put_nowait((task, time.monotonic()))
         except queue.Full:
             return error_frame("QueueFull", "task queue is full, retry later",
                                retriable=True)
@@ -337,12 +391,15 @@ class FramedService:
             return {"type": "ack", "job_id": job_id, "state": job.state}
 
     def _sim_worker(self) -> None:
-        while not self._shutdown.is_set() and (task := self.tasks.get()) is not None:
+        while not self._shutdown.is_set() and (item := self.tasks.get()) is not None:
+            task, enqueued_at = item
+            queue_wait = time.monotonic() - enqueued_at
             with self._lock:
                 self._jobs[task.job_id].state = "running"
                 self._busy = True
             try:
                 record = self._execute(task)
+                record.metadata["queue_wait"] = queue_wait
                 with self._settled:
                     self._finish(task.job_id, record=record,
                                  task=task if self._rerunnable(task) else None)
@@ -383,10 +440,10 @@ class FramedService:
         service stops."""
         parser = argparse.ArgumentParser(prog=cls.__name__)
         parser.add_argument("--config", required=True,
-                            help=f"path to a JSON {cls.config_type.__name__}")
+                            help="path to a JSON ServiceConfig")
         args = parser.parse_args(argv)
         with open(args.config, "r", encoding="utf-8") as fh:
-            service = cls(cls.config_type(**json.load(fh)))
+            service = cls(ServiceConfig(**json.load(fh)))
         service.start()
         service.wait()
         return 0

@@ -6,62 +6,31 @@ queue; the simulation worker dequeues and executes them. A status request
 is answered while a simulation runs, and a failing task produces an error
 result without taking the server down.
 
-Run as a process with ``python -m dqcemu.server --config <json-file>``.
+Run as a process with ``python -m dqcemu.server --config <json-file>``, the
+file holding a `protocol.ServiceConfig`.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from . import engine
-from .backend import (
-    BackendSpec,
-    Violation,
-    backend_from_obj,
-    backend_to_obj,
-    default_backend,
-    validate,
-)
+from .backend import Violation, validate
 from .channel import BitMessage, ChannelEndpoint, is_bit_frame
 from .circuit import Circuit
 from .errors import PeerUnreachable, ValidationFailed
 from .protocol import (
-    DEFAULT_QUEUE_SIZE,
     FramedService,
+    ResultRecord,
+    ServiceConfig,
     _evicted,
     connect,
     error_frame,
     parse_address,
+    run_job,
     send_frame,
 )
-
-
-@dataclass
-class VqpuConfig:
-    family: str
-    index: int
-    listen_address: str = "127.0.0.1:0"
-    backend: BackendSpec = field(default_factory=default_backend)
-    comm_mode: str = "none"  # "none" | "classical" | "quantum"
-    ttl_seconds: int = 0  # 0 = no expiry
-    simulator: str = "statevector"
-    vqpu_id: str = ""
-    queue_size: int = DEFAULT_QUEUE_SIZE
-    max_qubits: int = engine.DEFAULT_MAX_QUBITS
-    listen_fd: int = -1  # an inherited listening socket, else bind listen_address
-    backend_path: str = ""
-
-    def __post_init__(self):
-        if not self.vqpu_id:
-            self.vqpu_id = f"{self.family}-{self.index}"
-        if isinstance(self.backend, dict):  # read from a config file
-            self.backend = backend_from_obj(self.backend)
-
-    def to_obj(self) -> dict:
-        return {**asdict(self), "backend": backend_to_obj(self.backend)}
 
 
 @dataclass
@@ -73,19 +42,6 @@ class QuantumTask:
     params: list | None = None  # initial values for declared slots
     param_slots: list[str] = field(default_factory=list)
     plan: dict[str, str] | None = None  # circuit id -> host:port (classical)
-    enqueued_at: float = 0.0
-
-
-@dataclass
-class ResultRecord:
-    job_id: str
-    counts: dict[str, int]
-    time_taken: float
-    metadata: dict = field(default_factory=dict)
-
-    def to_obj(self) -> dict:
-        return {"type": "result", "job_id": self.job_id, "counts": self.counts,
-                "time_taken": self.time_taken, "metadata": self.metadata}
 
 
 class TcpBitTransport:
@@ -125,11 +81,10 @@ class TcpBitTransport:
 class VqpuServer(FramedService):
     """In-process vQPU; `start()` binds it to a real listening port."""
 
-    config_type = VqpuConfig
     work_frames = ("run", "upgrade_parameters")
 
-    def __init__(self, config: VqpuConfig):
-        super().__init__(config, config.vqpu_id, config.queue_size)
+    def __init__(self, config: ServiceConfig):
+        super().__init__(config)
         self.handlers.update({"upgrade_parameters": self._handle_upgrade,
                               None: self._route_bit})
         self._endpoint: ChannelEndpoint | None = None
@@ -144,7 +99,7 @@ class VqpuServer(FramedService):
         return self._queue(QuantumTask(
             job_id=job_id, circuit=circuit, shots=config["shots"],
             seed=config.get("seed"), params=config.get("params"),
-            plan=config.get("plan"), enqueued_at=time.monotonic()))
+            plan=config.get("plan")))
 
     def _handle_upgrade(self, frame: dict):
         job_id = frame.get("job_id", "")
@@ -173,8 +128,7 @@ class VqpuServer(FramedService):
                     job_id=job_id)
             return self._queue(QuantumTask(
                 job_id=job_id, circuit=task.circuit, shots=task.shots,
-                seed=task.seed, params=list(params), plan=task.plan,
-                enqueued_at=time.monotonic()))
+                seed=task.seed, params=list(params), plan=task.plan))
 
     def _route_bit(self, frame: dict):
         if not is_bit_frame(frame):
@@ -215,9 +169,6 @@ class VqpuServer(FramedService):
                     [f"circuit declares parameters {slots} but none were bound"])
             circuit = circuit.bind_params(task.params)
 
-        seed = engine.fresh_seed() if task.seed is None else task.seed
-        queue_wait = time.monotonic() - task.enqueued_at
-
         endpoint = hooks = None
         if circuit.has_link("classical"):
             if not task.plan:
@@ -237,21 +188,14 @@ class VqpuServer(FramedService):
                 endpoint.deliver(msg)
 
         try:
-            t0 = time.perf_counter()
-            counts, counters = engine.run_branched(
-                circuit, task.shots, seed=seed, hooks=hooks,
-                max_qubits=config.max_qubits)
-            elapsed = time.perf_counter() - t0
+            record = run_job(task.job_id, circuit, task.shots, task.seed, hooks=hooks)
         finally:
             if endpoint is not None:
                 with self._lock:
                     self._endpoint = None
                 endpoint.close()
-        return ResultRecord(
-            job_id=task.job_id, counts=counts, time_taken=elapsed,
-            metadata={"seed": seed, "engine": config.simulator,
-                      "shots": task.shots, "rng": engine.RNG_ALGORITHM,
-                      "queue_wait": queue_wait, "vqpu_id": config.vqpu_id, **counters})
+        record.metadata["vqpu_id"] = config.service_id
+        return record
 
 
 if __name__ == "__main__":

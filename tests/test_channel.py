@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dqcemu.channel import BitMessage, InMemoryHub, establish
-from dqcemu.errors import ChannelTimeout, EpochMismatch, JobAborted, PeerUnreachable
+from dqcemu.errors import ChannelTimeout, EpochMismatch, PeerUnreachable
 
 
 def two_endpoints(**kw):
@@ -75,27 +75,6 @@ def test_send_as_wrong_source_rejected():
     a, _ = two_endpoints()
     with pytest.raises(ValueError):
         a.send_bit(BitMessage("b", "a", 0, 0, 1))
-
-
-def test_abort_wakes_receiver_and_blocks_send():
-    a, b = two_endpoints()
-    failure = {}
-
-    def receiver():
-        try:
-            b.recv_bit("a", 0, 0)
-        except JobAborted as exc:
-            failure["err"] = exc
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.03)
-    b.abort()
-    t.join(timeout=2)
-    assert isinstance(failure["err"], JobAborted)
-    a.abort()
-    with pytest.raises(JobAborted):
-        a.send_bit(BitMessage("a", "b", 0, 0, 1))
 
 
 def test_sixteen_participant_plan_is_lazy():

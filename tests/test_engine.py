@@ -57,13 +57,14 @@ def test_sampled_runs_mid_circuit_effects():
         engine.run_sampled(distributed, 10, seed=0)
 
 
-def test_width_cap():
+def test_width_cap(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_QUBITS", 4)
     c = Circuit(5, 0, id="wide")
     c.h(0)
     with pytest.raises(WidthExceeded):
-        engine.run_sampled(c, 1, seed=0, max_qubits=4)
+        engine.run_sampled(c, 1, seed=0)
     with pytest.raises(WidthExceeded):
-        engine.run_shot_loop(c, 1, seed=0, max_qubits=4)
+        engine.run_shot_loop(c, 1, seed=0)
 
 
 def test_shot_loop_deterministic_flip():

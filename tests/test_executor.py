@@ -270,7 +270,7 @@ def test_telegate_comm_collision():
 
 # -- execute_merged ------------------------------------------------------------
 
-def test_distributed_bell_counts():
+def distributed_bell() -> MergePlan:
     s = Circuit(1, 0, id="s")
     s.h(0)
     s.qsend(0, "r")
@@ -279,11 +279,21 @@ def test_distributed_bell_counts():
     r.cx(0, 1)
     r.measure(0, 0)
     r.measure(1, 1)
-    plan = merge_circuits([s, r])
-    rec = execute_merged(plan, 1000, seed=6)
+    return merge_circuits([s, r])
+
+
+def test_distributed_bell_counts():
+    rec = execute_merged(distributed_bell(), 1000, seed=6)
     assert set(rec.counts) == {"00", "11"}
     assert sum(rec.counts.values()) == 1000
     assert len(next(iter(rec.counts))) == 2  # scratch bits stripped
+
+
+def test_unseeded_run_records_the_seed_that_replays_it():
+    rec = execute_merged(distributed_bell(), 500)
+    seed = rec.metadata["seed"]
+    assert isinstance(seed, int)
+    assert execute_merged(distributed_bell(), 500, seed=seed).counts == rec.counts
 
 
 def test_zero_shots_rejected():

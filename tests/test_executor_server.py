@@ -11,15 +11,15 @@ from dqcemu.channel import BitMessage
 from dqcemu.circuit import Circuit, Param
 from dqcemu.client import QJob, QpuConnection
 from dqcemu.errors import JobFailed, PeerUnreachable
-from dqcemu.executor import ExecutorConfig, ExecutorServer
-from dqcemu.protocol import RESULT_WAIT_MAX_MS, connect, request
+from dqcemu.executor import ExecutorServer
+from dqcemu.protocol import RESULT_WAIT_MAX_MS, ServiceConfig, connect, request
 from dqcemu.server import TcpBitTransport
 from dqcemu.wire import circuit_to_obj
 
 
 @pytest.fixture()
 def executor():
-    srv = ExecutorServer(ExecutorConfig(family="exec-test"))
+    srv = ExecutorServer(ServiceConfig("exec-test", "exec-test-executor"))
     srv.start()
     yield srv
     srv.stop()
@@ -192,7 +192,7 @@ def test_failed_job_reports_the_executors_own_code(executor, monkeypatch, code,
 
 def test_parts_are_validated_against_the_family_backend():
     """A part the family backend refuses fails its whole job at once."""
-    srv = ExecutorServer(ExecutorConfig(family="narrow", backend=BackendSpec(
+    srv = ExecutorServer(ServiceConfig("narrow", "narrow-executor", backend=BackendSpec(
         name="narrow", n_qubits=1, basis_gates=["x", "h", "measure"])))
     srv.start()
     try:

@@ -117,18 +117,19 @@ def test_family_spawns_in_one_round(raise_family, spawn_log):
 def test_process_exiting_before_it_serves_fails_fast(cunqa_home, spawn_log,
                                                        monkeypatch):
     """A vQPU that exits at start closes its inherited port: qraise names it
-    within about 2 s (not SPAWN_WAIT_S), and leaves no process, registry
-    entry or config file behind."""
+    and the last line of its log within about 2 s (not SPAWN_WAIT_S), and
+    leaves no process, registry entry or config file behind."""
     spawn = orchestrator._spawn
 
     def failing_spawn(module, config_obj, home, name, env):
-        if name.endswith("-1"):  # VqpuConfig rejects the unknown field
+        if name.endswith("-1"):  # ServiceConfig rejects the unknown field
             config_obj = {**config_obj, "no_such_field": 1}
         return spawn(module, config_obj, home, name, env)
 
     monkeypatch.setattr(orchestrator, "_spawn", failing_spawn)
     t0 = time.monotonic()
-    with pytest.raises(PortExhausted, match="bad-1 exited with code 1"):
+    with pytest.raises(PortExhausted, match="bad-1 exited with code 1 before "
+                       "answering status: TypeError: .*'no_such_field'"):
         qraise(n=2, ttl="00:01:00", quantum_comm=True, name="bad", quiet=True)
     assert time.monotonic() - t0 < 3.0
     procs = [e[2] for e in spawn_log if e[0] == "spawn"]
@@ -190,6 +191,40 @@ def test_cli_reports_conflicting_flags(cunqa_home, capsys):
 def test_noise_prop_rejected(cunqa_home):
     with pytest.raises(NotSupported, match="unsupported in this build"):
         qraise(n=1, ttl="00:01:00", noise_prop="noise.json", quiet=True)
+
+
+def test_unknown_simulator_rejected(cunqa_home, spawn_log):
+    """statevector is the only engine: another --sim starts nothing."""
+    with pytest.raises(NotSupported, match="--sim aer is unsupported"):
+        qraise(n=1, ttl="00:01:00", sim="aer", quiet=True)
+    assert spawn_log == []
+    assert registry.read_registry() == []
+
+
+def test_family_raised_by_a_caller_importing_dqcemu_from_sys_path(cunqa_home,
+                                                                   tmp_path):
+    """A caller that finds dqcemu on sys.path, with PYTHONPATH unset, raises
+    a family whose processes import the same dqcemu and serve its jobs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orchestrator.__file__)))
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from dqcemu.circuit import Circuit\n"
+        "from dqcemu.client import get_qpus, run\n"
+        "from dqcemu.orchestrator import qdrop, qraise\n"
+        "family = qraise(n=1, ttl='00:01:00', quiet=True)\n"
+        "try:\n"
+        "    c = Circuit(1, 1, id='flip')\n"
+        "    c.x(0).measure(0, 0)\n"
+        "    print(run(get_qpus(family=family)[0], c, shots=10).result.counts)\n"
+        "finally:\n"
+        "    qdrop(family, quiet=True)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "{'1': 10}"
+    assert registry.read_registry() == []
 
 
 def test_duplicate_family_name(raise_family):

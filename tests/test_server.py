@@ -9,22 +9,23 @@ from dqcemu import engine
 from dqcemu import protocol
 from dqcemu.circuit import Circuit, Param
 from dqcemu.client import QJob, QpuConnection
-from dqcemu.executor import ExecutorConfig, ExecutorServer
+from dqcemu.executor import ExecutorServer
 from dqcemu.protocol import (
     DRAIN_S,
     RESULT_WAIT_MAX_MS,
+    ServiceConfig,
     connect,
     recv_frame,
     request,
     send_frame,
 )
-from dqcemu.server import VqpuConfig, VqpuServer
+from dqcemu.server import VqpuServer
 from dqcemu.wire import circuit_to_obj
 
 
 @pytest.fixture()
 def server():
-    srv = VqpuServer(VqpuConfig(family="test", index=0))
+    srv = VqpuServer(ServiceConfig("test", "test-0"))
     srv.start()
     yield srv
     srv.stop()
@@ -137,7 +138,7 @@ def test_failed_task_isolated(conn):
 @pytest.mark.parametrize("comm_mode", ["none", "classical", "quantum"])
 def test_quantum_link_is_refused_in_every_comm_mode(comm_mode):
     """Quantum-link parts run on the family executor, never on a vQPU."""
-    srv = VqpuServer(VqpuConfig(family="test", index=0, comm_mode=comm_mode))
+    srv = VqpuServer(ServiceConfig("test", "test-0", comm_mode=comm_mode))
     srv.start()
     try:
         sock = connect(srv.host, srv.port)
@@ -192,8 +193,9 @@ def test_result_carries_the_walk_counters(conn):
     assert (reply["metadata"]["peak_branches"], reply["metadata"]["chunks"]) == (1, 1)
 
 
-def test_queue_backpressure():
-    srv = VqpuServer(VqpuConfig(family="tiny", index=0, queue_size=2))
+def test_queue_backpressure(monkeypatch):
+    monkeypatch.setattr(protocol, "QUEUE_SIZE", 2)
+    srv = VqpuServer(ServiceConfig("tiny", "tiny-0"))
     srv.start()
     try:
         sock = connect(srv.host, srv.port)
@@ -327,7 +329,7 @@ def test_bit_frames_are_one_way(server):
 
 
 def test_shutdown_frame(cunqa_home):
-    srv = VqpuServer(VqpuConfig(family="bye", index=0))
+    srv = VqpuServer(ServiceConfig("bye", "bye-0"))
     srv.start()
     sock = connect(srv.host, srv.port)
     sock.settimeout(2.0)
@@ -337,8 +339,8 @@ def test_shutdown_frame(cunqa_home):
     assert srv._shutdown.is_set()
 
 
-SERVICES = {"vqpu": lambda: VqpuServer(VqpuConfig(family="bye", index=0)),
-            "executor": lambda: ExecutorServer(ExecutorConfig(family="bye"))}
+SERVICES = {"vqpu": lambda: VqpuServer(ServiceConfig("bye", "bye-0")),
+            "executor": lambda: ExecutorServer(ServiceConfig("bye", "bye-executor"))}
 
 
 @contextmanager

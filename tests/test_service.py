@@ -16,23 +16,24 @@ from dqcemu import registry
 from dqcemu.circuit import Circuit
 from dqcemu.client import get_qpus, run, run_distributed
 from dqcemu.errors import JobFailed
-from dqcemu.executor import ExecutorConfig, ExecutorServer
+from dqcemu.executor import ExecutorServer
 from dqcemu.orchestrator import _probe_status
 from dqcemu.protocol import (
     DRAIN_S,
     RESULT_WAIT_MAX_MS,
+    ServiceConfig,
     connect,
     recv_frame,
     request,
     send_frame,
 )
 from dqcemu.registry import RegistryEntry
-from dqcemu.server import VqpuConfig, VqpuServer
+from dqcemu.server import VqpuServer
 from dqcemu.wire import circuit_to_obj
 
 SERVICES = {
-    "vqpu": lambda **kw: VqpuServer(VqpuConfig(family="svc", index=0, **kw)),
-    "executor": lambda **kw: ExecutorServer(ExecutorConfig(family="svc", **kw)),
+    "vqpu": lambda **kw: VqpuServer(ServiceConfig("svc", "svc-0", **kw)),
+    "executor": lambda **kw: ExecutorServer(ServiceConfig("svc", "svc-executor", **kw)),
 }
 
 
@@ -129,6 +130,29 @@ def wait_in_thread(srv, timeout: float) -> None:
     assert not waiter.is_alive(), f"wait() did not return within {timeout} s"
 
 
+def test_both_services_report_the_same_run_metadata():
+    """A vQPU's result and the executor's name the seed, engine, RNG and
+    shots of their run, its queue wait and the engine's counters alike."""
+    common = {"seed", "engine", "rng", "shots", "queue_wait", "peak_branches",
+              "chunks", "state_qubits"}
+    for kind, make in SERVICES.items():
+        srv = make()
+        srv.start()
+        try:
+            sock = open_conn(srv)
+            for frame in job_frames(kind, "meta", 20):
+                assert request(sock, frame)["type"] == "ack", kind
+            meta = wait_result(sock, "meta")["metadata"]
+            sock.close()
+        finally:
+            srv.stop()
+        assert common <= set(meta), kind
+        assert isinstance(meta["seed"], int), kind
+        assert (meta["engine"], meta["rng"], meta["shots"]) == (
+            "statevector", "pcg64", 20), kind
+        assert meta["queue_wait"] >= 0, kind
+
+
 @pytest.mark.parametrize("payload", [5, None, [1], "x"])
 def test_non_object_frame_gets_schema_violation(service, payload):
     sock = open_conn(service)
@@ -178,7 +202,7 @@ def test_repeated_run_is_acked_and_runs_once():
 def test_ttl_expiry_drains_running_and_queued_work(cunqa_home):
     srv = SERVICES["vqpu"](ttl_seconds=1)
     registry.add_entries([RegistryEntry(
-        family="svc", vqpu_id=srv.config.vqpu_id, host="127.0.0.1", port=1,
+        family="svc", vqpu_id=srv.config.service_id, host="127.0.0.1", port=1,
         backend_path="", comm_mode="none", co_located=False, pid=os.getpid(),
         raised_at=time.time(), ttl_seconds=1)])
     srv.start()
