@@ -7,10 +7,11 @@ measurements from each state it ends with. Until the first instruction
 that draws, reads or sends a bit, qubits in known basis states are held as
 bits, out of the state (`statevector.Fold`).
 
-Randomness: PCG64, one independent stream per shot derived from (job
-seed, shot index), so runs replay bit-identically and every shot gets the
-outcomes it would get run alone; a job that draws nothing before its
-terminal measurements samples them from one job stream instead.
+Randomness: one PCG64 stream per job, `job_rng(seed)`. Shot s of a walked
+job takes uniforms s*d ... s*d + d - 1, d being what a shot draws, so runs
+replay bit-identically whatever the chunking, and `shot_rng` positions the
+stream for one shot run alone; a job that draws nothing before its
+terminal measurements samples them from the stream instead.
 """
 
 from __future__ import annotations
@@ -70,14 +71,17 @@ def null_hooks() -> ChannelHooks:
     return ChannelHooks(send=_no_channel, recv=_no_channel)
 
 
-def shot_rng(seed, shot_index: int) -> np.random.Generator:
-    """Independent per-shot stream; reproducible for a fixed (seed, index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(shot_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def job_rng(seed) -> np.random.Generator:
+    """The one stream a job draws from (see the module docstring)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def shot_rng(seed, shot_index: int, draws: int = 1) -> np.random.Generator:
+    """job_rng(seed) positioned at shot `shot_index`'s first uniform, for
+    shots that draw `draws` each (PCG64's jump-ahead): one shot run alone."""
+    rng = job_rng(seed)
+    rng.bit_generator.advance(shot_index * draws)
+    return rng
 
 
 def format_key(code: int, num_clbits: int) -> str:
@@ -443,12 +447,14 @@ def run_branched(circuit, shots: int, seed=None,
     shots, and the walk's counters: the peak number of live branches, the
     number of chunks and the most qubits a state held (`state_qubits`).
 
-    Shot s draws its uniforms from shot_rng(seed, s) in instruction order,
-    so the counts are those of running every shot alone. Shots are walked
-    in chunks that hold at most BRANCH_BUDGET_BYTES beyond their first
-    state: a chunk starts with at most as many shots as half the budget
-    holds uniforms for, and a draw that would leave more live states than
-    the rest holds cuts it, the dropped shots starting the next chunk. A
+    Shot s takes uniforms s*d ... s*d + d - 1 of job_rng(seed) in
+    instruction order, so the counts are those of running the shots one
+    after another from that stream. Shots are walked in chunks that hold
+    at most BRANCH_BUDGET_BYTES beyond their first state: a chunk starts
+    with at most as many shots as half the budget holds uniforms for, and
+    a draw that would leave more live states than the rest holds cuts it;
+    the dropped shots start the next chunk with their rows, the next in
+    stream order, so chunking never changes what a shot draws. A
     chunk walks together up to the first instruction that talks to a
     classical channel, and is cut only before it; from there each shot
     walks alone, in shot order, as the channel's bits go out and are
@@ -524,14 +530,14 @@ def run_branched(circuit, shots: int, seed=None,
         return max(peak, len(shared) + (1 if len(shared) < len(ids) else 0)), ids
 
     # rows[j] holds the uniforms of shot start + j for the first `drawn`
-    # rows; the rows of shots a cut dropped move to the front, not drawn again
-    rows = np.empty((per, prog.draws))
+    # rows; the rows of shots a cut dropped move to the front, not drawn
+    # again, and the stream stands at shot start + drawn
+    rows, stream = np.empty((per, prog.draws)), job_rng(seed)
     start = drawn = peak = chunks = 0
     size = per
     while start < shots:
         ids = range(start, min(start + size, shots))
-        for j in range(drawn, len(ids)):
-            shot_rng(seed, ids[j]).random(out=rows[j])
+        stream.random(out=rows[drawn:len(ids)])
         drawn = max(drawn, len(ids))
         chunk_peak, kept = walk(rows, ids)
         drawn -= len(kept)

@@ -173,9 +173,8 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
             vqpu = i - quantum  # the executor, when there is one, comes first
             proc_id = f"{family}-{vqpu}" if vqpu >= 0 else f"{family}-executor"
             cfg = ServiceConfig(
-                family=family, service_id=proc_id, backend=backend_spec,
-                comm_mode=comm_mode, ttl_seconds=ttl_seconds,
-                listen_fd=sock.fileno())
+                service_id=proc_id, backend=backend_spec, comm_mode=comm_mode,
+                ttl_seconds=ttl_seconds, listen_fd=sock.fileno())
             members.append((
                 proc_id, "dqcemu.server" if vqpu >= 0 else "dqcemu.executor",
                 cfg.to_obj(),

@@ -33,7 +33,8 @@ QUEUE_SIZE = 64  # tasks a service holds queued; past it `run` gets QueueFull
 #: cap on a `result` frame's wait_ms: how long it may wait for its job
 RESULT_WAIT_MAX_MS = 1000
 #: finished jobs whose result, error and kept task a service keeps; past it
-#: the one that finished first is evicted, its id kept as "evicted"
+#: the one that finished first is evicted, its id kept as "evicted" (a
+#: `result` answers Evicted) for as many ids again, then forgotten (UnknownJob)
 MAX_FINISHED_JOBS = 256
 
 
@@ -108,8 +109,8 @@ class ServiceConfig:
     The process listens on the socket inherited as fd `listen_fd` or, when
     that is -1, on one it binds to `listen_address`. `backend` is the
     family's, `comm_mode` is "none", "classical" or "quantum", and a
-    `ttl_seconds` of 0 means no expiry."""
-    family: str
+    `ttl_seconds` of 0 means no expiry. The registry rows `qraise` writes
+    name each process's family."""
     service_id: str
     backend: BackendSpec = field(default_factory=default_backend)
     comm_mode: str = "none"
@@ -201,7 +202,8 @@ class FramedService:
     result record the time its task waited in the queue (`queue_wait`).
     `result` answers a job's result or error, waiting up to `wait_ms` for a
     pending one. Past MAX_FINISHED_JOBS finished jobs the one that finished
-    first is evicted.
+    first is evicted, and past as many evicted ids the one evicted first is
+    forgotten, so the table holds at most 2 * MAX_FINISHED_JOBS finished jobs.
 
     Each frame is answered by `handlers[frame type]`, frames without a type
     by `handlers[None]` where there is one; a reply of None sends nothing. A
@@ -238,6 +240,7 @@ class FramedService:
         self._settled = threading.Condition(self._lock)  # a job done or failed
         self._jobs: dict[str, Job] = {}
         self._finished: dict[str, None] = {}  # done or failed, first finished first
+        self._evicted: dict[str, None] = {}  # first evicted first
 
     def _queued(self) -> int:
         """The `queued` count `status` reports."""
@@ -414,8 +417,8 @@ class FramedService:
     def _finish(self, job_id: str, record=None, failure=None, task=None) -> None:
         """Record that `job_id` is done (with `record`) or failed (with
         `failure`), evict the jobs that finished first beyond
-        MAX_FINISHED_JOBS and wake the blocked `result`s; the caller holds
-        the lock."""
+        MAX_FINISHED_JOBS, forget the ids evicted first beyond as many, and
+        wake the blocked `result`s; the caller holds the lock."""
         self._jobs[job_id] = Job("failed" if failure else "done", task, record,
                                  failure)
         self._finished[job_id] = None
@@ -423,6 +426,10 @@ class FramedService:
             old = next(iter(self._finished))
             del self._finished[old]
             self._jobs[old] = Job("evicted")
+            self._evicted[old] = None
+        while len(self._evicted) > MAX_FINISHED_JOBS:
+            old = next(iter(self._evicted))
+            del self._evicted[old], self._jobs[old]
         self._settled.notify_all()
 
     def _handle_status(self, frame: dict) -> dict:

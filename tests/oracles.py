@@ -194,20 +194,28 @@ def run_once_reference(circuit: Circuit, rng: np.random.Generator,
 def run_shot_loop_reference(circuit: Circuit, shots: int, seed,
                             hooks: engine.ChannelHooks | None = None,
                             outputs: int | None = None) -> dict[str, int]:
-    """Counts over the first `outputs` clbits (all by default) from
-    `shots` independent executions, each drawing from its own
-    `engine.shot_rng(seed, shot)` stream."""
-    hooks = hooks or engine.null_hooks()
+    """Counts over the first `outputs` clbits (all by default) of
+    `reference_shot_bits`."""
     outputs = circuit.num_clbits if outputs is None else outputs
-    tally: Counter[int] = Counter()
+    tally = Counter(sum(b << c for c, b in enumerate(bits[:outputs]))
+                    for bits in reference_shot_bits(circuit, shots, seed, hooks))
+    return {engine.format_key(code, outputs): n for code, n in sorted(tally.items())}
+
+
+def reference_shot_bits(circuit: Circuit, shots: int, seed,
+                        hooks: engine.ChannelHooks | None = None) -> list[list[int]]:
+    """Every clbit of `shots` executions run one after another from one
+    `engine.job_rng(seed)` stream: each shot draws one uniform per measured
+    qubit, reset and measure_and_send, so shot s takes the stream's
+    uniforms s*d ... s*d + d - 1, as the engine gives them."""
+    hooks = hooks or engine.null_hooks()
+    rng, out = engine.job_rng(seed), []
     for shot in range(shots):
         try:
-            _, bits = run_once_reference(circuit, engine.shot_rng(seed, shot),
-                                         hooks, shot)
+            out.append(run_once_reference(circuit, rng, hooks, shot)[1])
         except EmulatorError as exc:
             raise type(exc)(f"shot {shot}: {exc}") from exc
-        tally[sum(b << c for c, b in enumerate(bits[:outputs]))] += 1
-    return {engine.format_key(code, outputs): n for code, n in sorted(tally.items())}
+    return out
 
 
 def reduced_density(amplitudes: np.ndarray, num_qubits: int, keep) -> np.ndarray:

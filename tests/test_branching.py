@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcemu import engine, executor, gates
-from dqcemu.algorithms import QpeConfig, build_distributed_qpe, build_qpe
+from dqcemu import channel, engine, executor, gates
+from dqcemu.algorithms import QpeConfig, build_distributed_qpe, build_ipea_chain, build_qpe
 from dqcemu.circuit import Circuit
 from dqcemu.errors import ZeroNorm
 from dqcemu.statevector import StateVector, collapse, sample_outcomes
 
 from oracles import (
+    reference_shot_bits,
     run_once_reference,
     run_sampled_reference,
     run_shot_loop_reference,
@@ -341,7 +342,7 @@ def test_telegate_histories_reconverge():
     reset, so the walk ends with at most one branch per output history."""
     n, shots = 4, 2000
     program = engine._compile(telegate_plan(n).merged, outputs=n, terminal=False)
-    rows = np.array([engine.shot_rng(9, s).random(program.draws) for s in range(shots)])
+    rows = engine.job_rng(9).random((shots, program.draws))
     ends, peak, kept = engine._walk(program, program.walked, [engine._root(program, shots)],
                                     iter(rows.T).__next__, range(shots),
                                     engine.null_hooks())
@@ -349,6 +350,83 @@ def test_telegate_histories_reconverge():
     assert len(ends) <= 2 ** n
     assert sum(len(b.shots) for b in ends) == shots
     assert peak <= 2 ** n
+
+
+def mid_circuit_resets() -> Circuit:
+    """Measures and resets mid-circuit, a conditional on a measured bit,
+    and a qubit reused after its reset."""
+    c = Circuit(3, 3, id="resets")
+    c.h(0).cx(0, 1).measure(1, 0).reset(1).ry(0.7, 2).cx(2, 1).measure(2, 1)
+    c.c_if("x", 0, 0).reset(2).h(2).cx(2, 0).measure(0, 2).measure(1, 1).h(1)
+    return c
+
+
+@pytest.mark.parametrize("circuit", [
+    pytest.param(lambda: telegate_plan().merged, id="telegate"),
+    pytest.param(mid_circuit_resets, id="resets"),
+])
+def test_one_shot_runs_alone_from_its_place_in_the_job_stream(circuit):
+    """shot_rng(seed, s, d) is the job stream positioned at shot s's first
+    uniform, so run_once on it gives shot s the bits it gets in the
+    reference loop, which runs shots 0 ... s in turn from one stream."""
+    c = circuit()
+    draws = engine._compile(c).draws
+    looped = reference_shot_bits(c, 300, 13)
+    for s in (0, 1, 2, 57, 299):
+        assert engine.run_once(c, engine.shot_rng(13, s, draws))[1] == looped[s]
+    assert engine.shot_rng(13, 5).random() == engine.job_rng(13).random(6)[5]
+
+
+def spy_cuts(monkeypatch) -> list[tuple[int, int]]:
+    """Log (shots, kept) of every cut `_split` makes; the rows of the shots
+    it drops are carried to the next chunk."""
+    cuts, split = [], engine._split
+
+    def spy(branches, qubit, uniforms, shot_ids, room):
+        tests, kept = split(branches, qubit, uniforms, shot_ids, room)
+        if len(kept) < len(shot_ids):
+            cuts.append((len(shot_ids), len(kept)))
+        return tests, kept
+    monkeypatch.setattr(engine, "_split", spy)
+    return cuts
+
+
+def test_cut_telegate_chunks_keep_the_counts_of_one_chunk(monkeypatch):
+    """At 5 states' bytes a chunk holds 22 shots' uniforms and 3 live
+    states, so the protocol's four-way split cuts it: the rows it leaves
+    over are the next shots' uniforms in stream order, and the counts are
+    those of the one chunk the default budget walks."""
+    plan = telegate_plan()
+    c, outputs = plan.merged, plan.user_clbits
+    whole, counters = engine.run_branched(c, 300, seed=5, outputs=outputs)
+    assert counters["chunks"] == 1
+    assert whole == run_shot_loop_reference(c, 300, 5, outputs=outputs)
+    cuts = spy_cuts(monkeypatch)
+    counts, counters, _ = budgeted_run(monkeypatch, c, 300, 5, 5 * (16 << c.num_qubits),
+                                       outputs=outputs)
+    assert cuts and counters["chunks"] >= 2
+    assert counts == whole
+
+
+def test_cut_chunks_of_a_channel_linked_pair_keep_their_counts(monkeypatch):
+    """The IPEA sender measures before it sends, so at 200 bytes (4 shots'
+    uniforms, one state and the copy a lone shot takes) its two-way split
+    cuts its chunks; the receiver draws only after its remote_c_if and is
+    never cut, but walks 6 shots a chunk. Both parts count as they do in
+    one chunk at the default budget."""
+    chain = build_ipea_chain(QpeConfig(n_ancilla=2, theta=2.0)).circuits
+
+    def run():
+        eps = channel.establish({c.id: c.id for c in chain})
+        return [engine.run_branched(c, 300, seed=21 + i, hooks=eps[c.id].hooks())
+                for i, c in enumerate(chain)]
+    whole = run()
+    assert [counters["chunks"] for _, counters in whole] == [1, 1]
+    cuts = spy_cuts(monkeypatch)
+    monkeypatch.setattr(engine, "BRANCH_BUDGET_BYTES", 200)
+    chunked = run()
+    assert cuts and all(counters["chunks"] >= 2 for _, counters in chunked)
+    assert [counts for counts, _ in chunked] == [counts for counts, _ in whole]
 
 
 def test_executor_result_carries_the_walk_counters():

@@ -19,7 +19,7 @@ from dqcemu.wire import circuit_to_obj
 
 @pytest.fixture()
 def executor():
-    srv = ExecutorServer(ServiceConfig("exec-test", "exec-test-executor"))
+    srv = ExecutorServer(ServiceConfig("exec-test-executor"))
     srv.start()
     yield srv
     srv.stop()
@@ -192,7 +192,7 @@ def test_failed_job_reports_the_executors_own_code(executor, monkeypatch, code,
 
 def test_parts_are_validated_against_the_family_backend():
     """A part the family backend refuses fails its whole job at once."""
-    srv = ExecutorServer(ServiceConfig("narrow", "narrow-executor", backend=BackendSpec(
+    srv = ExecutorServer(ServiceConfig("narrow-executor", backend=BackendSpec(
         name="narrow", n_qubits=1, basis_gates=["x", "h", "measure"])))
     srv.start()
     try:

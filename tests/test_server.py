@@ -25,7 +25,7 @@ from dqcemu.wire import circuit_to_obj
 
 @pytest.fixture()
 def server():
-    srv = VqpuServer(ServiceConfig("test", "test-0"))
+    srv = VqpuServer(ServiceConfig("test-0"))
     srv.start()
     yield srv
     srv.stop()
@@ -138,7 +138,7 @@ def test_failed_task_isolated(conn):
 @pytest.mark.parametrize("comm_mode", ["none", "classical", "quantum"])
 def test_quantum_link_is_refused_in_every_comm_mode(comm_mode):
     """Quantum-link parts run on the family executor, never on a vQPU."""
-    srv = VqpuServer(ServiceConfig("test", "test-0", comm_mode=comm_mode))
+    srv = VqpuServer(ServiceConfig("test-0", comm_mode=comm_mode))
     srv.start()
     try:
         sock = connect(srv.host, srv.port)
@@ -195,7 +195,7 @@ def test_result_carries_the_walk_counters(conn):
 
 def test_queue_backpressure(monkeypatch):
     monkeypatch.setattr(protocol, "QUEUE_SIZE", 2)
-    srv = VqpuServer(ServiceConfig("tiny", "tiny-0"))
+    srv = VqpuServer(ServiceConfig("tiny-0"))
     srv.start()
     try:
         sock = connect(srv.host, srv.port)
@@ -329,7 +329,7 @@ def test_bit_frames_are_one_way(server):
 
 
 def test_shutdown_frame(cunqa_home):
-    srv = VqpuServer(ServiceConfig("bye", "bye-0"))
+    srv = VqpuServer(ServiceConfig("bye-0"))
     srv.start()
     sock = connect(srv.host, srv.port)
     sock.settimeout(2.0)
@@ -339,8 +339,8 @@ def test_shutdown_frame(cunqa_home):
     assert srv._shutdown.is_set()
 
 
-SERVICES = {"vqpu": lambda: VqpuServer(ServiceConfig("bye", "bye-0")),
-            "executor": lambda: ExecutorServer(ServiceConfig("bye", "bye-executor"))}
+SERVICES = {"vqpu": lambda: VqpuServer(ServiceConfig("bye-0")),
+            "executor": lambda: ExecutorServer(ServiceConfig("bye-executor"))}
 
 
 @contextmanager
@@ -374,6 +374,26 @@ def timed(sock, frame) -> tuple[dict, float]:
     t0 = time.monotonic()
     reply = request(sock, frame)
     return reply, time.monotonic() - t0
+
+
+def test_evicted_ids_are_forgotten_oldest_first(monkeypatch):
+    """Past MAX_FINISHED_JOBS evicted ids the one evicted first is
+    forgotten: its `result` answers UnknownJob, and the job table holds at
+    most twice MAX_FINISHED_JOBS rows however many jobs finish."""
+    monkeypatch.setattr(protocol, "MAX_FINISHED_JOBS", 2)
+    for kind in SERVICES:
+        with serving(kind) as server:
+            conn = connect(server.host, server.port)
+            conn.settimeout(10.0)
+            for i in range(7):
+                submit_job(conn, kind, f"j{i}", bell(), shots=10)
+                assert poll_result(conn, f"j{i}")["type"] == "result", kind
+                with server._lock:
+                    assert len(server._jobs) == min(i + 1, 4), kind
+            answers = [poll_result(conn, f"j{i}") for i in range(7)]
+            assert [a.get("code", a["type"]) for a in answers] == [
+                "UnknownJob"] * 3 + ["Evicted"] * 2 + ["result"] * 2, kind
+            conn.close()
 
 
 def test_job_finishing_within_wait_ms_takes_one_result_frame():

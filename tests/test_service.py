@@ -32,8 +32,8 @@ from dqcemu.server import VqpuServer
 from dqcemu.wire import circuit_to_obj
 
 SERVICES = {
-    "vqpu": lambda **kw: VqpuServer(ServiceConfig("svc", "svc-0", **kw)),
-    "executor": lambda **kw: ExecutorServer(ServiceConfig("svc", "svc-executor", **kw)),
+    "vqpu": lambda **kw: VqpuServer(ServiceConfig("svc-0", **kw)),
+    "executor": lambda **kw: ExecutorServer(ServiceConfig("svc-executor", **kw)),
 }
 
 
