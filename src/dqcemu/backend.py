@@ -3,6 +3,7 @@
 A backend declares what a vQPU advertises (qubit count, basis gates); the
 engine's own width cap is enforced separately at execution time, so a
 backend may advertise more qubits than the engine will actually simulate.
+The engine's clbit cap holds whatever the backend, so validation reports it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .circuit import Circuit
+from .engine import MAX_CLBITS
 from .errors import BackendFileInvalid, SchemaViolation
 from .gates import GATES, LINKS, arity_error
 from .wire import _check_fields, _is_int
@@ -129,6 +131,9 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
         out.append(Violation(
             "WidthExceeded",
             f"{circuit.num_qubits} qubits exceed backend's {backend.n_qubits}"))
+    if circuit.num_clbits > MAX_CLBITS:
+        out.append(Violation(
+            "WidthExceeded", f"{circuit.num_clbits} clbits exceed the engine's {MAX_CLBITS}"))
     basis = set(backend.basis_gates)
     in_region = False
     seq_tags: dict[tuple[str, str], list[int]] = {}

@@ -17,6 +17,7 @@ terminal measurements samples them from the stream instead.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,6 +38,7 @@ from .statevector import (
 )
 
 MAX_QUBITS = 26  # the widest circuit the engine runs
+MAX_CLBITS = 63  # a shot's clbits are packed into one int64 outcome code
 NAME = "statevector"  # the engine a result's metadata names
 RNG_ALGORITHM = "pcg64"
 #: bytes one chunk of shots may hold beyond its first state: at most half
@@ -51,6 +53,25 @@ BRANCH_BUDGET_BYTES = 2 << 20
 #: terminal block sums a folded state's probabilities as one aligned block
 #: of 8 or more (`_compile`)
 START_WIDTH = 3
+#: elements of numpy's ufunc buffer while a job walks, against numpy's
+#: default 8192: an in-place op on a view whose contiguous runs are shorter
+#: than the buffer took about twice as long, and the walk's dense gates on
+#: qubits 0-11 and its phase passes' rows of 2^11 amplitudes are such
+#: views. No arithmetic changes, so neither does any result. numpy 1.24
+#: takes multiples of 16 only
+UFUNC_BUFSIZE = 256
+
+
+@contextmanager
+def _ufunc_buffer():
+    """numpy's ufunc buffer at UFUNC_BUFSIZE elements, the caller's size
+    restored after: the setting is the calling thread's (numpy 1.x) or
+    context's (numpy 2), so the thread that walks a job sets it."""
+    old = np.setbufsize(UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 @dataclass
@@ -372,6 +393,7 @@ def _walk(prog: _Program, ops: list[_Op], branches: list[_Branch],
     return branches, peak, shot_ids
 
 
+@_ufunc_buffer()
 def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = None,
              shot_index: int = 0) -> tuple[StateVector, list[int]]:
     """Execute the instruction list once on a fresh state, drawing from `rng`.
@@ -440,6 +462,7 @@ def fresh_seed() -> int:
     return int(np.random.SeedSequence().entropy) & 0x7FFFFFFF
 
 
+@_ufunc_buffer()
 def run_branched(circuit, shots: int, seed=None,
                  hooks: ChannelHooks | None = None,
                  outputs: int | None = None) -> tuple[dict[str, int], dict]:
@@ -467,6 +490,9 @@ def run_branched(circuit, shots: int, seed=None,
     if circuit.num_qubits > MAX_QUBITS:
         raise WidthExceeded(
             f"circuit needs {circuit.num_qubits} qubits, engine cap is {MAX_QUBITS}")
+    if circuit.num_clbits > MAX_CLBITS:
+        raise WidthExceeded(
+            f"circuit needs {circuit.num_clbits} clbits, engine cap is {MAX_CLBITS}")
     if seed is None:
         seed = fresh_seed()
 
@@ -488,7 +514,8 @@ def run_branched(circuit, shots: int, seed=None,
             codes = b.bits & ~sum(1 << c for c in writer)
             for c, q in writer.items():
                 codes = codes | outcome(q) << c
-            tally.update(map(int, codes & mask))
+            values, counts = np.unique(codes & mask, return_counts=True)
+            tally.update(dict(zip(values.tolist(), counts.tolist())))
 
     if not linked and prog.draws == len(prog.block):  # one branch of every shot
         ends, peak, _ = _walk(prog, prog.walked, [_root(prog, shots)], None,

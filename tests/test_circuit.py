@@ -274,6 +274,15 @@ def test_validate_width():
     assert codes == ["WidthExceeded"]
 
 
+@pytest.mark.parametrize("clbits", [63, 64])
+def test_validate_clbits(clbits):
+    """The engine packs a shot's clbits into int64 codes: 63 at most."""
+    c = Circuit(1, clbits, id="c")
+    c.measure(0, clbits - 1)
+    codes = [v.code for v in validate(c, default_backend())]
+    assert codes == ([] if clbits <= engine.MAX_CLBITS else ["WidthExceeded"])
+
+
 def test_validate_malformed_remote():
     c = Circuit(1, 0, id="c")
     c.remote_c_if("x", [0], "peer")

@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqcemu import engine
+from dqcemu.algorithms import QpeConfig, build_qpe
 from dqcemu.circuit import Circuit
 from dqcemu.engine import ChannelHooks
 from dqcemu.errors import ChannelTimeout, UnsupportedInstruction, WidthExceeded
@@ -408,3 +410,159 @@ def test_folded_runs_are_cut_on_the_original_qubits():
     counts, counters = engine.run_branched(c, 20, seed=1)
     assert counts == run_sampled_reference(c, 20, 1)
     assert counters["state_qubits"] == 14
+
+
+@pytest.mark.parametrize("walked", [False, True])
+@pytest.mark.parametrize("clbits", [63, 64, 65])
+def test_clbits_beyond_the_packed_code_are_refused(clbits, walked):
+    """A shot's clbits are one int64 code: 63 run, on the sampled path and
+    on the walked one, and more fail with WidthExceeded before any walk."""
+    top = clbits - 1
+    c = Circuit(2, clbits, id="wide-register")
+    c.h(0).measure(0, top)
+    if walked:
+        c.c_if("x", [1], top)
+    c.measure(1, 0)
+    if clbits > engine.MAX_CLBITS:
+        with pytest.raises(WidthExceeded, match=f"{clbits} clbits"):
+            engine.run_branched(c, 50, seed=3)
+        return
+    counts, _ = engine.run_branched(c, 50, seed=3)
+    reference = run_shot_loop_reference if walked else run_sampled_reference
+    assert counts == reference(c, 50, 3)
+    assert {k[0] + k[-1] for k in counts} == ({"00", "11"} if walked else {"00", "10"})
+
+
+def walk_kernels(circuit: Circuit, bufsize: int) -> np.ndarray:
+    """The state after the walked gate and grow ops of a job that draws
+    nothing before its terminal block, applied at numpy's ufunc buffer
+    size `bufsize`."""
+    prog = engine._compile(circuit)
+    assert {op.kind for op in prog.walked} == {"gate", "grow"}
+    amps = engine._root(prog, 1).amps
+    old = np.setbufsize(bufsize)
+    try:
+        for op in prog.walked:
+            if op.kind == "grow":
+                amps = op.kernel(amps)
+            else:
+                op.kernel(amps)
+    finally:
+        np.setbufsize(old)
+    return amps
+
+
+def kernel_classes_circuit(n: int, seed: int) -> Circuit:
+    """Every gate of GATES on low (below BLOCK_QUBITS), mid (up to 11) and
+    high qubits (the two highest at 12 qubits) in random order, after `x`
+    on every third qubit from START_WIDTH up, which the walk holds folded
+    until a gate activates it (a grow op), and a `cp` ladder over qubits
+    0-11, one phase pass."""
+    rng = np.random.default_rng(seed)
+    high = min(12, n - 2)
+    bands = [range(0, 5), range(5, high), range(high, n)]
+    c = Circuit(n, 1, id="kernels")
+    for q in range(engine.START_WIDTH, n, 3):
+        c.x(q)
+    ops = [(name, i) for name in GATES for i in range(len(bands))]
+    for j in rng.permutation(len(ops)):
+        name, i = ops[j]
+        gate = GATES[name]
+        qubits = [int(rng.choice(bands[(i + k) % 3])) for k in range(gate.qubits)]
+        c.append(name, qubits, params=rng.uniform(-7, 7, gate.params).tolist())
+    for q in range(11):
+        c.cp(float(rng.uniform(-7, 7)), q, q + 1)
+    c.measure(0, 0)
+    return c
+
+
+@pytest.mark.parametrize("circuit", [
+    build_qpe(QpeConfig(n_ancilla=19, theta=2.3)),
+    *(kernel_classes_circuit(n, seed) for n in (12, 16) for seed in (1, 2))],
+    ids=["qpe20", "kernels12-1", "kernels12-2", "kernels16-1", "kernels16-2"])
+def test_kernels_are_exact_at_the_walks_ufunc_buffer(circuit):
+    """The walk runs its kernels at numpy's ufunc buffer of UFUNC_BUFSIZE:
+    every amplitude is the one they give at numpy's default 8192."""
+    walked = walk_kernels(circuit, engine.UFUNC_BUFSIZE)
+    assert np.array_equal(walked, walk_kernels(circuit, 8192))
+
+
+@pytest.mark.parametrize("caller", [8192, 4096])
+def test_run_branched_restores_the_callers_ufunc_buffer(caller):
+    """The walk runs at UFUNC_BUFSIZE and hands the caller's size back,
+    after a job that ends and after one that raises mid-walk."""
+    c = Circuit(2, 1, id="c")
+    c.h(0).remote_c_if("x", [1], "peer").measure(1, 0)
+    seen, fail = [], False
+
+    def recv(peer, epoch, seq):
+        seen.append(np.getbufsize())
+        if epoch == 3 and fail:
+            raise ChannelTimeout("no bit arrived")
+        return epoch % 2
+
+    hooks = ChannelHooks(send=lambda *a: None, recv=recv)
+    old = np.setbufsize(caller)
+    try:
+        assert engine.run_shot_loop(c, 5, seed=0, hooks=hooks) == {"0": 3, "1": 2}
+        assert np.getbufsize() == caller
+        fail = True
+        with pytest.raises(ChannelTimeout, match="shot 3"):
+            engine.run_shot_loop(c, 5, seed=0, hooks=hooks)
+        assert np.getbufsize() == caller
+        engine.run_once(c, np.random.default_rng(0), hooks)
+        assert np.getbufsize() == caller
+    finally:
+        np.setbufsize(old)
+    assert set(seen) == {engine.UFUNC_BUFSIZE}
+
+
+def _tally_circuit(kind: str) -> Circuit:
+    c = Circuit(7, 6, id=kind)
+    for q in range(7):
+        c.h(q)
+    c.cp(0.9, 0, 6).crz(2.1, 1, 5).cx(2, 4)
+    if kind == "sampled":
+        c.measure(list(range(6)), list(range(6)))
+        return c
+    c.measure(6, 5).c_if("x", [4], 5).measure(5, 4).c_if("h", [3], 4)
+    if kind == "block-free":  # every clbit is read after its measure
+        c.measure(3, 3).c_if("z", [2], 3)
+    else:
+        c.measure([0, 1, 2, 3], [0, 1, 2, 3])
+    return c
+
+
+@pytest.mark.parametrize("kind, outputs", [
+    ("sampled", None), ("descended", None), ("block-free", None), ("descended", 4)])
+def test_numpy_tally_gives_the_counters_dict(kind, outputs, monkeypatch):
+    """The terminal block's outcome codes are tallied by np.unique: the
+    counts dict has the keys, order and values a Counter over the same
+    codes gives, whether the block is sampled or descended from several
+    end branches, and over the first `outputs` clbits only; a job without
+    a terminal block counts each end branch's shots at once. Each equals
+    its reference loop's."""
+    c = _tally_circuit(kind)
+    codes, unique = [], np.unique
+
+    def recording(values, **kwargs):
+        codes.extend(values.tolist())
+        return unique(values, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording)
+    counts, counters = engine.run_branched(c, 400, seed=8, outputs=outputs)
+    monkeypatch.undo()
+    width = c.num_clbits if outputs is None else outputs
+    if kind == "sampled":
+        assert counts == run_sampled_reference(c, 400, 8)
+    else:
+        assert counts == run_shot_loop_reference(c, 400, 8, outputs=outputs)
+        assert counters["peak_branches"] > 1
+    if kind == "block-free":
+        assert codes == []
+        codes = [int(key, 2) for key, n in counts.items() for _ in range(n)]
+    assert len(codes) == 400
+    tally = Counter(codes)
+    assert list(counts.items()) == [(engine.format_key(code, width), n)
+                                    for code, n in sorted(tally.items())]
+    assert len(counts) > 4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dqcemu import engine
+from dqcemu.backend import default_backend, validate
 from dqcemu.circuit import Circuit
 from dqcemu.errors import (
     CommQubitCollision,
@@ -11,6 +12,7 @@ from dqcemu.errors import (
     DuplicateId,
     EmptyBody,
     MergeDeadlock,
+    WidthExceeded,
 )
 from dqcemu.executor import (
     MergePlan,
@@ -294,6 +296,27 @@ def test_unseeded_run_records_the_seed_that_replays_it():
     seed = rec.metadata["seed"]
     assert isinstance(seed, int)
     assert execute_merged(distributed_bell(), 500, seed=seed).counts == rec.counts
+
+
+@pytest.mark.parametrize("user_clbits", [61, 62])
+def test_merged_scratch_clbits_count_against_the_engines_cap(user_clbits):
+    """Teleporting a qubit adds two scratch clbits: a receiver of 62
+    clbits, valid alone, makes a merged circuit of 64, which the engine
+    refuses; 61 make 63, which run."""
+    s = Circuit(1, 0, id="s")
+    s.x(0)
+    s.qsend(0, "r")
+    r = Circuit(1, user_clbits, id="r")
+    r.qrecv(0, "s")
+    r.measure(0, user_clbits - 1)
+    assert validate(r, default_backend()) == []
+    plan = merge_circuits([s, r])
+    assert plan.merged.num_clbits == user_clbits + 2
+    if plan.merged.num_clbits > engine.MAX_CLBITS:
+        with pytest.raises(WidthExceeded, match="64 clbits"):
+            execute_merged(plan, 20, seed=1)
+    else:
+        assert execute_merged(plan, 20, seed=1).counts == {"1" + "0" * (user_clbits - 1): 20}
 
 
 def test_zero_shots_rejected():

@@ -135,6 +135,15 @@ def test_failed_task_isolated(conn):
     assert poll_result(conn, "good")["type"] == "result"
 
 
+def test_clbits_beyond_the_engines_cap_are_a_validation_failure(conn):
+    wide = Circuit(1, engine.MAX_CLBITS + 1, id="wide")
+    wide.measure(0, engine.MAX_CLBITS)
+    submit(conn, wide, job_id="wide")
+    reply = poll_result(conn, "wide")
+    assert (reply["type"], reply["code"]) == ("error", "ValidationFailed")
+    assert "WidthExceeded" in reply["message"] and "clbits" in reply["message"]
+
+
 @pytest.mark.parametrize("comm_mode", ["none", "classical", "quantum"])
 def test_quantum_link_is_refused_in_every_comm_mode(comm_mode):
     """Quantum-link parts run on the family executor, never on a vQPU."""
