@@ -240,11 +240,8 @@ def qdrop(selector: str, quiet: bool = False) -> int:
     while pending and time.monotonic() < deadline:
         for vid in list(pending):
             entry = pending[vid]
-            try:  # reap if it is our child (in-process tests); ignore otherwise
-                os.waitpid(entry.pid, os.WNOHANG)
-            except (ChildProcessError, OSError):
-                pass
             if not pid_alive(entry.pid):
+                _reap(entry.pid, PROBE_TIMEOUT_S)
                 count += 1
                 del pending[vid]
         if pending:
@@ -262,10 +259,7 @@ def qdrop(selector: str, quiet: bool = False) -> int:
                     os.kill(entry.pid, signal.SIGKILL)
                 except OSError:
                     pass
-            try:
-                os.waitpid(entry.pid, os.WNOHANG)
-            except (ChildProcessError, OSError):
-                pass
+            _reap(entry.pid, PROBE_TIMEOUT_S)
             count += 1
     for entry in targets:  # a log that holds something (a traceback) stays
         log = home / "logs" / f"{entry.vqpu_id}.log"
@@ -277,12 +271,32 @@ def qdrop(selector: str, quiet: bool = False) -> int:
     return count
 
 
+def _reap(pid: int, wait_s: float) -> None:
+    """Collect the exit status of `pid` if it is an exited child of this
+    process (a family raised in-process), so it leaves no zombie; any other
+    pid is left alone, and a pid below 1 never names one process. A killed
+    child reads as a zombie while its other threads still exit, and cannot
+    be collected until they have: that is waited for up to `wait_s`."""
+    deadline = time.monotonic() + wait_s
+    while pid > 0:
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0] or time.monotonic() >= deadline:
+                return
+        except OSError:  # not a child of this process, or already collected
+            return
+        time.sleep(0.005)
+
+
 def qinfo(family: str | None = None) -> list[dict]:
-    """Rows describing live registry entries; dead pids are pruned."""
+    """Rows describing live registry entries; dead pids are pruned, and
+    reaped where they are this process's children."""
     home = registry.cunqa_home()
     entries = registry.read_registry(home)
     dead = [e.vqpu_id for e in entries if not pid_alive(e.pid)]
     if dead:
+        for e in entries:
+            if e.vqpu_id in dead:
+                _reap(e.pid, PROBE_TIMEOUT_S)
         registry.remove_entries(lambda e: e.vqpu_id in dead, home)
         entries = [e for e in entries if e.vqpu_id not in dead]
     if family is not None:

@@ -5,14 +5,17 @@ All mutating operations preserve the norm to within 1e-12.
 
 Gates act on reshape views of the amplitudes, never through index arrays,
 as their kernel class in ``gates.GATES`` says; a run of consecutive
-diagonal gates is one pass (README: Simulation engine). A state may leave
-out qubits that are in known basis states (`Fold`, README: Folded qubits).
+diagonal gates is one pass, and a run of gates on the low qubits of a wide
+state one sweep over transposed buffers (README: Simulation engine). A
+state may leave out qubits that are in known basis states (`Fold`, README:
+Folded qubits).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,6 +36,10 @@ BLOCK_ROWS = 1024
 #: (more if one gate alone does)
 PHASE_LOW_QUBITS = 11
 PHASE_HIGH_QUBITS = 2
+#: consecutive gates and runs on the qubits below SWEEP_QUBITS of a state
+#: wider than 2 * SWEEP_QUBITS take one pass over square transposed buffers
+#: of 2^SWEEP_QUBITS rows (`compile_gates`)
+SWEEP_QUBITS = 8
 
 
 @dataclass
@@ -113,17 +120,20 @@ def _butterfly(view: np.ndarray, i, j, s: float) -> None:
     b *= -s
 
 
-def _transposed(amps: np.ndarray, kernel: Callable[[np.ndarray], None]) -> None:
-    """`kernel` on the transpose of each BLOCK_ROWS rows of the
-    (-1, 2^BLOCK_QUBITS) view, copied into one buffer and back: there a low
-    qubit's slices run BLOCK_ROWS times longer than in the state."""
-    rows = amps.reshape(-1, 1 << BLOCK_QUBITS)
-    count = min(BLOCK_ROWS, len(rows))
-    buf = np.empty((1 << BLOCK_QUBITS, count), dtype=amps.dtype)
-    for start in range(0, len(rows), count):
-        part = rows[start:start + count]
+def _transposed(amps: np.ndarray, kernels: list[Callable[[np.ndarray], None]],
+                low: int, rows: int) -> None:
+    """`kernels` in turn on the transpose of each `rows` rows of the
+    (-1, 2^low) view, copied into one buffer and back: there a qubit below
+    `low` indexes the buffer's rows, and its slices run `rows` times longer
+    than in the state."""
+    view = amps.reshape(-1, 1 << low)
+    count = min(rows, len(view))
+    buf = np.empty((1 << low, count), dtype=amps.dtype)
+    for start in range(0, len(view), count):
+        part = view[start:start + count]
         buf[...] = part.T
-        kernel(buf)
+        for kernel in kernels:
+            kernel(buf)
         part[...] = buf.T
 
 
@@ -136,28 +146,34 @@ def _resolve(num_qubits: int, name: str, qubits, params) -> np.ndarray:
     return gate_matrix(name, params)
 
 
-def _kernel(num_qubits: int, name: str, qubits, mat: np.ndarray
-            ) -> Callable[[np.ndarray], None]:
-    """The in-place kernel of one gate that is not diagonal."""
+def _body(num_qubits: int, name: str, qubits, mat: np.ndarray
+          ) -> Callable[[np.ndarray], None]:
+    """The in-place kernel of one gate that is not diagonal on an array of
+    2^num_qubits equal rows, row i standing for basis state i (a state's
+    amplitudes are rows of one; a transposed buffer's are longer)."""
     shape, index = _slices(num_qubits, qubits)
-    kind = GATES[name].kernel
+    split, dtype, kind = shape[:-1] + (-1,), complex, GATES[name].kernel
     if kind == "controlled":  # the target's kernel on the control = 1 half
         kind, mat, index = GATES[GATES[name].target].kernel, mat[2:, 2:], index[2:]
     if kind == "permutation":  # the two basis states the matrix exchanges
         fn, args = _swap, tuple(index[k] for k in np.flatnonzero(np.diag(mat) == 0))
-    elif len(qubits) == 2:  # the dense target of a controlled gate
+    elif name == "h":  # the butterfly on the float view
+        fn, args, dtype = _butterfly, (index[0], index[1], mat[0, 0].real), np.float64
+    else:  # dense, or the dense target of a controlled gate
         fn, args = _mix, (index[0], index[1], mat)
-    else:  # dense: `h` is the butterfly on the float view
-        fn, args, dtype = ((_butterfly, (index[0], index[1], mat[0, 0].real), np.float64)
-                           if name == "h" else (_mix, (index[0], index[1], mat), complex))
-        q = qubits[0]
-        if q < BLOCK_QUBITS <= num_qubits:  # bit q of the buffer's row index
-            split = (1 << (BLOCK_QUBITS - q - 1), 2, -1)
-            return lambda amps: _transposed(
-                amps, lambda buf: fn(buf.view(dtype).reshape(split), *args))
-        split = shape[:-1] + (-1,)
-        return lambda amps: fn(amps.view(dtype).reshape(split), *args)
-    return lambda amps: fn(amps.reshape(shape), *args)
+    return lambda amps: fn(amps.view(dtype).reshape(split), *args)
+
+
+def _kernel(num_qubits: int, name: str, qubits, mat: np.ndarray
+            ) -> Callable[[np.ndarray], None]:
+    """The in-place kernel of one gate that is not diagonal: a dense gate
+    on a qubit below BLOCK_QUBITS of a state at least that wide runs on
+    transposed blocks of BLOCK_ROWS rows."""
+    q = qubits[0]
+    if GATES[name].kernel == "dense" and q < BLOCK_QUBITS <= num_qubits:
+        body = _body(BLOCK_QUBITS, name, qubits, mat)
+        return partial(_transposed, kernels=[body], low=BLOCK_QUBITS, rows=BLOCK_ROWS)
+    return _body(num_qubits, name, qubits, mat)
 
 
 class Fold:
@@ -218,13 +234,13 @@ def _axes(width: int, ranks, low: int = 0) -> list[int]:
     return shape + [1 << (edge - low), 1 << low]
 
 
-def _phase_pass(fold: Fold, run: list[tuple[tuple[int, ...], np.ndarray]]
-                ) -> tuple[Callable[[np.ndarray], None], tuple[int, ...]]:
-    """One kernel for a run of diagonal gates ((qubits, diagonal) each) and
-    the qubits it acts on. Their product is a table with one axis per qubit
-    of the run, built by broadcasting each gate's 2 or 4 entries onto its
-    axes in the run's order; a folded qubit's axis is then fixed at its bit,
-    and the active qubits are numbered by rank (`_phase_kernel`)."""
+def _phase_pass(fold: Fold, run: list[tuple[tuple[int, ...], np.ndarray]]) -> tuple:
+    """The step (`compile_gates`) of a run of diagonal gates ((qubits,
+    diagonal) each): its qubits, the ranks of its active ones (highest
+    first) and its table, with one axis per rank. Their product is a
+    table with one axis per qubit of the run, built by broadcasting each
+    gate's 2 or 4 entries onto its axes in the run's order; a folded
+    qubit's axis is then fixed at its bit."""
     qubits = sorted({q for gate_qubits, _ in run for q in gate_qubits}, reverse=True)
     axis = {q: i for i, q in enumerate(qubits)}
     table = np.ones((2,) * len(qubits), dtype=complex)
@@ -235,7 +251,17 @@ def _phase_pass(fold: Fold, run: list[tuple[tuple[int, ...], np.ndarray]]
         table *= entries.reshape([2 if q in gate_qubits else 1 for q in qubits])
     table = table[tuple(fold.bits.get(q, slice(None)) for q in qubits) + (...,)]
     ranks = [fold.rank(q) for q in qubits if q not in fold.bits]
-    return _phase_kernel(fold.width, ranks, table), tuple(sorted(qubits))
+    return tuple(sorted(qubits)), ranks, None, table
+
+
+def _spread(table: np.ndarray, ranks: list[int], low: int) -> np.ndarray:
+    """`table`, whose axes are `ranks` (highest first), with one axis per
+    rank at or above `low` and then one per rank below it, all of them."""
+    high = [r for r in ranks if r >= low]
+    full = np.empty((2,) * (len(high) + low), dtype=complex)
+    full[...] = table.reshape([2] * len(high) + [2 if r in ranks else 1
+                                                 for r in range(low - 1, -1, -1)])
+    return full
 
 
 def _phase_kernel(width: int, ranks: list[int], table: np.ndarray
@@ -261,14 +287,10 @@ def _phase_kernel(width: int, ranks: list[int], table: np.ndarray
         return narrow
     low = PHASE_LOW_QUBITS
     high = [r for r in ranks if r >= low]
-    # the table over the high ranks and every rank below low
-    full = np.empty((2,) * (len(high) + low), dtype=complex)
-    full[...] = table.reshape([2] * len(high) + [2 if r in ranks else 1
-                                                 for r in range(low - 1, -1, -1)])
     shape = _axes(width, high, low)
     index = [sum(((slice(None), bit) for bit in bits), ())
              for bits in itertools.product((0, 1), repeat=len(high))]
-    rows = full.reshape(-1, 1 << low)
+    rows = _spread(table, ranks, low).reshape(-1, 1 << low)
     # each row kept is copied, so the table is freed; a row of one repeated
     # factor is that factor: numpy multiplies by a scalar about twice as fast
     same = (rows == rows[:, :1]).all(axis=1)
@@ -282,6 +304,23 @@ def _phase_kernel(width: int, ranks: list[int], table: np.ndarray
     return kernel
 
 
+def _sweep_body(step: tuple) -> Callable[[np.ndarray], None]:
+    """A step's kernel on the sweep's buffer of 2^SWEEP_QUBITS rows: a
+    gate's `_body`, or for a run each row multiplied by its table entry,
+    as `_phase_kernel` multiplies each amplitude of a wide state (and, as
+    there, a table of ones does nothing)."""
+    _, ranks, name, mat = step
+    if name is not None:
+        return _body(SWEEP_QUBITS, name, ranks, mat)
+    column = _spread(mat, ranks, SWEEP_QUBITS).reshape(-1, 1)
+    if (column == 1).all():
+        return lambda buf: None
+
+    def body(buf: np.ndarray) -> None:
+        buf *= column
+    return body
+
+
 def compile_gates(num_qubits: int, gates, fold: Fold | None = None
                   ) -> list[tuple[Callable, tuple[int, ...]]]:
     """Resolve consecutive unconditional gates ((name, qubits, params) each)
@@ -293,6 +332,13 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None
     amplitude array of such a state. A run rounds as its table's product,
     not as the gates one after another.
 
+    On a state wider than one sweep buffer (2^SWEEP_QUBITS rows of
+    2^SWEEP_QUBITS amplitudes), each maximal sequence of these steps on
+    qubits below SWEEP_QUBITS that holds two or more gates that are not
+    diagonal is one kernel: it applies the steps in order to transposed
+    buffers (`_transposed`), where every amplitude takes the operations
+    the steps' own kernels would give it.
+
     With a `fold`, the state leaves out its folded qubits, and `fold` is
     updated as the gates go: `x` on a folded qubit flips its bit, a run is
     cut where it would be with nothing folded and its table is taken at
@@ -301,12 +347,36 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None
     Kernels act on the active qubits, numbered by rank."""
     fold = Fold(num_qubits) if fold is None else fold
     low = min(num_qubits, PHASE_LOW_QUBITS)
-    kernels, run, high = [], [], set()
+    # steps are (qubits, ranks, gate name or None for a run, matrix or table)
+    kernels, run, high, sweep = [], [], set(), []
+
+    def add(step: tuple) -> None:
+        if fold.width > 2 * SWEEP_QUBITS and all(r < SWEEP_QUBITS for r in step[1]):
+            sweep.append(step)
+        else:
+            flush()
+            kernels.append(compiled(step))
+
+    def compiled(step: tuple) -> tuple[Callable, tuple[int, ...]]:
+        qubits, ranks, name, mat = step
+        return (_phase_kernel(fold.width, ranks, mat) if name is None
+                else _kernel(fold.width, name, ranks, mat)), qubits
+
+    def flush() -> None:
+        if sum(name is not None for _, _, name, _ in sweep) >= 2:
+            bodies = [_sweep_body(step) for step in sweep]
+            kernels.append((partial(_transposed, kernels=bodies, low=SWEEP_QUBITS,
+                                    rows=1 << SWEEP_QUBITS),
+                            tuple(sorted({q for step in sweep for q in step[0]}))))
+        else:
+            kernels.extend(map(compiled, sweep))
+        sweep.clear()
+
     for name, qubits, params in gates:
         mat = _resolve(num_qubits, name, qubits, params)
         diagonal, above = GATES[name].kernel == "diagonal", {q for q in qubits if q >= low}
         if run and not (diagonal and len(high | above) <= PHASE_HIGH_QUBITS):
-            kernels.append(_phase_pass(fold, run))
+            add(_phase_pass(fold, run))
             run, high = [], set()
         folded = [q for q in qubits if q in fold.bits]
         if diagonal:
@@ -316,11 +386,12 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None
             fold.bits[qubits[0]] ^= 1
         else:
             if folded:
+                flush()
                 kernels.append((fold.activate(folded), tuple(folded)))
-            kernels.append((_kernel(fold.width, name, [fold.rank(q) for q in qubits], mat),
-                            tuple(qubits)))
+            add((tuple(qubits), [fold.rank(q) for q in qubits], name, mat))
     if run:
-        kernels.append(_phase_pass(fold, run))
+        add(_phase_pass(fold, run))
+    flush()
     return kernels
 
 

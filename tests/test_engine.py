@@ -1,12 +1,13 @@
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqcemu import engine
+from dqcemu import engine, statevector
 from dqcemu.algorithms import QpeConfig, build_qpe
 from dqcemu.circuit import Circuit
 from dqcemu.engine import ChannelHooks
@@ -485,6 +486,19 @@ def test_kernels_are_exact_at_the_walks_ufunc_buffer(circuit):
     every amplitude is the one they give at numpy's default 8192."""
     walked = walk_kernels(circuit, engine.UFUNC_BUFSIZE)
     assert np.array_equal(walked, walk_kernels(circuit, 8192))
+
+
+def test_qpe20s_inverse_qft_sweep_is_exact():
+    """QPE-20's inverse QFT on qubits 0-7, eight `h` between seven phase
+    runs, is one sweep: its walked state is the one the gates' own
+    kernels give (SWEEP_QUBITS 0: no sweep)."""
+    circuit = build_qpe(QpeConfig(n_ancilla=19, theta=2.3))
+    swept = engine._compile(circuit).walked
+    with mock.patch.object(statevector, "SWEEP_QUBITS", 0):
+        alone = engine._compile(circuit).walked
+        unswept = walk_kernels(circuit, engine.UFUNC_BUFSIZE)
+    assert len(alone) - len(swept) == 15 - 1
+    assert np.array_equal(walk_kernels(circuit, engine.UFUNC_BUFSIZE), unswept)
 
 
 @pytest.mark.parametrize("caller", [8192, 4096])

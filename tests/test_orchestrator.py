@@ -307,6 +307,25 @@ def test_qinfo_prunes_dead_processes(raise_family):
     assert len(qinfo(family=fam)) == 1
 
 
+def test_qinfo_reaps_the_dead_children_it_prunes(raise_family):
+    """A vQPU raised in this process and killed stays a zombie child until
+    someone waits for it: the qinfo that prunes it reaps it."""
+    fam = raise_family(2)
+    pid = registry.read_registry()[0].pid
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while pid_alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not pid_alive(pid)
+    if os.path.isdir("/proc/self"):  # exited, not yet reaped
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            assert fh.read().rpartition(b")")[2].split()[0] == b"Z"
+    assert len(qinfo(family=fam)) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    assert not os.path.exists(f"/proc/{pid}")
+
+
 def test_ttl_self_expiry(raise_family):
     fam = raise_family(1, ttl="00:00:02")
     assert len(qinfo(family=fam)) == 1

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcemu import statevector
+from dqcemu import engine, statevector
+from dqcemu.circuit import Circuit
 from dqcemu.errors import QubitOutOfRange, ZeroNorm
 from dqcemu.gates import GATES
 from dqcemu.statevector import (
@@ -25,6 +26,7 @@ from oracles import (
     full_gate_matrix,
     random_unitary_circuit,
     reduced_density,
+    statevector_by_matmul,
 )
 
 
@@ -113,16 +115,22 @@ def test_every_gate_matches_dense_oracle(case):
 DENSE = sorted(g for g, gate in GATES.items() if gate.kernel == "dense")
 
 
-@pytest.mark.parametrize("rows", [statevector.BLOCK_ROWS, 2])
+@pytest.mark.parametrize("rows, bound", [
+    pytest.param(statevector.BLOCK_ROWS, statevector.SWEEP_QUBITS, id=str(statevector.BLOCK_ROWS)),
+    pytest.param(2, 3, id="2")])
 @pytest.mark.parametrize("n", [4, 5, 6, 9])
 @pytest.mark.parametrize("name", DENSE)
-def test_dense_kernels_on_every_qubit(name, n, rows):
+def test_dense_kernels_on_every_qubit(name, n, rows, bound):
     """Both sides of BLOCK_QUBITS: the transposed buffer on the low qubits
     of a state at least that wide (and, with 2 rows a buffer, many buffers
-    a state), the whole-state views above it and on narrower states."""
+    a state), the whole-state views above it and on narrower states. The
+    gate followed by `u` on the same qubit takes one sweep where the qubit
+    is below SWEEP_QUBITS of a state wider than 2 * SWEEP_QUBITS (with 3,
+    at 9 qubits, 8 buffers a state), the gates' own kernels elsewhere."""
     assert DENSE == ["h", "rx", "ry", "u", "y"]
-    rng = np.random.default_rng(n * 101 + rows)
-    with mock.patch.object(statevector, "BLOCK_ROWS", rows):
+    rng, then_rng = np.random.default_rng(n * 101 + rows), np.random.default_rng(n)
+    with (mock.patch.object(statevector, "BLOCK_ROWS", rows),
+          mock.patch.object(statevector, "SWEEP_QUBITS", bound)):
         for q in range(n):
             params = tuple(rng.uniform(-2 * np.pi, 2 * np.pi, GATES[name].params))
             start = random_state(rng, n)
@@ -131,6 +139,92 @@ def test_dense_kernels_on_every_qubit(name, n, rows):
             oracle = full_gate_matrix(n, name, (q,), params) @ start
             assert np.allclose(s.amplitudes, oracle, rtol=0, atol=1e-12), (name, q)
             assert abs(s.norm() - 1.0) <= 1e-12
+            then = ("u", (q,), tuple(then_rng.uniform(-2 * np.pi, 2 * np.pi, 3)))
+            kernels = compile_gates(n, [(name, (q,), params), then])
+            assert len(kernels) == (1 if q < bound and n > 2 * bound else 2)
+            for kernel, _ in kernels:
+                kernel(s.amplitudes)
+            oracle = full_gate_matrix(n, *then) @ (full_gate_matrix(n, name, (q,), params)
+                                                   @ oracle)
+            assert np.allclose(s.amplitudes, oracle, rtol=0, atol=1e-12), (name, q)
+            assert abs(s.norm() - 1.0) <= 1e-12
+
+
+def sweep_gates(n: int, bound: int, seed: int, count: int = 60) -> list:
+    """Gates on the qubits below `bound` of `n`, every row of GATES among
+    them, with `x` and diagonal gates on the folded qubits n - 2 and n - 1
+    and now and then a gate on a qubit from `bound` up, which cuts a sweep."""
+    rng = np.random.default_rng(seed)
+    names = sorted(GATES) + [str(g) for g in rng.choice(sorted(GATES), count - len(GATES))]
+    rng.shuffle(names)
+    folded = (n - 2, n - 1)
+    gates = []
+    for name in names:
+        gate = GATES[name]
+        pick, partner = rng.integers(10), [int(rng.integers(bound))][:gate.qubits - 1]
+        if pick == 0 and (name == "x" or gate.kernel == "diagonal"):
+            qubits = [int(rng.choice(folded))] + partner
+        elif pick == 1:
+            qubits = [int(rng.integers(bound, n - 2))] + partner
+        else:
+            qubits = [int(q) for q in rng.choice(bound, gate.qubits, replace=False)]
+        gates.append((name, tuple(qubits), tuple(rng.uniform(-7, 7, gate.params))))
+    return gates
+
+
+def run_compiled(n: int, gates: list, bits: dict, start: np.ndarray, bufsize: int
+                 ) -> tuple[np.ndarray, dict, int]:
+    """`gates` compiled with qubits `bits` folded and applied to a copy of
+    `start` at numpy's ufunc buffer `bufsize`: the state, the folded bits
+    after and the number of kernels."""
+    fold = statevector.Fold(n, dict(bits))
+    kernels = compile_gates(n, gates, fold)
+    amps = start.copy()
+    old = np.setbufsize(bufsize)
+    try:
+        for kernel, _ in kernels:
+            kernel(amps)
+    finally:
+        np.setbufsize(old)
+    return amps, fold.bits, len(kernels)
+
+
+@pytest.mark.parametrize("bufsize", [engine.UFUNC_BUFSIZE, 8192])
+@pytest.mark.parametrize("n, bound", [(16, 6), (20, statevector.SWEEP_QUBITS)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_swept_gates_equal_the_gates_one_by_one(n, bound, seed, bufsize):
+    """Sequences of gates on the qubits below SWEEP_QUBITS, folded qubits
+    above them, take one pass over transposed buffers: every amplitude is
+    the one the steps' own kernels give (SWEEP_QUBITS 0: no sweep), at the
+    walk's ufunc buffer and at numpy's default."""
+    gates = sweep_gates(n, bound, seed)
+    bits = {n - 2: 1, n - 1: 0}
+    start = random_state(np.random.default_rng(seed), n - 2)
+    with mock.patch.object(statevector, "SWEEP_QUBITS", bound):
+        swept, swept_bits, swept_kernels = run_compiled(n, gates, bits, start, bufsize)
+    with mock.patch.object(statevector, "SWEEP_QUBITS", 0):
+        alone, alone_bits, alone_kernels = run_compiled(n, gates, bits, start, bufsize)
+    assert swept_kernels < alone_kernels
+    assert swept_bits == alone_bits
+    assert np.array_equal(swept, alone)
+
+
+def test_swept_gates_match_the_matrix_oracle():
+    """8 qubits, SWEEP_QUBITS 3: sweeps over 4 buffers of 8 x 8 between
+    gates on the higher qubits, against full matrix products of the gates
+    one after another."""
+    n = 8
+    gates = sweep_gates(n, 3, 41, count=80)
+    c = Circuit(n, 0, id="sweeps")
+    for name, qubits, params in gates:
+        c.append(name, list(qubits), params=list(params))
+    with mock.patch.object(statevector, "SWEEP_QUBITS", 3):
+        kernels = compile_gates(n, gates)
+    assert len(kernels) < len(compile_gates(n, gates))  # no sweep at 8 qubits
+    amps = StateVector.zero(n).amplitudes
+    for kernel, _ in kernels:
+        kernel(amps)
+    assert np.allclose(amps, statevector_by_matmul(c), rtol=0, atol=1e-12)
 
 
 DIAGONAL = sorted(g for g, gate in GATES.items() if gate.kernel == "diagonal")
