@@ -4,8 +4,8 @@ communication models, and collect results asynchronously.
 Submission returns immediately after the server acknowledges the enqueue;
 ``QJob.result`` blocks until the job finishes, on `result` frames the server
 answers once the job is done or failed (or after up to 1 s). The parts of a
-quantum-model program go straight to the family executor, one `run` frame
-each, and every part's QJob resolves to the one aggregated result.
+quantum-model program go to the family executor in one `run` frame, and
+every part's QJob resolves to the one aggregated result.
 """
 
 from __future__ import annotations
@@ -232,20 +232,17 @@ def _part_seed(seed, index: int):
     return int(ss.generate_state(1)[0])
 
 
-def _submit(handle: QpuHandle, job_id: str, circuit: Circuit, config: dict,
-            connection: QpuConnection | None = None) -> QJob:
-    """Send one `run` frame, to `connection` or else the handle's vQPU."""
-    connection = connection or handle.connection
+def _submit(connection: QpuConnection, job_id: str, config: dict,
+            **circuits) -> None:
+    """Send one `run` frame whose circuit field, `circuit` on a vQPU or
+    `circuits` on the executor, is the one keyword given."""
     try:
-        reply = connection.request({
-            "type": "run", "job_id": job_id,
-            "circuit": circuit_to_obj(circuit), "config": config,
-        })
+        reply = connection.request({"type": "run", "job_id": job_id, **circuits,
+                                    "config": config})
     except PeerUnreachable as exc:
         raise JobFailed(job_id, f"PeerUnreachable: {exc}") from exc
     if reply.get("type") != "ack":
         raise JobFailed(job_id, f"{reply.get('code')}: {reply.get('message')}")
-    return QJob(job_id, handle, connection)
 
 
 def run(qpu: QpuHandle, circuit: Circuit, shots: int = 1024, seed=None,
@@ -263,7 +260,9 @@ def run(qpu: QpuHandle, circuit: Circuit, shots: int = 1024, seed=None,
         config["seed"] = seed
     if params is not None:
         config["params"] = list(params)
-    return _submit(qpu, _new_job_id(), circuit, config)
+    job_id = _new_job_id()
+    _submit(qpu.connection, job_id, config, circuit=circuit_to_obj(circuit))
+    return QJob(job_id, qpu)
 
 
 def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
@@ -271,9 +270,9 @@ def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
     """Submit the parts of one distributed program, one circuit per vQPU.
 
     Classical model: each vQPU runs its part in lockstep over a shared
-    channel plan. Quantum model: every part goes to the executor the chosen
-    vQPUs share, which runs them as one job; every returned QJob resolves to
-    the same aggregated result.
+    channel plan. Quantum model: the parts go in one frame to the executor
+    the chosen vQPUs share, which runs them as one job; every returned QJob
+    resolves to the same aggregated result.
     """
     if len(qpus) < len(circuits):
         raise NotEnoughQpus(
@@ -312,25 +311,25 @@ def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
         if violations:
             raise ValidationFailed(violations)
 
-    jobs = []
     if required == "quantum":
-        job_id = _new_job_id()
-        for i, (circuit, handle) in enumerate(zip(circuits, chosen)):
-            config = {"shots": shots, "k": len(circuits), "index": i}
-            if seed is not None:
-                config["seed"] = seed
-            jobs.append(_submit(handle, job_id, circuit, config, handle.executor))
-    else:
-        base = _new_job_id()
-        plan = {c.id: h.entry.endpoint for c, h in zip(circuits, chosen)}
-        for i, (circuit, handle) in enumerate(zip(circuits, chosen)):
-            config = {"shots": shots}
-            if required == "classical":
-                config["plan"] = plan
-            part_seed = _part_seed(seed, i)
-            if part_seed is not None:
-                config["seed"] = part_seed
-            jobs.append(_submit(handle, f"{base}/{circuit.id}", circuit, config))
+        job_id, executor = _new_job_id(), chosen[0].executor
+        config = {"shots": shots} if seed is None else {"shots": shots, "seed": seed}
+        _submit(executor, job_id, config,
+                circuits=[circuit_to_obj(c) for c in circuits])
+        return [QJob(job_id, handle, executor) for handle in chosen]
+    jobs = []
+    base = _new_job_id()
+    plan = {c.id: h.entry.endpoint for c, h in zip(circuits, chosen)}
+    for i, (circuit, handle) in enumerate(zip(circuits, chosen)):
+        config = {"shots": shots}
+        if required == "classical":
+            config["plan"] = plan
+        part_seed = _part_seed(seed, i)
+        if part_seed is not None:
+            config["seed"] = part_seed
+        job_id = f"{base}/{circuit.id}"
+        _submit(handle.connection, job_id, config, circuit=circuit_to_obj(circuit))
+        jobs.append(QJob(job_id, handle))
     return jobs
 
 

@@ -16,8 +16,6 @@ file holding a `protocol.ServiceConfig`.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, field
 
 from .backend import validate
@@ -27,22 +25,13 @@ from .errors import (
     DanglingProtocol,
     DuplicateId,
     EmptyBody,
-    EmulatorError,
     MergeDeadlock,
+    SchemaViolation,
     ValidationFailed,
 )
 from .gates import LINKS
-from .protocol import (
-    FramedService,
-    Job,
-    ResultRecord,
-    ServiceConfig,
-    error_code,
-    error_frame,
-    run_job,
-)
-
-PART_TIMEOUT_S = 60.0
+from .protocol import FramedService, ResultRecord, run_job
+from .wire import circuit_from_obj
 
 
 @dataclass
@@ -300,103 +289,44 @@ def execute_merged(plan: MergePlan, shots: int, seed=None,
 
 
 @dataclass
-class _Parts:
-    """The parts of one job received so far, by index: (circuit, shots, seed)."""
+class Program:
+    """A quantum-model program: its parts in order, run as one job."""
     job_id: str
-    k: int
-    first_at: float  # when the first part arrived
-    parts: dict[int, tuple[Circuit, int, int | None]] = field(default_factory=dict)
+    parts: list[Circuit]
+    shots: int
+    seed: int | None
 
 
 class ExecutorServer(FramedService):
-    """Runs each quantum-model job as one merged circuit.
+    """Runs each quantum-model program as one merged circuit.
 
-    A job's k parts arrive as `run` frames whose config carries `k` and the
-    part's `index`, each validated against the family backend as it comes.
-    The k-th part queues the job; it runs on the `simulator` thread like a
-    vQPU's task, with part 0's seed, and every part's `result` frames answer
-    the one aggregated result. A job still missing parts fails with
-    PartsTimeout once PART_TIMEOUT_S have passed since its first part, seen
-    as frames arrive, and with Expired when a drain starts."""
+    A program comes as one `run` frame whose `circuits` are its k >= 2
+    parts in order. Every part is validated against the family backend as
+    the frame arrives, and the frame of a part that fails is answered with
+    ValidationFailed and queues nothing. The program runs on the
+    `simulator` thread like a vQPU's task, and `result` answers its one
+    aggregated result."""
 
     work_frames = ("run",)
 
-    def __init__(self, config: ServiceConfig):
-        super().__init__(config)
-        self._assembling: dict[str, _Parts] = {}  # first part first
+    def _decode(self, frame: dict) -> list[Circuit]:
+        parts = frame.get("circuits")
+        if not isinstance(parts, list) or len(parts) < 2:
+            raise SchemaViolation("circuits", "expected a list of at least two parts")
+        parts = [circuit_from_obj(part) for part in parts]
+        violations = [v for part in parts for v in validate(part, self.config.backend)]
+        violations += [f"part {part.id!r} declares parameters {slots} but none "
+                       "were bound" for part in parts if (slots := part.param_slots())]
+        if violations:
+            raise ValidationFailed(violations)
+        return parts
 
-    def _queued(self) -> int:
-        return super()._queued() + len(self._assembling)
+    def _take(self, job_id: str, parts: list[Circuit], config: dict) -> dict:
+        return self._queue(Program(job_id, parts, config["shots"], config.get("seed")))
 
-    def _dispatch(self, frame):
-        with self._settled:
-            self._fail_assembling("PartsTimeout", time.monotonic() - PART_TIMEOUT_S,
-                                  f"within {PART_TIMEOUT_S:.0f} s")
-        return super()._dispatch(frame)
-
-    def _refuse_pending(self) -> None:
-        """A job still missing parts can no longer complete: it fails with
-        Expired now instead of at PART_TIMEOUT_S."""
-        with self._settled:
-            self._fail_assembling("Expired", math.inf,
-                                  f"before {self.config.service_id} shut down")
-
-    def _fail_assembling(self, code: str, first_before: float, when: str) -> None:
-        """Fail the jobs still missing parts whose first part arrived before
-        `first_before`; the caller holds the lock."""
-        while self._assembling:
-            job_id, job = next(iter(self._assembling.items()))
-            if job.first_at >= first_before:
-                return
-            del self._assembling[job_id]
-            self._finish(job_id, failure=(
-                code, f"job {job_id!r}: only {len(job.parts)}/{job.k} parts "
-                f"arrived {when}"))
-
-    def _take(self, job_id: str, circuit: Circuit, config: dict) -> dict:
-        k, index = config.get("k"), config.get("index")
-        if (not isinstance(k, int) or k < 2 or not isinstance(index, int)
-                or not 0 <= index < k):
-            return error_frame("SchemaViolation",
-                               "a part's config needs k >= 2 and 0 <= index < k")
-        if self._draining:  # _refuse_pending fails the jobs already here
-            return error_frame("Expired",
-                               f"{self.config.service_id} is shutting down")
-        parts = self._assembling.get(job_id)
-        if parts is None:
-            parts = self._assembling[job_id] = _Parts(job_id, k, time.monotonic())
-            self._jobs[job_id] = Job("assembling", parts)
-        if parts.k != k:
-            return error_frame("SchemaViolation",
-                               f"conflicting part count for job {job_id!r}")
-        if index in parts.parts:
-            return error_frame("DuplicateId",
-                               f"part {index} of job {job_id!r} already received")
-        violations = validate(circuit, self.config.backend)
-        if slots := circuit.param_slots():
-            violations.append(f"part declares parameters {slots} but none were bound")
-        if violations:  # the job cannot run: its other parts learn it at once
-            del self._assembling[job_id]
-            self._finish(job_id, failure=error_code(ValidationFailed(violations)))
-            return error_frame(*self._jobs[job_id].failure, job_id=job_id)
-        parts.parts[index] = (circuit, config["shots"], config.get("seed"))
-        if len(parts.parts) < k:
-            return {"type": "ack", "job_id": job_id}
-        reply = self._queue(parts)
-        if reply["type"] == "ack":
-            del self._assembling[job_id]
-        else:  # the queue is full: the last part may be sent again
-            del parts.parts[index]
-        return reply
-
-    def _execute(self, job: _Parts) -> ResultRecord:
-        shots = {shots for _, shots, _ in job.parts.values()}
-        if len(shots) != 1:
-            raise EmulatorError(
-                f"parts of job {job.job_id!r} disagree on shots: {sorted(shots)}")
-        plan = merge_circuits([job.parts[i][0] for i in range(job.k)])
-        return execute_merged(plan, shots.pop(), seed=job.parts[0][2],
-                              job_id=job.job_id)
+    def _execute(self, program: Program) -> ResultRecord:
+        return execute_merged(merge_circuits(program.parts), program.shots,
+                              seed=program.seed, job_id=program.job_id)
 
 
 if __name__ == "__main__":

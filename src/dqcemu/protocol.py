@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, field
 
 from . import engine, registry
 from .backend import BackendSpec, backend_from_obj, backend_to_obj, default_backend
-from .errors import BindFailure, EmulatorError, Evicted
-from .wire import circuit_from_obj
+from .errors import BindFailure, EmulatorError, Evicted, SchemaViolation
+from .wire import _is_int
 
 _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -156,7 +156,7 @@ def run_job(job_id: str, circuit, shots: int, seed=None, hooks=None,
 @dataclass
 class Job:
     """A row of the job table."""
-    state: str  # assembling|queued|running|done|failed|evicted
+    state: str  # queued|running|done|failed|evicted
     task: object = None  # what `_execute` runs; kept once done if `_rerunnable`
     record: object = None  # the result, once done
     failure: tuple[str, str] | None = None  # (code, message), once failed
@@ -194,12 +194,12 @@ class FramedService:
     socket its ServiceConfig names, starts the `simulator` thread and the
     TTL timer.
 
-    Both keep one job table. A `run` frame of a job id the table holds
-    (but for one still assembling its parts) is acked again and runs
-    nothing; any other is handed to `_take`, which queues a task with
-    `_queue` or, on the executor, records one part. The `simulator` thread
-    runs the queued tasks one at a time with `_execute` and adds to each
-    result record the time its task waited in the queue (`queue_wait`).
+    Both keep one job table. A `run` frame's job id, shots and seed are
+    checked here and its circuits decoded by `_decode`; a job id the table
+    holds is acked again and runs nothing, any other is handed to `_take`,
+    which queues a task with `_queue`. The `simulator` thread runs the
+    queued tasks one at a time with `_execute` and adds to each result
+    record the time its task waited in the queue (`queue_wait`).
     `result` answers a job's result or error, waiting up to `wait_ms` for a
     pending one. Past MAX_FINISHED_JOBS finished jobs the one that finished
     first is evicted, and past as many evicted ids the one evicted first is
@@ -213,8 +213,7 @@ class FramedService:
     receiver keeps serving.
 
     `shutdown` and TTL expiry take the same drain path: frames listed in
-    `work_frames` are refused with Expired, work that waits for such frames
-    fails with Expired (`_refuse_pending`), the process leaves the registry,
+    `work_frames` are refused with Expired, the process leaves the registry,
     the requests being answered and the work a subclass counts with
     `_begin_work`/`_end_work` get up to DRAIN_S seconds to finish, and the
     service stops.
@@ -242,11 +241,12 @@ class FramedService:
         self._finished: dict[str, None] = {}  # done or failed, first finished first
         self._evicted: dict[str, None] = {}  # first evicted first
 
-    def _queued(self) -> int:
-        """The `queued` count `status` reports."""
-        return self.tasks.qsize()
+    def _decode(self, frame: dict):
+        """The circuits of a `run` frame, decoded and checked outside the
+        lock; a frame they fail is answered with the error raised."""
+        raise NotImplementedError
 
-    def _take(self, job_id: str, circuit, config: dict) -> dict:
+    def _take(self, job_id: str, circuits, config: dict) -> dict:
         """Accept a `run` of `job_id` that is not a resend; the caller holds
         the lock."""
         raise NotImplementedError
@@ -301,7 +301,6 @@ class FramedService:
 
     def _drain(self) -> None:
         self._draining = True
-        self._refuse_pending()
         try:
             registry.remove_entries(lambda e: e.vqpu_id == self.config.service_id)
         except OSError:
@@ -309,10 +308,6 @@ class FramedService:
         with self._work_changed:
             self._work_changed.wait_for(lambda: self._work == 0, timeout=DRAIN_S)
         self.stop()
-
-    def _refuse_pending(self) -> None:
-        """Called as the drain starts: fail accepted work that could only
-        complete with frames the drain now refuses."""
 
     def _begin_work(self) -> None:
         with self._work_changed:
@@ -343,19 +338,21 @@ class FramedService:
             return error_frame(*error_code(exc))
 
     def _handle_run(self, frame: dict) -> dict:
-        job_id = frame.get("job_id")
-        if not job_id or "circuit" not in frame:
-            return error_frame("SchemaViolation", "run needs job_id and circuit")
-        config = frame.get("config") or {}
-        shots = config.get("shots", 0)
-        if not isinstance(shots, int) or shots < 1:
-            return error_frame("SchemaViolation", "config.shots must be >= 1")
-        circuit = circuit_from_obj(frame["circuit"])
+        job_id, config = frame.get("job_id"), frame.get("config", {})
+        if not isinstance(job_id, str) or not job_id:
+            raise SchemaViolation("job_id", "expected a non-empty string")
+        if not isinstance(config, dict):
+            raise SchemaViolation("config", "expected an object")
+        if not _is_int(config.get("shots")) or config["shots"] < 1:
+            raise SchemaViolation("config.shots", "expected an integer >= 1")
+        seed = config.get("seed")
+        if seed is not None and (not _is_int(seed) or seed < 0):
+            raise SchemaViolation("config.seed", "expected an integer >= 0")
+        circuits = self._decode(frame)
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None and job.state != "assembling":
+            if job_id in self._jobs:
                 return {"type": "ack", "job_id": job_id}  # a resent run runs once
-            return self._take(job_id, circuit, config)
+            return self._take(job_id, circuits, config)
 
     def _queue(self, task) -> dict:
         """Queue `task` as a run of its job; the caller holds the lock."""
@@ -434,7 +431,7 @@ class FramedService:
 
     def _handle_status(self, frame: dict) -> dict:
         return {"type": "ack", "state": "busy" if self._busy else "idle",
-                "queued": self._queued()}
+                "queued": self.tasks.qsize()}
 
     def _handle_shutdown(self, frame: dict) -> dict:
         self._draining = True  # before the ack: no work frame after it is taken

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .backend import Violation, validate
 from .channel import BitMessage, ChannelEndpoint, is_bit_frame
 from .circuit import Circuit
-from .errors import PeerUnreachable, ValidationFailed
+from .errors import PeerUnreachable, SchemaViolation, ValidationFailed
 from .protocol import (
     FramedService,
     ResultRecord,
@@ -31,6 +31,7 @@ from .protocol import (
     run_job,
     send_frame,
 )
+from .wire import circuit_from_obj
 
 
 @dataclass
@@ -94,6 +95,11 @@ class VqpuServer(FramedService):
         return bool(task.param_slots)  # what upgrade_parameters reruns
 
     # -- receiver side --------------------------------------------------------
+
+    def _decode(self, frame: dict) -> Circuit:
+        if "circuit" not in frame:
+            raise SchemaViolation("circuit", "a vQPU's run needs one circuit")
+        return circuit_from_obj(frame["circuit"])
 
     def _take(self, job_id: str, circuit: Circuit, config: dict) -> dict:
         return self._queue(QuantumTask(

@@ -1,10 +1,11 @@
 import math
 import os
+import threading
 import time
 
 import pytest
 
-from dqcemu import client, registry
+from dqcemu import registry
 from dqcemu.algorithms import QpeConfig, build_distributed_qpe, build_ipea_chain
 from dqcemu.circuit import Circuit, Param
 from dqcemu.client import (
@@ -289,27 +290,34 @@ def test_qjob_nonblocking_poll(raise_family):
 
 # -- quantum-model programs against a live family --------------------------------
 
-def test_interleaved_programs_on_one_family_both_complete(raise_family,
-                                                          monkeypatch):
-    """Parts of two programs that reach the family in the order A.0, B.0,
-    B.1, A.1 both complete within 10 s, with the counts each gets alone."""
+def test_interleaved_programs_on_one_family_both_complete(raise_family):
+    """Two programs submitted from two threads at once, each on its own
+    connections to the family, both complete within 10 s, with the counts
+    each gets alone."""
     fam = raise_family(2, quantum_comm=True)
     qpus = get_qpus(family=fam)
     programs = [(list(build_distributed_qpe(QpeConfig(n_ancilla=3, theta=2.0))), 11),
                 (teleport(), 12)]
     alone = [gather(run_distributed(circuits, qpus, shots=500, seed=seed))[0].counts
              for circuits, seed in programs]
-    sent = []
-    with monkeypatch.context() as patch:  # collect the parts, send none
-        patch.setattr(client, "_submit", lambda *a, **kw: sent.append((a, kw)))
-        for circuits, seed in programs:
-            run_distributed(circuits, qpus, shots=500, seed=seed)
-    a0, a1, b0, b1 = sent
+    counts = {}
+    together = threading.Barrier(len(programs))
+
+    def submit(index, circuits, seed):
+        handles = get_qpus(family=fam)
+        together.wait(10.0)
+        jobs = run_distributed(circuits, handles, shots=500, seed=seed)
+        counts[index] = [job.wait().counts for job in jobs]
+
+    threads = [threading.Thread(target=submit, args=(i, *program))
+               for i, program in enumerate(programs)]
     t0 = time.monotonic()
-    jobs = [client._submit(*a, **kw) for a, kw in (a0, b0, b1, a1)]
-    counts = [job.wait().counts for job in jobs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10.0)
     assert time.monotonic() - t0 < 10.0
-    assert counts == [alone[0], alone[1], alone[1], alone[0]]
+    assert counts == {0: [alone[0]] * 2, 1: [alone[1]] * 2}
 
 
 def test_failed_quantum_job_reports_the_executors_code(raise_family):

@@ -31,9 +31,10 @@ def open_conn(srv, timeout=10.0):
     return sock
 
 
-def part_frame(job_id, index, circuit, k=2, shots=50, seed=1):
-    return {"type": "run", "job_id": job_id, "circuit": circuit_to_obj(circuit),
-            "config": {"shots": shots, "seed": seed, "k": k, "index": index}}
+def program_frame(job_id, circuits, shots=50, seed=1):
+    return {"type": "run", "job_id": job_id,
+            "circuits": [circuit_to_obj(c) for c in circuits],
+            "config": {"shots": shots, "seed": seed}}
 
 
 def wait_result(sock, job_id, timeout=10.0) -> dict:
@@ -59,9 +60,8 @@ def teleport_parts():
 
 def test_executor_joint_run(executor):
     socks = [open_conn(executor) for _ in range(2)]
-    for index, (sock, circuit) in enumerate(zip(socks, teleport_parts())):
-        assert request(sock, part_frame("j", index, circuit)) == {
-            "type": "ack", "job_id": "j"}
+    assert request(socks[0], program_frame("j", teleport_parts())) == {
+        "type": "ack", "job_id": "j"}
     replies = [wait_result(sock, "j") for sock in socks]
     for sock in socks:
         sock.close()
@@ -72,8 +72,8 @@ def test_executor_joint_run(executor):
 
 def test_jobs_run_one_at_a_time_on_the_simulator_thread(executor, monkeypatch):
     """Merged jobs run on the executor's one simulation thread, never on the
-    connection thread of the part that completed them, and never two at
-    once, however many parts arrive together."""
+    connection thread that sent them, and never two at once, however many
+    programs (each sent twice) arrive together."""
     ran, active, most = [], [0], [0]
     lock = threading.Lock()
     execute = executor_mod.execute_merged
@@ -92,14 +92,14 @@ def test_jobs_run_one_at_a_time_on_the_simulator_thread(executor, monkeypatch):
     monkeypatch.setattr(executor_mod, "execute_merged", watched)
     replies = {}
 
-    def submit(job_id, index, circuit):
+    def submit(job_id, copy):
         sock = open_conn(executor, timeout=30.0)
-        assert request(sock, part_frame(job_id, index, circuit))["type"] == "ack"
-        replies[job_id, index] = wait_result(sock, job_id, timeout=30.0)
+        assert request(sock, program_frame(job_id, teleport_parts()))["type"] == "ack"
+        replies[job_id, copy] = wait_result(sock, job_id, timeout=30.0)
         sock.close()
 
-    threads = [threading.Thread(target=submit, args=(f"j{j}", i, c))
-               for j in range(4) for i, c in enumerate(teleport_parts())]
+    threads = [threading.Thread(target=submit, args=(f"j{j}", copy))
+               for j in range(4) for copy in range(2)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -123,42 +123,6 @@ def test_executor_status(executor):
     assert reply["type"] == "ack" and reply["state"] == "idle"
 
 
-def test_missing_sibling_part_times_out(executor, monkeypatch):
-    """PartsTimeout is checked as frames arrive: the part's own blocking
-    `result` frames see it."""
-    monkeypatch.setattr(executor_mod, "PART_TIMEOUT_S", 0.3)
-    a, _ = teleport_parts()
-    sock = open_conn(executor)
-    assert request(sock, part_frame("lonely", 0, a))["type"] == "ack"
-    t0 = time.monotonic()
-    reply = wait_result(sock, "lonely")
-    sock.close()
-    assert reply["type"] == "error"
-    assert reply["code"] == "PartsTimeout"
-    assert "1/2" in reply["message"]
-    assert time.monotonic() - t0 < 0.3 + RESULT_WAIT_MAX_MS / 1000 + 0.5
-
-
-def test_conflicting_shots_rejected(executor):
-    sock = open_conn(executor)
-    for index, (circuit, shots) in enumerate(zip(teleport_parts(), (10, 20))):
-        reply = request(sock, part_frame("c", index, circuit, shots=shots))
-        assert reply["type"] == "ack"
-    replies = [wait_result(sock, "c") for _ in range(2)]  # one per part
-    sock.close()
-    assert all(r["type"] == "error" for r in replies)
-    assert all("disagree on shots" in r["message"] for r in replies)
-
-
-def test_duplicate_part_index(executor):
-    a, _ = teleport_parts()
-    sock = open_conn(executor)
-    assert request(sock, part_frame("dup", 0, a))["type"] == "ack"
-    reply = request(sock, part_frame("dup", 0, a))
-    sock.close()
-    assert reply["type"] == "error" and reply["code"] == "DuplicateId"
-
-
 def merge_deadlock_parts():
     a = Circuit(1, 0, id="a")
     a.qrecv(0, "b")
@@ -172,18 +136,14 @@ def duplicate_id_parts():
     return [a, a]
 
 
-@pytest.mark.parametrize("code, parts", [
-    ("PartsTimeout", teleport_parts()[:1]),
-    ("MergeDeadlock", merge_deadlock_parts()),
-    ("DuplicateId", duplicate_id_parts()),
+@pytest.mark.parametrize("code, parts", [  # the ids they had beside a third case
+    pytest.param("MergeDeadlock", merge_deadlock_parts(), id="MergeDeadlock-parts1"),
+    pytest.param("DuplicateId", duplicate_id_parts(), id="DuplicateId-parts2"),
 ])
-def test_failed_job_reports_the_executors_own_code(executor, monkeypatch, code,
-                                                   parts):
+def test_failed_job_reports_the_executors_own_code(executor, code, parts):
     """A part's QJob fails with the code the executor gave the job."""
-    monkeypatch.setattr(executor_mod, "PART_TIMEOUT_S", 0.2)
     connection = QpuConnection(executor.host, executor.port)
-    for index, circuit in enumerate(parts):
-        assert connection.request(part_frame("f", index, circuit))["type"] == "ack"
+    assert connection.request(program_frame("f", parts))["type"] == "ack"
     job = QJob("f", SimpleNamespace(connection=connection))
     with pytest.raises(JobFailed, match=f"failed: {code}: "):
         job.wait()
@@ -191,31 +151,49 @@ def test_failed_job_reports_the_executors_own_code(executor, monkeypatch, code,
 
 
 def test_parts_are_validated_against_the_family_backend():
-    """A part the family backend refuses fails its whole job at once."""
+    """A part the family backend refuses fails its program's `run` at once,
+    and nothing is queued."""
     srv = ExecutorServer(ServiceConfig("narrow-executor", backend=BackendSpec(
         name="narrow", n_qubits=1, basis_gates=["x", "h", "measure"])))
     srv.start()
     try:
         sock = open_conn(srv)
-        a, _ = teleport_parts()
+        a, b = teleport_parts()
         wide = Circuit(2, 1, id="b")
         wide.qrecv(0, "a")
         wide.measure(0, 0)
-        assert request(sock, part_frame("w", 0, a))["type"] == "ack"
-        refused = request(sock, part_frame("w", 1, wide))
+        refused = request(sock, program_frame("w", [a, wide]))
         assert (refused["type"], refused["code"]) == ("error", "ValidationFailed")
         assert "WidthExceeded" in refused["message"]
-        reply = request(sock, {"type": "result", "job_id": "w"})
-        assert (reply["code"], reply["message"]) == (refused["code"], refused["message"])
         unbound = Circuit(1, 0, id="a")
         unbound.rx(Param("t"), 0)
         unbound.qsend(0, "b")
-        refused = request(sock, part_frame("p", 0, unbound))
+        refused = request(sock, program_frame("p", [unbound, b]))
         assert (refused["type"], refused["code"]) == ("error", "ValidationFailed")
         assert "none were bound" in refused["message"]
+        for job_id in ("w", "p"):
+            reply = request(sock, {"type": "result", "job_id": job_id})
+            assert reply["code"] == "UnknownJob"
         sock.close()
     finally:
         srv.stop()
+
+
+@pytest.mark.parametrize("field", [
+    {}, {"circuits": {"a": 1}}, {"circuits": []},
+    {"circuits": [circuit_to_obj(teleport_parts()[0])]},
+], ids=["absent", "object", "empty", "one-part"])
+def test_a_program_needs_a_list_of_two_or_more_parts(executor, field):
+    """An executor `run` frame without `circuits`, with anything but a list,
+    or with fewer than two parts gets SchemaViolation and leaves no job."""
+    sock = open_conn(executor)
+    reply = request(sock, {"type": "run", "job_id": "bad", **field,
+                           "config": {"shots": 10}})
+    assert (reply["type"], reply["code"]) == ("error", "SchemaViolation")
+    assert reply["message"].startswith("circuits:")
+    assert request(sock, {"type": "status"})["queued"] == 0
+    sock.close()
+    assert "bad" not in executor._jobs
 
 
 def test_tcp_bit_transport_peer_unreachable():

@@ -384,9 +384,12 @@ def test_executor_validates_parts_against_the_family_backend(raise_family,
                     if e.family == fam and e.is_executor)
     wide = Circuit(3, 0, id="a")
     wide.qsend(0, "b")
+    peer = Circuit(1, 0, id="b")
+    peer.qrecv(0, "a")
     reply = _request_once(executor.host, executor.port, {
-        "type": "run", "job_id": "w", "circuit": circuit_to_obj(wide),
-        "config": {"shots": 1, "k": 2, "index": 0}}, timeout=5.0)
+        "type": "run", "job_id": "w",
+        "circuits": [circuit_to_obj(wide), circuit_to_obj(peer)],
+        "config": {"shots": 1}}, timeout=5.0)
     assert (reply["type"], reply["code"]) == ("error", "ValidationFailed")
     assert "WidthExceeded" in reply["message"]
 

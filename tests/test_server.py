@@ -7,6 +7,8 @@ import pytest
 
 from dqcemu import engine
 from dqcemu import protocol
+from dqcemu.algorithms import QpeConfig, build_ipea_chain
+from dqcemu.channel import BitMessage, ChannelEndpoint
 from dqcemu.circuit import Circuit, Param
 from dqcemu.client import QJob, QpuConnection
 from dqcemu.executor import ExecutorServer
@@ -21,6 +23,8 @@ from dqcemu.protocol import (
 )
 from dqcemu.server import VqpuServer
 from dqcemu.wire import circuit_to_obj
+
+from oracles import run_shot_loop_reference
 
 
 @pytest.fixture()
@@ -337,6 +341,43 @@ def test_bit_frames_are_one_way(server):
     sock.close()
 
 
+def test_bits_that_arrive_before_their_part_are_handed_over():
+    """Bits for a circuit that reach its vQPU before the circuit's `run`
+    wait there and reach the circuit's endpoint once it runs.
+    `run_distributed` submits a program's parts in circuit order, senders
+    first, so over TCP a receiver's vQPU can get bits before it has acked,
+    or started, the receiving part."""
+    sender, receiver = build_ipea_chain(QpeConfig(n_ancilla=2, theta=2.0)).circuits
+    shots, bits = 200, []
+
+    def send(peer, epoch, seq, bit):
+        bits.append(BitMessage(sender.id, peer, epoch, seq, bit))
+
+    run_shot_loop_reference(sender, shots, 1, hooks=engine.ChannelHooks(send, None))
+    inbox = ChannelEndpoint(receiver.id, {}, transport=None)
+    for msg in bits:
+        inbox.deliver(msg)
+    expected = run_shot_loop_reference(receiver, shots, 2, hooks=inbox.hooks())
+    srv = VqpuServer(ServiceConfig("early-0", comm_mode="classical"))
+    srv.start()
+    try:
+        sock = connect(srv.host, srv.port)
+        sock.settimeout(10.0)
+        for msg in bits:
+            send_frame(sock, msg.to_obj())
+        assert request(sock, {"type": "status"})["type"] == "ack"  # after the bits
+        assert len(srv._stray_bits) == shots
+        plan = {sender.id: "127.0.0.1:1", receiver.id: f"{srv.host}:{srv.port}"}
+        ack = submit(sock, receiver, job_id="r", shots=shots, seed=2, plan=plan)
+        assert ack == {"type": "ack", "job_id": "r"}
+        reply = poll_result(sock, "r")
+        assert reply["type"] == "result" and reply["counts"] == expected
+        assert srv._stray_bits == []
+        sock.close()
+    finally:
+        srv.stop()
+
+
 def test_shutdown_frame(cunqa_home):
     srv = VqpuServer(ServiceConfig("bye-0"))
     srv.start()
@@ -362,21 +403,22 @@ def serving(kind):
         srv.stop()
 
 
-def job_frames(kind, job_id, circuit, **config) -> list[dict]:
-    """The `run` frames of a job of `circuit`: the circuit on a vQPU; on
-    the executor two parts, the circuit and an idle one-qubit peer."""
+def job_frame(kind, job_id, circuit, **config) -> dict:
+    """The `run` frame of a job of `circuit`: the circuit on a vQPU; on
+    the executor a program of two parts, the circuit and an idle one-qubit
+    peer."""
     config.setdefault("shots", 100)
     if kind == "vqpu":
-        return [{"type": "run", "job_id": job_id,
-                 "circuit": circuit_to_obj(circuit), "config": config}]
+        return {"type": "run", "job_id": job_id,
+                "circuit": circuit_to_obj(circuit), "config": config}
     parts = [circuit, Circuit(1, 0, id="idle-peer")]
-    return [{"type": "run", "job_id": job_id, "circuit": circuit_to_obj(c),
-             "config": {**config, "k": 2, "index": i}} for i, c in enumerate(parts)]
+    return {"type": "run", "job_id": job_id,
+            "circuits": [circuit_to_obj(c) for c in parts], "config": config}
 
 
 def submit_job(sock, kind, job_id, circuit, **config) -> None:
-    for frame in job_frames(kind, job_id, circuit, **config):
-        assert request(sock, frame) == {"type": "ack", "job_id": job_id}
+    assert request(sock, job_frame(kind, job_id, circuit, **config)) == {
+        "type": "ack", "job_id": job_id}
 
 
 def timed(sock, frame) -> tuple[dict, float]:
@@ -411,13 +453,13 @@ def test_job_finishing_within_wait_ms_takes_one_result_frame():
     for kind in SERVICES:
         with serving(kind) as server:
             connection = QpuConnection(server.host, server.port)
-            frames = job_frames(kind, "w", circuit, shots=shots)
-            assert [connection.request(f)["type"] for f in frames] == ["ack"] * len(frames)
+            frame = job_frame(kind, "w", circuit, shots=shots)
+            assert connection.request(frame)["type"] == "ack"
             t0 = time.monotonic()
             record = QJob("w", SimpleNamespace(connection=connection)).wait()
             elapsed = time.monotonic() - t0
             assert sum(record.counts.values()) == shots
-            assert connection.frame_log == ["run"] * len(frames) + ["result"]
+            assert connection.frame_log == ["run", "result"]
             assert elapsed < record.time_taken + 0.5, kind  # answered as the job ended
             connection.close()
 
@@ -468,6 +510,47 @@ def test_bad_wait_ms_is_a_schema_violation(wait_ms):
             reply = request(conn, {"type": "result", "job_id": "j", "wait_ms": wait_ms})
             assert reply["type"] == "error" and reply["code"] == "SchemaViolation"
             conn.close()
+
+
+BAD_RUNS = {  # id: (field of the frame, or of its config, set; None deletes it)
+    "config-list": ("config", [1]),
+    "config-number": ("config", 5),
+    "shots-bool": ("config.shots", True),
+    "shots-str": ("config.shots", "10"),
+    "shots-float": ("config.shots", 1.5),
+    "shots-zero": ("config.shots", 0),
+    "shots-absent": ("config.shots", None),
+    "seed-str": ("config.seed", "x"),
+    "seed-negative": ("config.seed", -3),
+    "seed-float": ("config.seed", 1.5),
+    "seed-bool": ("config.seed", True),
+    "job_id-int": ("job_id", 5),
+    "job_id-empty": ("job_id", ""),
+    "job_id-absent": ("job_id", None),
+}
+
+
+@pytest.mark.parametrize("path, value", BAD_RUNS.values(), ids=list(BAD_RUNS))
+@pytest.mark.parametrize("kind", sorted(SERVICES))
+def test_bad_run_frame_is_a_schema_violation(kind, path, value):
+    """Both services check a `run` frame's job id and config at the frame:
+    a bad one gets SchemaViolation naming the field, and nothing is queued."""
+    frame = job_frame(kind, "j", bell(), shots=10, seed=1)
+    key = path.removeprefix("config.")
+    target = frame if key == path else frame["config"]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    with serving(kind) as server:
+        conn = connect(server.host, server.port)
+        conn.settimeout(10.0)
+        reply = request(conn, frame)
+        assert (reply["type"], reply["code"]) == ("error", "SchemaViolation")
+        assert reply["message"].startswith(path + ":")
+        assert request(conn, {"type": "status"})["queued"] == 0
+        conn.close()
+        assert server._jobs == {}
 
 
 def test_shutdown_during_a_blocked_result_answers_it_and_drains(cunqa_home):

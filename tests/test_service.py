@@ -19,7 +19,6 @@ from dqcemu.errors import JobFailed
 from dqcemu.executor import ExecutorServer
 from dqcemu.orchestrator import _probe_status
 from dqcemu.protocol import (
-    DRAIN_S,
     RESULT_WAIT_MAX_MS,
     ServiceConfig,
     connect,
@@ -93,18 +92,18 @@ def teleport_circuits(idle: int = 0) -> list[Circuit]:
 SLOW_IDLE = 6  # about 0.5 s for 2,000 shots of the merged 10-qubit circuit
 
 
-def teleport_part(index, job_id, shots, idle=0) -> dict:
+def teleport_program(job_id, shots, idle=0) -> dict:
     return {"type": "run", "job_id": job_id,
-            "circuit": circuit_to_obj(teleport_circuits(idle)[index]),
-            "config": {"shots": shots, "seed": 3, "k": 2, "index": index}}
+            "circuits": [circuit_to_obj(c) for c in teleport_circuits(idle)],
+            "config": {"shots": shots, "seed": 3}}
 
 
-def job_frames(kind, job_id, shots) -> list[dict]:
-    """The `run` frames of one slow job: one on a vQPU, two parts on the
-    executor."""
+def job_frame(kind, job_id, shots) -> dict:
+    """The `run` frame of one slow job: a circuit on a vQPU, a program of
+    two parts on the executor."""
     if kind == "vqpu":
-        return [run_frame(job_id, slow_circuit(), shots=shots)]
-    return [teleport_part(i, job_id, shots, idle=SLOW_IDLE) for i in (0, 1)]
+        return run_frame(job_id, slow_circuit(), shots=shots)
+    return teleport_program(job_id, shots, idle=SLOW_IDLE)
 
 
 def wait_result(sock, job_id) -> dict:
@@ -140,8 +139,7 @@ def test_both_services_report_the_same_run_metadata():
         srv.start()
         try:
             sock = open_conn(srv)
-            for frame in job_frames(kind, "meta", 20):
-                assert request(sock, frame)["type"] == "ack", kind
+            assert request(sock, job_frame(kind, "meta", 20))["type"] == "ack", kind
             meta = wait_result(sock, "meta")["metadata"]
             sock.close()
         finally:
@@ -175,7 +173,7 @@ def test_frame_cut_mid_payload(service):
 
 
 def test_repeated_run_is_acked_and_runs_once():
-    """On both services: every `run` frame of a job, sent again while it is
+    """On both services: a job's `run` frame, sent again while the job is
     queued or running or after it is done, is acked and runs nothing."""
     for kind, make in SERVICES.items():
         srv = make()
@@ -185,12 +183,12 @@ def test_repeated_run_is_acked_and_runs_once():
         srv.start()
         try:
             sock = open_conn(srv)
-            frames = job_frames(kind, "same", 200)
-            acks = [request(sock, frame) for _ in range(2) for frame in frames]
+            frame = job_frame(kind, "same", 200)
+            acks = [request(sock, frame) for _ in range(2)]
             wait_until(lambda: request(sock, {"type": "result", "job_id": "same"})
                        ["type"] == "result", 10, "job same never finished")
-            acks += [request(sock, frame) for frame in frames]  # after the job is done
-            assert acks == [{"type": "ack", "job_id": "same"}] * 3 * len(frames), kind
+            acks.append(request(sock, frame))  # after the job is done
+            assert acks == [{"type": "ack", "job_id": "same"}] * 3, kind
             status = request(sock, {"type": "status"})
             assert status == {"type": "ack", "state": "idle", "queued": 0}, kind
             assert executed == ["same"], kind
@@ -225,61 +223,31 @@ def test_shutdown_during_merged_job_drains_it(cunqa_home):
     srv.start()
     replies = {}
 
-    def submit(index):
+    def collect(index):
         sock = open_conn(srv, timeout=30.0)
-        assert request(sock, teleport_part(index, "merged", 2000,
-                                           idle=SLOW_IDLE))["type"] == "ack"
         replies[index] = wait_result(sock, "merged")
         sock.close()
 
-    parts = [threading.Thread(target=submit, args=(i,)) for i in (0, 1)]
+    parts = [threading.Thread(target=collect, args=(i,)) for i in (0, 1)]
     try:
+        sock = open_conn(srv)
+        assert request(sock, teleport_program("merged", 2000,
+                                              idle=SLOW_IDLE))["type"] == "ack"
         for t in parts:
             t.start()
-        sock = open_conn(srv)
         wait_until(lambda: request(sock, {"type": "status"})["state"] == "busy",
                    10, "merged job never started")
         assert request(sock, {"type": "shutdown"}) == {"type": "ack"}
-        refused = request(sock, teleport_part(0, "late", 10))
+        refused = request(sock, teleport_program("late", 10))
         assert refused["type"] == "error" and refused["code"] == "Expired"
         sock.close()
         wait_in_thread(srv, timeout=30.0)
-        assert not srv._busy and not srv._assembling
+        assert not srv._busy
         for t in parts:
             t.join(5.0)
             assert not t.is_alive()
         assert [replies[i]["type"] for i in (0, 1)] == ["result", "result"]
         assert replies[0]["counts"] == replies[1]["counts"] == {"10": 2000}
-    finally:
-        srv.stop()
-
-
-def test_shutdown_fails_a_half_assembled_job_at_once(cunqa_home):
-    srv = SERVICES["executor"]()
-    srv.start()
-    replies = {}
-
-    def submit():
-        sock = open_conn(srv, timeout=30.0)
-        assert request(sock, teleport_part(0, "half", 10))["type"] == "ack"
-        replies[0] = wait_result(sock, "half")
-        sock.close()
-
-    part0 = threading.Thread(target=submit)
-    try:
-        part0.start()
-        wait_until(lambda: srv._queued() == 1, 10, "part 0 never arrived")
-        sock = open_conn(srv)
-        assert request(sock, {"type": "shutdown"}) == {"type": "ack"}
-        late = request(sock, teleport_part(1, "half", 10))
-        assert late["type"] == "error" and late["code"] == "Expired"
-        sock.close()
-        t0 = time.monotonic()
-        wait_in_thread(srv, timeout=DRAIN_S)
-        assert time.monotonic() - t0 < 2.0
-        part0.join(5.0)
-        assert not part0.is_alive()
-        assert replies[0]["type"] == "error" and replies[0]["code"] == "Expired"
     finally:
         srv.stop()
 
