@@ -10,8 +10,9 @@ cat-disentangler). Protocol measurements land in scratch clbits that are
 stripped from the aggregated counts, so the result looks as if the whole
 circuit ran on a single vQPU.
 
-Run as a process with ``python -m dqcemu.executor --config <json-file>``, the
-file holding a `protocol.ServiceConfig`.
+Run as a process with ``python -m dqcemu.executor --config <json-file>`` (or
+``--config -`` for stdin), the file holding a family whose first member it
+serves (`protocol.FramedService.main`).
 """
 
 from __future__ import annotations

@@ -1,15 +1,18 @@
 """Lifecycle management: raise, inspect and drop local vQPU processes.
 
-qraise binds one listening socket per process, spawns the detached server
-processes (plus, for the quantum model, one executor that runs each
-program's parts as one job) in one round, each from a
-`protocol.ServiceConfig` naming the socket it inherits, waits for each
-one's first `status` reply, records everything in the registry, each
-vQPU's row naming its executor, and prints the endpoints. The qraise
-command accepts -c and --mem-per-qpu for CUNQA command-line compatibility
-and ignores them; --n_nodes only sizes the simulated node-label cycle used
-by the SDK's on-node filter. qdrop removes each dropped process's log when
-it is empty.
+qraise binds one listening socket per family member (the vQPUs plus, for
+the quantum model, one executor that runs each program's parts as one job)
+and spawns one process, the family's first member: the executor of a
+quantum family, vQPU 0 of any other. It gets every member's
+`protocol.ServiceConfig` on its stdin and every listening socket; it
+imports the family's modules once, forks each other member, reports their
+pids on its stdout and reaps them as they exit. qraise waits for each
+member's first `status` reply, records every member in the registry under
+its own pid, each vQPU's row naming its executor, and prints the
+endpoints. The qraise command accepts -c and --mem-per-qpu for CUNQA
+command-line compatibility and ignores them; --n_nodes only sizes the
+simulated node-label cycle used by the SDK's on-node filter. qdrop removes
+each dropped process's log when it is empty.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import select
 import signal
 import socket
 import subprocess
@@ -37,6 +41,9 @@ from .protocol import ConnectionClosed, ServiceConfig, _Server, connect, request
 from .registry import RegistryEntry, pid_alive
 
 SPAWN_WAIT_S = 10.0
+#: what each family member runs as, for `protocol.FramedService.main`
+VQPU_KIND = "dqcemu.server:VqpuServer"
+EXECUTOR_KIND = "dqcemu.executor:ExecutorServer"
 PROBE_TIMEOUT_S = 0.2
 #: thread-count variables of the BLAS and OpenMP runtimes numpy may load,
 #: set to 1 in the environment of every spawned vQPU and executor
@@ -61,22 +68,52 @@ def format_ttl(seconds: int) -> str:
     return f"{seconds // 3600:02d}:{seconds % 3600 // 60:02d}:{seconds % 60:02d}"
 
 
-def _spawn(module: str, config_obj: dict, home: Path, name: str,
+def _spawn(members: list[tuple[str, str, dict, str]], home: Path,
            env: dict) -> subprocess.Popen:
-    """Start `module` on `config_obj`, handing it its `listen_fd`."""
-    cfg_path = home / "tmp" / f"{name}.json"
-    cfg_path.parent.mkdir(parents=True, exist_ok=True)
-    cfg_path.write_text(json.dumps(config_obj))
-    log_path = home / "logs" / f"{name}.log"
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    log = open(log_path, "ab")
-    try:
-        return subprocess.Popen(
-            [sys.executable, "-m", module, "--config", str(cfg_path)],
-            stdout=log, stderr=log, stdin=subprocess.DEVNULL,
-            pass_fds=(config_obj["listen_fd"],), start_new_session=True, env=env)
-    finally:
-        log.close()
+    """Start the family's first member (`protocol.FramedService.main`),
+    handing it every member's kind and config on its stdin and every
+    `listen_fd`; it forks the others."""
+    log_dir = home / "logs"
+    log_dir.mkdir(parents=True, exist_ok=True)
+    first_id, first_kind, *_ = members[0]
+    with open(log_dir / f"{first_id}.log", "ab") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", first_kind.partition(":")[0], "--config", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=log,
+            pass_fds=[cfg["listen_fd"] for _, _, cfg, _ in members],
+            start_new_session=True, env=env)
+    family = {"members": [{"kind": kind, "config": cfg}
+                          for _, kind, cfg, _ in members]}
+    with contextlib.suppress(BrokenPipeError):  # it exited: it is named later
+        with proc.stdin:
+            proc.stdin.write(json.dumps(family).encode())
+    return proc
+
+
+def _forked_pids(first: subprocess.Popen, timeout: float) -> list[int]:
+    """The pids of the members `first` forked, from the line it writes on
+    its stdout once it has forked them all; [] when it exits, or stays
+    silent for `timeout` s, before it writes it."""
+    with first.stdout:
+        if not select.select([first.stdout], [], [], timeout)[0]:
+            return []
+        return [int(word) for word in first.stdout.readline().split()
+                if word.isdigit()]
+
+
+def _kill_family(first: subprocess.Popen, forked: list[int]) -> None:
+    """Kill a family being raised: the forked members first, so that the
+    first member, if it still runs, reaps them, then the first member, which
+    this process reaps."""
+    for pid in forked:
+        with contextlib.suppress(OSError):
+            os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 1.0
+    while (first.poll() is None and time.monotonic() < deadline
+           and any(os.path.exists(f"/proc/{pid}") for pid in forked)):
+        time.sleep(0.005)
+    first.kill()
+    first.wait()
 
 
 def _request_once(host: str, port: int, frame: dict, timeout: float):
@@ -97,21 +134,22 @@ def _probe_status(host: str, port: int, timeout: float = PROBE_TIMEOUT_S):
     return _request_once(host, port, {"type": "status"}, timeout)
 
 
-def _not_ready(proc_id: str, proc: subprocess.Popen) -> PortExhausted:
-    """The error for a spawned process that never answered `status`; one
-    that exited is named with the last line of its log."""
-    try:
-        code = proc.wait(timeout=1.0)  # a closed port: it is exiting
-    except subprocess.TimeoutExpired:
-        return PortExhausted(
-            f"{proc_id} did not answer status within {SPAWN_WAIT_S:.0f} s")
+def _not_ready(proc_id: str, pid: int) -> PortExhausted:
+    """The error for a family member that never answered `status`; one that
+    exited is named with the last line of its log."""
+    deadline = time.monotonic() + 1.0
+    while pid_alive(pid):  # a closed port: it is exiting
+        if time.monotonic() >= deadline:
+            return PortExhausted(
+                f"{proc_id} did not answer status within {SPAWN_WAIT_S:.0f} s")
+        time.sleep(0.01)
     try:
         log = registry.cunqa_home() / "logs" / f"{proc_id}.log"
         last = log.read_text(errors="replace").strip().rpartition("\n")[2]
     except OSError as exc:
         last = f"its log cannot be read ({exc})"
-    return PortExhausted(f"{proc_id} exited with code {code} before answering "
-                         f"status: {last or 'its log is empty'}")
+    return PortExhausted(f"{proc_id} exited before answering status: "
+                         f"{last or 'its log is empty'}")
 
 
 def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector",
@@ -154,14 +192,16 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
     # its start and contends with the other processes (README: Simulation engine)
     env.update(dict.fromkeys(SPAWN_THREAD_VARS, "1"))
 
-    # qraise binds every listening socket and each process inherits its own:
-    # all endpoints, the executor's included, are known before any process
-    # starts, so the whole family is spawned in one round
+    # qraise binds every listening socket and the family inherits them: all
+    # endpoints, the executor's included, are known before any process
+    # starts. One process is spawned, the first member; it imports the
+    # family's kinds once and forks each other member
     quantum = comm_mode == "quantum"
     node_cycle = max(1, n_nodes or 1)
     socks: list[socket.socket] = []
-    members: list[tuple[str, str, dict, str]] = []  # id, module, config, node
-    procs: list[subprocess.Popen] = []
+    members: list[tuple[str, str, dict, str]] = []  # id, kind, config, node
+    first: subprocess.Popen | None = None
+    pids: list[int] = []  # the first member's, then those it forked
     raised_at = time.time()
     try:
         socks = [socket.create_server(  # SO_REUSEADDR, as _Server binds
@@ -176,38 +216,37 @@ def qraise(n: int, ttl: str, backend: str | None = None, sim: str = "statevector
                 service_id=proc_id, backend=backend_spec, comm_mode=comm_mode,
                 ttl_seconds=ttl_seconds, listen_fd=sock.fileno())
             members.append((
-                proc_id, "dqcemu.server" if vqpu >= 0 else "dqcemu.executor",
-                cfg.to_obj(),
+                proc_id, VQPU_KIND if vqpu >= 0 else EXECUTOR_KIND, cfg.to_obj(),
                 "node0" if co_located or vqpu < 0 else f"node{vqpu % node_cycle}"))
-        for (proc_id, module, cfg, _node), sock in zip(members, socks):
-            procs.append(_spawn(module, cfg, home, proc_id, env))
-            sock.close()  # the process holds the only copy: its exit closes the port
+        first = _spawn(members, home, env)
+        for sock in socks:  # the family holds the only copies: a member's
+            sock.close()    # exit closes its port
 
-        # ready at the first status reply; a process that exits first
+        # ready at the first status reply; a member that exits first
         # closes its port, so its probe fails at once
         deadline = time.monotonic() + SPAWN_WAIT_S
-        for (proc_id, *_), proc, (host, port) in zip(members, procs, addresses):
+        pids = [first.pid, *_forked_pids(first, SPAWN_WAIT_S)]
+        if len(pids) < len(members):
+            raise _not_ready(members[0][0], first.pid)
+        for (proc_id, *_), pid, (host, port) in zip(members, pids, addresses):
             timeout = max(deadline - time.monotonic(), 0.01)
             if _probe_status(host, port, timeout) is None:
-                raise _not_ready(proc_id, proc)
+                raise _not_ready(proc_id, pid)
     except BaseException:
-        for proc in procs:
-            proc.kill()
-            proc.wait()
+        if first is not None:
+            _kill_family(first, pids[1:])
         raise
     finally:
         for sock in socks:
             sock.close()
-        for proc_id, *_ in members:  # read by now, or never to be read
-            (home / "tmp" / f"{proc_id}.json").unlink(missing_ok=True)
 
     entries = [RegistryEntry(
         family=family, vqpu_id=proc_id, host=host, port=port,
         backend_path=backend_path, comm_mode=comm_mode, co_located=co_located,
-        pid=proc.pid, raised_at=raised_at, ttl_seconds=ttl_seconds,
+        pid=pid, raised_at=raised_at, ttl_seconds=ttl_seconds,
         executor_endpoint=executor_endpoint, node=node)
-        for (proc_id, _module, _cfg, node), proc, (host, port)
-        in zip(members, procs, addresses)]
+        for (proc_id, _kind, _cfg, node), pid, (host, port)
+        in zip(members, pids, addresses)]
     registry.add_entries(entries, home)
 
     if not quiet:
@@ -246,14 +285,16 @@ def qdrop(selector: str, quiet: bool = False) -> int:
                 del pending[vid]
         if pending:
             time.sleep(0.05)
-    for entry in pending.values():  # still alive: escalate
+    # still alive: escalate, the first member last, so that it reaps the
+    # others before it exits
+    for entry in reversed(pending.values()):
         try:
             os.kill(entry.pid, signal.SIGTERM)
         except OSError:
             pass
     if pending:
         time.sleep(0.3)
-        for entry in pending.values():
+        for entry in reversed(pending.values()):
             if pid_alive(entry.pid):
                 try:
                     os.kill(entry.pid, signal.SIGKILL)

@@ -12,11 +12,16 @@ absence of "type".
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
+import os
 import queue
+import signal
 import socket
 import socketserver
 import struct
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -36,6 +41,9 @@ RESULT_WAIT_MAX_MS = 1000
 #: the one that finished first is evicted, its id kept as "evicted" (a
 #: `result` answers Evicted) for as many ids again, then forgotten (UnknownJob)
 MAX_FINISHED_JOBS = 256
+#: bound on the wait of a family's first member, once it stops, for the
+#: members it forked: a shutdown or TTL expiry drains each within DRAIN_S
+FORKED_WAIT_S = DRAIN_S
 
 
 class ConnectionClosed(Exception):
@@ -440,14 +448,90 @@ class FramedService:
 
     @classmethod
     def main(cls, argv=None) -> int:
-        """Process entry point: run from a JSON config file until the
-        service stops."""
+        """Process entry point of a family's first member: read the family
+        from --config (a JSON file, or - for stdin), raise it and serve as
+        its first member until the service stops.
+
+        The family is {"members": [{"kind": "module:Class", "config": a
+        ServiceConfig}, ...]}, the first member run as `cls`. This process
+        imports every member's kind and builds its own service; before it
+        starts any thread it forks each other member (`_serve_forked`),
+        writes their pids on one line to its stdout, and then points its
+        stdout at its stderr. The members it forked are reaped as they exit
+        (SIGCHLD is ignored); once it stops, on its own or at SIGTERM, it
+        waits up to FORKED_WAIT_S for those still running before it exits."""
         parser = argparse.ArgumentParser(prog=cls.__name__)
         parser.add_argument("--config", required=True,
-                            help="path to a JSON ServiceConfig")
+                            type=argparse.FileType("r", encoding="utf-8"),
+                            help="path to a JSON family, or - for stdin")
         args = parser.parse_args(argv)
-        with open(args.config, "r", encoding="utf-8") as fh:
-            service = cls(ServiceConfig(**json.load(fh)))
+        with args.config as fh:
+            first, *others = json.load(fh)["members"]
+        kinds = {first["kind"]: cls}
+        for member in others:
+            if member["kind"] not in kinds:
+                module, _, name = member["kind"].partition(":")
+                kinds[member["kind"]] = getattr(importlib.import_module(module), name)
+        # a bad config of its own fails the family before anything is forked
+        service = cls(ServiceConfig(**first["config"]))
+        listen_fds = [m["config"].get("listen_fd", -1) for m in (first, *others)]
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pids = []
+        for member in others:
+            if (pid := os.fork()) == 0:
+                _serve_forked(kinds[member["kind"]], member["config"], listen_fds)
+            pids.append(pid)
+        _close_all_but(listen_fds, listen_fds[0])
+        print(*pids, flush=True)
+        os.dup2(2, 1)
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # no forked member stays a zombie
+        signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+        try:
+            service.start()
+            service.wait()
+        finally:
+            _wait_for_children(FORKED_WAIT_S)
+        return 0
+
+
+def _serve_forked(cls, config: dict, listen_fds: list[int]) -> None:
+    """Serve a member forked by its family's first member, as `cls` on
+    `config`: in a session of its own, holding only its own listening
+    socket, with its stdout and stderr on its own log. Never returns: it
+    exits the process when the service stops, with 1 if it fails."""
+    code = 1
+    try:
+        os.setsid()
+        _close_all_but(listen_fds, config.get("listen_fd", -1))
+        log = os.open(registry.cunqa_home() / "logs" / f"{config['service_id']}.log",
+                      os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        os.close(log)
+        service = cls(ServiceConfig(**config))
         service.start()
         service.wait()
-        return 0
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())  # the traceback, to its log
+    finally:
+        with contextlib.suppress(OSError, ValueError):
+            sys.stdout.flush()
+            sys.stderr.flush()
+        os._exit(code)
+
+
+def _close_all_but(fds: list[int], own: int) -> None:
+    """Close the inherited listening sockets of the other family members."""
+    for fd in fds:
+        if fd >= 0 and fd != own:
+            os.close(fd)
+
+
+def _wait_for_children(timeout: float) -> None:
+    """Wait up to `timeout` s until no child of this process runs."""
+    deadline = time.monotonic() + timeout
+    with contextlib.suppress(ChildProcessError):
+        while os.waitpid(-1, os.WNOHANG) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)

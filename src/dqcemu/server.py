@@ -6,8 +6,9 @@ queue; the simulation worker dequeues and executes them. A status request
 is answered while a simulation runs, and a failing task produces an error
 result without taking the server down.
 
-Run as a process with ``python -m dqcemu.server --config <json-file>``, the
-file holding a `protocol.ServiceConfig`.
+Run as a process with ``python -m dqcemu.server --config <json-file>`` (or
+``--config -`` for stdin), the file holding a family whose first member it
+serves (`protocol.FramedService.main`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,23 @@ from .protocol import (
     run_job,
     send_frame,
 )
-from .wire import circuit_from_obj
+from .wire import _is_number, circuit_from_obj
+
+
+def _check_params(params, path: str) -> None:
+    if not isinstance(params, list) or not all(_is_number(v) for v in params):
+        raise SchemaViolation(path, "expected a list of numbers")
+
+
+def _check_plan(plan) -> None:
+    """A channel plan maps circuit ids to the "host:port" of their vQPUs."""
+    if not isinstance(plan, dict):
+        raise SchemaViolation("config.plan", "expected an object")
+    for cid, address in plan.items():
+        host, _, port = str(address).rpartition(":")
+        if not (cid and isinstance(address, str) and host and port.isdigit()):
+            raise SchemaViolation("config.plan", "expected non-empty circuit "
+                                  f"ids mapped to 'host:port', got {cid!r}: {address!r}")
 
 
 @dataclass
@@ -97,6 +114,11 @@ class VqpuServer(FramedService):
     # -- receiver side --------------------------------------------------------
 
     def _decode(self, frame: dict) -> Circuit:
+        config = frame.get("config", {})
+        if config.get("params") is not None:
+            _check_params(config["params"], "config.params")
+        if config.get("plan") is not None:
+            _check_plan(config["plan"])
         if "circuit" not in frame:
             raise SchemaViolation("circuit", "a vQPU's run needs one circuit")
         return circuit_from_obj(frame["circuit"])
@@ -110,6 +132,8 @@ class VqpuServer(FramedService):
     def _handle_upgrade(self, frame: dict):
         job_id = frame.get("job_id", "")
         params = frame.get("params")
+        if isinstance(params, list):  # anything else is an ArityMismatch
+            _check_params(params, "params")
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:

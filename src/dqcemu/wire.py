@@ -19,6 +19,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _check_fields(obj, path: str, required: tuple, optional: tuple = ()) -> None:
     if not isinstance(obj, dict):
         raise SchemaViolation(path or "<root>", "expected an object")
@@ -49,7 +53,7 @@ def _param_from_obj(p, path: str):
         if not isinstance(p["param"], str) or not p["param"]:
             raise SchemaViolation(f"{path}.param", "expected a non-empty string")
         return Param(p["param"])
-    if isinstance(p, (int, float)) and not isinstance(p, bool):
+    if _is_number(p):
         return float(p)
     raise SchemaViolation(path, "expected a number or a {'param': name} slot")
 

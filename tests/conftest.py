@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import sys
 from pathlib import Path
 
@@ -43,3 +44,26 @@ def raise_family(cunqa_home):
             qdrop(fam, quiet=True)
         except Exception:
             pass
+
+
+PR_SET_CHILD_SUBREAPER = 36
+
+
+@pytest.fixture()
+def adopt_orphans():
+    """Make this process, for the test, the subreaper of its descendants. A
+    family member is forked by the family's first member; if a test kills
+    that one, the others are adopted by this process, and qinfo and qdrop
+    reap them at once, instead of by an init that may reap them seconds
+    later or never. Request it before `raise_family`, so it is undone after
+    the drop."""
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):  # not Linux: nothing is adopted
+        yield
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+    yield
+    prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)

@@ -29,7 +29,7 @@ from dqcemu.orchestrator import (
     qraise,
 )
 from dqcemu.registry import pid_alive
-from dqcemu.protocol import ConnectionClosed, recv_frame
+from dqcemu.protocol import ConnectionClosed, ServiceConfig, recv_frame
 from dqcemu.wire import circuit_to_obj
 
 
@@ -65,28 +65,39 @@ def test_lifecycle_via_cli(cunqa_home, capsys):
 
 @pytest.fixture()
 def spawn_log(monkeypatch):
-    """Records every spawn ("spawn", id, proc) and readiness probe
-    ("probe", host, port) qraise makes, in order."""
+    """Records, in order, every spawn qraise makes ("spawn", the family's
+    member ids, the first member's process), the pids of the members that
+    process forked ("forked", pids), and every readiness probe ("probe",
+    host, port)."""
     log = []
-    spawn, probe = orchestrator._spawn, orchestrator._probe_status
+    spawn, forked = orchestrator._spawn, orchestrator._forked_pids
+    probe = orchestrator._probe_status
 
-    def recording_spawn(module, config_obj, home, name, env):
-        proc = spawn(module, config_obj, home, name, env)
-        log.append(("spawn", name, proc))
+    def recording_spawn(members, home, env):
+        proc = spawn(members, home, env)
+        log.append(("spawn", [m[0] for m in members], proc))
         return proc
+
+    def recording_forked(first, timeout):
+        pids = forked(first, timeout)
+        log.append(("forked", pids))
+        return pids
 
     def recording_probe(host, port, *args):
         log.append(("probe", host, port))
         return probe(host, port, *args)
 
     monkeypatch.setattr(orchestrator, "_spawn", recording_spawn)
+    monkeypatch.setattr(orchestrator, "_forked_pids", recording_forked)
     monkeypatch.setattr(orchestrator, "_probe_status", recording_probe)
     return log
 
 
 def test_quantum_family_spawns_executor(raise_family, spawn_log):
     fam = raise_family(2, quantum_comm=True)
-    spawned = {e[2].pid for e in spawn_log if e[0] == "spawn"}
+    (_, ids, first), (_, forked) = spawn_log[:2]
+    assert ids[0] == f"{fam}-executor"
+    spawned = {first.pid, *forked}
     for e in registry.read_registry():
         assert e.pid in spawned and pid_alive(e.pid), e.vqpu_id
         assert _probe_status(e.host, e.port)["type"] == "ack", e.vqpu_id
@@ -106,43 +117,135 @@ def test_quantum_family_spawns_executor(raise_family, spawn_log):
 
 
 def test_family_spawns_in_one_round(raise_family, spawn_log):
-    """Every process of a quantum family starts before the first probe."""
+    """A quantum family is one spawn, the executor's, which forks both vQPUs
+    before the first probe."""
     fam = raise_family(2, quantum_comm=True)
     kinds = [e[0] for e in spawn_log]
-    assert kinds == ["spawn"] * 3 + ["probe"] * 3
-    assert [e[1] for e in spawn_log[:3]] == [
-        f"{fam}-executor", f"{fam}-0", f"{fam}-1"]
+    assert kinds == ["spawn", "forked"] + ["probe"] * 3
+    assert spawn_log[0][1] == [f"{fam}-executor", f"{fam}-0", f"{fam}-1"]
+    assert len(spawn_log[1][1]) == 2
 
 
 def test_process_exiting_before_it_serves_fails_fast(cunqa_home, spawn_log,
                                                        monkeypatch):
     """A vQPU that exits at start closes its inherited port: qraise names it
     and the last line of its log within about 2 s (not SPAWN_WAIT_S), and
-    leaves no process, registry entry or config file behind."""
-    spawn = orchestrator._spawn
+    leaves no process, registry entry or config file behind. The vQPU is
+    forked by the executor, not by qraise, so qraise cannot learn its exit
+    code; the log line names the cause."""
 
-    def failing_spawn(module, config_obj, home, name, env):
-        if name.endswith("-1"):  # ServiceConfig rejects the unknown field
-            config_obj = {**config_obj, "no_such_field": 1}
-        return spawn(module, config_obj, home, name, env)
+    class BadSecondVqpu(ServiceConfig):
+        def to_obj(self):  # ServiceConfig rejects the unknown field
+            obj = super().to_obj()
+            if self.service_id.endswith("-1"):
+                obj["no_such_field"] = 1
+            return obj
 
-    monkeypatch.setattr(orchestrator, "_spawn", failing_spawn)
+    monkeypatch.setattr(orchestrator, "ServiceConfig", BadSecondVqpu)
     t0 = time.monotonic()
-    with pytest.raises(PortExhausted, match="bad-1 exited with code 1 before "
-                       "answering status: TypeError: .*'no_such_field'"):
+    with pytest.raises(PortExhausted, match="bad-1 exited before answering "
+                       "status: TypeError: .*'no_such_field'"):
         qraise(n=2, ttl="00:01:00", quantum_comm=True, name="bad", quiet=True)
     assert time.monotonic() - t0 < 3.0
-    procs = [e[2] for e in spawn_log if e[0] == "spawn"]
-    assert len(procs) == 3
-    assert all(p.returncode is not None and not pid_alive(p.pid) for p in procs)
+    (_, _, first), (_, forked) = spawn_log[:2]
+    assert len(forked) == 2
+    assert first.returncode is not None
+    assert not any(os.path.exists(f"/proc/{pid}") for pid in forked)
+    assert not pid_alive(first.pid) and all(not pid_alive(p) for p in forked)
     assert registry.read_registry() == []
-    assert list((cunqa_home / "tmp").iterdir()) == []
+    assert not (cunqa_home / "tmp").exists()
 
 
 def test_dropped_family_leaves_no_tmp_file(cunqa_home):
     fam = qraise(n=2, ttl="00:01:00", quantum_comm=True, quiet=True)
     assert qdrop(fam, quiet=True) == 3
-    assert list((cunqa_home / "tmp").iterdir()) == []
+    assert not (cunqa_home / "tmp").exists()
+
+
+def _stat(pid: int) -> list[bytes]:
+    """The fields of /proc/<pid>/stat after the command: state, ppid, pgrp,
+    session, ..."""
+    with open(f"/proc/{pid}/stat", "rb") as fh:
+        return fh.read().rpartition(b")")[2].split()
+
+
+@pytest.mark.parametrize("flags", [{}, {"quantum_comm": True}],
+                         ids=["no-comm", "quantum"])
+def test_first_member_forks_the_others(cunqa_home, raise_family, flags):
+    """Each member is a process of its own: its own pid answering status,
+    its own session, its stdout and stderr on its own log; every member
+    after the first is the first's child."""
+    if not os.path.isdir("/proc/self"):
+        pytest.skip("needs /proc")
+    fam = raise_family(3, **flags)
+    entries = [e for e in registry.read_registry() if e.family == fam]
+    assert len(entries) == 3 + bool(flags)
+    assert len({e.pid for e in entries}) == len(entries)
+    first = entries[0]
+    assert first.is_executor == bool(flags)
+    for e in entries:
+        assert _probe_status(e.host, e.port)["type"] == "ack", e.vqpu_id
+        state, ppid, _pgrp, session = _stat(e.pid)[:4]
+        assert int(session) == e.pid, e.vqpu_id
+        if e is not first:
+            assert int(ppid) == first.pid, e.vqpu_id
+        log = str(cunqa_home / "logs" / f"{e.vqpu_id}.log")
+        assert os.readlink(f"/proc/{e.pid}/fd/1") == log, e.vqpu_id
+        assert os.readlink(f"/proc/{e.pid}/fd/2") == log, e.vqpu_id
+
+
+@pytest.mark.parametrize("flags", [{}, {"quantum_comm": True}],
+                         ids=["no-comm", "quantum"])
+def test_dropped_family_leaves_no_process(raise_family, flags):
+    """qdrop returns once the first member has exited, and it exits only
+    after it has reaped the others, here the last one, which drains a job
+    of about half a second: no pid of the family is left, zombies
+    included."""
+    fam = raise_family(3, **flags)
+    entries = [e for e in registry.read_registry() if e.family == fam]
+    slow = Circuit(4, 28, id="slow")  # about a millisecond per shot
+    for r in range(12):
+        for q in range(4):
+            slow.h(q)
+        slow.cx(0, 1)
+        slow.measure([2, 3], [4 + 2 * r, 5 + 2 * r])
+    last = entries[-1]
+    reply = _request_once(last.host, last.port, {
+        "type": "run", "job_id": "slow", "circuit": circuit_to_obj(slow),
+        "config": {"shots": 500, "seed": 1}}, timeout=5.0)
+    assert reply["type"] == "ack", reply
+    deadline = time.monotonic() + 5
+    while (_probe_status(last.host, last.port) or {}).get("state") != "busy":
+        assert time.monotonic() < deadline, "the job never started"
+        time.sleep(0.01)
+    assert qdrop(fam, quiet=True) == len(entries)
+    assert [e.pid for e in entries if os.path.exists(f"/proc/{e.pid}")] == []
+
+
+def test_family_outlives_its_first_member(adopt_orphans, raise_family):
+    """The members forked by a first member that is killed keep serving:
+    qinfo prunes the dead one and qdrop drops the rest."""
+    fam = raise_family(3)
+    entries = [e for e in registry.read_registry() if e.family == fam]
+    os.kill(entries[0].pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while len(qinfo(family=fam)) != 2 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    rows = qinfo(family=fam)
+    assert [r["vqpu_id"] for r in rows] == [f"{fam}-1", f"{fam}-2"]
+    assert all(r["state"] == "idle" for r in rows)
+    c = Circuit(1, 1, id="flip")
+    c.x(0).measure(0, 0)
+    for e in entries[1:]:
+        reply = _request_once(e.host, e.port, {
+            "type": "run", "job_id": "j", "circuit": circuit_to_obj(c),
+            "config": {"shots": 10, "seed": 1}}, timeout=5.0)
+        assert reply["type"] == "ack", reply
+        reply = _request_once(e.host, e.port, {
+            "type": "result", "job_id": "j", "wait_ms": 1000}, timeout=5.0)
+        assert reply["counts"] == {"1": 10}, reply
+    assert qdrop(fam, quiet=True) == 2
+    assert [e.pid for e in entries if os.path.exists(f"/proc/{e.pid}")] == []
 
 
 def test_dropped_family_leaves_no_empty_log(cunqa_home):
@@ -294,7 +397,7 @@ def test_qinfo_family_filter(raise_family):
     assert len(qinfo()) == 3
 
 
-def test_qinfo_prunes_dead_processes(raise_family):
+def test_qinfo_prunes_dead_processes(adopt_orphans, raise_family):
     fam = raise_family(2)
     entries = registry.read_registry()
     os.kill(entries[0].pid, signal.SIGKILL)
@@ -307,7 +410,7 @@ def test_qinfo_prunes_dead_processes(raise_family):
     assert len(qinfo(family=fam)) == 1
 
 
-def test_qinfo_reaps_the_dead_children_it_prunes(raise_family):
+def test_qinfo_reaps_the_dead_children_it_prunes(adopt_orphans, raise_family):
     """A vQPU raised in this process and killed stays a zombie child until
     someone waits for it: the qinfo that prunes it reaps it."""
     fam = raise_family(2)

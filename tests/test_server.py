@@ -553,6 +553,52 @@ def test_bad_run_frame_is_a_schema_violation(kind, path, value):
         assert server._jobs == {}
 
 
+BAD_VQPU_RUNS = {  # id: (field of a vQPU run's config, value)
+    "params-number": ("params", 5),
+    "params-str-item": ("params", ["x"]),
+    "params-bool-item": ("params", [True]),
+    "params-object": ("params", {"a": 1.0}),
+    "plan-list": ("plan", [1]),
+    "plan-int-address": ("plan", {"b": 7}),
+    "plan-no-port": ("plan", {"b": "127.0.0.1"}),
+    "plan-no-host": ("plan", {"b": ":5000"}),
+    "plan-empty-id": ("plan", {"": "127.0.0.1:5000"}),
+}
+
+
+@pytest.mark.parametrize("key, value", BAD_VQPU_RUNS.values(),
+                         ids=list(BAD_VQPU_RUNS))
+def test_bad_vqpu_run_config_is_a_schema_violation(server, conn, key, value):
+    """A vQPU checks a `run`'s params and channel plan at the frame, not on
+    the simulator thread: a bad one gets SchemaViolation naming the field,
+    and nothing is queued."""
+    c = Circuit(1, 1, id="p")
+    c.rz(Param("a"), 0)
+    c.measure(0, 0)
+    reply = submit(conn, c, job_id="j", shots=10, **{key: value})
+    assert (reply["type"], reply["code"]) == ("error", "SchemaViolation")
+    assert reply["message"].startswith(f"config.{key}:")
+    assert request(conn, {"type": "status"})["queued"] == 0
+    assert server._jobs == {}
+
+
+@pytest.mark.parametrize("params", [["x"], [1.0, None], [False]])
+def test_upgrade_with_a_value_that_is_not_a_number(server, conn, params):
+    """upgrade_parameters checks its values at the frame: the job keeps its
+    result and nothing is queued."""
+    c = Circuit(1, 1, id="p")
+    c.rz(Param("a"), 0)
+    c.measure(0, 0)
+    submit(conn, c, job_id="p", shots=10, seed=3, params=[0.1])
+    done = poll_result(conn, "p")
+    reply = request(conn, {"type": "upgrade_parameters", "job_id": "p",
+                           "params": params})
+    assert (reply["type"], reply["code"]) == ("error", "SchemaViolation")
+    assert reply["message"].startswith("params:")
+    assert request(conn, {"type": "status"})["queued"] == 0
+    assert request(conn, {"type": "result", "job_id": "p"}) == done
+
+
 def test_shutdown_during_a_blocked_result_answers_it_and_drains(cunqa_home):
     """The drain waits for the job and the blocked `result`, which gets the
     job's result when it finishes."""

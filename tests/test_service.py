@@ -252,7 +252,7 @@ def test_shutdown_during_merged_job_drains_it(cunqa_home):
         srv.stop()
 
 
-def test_killed_executor_fails_both_parts(raise_family):
+def test_killed_executor_fails_both_parts(adopt_orphans, raise_family):
     fam = raise_family(2, quantum_comm=True)
     executor = next(e for e in registry.read_registry()
                     if e.family == fam and e.is_executor)
