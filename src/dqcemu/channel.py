@@ -3,7 +3,7 @@
 Delivery is reliable and FIFO per ordered (src, dst) pair; receives block,
 sends do not. Every message is tagged with the sender's shot epoch so a
 desynchronized shot loop surfaces as a hard EpochMismatch instead of a
-silently reordered bit. Endpoints are job-scoped.
+silently reordered bit. Endpoints are job-scoped: every bit names its job.
 
 The transport is pluggable: an in-memory hub serves single-process runs and
 tests, a socket transport sends frames to peer vQPU servers (whose receiver
@@ -23,43 +23,53 @@ from .errors import ChannelTimeout, EpochMismatch, PeerUnreachable
 DEFAULT_RECV_TIMEOUT_MS = 30_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitMessage:
     src_circuit: str
     dst_circuit: str
     shot_epoch: int
     seq: int
     bit: int
+    job: str = ""  # the job id of the program both circuits are parts of
 
     def to_obj(self) -> dict:
         return {"src": self.src_circuit, "dst": self.dst_circuit,
-                "epoch": self.shot_epoch, "seq": self.seq, "bit": self.bit}
+                "epoch": self.shot_epoch, "seq": self.seq, "bit": self.bit,
+                "job": self.job}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BitMessage":
-        return cls(obj["src"], obj["dst"], obj["epoch"], obj["seq"], obj["bit"])
-
-
-def is_bit_frame(obj: dict) -> bool:
-    return {"src", "dst", "epoch", "seq", "bit"} <= set(obj)
+        return cls(obj["src"], obj["dst"], obj["epoch"], obj["seq"], obj["bit"],
+                   obj.get("job", ""))
 
 
 class ChannelEndpoint:
-    """One participant's view of the channel for a single distributed job."""
+    """One participant's view of the channel for a single distributed job,
+    which every bit it sends names. Once `bind` gives it a `limit`, the bits
+    that arrive past that many are dropped and `recv_bit` raises ChannelTimeout."""
 
     def __init__(self, local_circuit: str, peer_map: dict[str, object],
-                 transport, recv_timeout_ms: int = DEFAULT_RECV_TIMEOUT_MS):
+                 transport, recv_timeout_ms: int = DEFAULT_RECV_TIMEOUT_MS,
+                 job: str = ""):
         self.local_circuit = local_circuit
         self.peer_map = dict(peer_map)
         self.recv_timeout_ms = recv_timeout_ms
+        self.job, self.limit, self.taken = job, None, 0  # taken: bits arrived
         self._transport = transport
         self._cond = threading.Condition()
         self._queues: dict[str, deque[BitMessage]] = {}
 
+    def bind(self, local_circuit: str, peer_map: dict, transport, limit: int) -> None:
+        """Give an endpoint made by its first bits its part's circuit, peers and limit."""
+        self.local_circuit, self.peer_map = local_circuit, dict(peer_map)
+        self._transport, self.limit = transport, limit
+
     # inbound path, fed by the transport reader
     def deliver(self, msg: BitMessage) -> None:
         with self._cond:
-            self._queues.setdefault(msg.src_circuit, deque()).append(msg)
+            self.taken += 1
+            if self.limit is None or self.taken <= self.limit:
+                self._queues.setdefault(msg.src_circuit, deque()).append(msg)
             self._cond.notify_all()
 
     def send_bit(self, msg: BitMessage) -> None:
@@ -74,6 +84,10 @@ class ChannelEndpoint:
         deadline = time.monotonic() + self.recv_timeout_ms / 1000.0
         with self._cond:
             while True:
+                if self.limit is not None and self.taken > self.limit:
+                    raise ChannelTimeout(
+                        f"{self.taken} bits came for {self.local_circuit!r} of job "
+                        f"{self.job!r}, which reads {self.limit}; the rest were dropped")
                 q = self._queues.get(from_circuit)
                 if q:
                     msg = q.popleft()
@@ -98,7 +112,8 @@ class ChannelEndpoint:
     def hooks(self) -> ChannelHooks:
         """Adapter for the engine's shot loop."""
         def send(peer: str, epoch: int, seq: int, bit: int) -> None:
-            self.send_bit(BitMessage(self.local_circuit, peer, epoch, seq, bit))
+            self.send_bit(BitMessage(self.local_circuit, peer, epoch, seq, bit,
+                                     self.job))
         return ChannelHooks(send=send, recv=self.recv_bit)
 
 
@@ -111,19 +126,19 @@ class InMemoryHub:
     """
 
     def __init__(self, delay=None):
-        self._endpoints: dict[str, ChannelEndpoint] = {}
+        self._by_circuit: dict[str, ChannelEndpoint] = {}
         self._delay = delay
         self._lock = threading.Lock()
 
     def register(self, circuit_id: str, endpoint: ChannelEndpoint) -> None:
         with self._lock:
-            self._endpoints[circuit_id] = endpoint
+            self._by_circuit[circuit_id] = endpoint
 
     def send(self, address, msg: BitMessage) -> None:
         if self._delay is not None:
             time.sleep(self._delay(msg))
         with self._lock:
-            ep = self._endpoints.get(address)
+            ep = self._by_circuit.get(address)
         if ep is None:
             raise PeerUnreachable(f"no endpoint registered for {address!r}")
         ep.deliver(msg)

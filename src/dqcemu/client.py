@@ -10,6 +10,7 @@ every part's QJob resolves to the one aggregated result.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import uuid
 
@@ -19,6 +20,7 @@ from . import registry
 from .backend import BackendSpec, load_backend, validate
 from .circuit import Circuit
 from .errors import (
+    ERROR_CODES,
     CommModeMismatch,
     DistributedInstructionPresent,
     DuplicateId,
@@ -82,10 +84,8 @@ class QpuConnection:
 
     def close_locked(self):
         if self._sock is not None:
-            try:
+            with contextlib.suppress(OSError):
                 self._sock.close()
-            except OSError:
-                pass
             self._sock = None
 
     def close(self):
@@ -255,11 +255,8 @@ def run(qpu: QpuHandle, circuit: Circuit, shots: int = 1024, seed=None,
     violations = validate(circuit, qpu.backend)
     if violations:
         raise ValidationFailed(violations)
-    config = {"shots": shots}
-    if seed is not None:
-        config["seed"] = seed
-    if params is not None:
-        config["params"] = list(params)
+    config = {"shots": shots, "seed": seed,
+              "params": None if params is None else list(params)}
     job_id = _new_job_id()
     _submit(qpu.connection, job_id, config, circuit=circuit_to_obj(circuit))
     return QJob(job_id, qpu)
@@ -267,31 +264,33 @@ def run(qpu: QpuHandle, circuit: Circuit, shots: int = 1024, seed=None,
 
 def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
                     shots: int = 1024, seed=None) -> list[QJob]:
-    """Submit the parts of one distributed program, one circuit per vQPU.
+    """Submit the parts of one distributed program as one job, one circuit
+    per vQPU; a program that names a vQPU twice is refused (DuplicateId).
 
-    Classical model: each vQPU runs its part in lockstep over a shared
-    channel plan. Quantum model: the parts go in one frame to the executor
-    the chosen vQPUs share, which runs them as one job; every returned QJob
-    resolves to the same aggregated result.
+    Classical model: each vQPU runs its part under the program's job id, in
+    lockstep over a shared channel plan. Quantum model: the parts go in one
+    frame to the executor the chosen vQPUs share, which runs them as one
+    job; every returned QJob resolves to the same aggregated result.
     """
     if len(qpus) < len(circuits):
         raise NotEnoughQpus(
             f"{len(circuits)} circuits need at least that many vQPUs, "
             f"got {len(qpus)}")
+    chosen = qpus[:len(circuits)]
     ids = [c.id for c in circuits]
-    if len(set(ids)) != len(ids):
-        raise DuplicateId(f"duplicate circuit ids: {ids}")
-    known = set(ids)
+    vqpus = [h.entry.vqpu_id for h in chosen]
+    for what, names in (("circuit ids", ids), ("vQPUs", vqpus)):
+        if len(set(names)) != len(names):
+            raise DuplicateId(f"duplicate {what}: {names}")
     for c in circuits:
         for peer in c.peer_ids():
-            if peer not in known:
+            if peer not in ids:
                 raise UnknownPeerId(
                     f"circuit {c.id!r} references {peer!r}, which is not submitted")
 
     quantum = any(c.has_link("quantum") for c in circuits)
     classical = any(c.has_link("classical") for c in circuits)
     required = "quantum" if quantum else "classical" if classical else None
-    chosen = qpus[:len(circuits)]
     if required is not None:
         wrong = [h.entry.vqpu_id for h in chosen
                  if h.entry.comm_mode != required]
@@ -311,26 +310,18 @@ def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
         if violations:
             raise ValidationFailed(violations)
 
+    job_id = _new_job_id()
     if required == "quantum":
-        job_id, executor = _new_job_id(), chosen[0].executor
-        config = {"shots": shots} if seed is None else {"shots": shots, "seed": seed}
-        _submit(executor, job_id, config,
+        executor = chosen[0].executor
+        _submit(executor, job_id, {"shots": shots, "seed": seed},
                 circuits=[circuit_to_obj(c) for c in circuits])
         return [QJob(job_id, handle, executor) for handle in chosen]
-    jobs = []
-    base = _new_job_id()
     plan = {c.id: h.entry.endpoint for c, h in zip(circuits, chosen)}
     for i, (circuit, handle) in enumerate(zip(circuits, chosen)):
-        config = {"shots": shots}
-        if required == "classical":
-            config["plan"] = plan
-        part_seed = _part_seed(seed, i)
-        if part_seed is not None:
-            config["seed"] = part_seed
-        job_id = f"{base}/{circuit.id}"
-        _submit(handle.connection, job_id, config, circuit=circuit_to_obj(circuit))
-        jobs.append(QJob(job_id, handle))
-    return jobs
+        _submit(handle.connection, job_id,
+                {"shots": shots, "seed": _part_seed(seed, i), "plan": plan},
+                circuit=circuit_to_obj(circuit))
+    return [QJob(job_id, handle) for handle in chosen]
 
 
 def result(job: QJob) -> ResultRecord:
@@ -371,14 +362,8 @@ def upgrade_parameters(job: QJob, params) -> QJob:
     })
     if reply.get("type") != "ack":
         code = reply.get("code", "Error")
-        exc_type = _upgrade_error(code)
-        raise exc_type(f"{code}: {reply.get('message', '')}")
+        raise ERROR_CODES.get(code, EmulatorError)(f"{code}: {reply.get('message', '')}")
     return QJob(job.job_id, job.target)
-
-
-def _upgrade_error(code: str):
-    from . import errors
-    return errors.ERROR_CODES.get(code, EmulatorError)
 
 
 def split_shots(total: int, k: int) -> list[int]:

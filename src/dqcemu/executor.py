@@ -310,7 +310,7 @@ class ExecutorServer(FramedService):
 
     work_frames = ("run",)
 
-    def _decode(self, frame: dict) -> list[Circuit]:
+    def _decode(self, job_id: str, frame: dict, config: dict) -> Program:
         parts = frame.get("circuits")
         if not isinstance(parts, list) or len(parts) < 2:
             raise SchemaViolation("circuits", "expected a list of at least two parts")
@@ -320,10 +320,7 @@ class ExecutorServer(FramedService):
                        "were bound" for part in parts if (slots := part.param_slots())]
         if violations:
             raise ValidationFailed(violations)
-        return parts
-
-    def _take(self, job_id: str, parts: list[Circuit], config: dict) -> dict:
-        return self._queue(Program(job_id, parts, config["shots"], config.get("seed")))
+        return Program(job_id, parts, config["shots"], config.get("seed"))
 
     def _execute(self, program: Program) -> ResultRecord:
         return execute_merged(merge_circuits(program.parts), program.shots,

@@ -5,8 +5,8 @@ service skeleton, job table included.
 
 Frame = 4-byte big-endian payload length + UTF-8 JSON payload. Protocol
 messages carry a "type" field; classical-channel bit messages are bare
-{"src", "dst", "epoch", "seq", "bit"} objects and are told apart by the
-absence of "type".
+{"src", "dst", "epoch", "seq", "bit", "job"} objects and are told apart by
+the absence of "type".
 """
 
 from __future__ import annotations
@@ -203,9 +203,9 @@ class FramedService:
     TTL timer.
 
     Both keep one job table. A `run` frame's job id, shots and seed are
-    checked here and its circuits decoded by `_decode`; a job id the table
-    holds is acked again and runs nothing, any other is handed to `_take`,
-    which queues a task with `_queue`. The `simulator` thread runs the
+    checked here, and `_decode` decodes and checks the task it asks for; a
+    job id the table holds is acked again and runs nothing, any other task
+    is queued with `_queue`. The `simulator` thread runs the
     queued tasks one at a time with `_execute` and adds to each result
     record the time its task waited in the queue (`queue_wait`).
     `result` answers a job's result or error, waiting up to `wait_ms` for a
@@ -249,14 +249,9 @@ class FramedService:
         self._finished: dict[str, None] = {}  # done or failed, first finished first
         self._evicted: dict[str, None] = {}  # first evicted first
 
-    def _decode(self, frame: dict):
-        """The circuits of a `run` frame, decoded and checked outside the
-        lock; a frame they fail is answered with the error raised."""
-        raise NotImplementedError
-
-    def _take(self, job_id: str, circuits, config: dict) -> dict:
-        """Accept a `run` of `job_id` that is not a resend; the caller holds
-        the lock."""
+    def _decode(self, job_id: str, frame: dict, config: dict):
+        """The task of a `run` frame, decoded and checked outside the lock;
+        a frame it fails is answered with the error raised."""
         raise NotImplementedError
 
     def _execute(self, task):
@@ -356,11 +351,11 @@ class FramedService:
         seed = config.get("seed")
         if seed is not None and (not _is_int(seed) or seed < 0):
             raise SchemaViolation("config.seed", "expected an integer >= 0")
-        circuits = self._decode(frame)
+        task = self._decode(job_id, frame, config)
         with self._lock:
             if job_id in self._jobs:
                 return {"type": "ack", "job_id": job_id}  # a resent run runs once
-            return self._take(job_id, circuits, config)
+            return self._queue(task)
 
     def _queue(self, task) -> dict:
         """Queue `task` as a run of its job; the caller holds the lock."""

@@ -1,10 +1,11 @@
 """The vQPU process: a framed-JSON TCP server with two cooperating workers.
 
 The receiver worker accepts connections, answers status/result queries,
-routes inbound channel bits and enqueues quantum tasks into a bounded FIFO
-queue; the simulation worker dequeues and executes them. A status request
-is answered while a simulation runs, and a failing task produces an error
-result without taking the server down.
+checks and enqueues quantum tasks into a bounded FIFO queue and routes
+inbound channel bits to the inbox of their job; the simulation worker
+dequeues and executes them. A status request is answered while a
+simulation runs, and a failing task produces an error result without
+taking the server down.
 
 Run as a process with ``python -m dqcemu.server --config <json-file>`` (or
 ``--config -`` for stdin), the file holding a family whose first member it
@@ -13,26 +14,33 @@ serves (`protocol.FramedService.main`).
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .backend import Violation, validate
-from .channel import BitMessage, ChannelEndpoint, is_bit_frame
+from .channel import BitMessage, ChannelEndpoint
 from .circuit import Circuit
-from .errors import PeerUnreachable, SchemaViolation, ValidationFailed
+from .errors import ChannelTimeout, PeerUnreachable, SchemaViolation, ValidationFailed
 from .protocol import (
     FramedService,
     ResultRecord,
     ServiceConfig,
     _evicted,
     connect,
+    error_code,
     error_frame,
     parse_address,
     run_job,
     send_frame,
 )
 from .wire import _is_number, circuit_from_obj
+
+#: bits a vQPU holds for parts it has not acked yet, over all jobs; past it
+#: the job whose inbox was made first fails with ChannelTimeout and its bits
+#: are dropped
+MAX_HELD_BITS = 4096
 
 
 def _check_params(params, path: str) -> None:
@@ -58,7 +66,6 @@ class QuantumTask:
     shots: int
     seed: int | None = None
     params: list | None = None  # initial values for declared slots
-    param_slots: list[str] = field(default_factory=list)
     plan: dict[str, str] | None = None  # circuit id -> host:port (classical)
 
 
@@ -89,10 +96,8 @@ class TcpBitTransport:
     def close(self) -> None:
         with self._lock:
             for sock in self._socks.values():
-                try:
+                with contextlib.suppress(OSError):
                     sock.close()
-                except OSError:
-                    pass
             self._socks.clear()
 
 
@@ -105,29 +110,54 @@ class VqpuServer(FramedService):
         super().__init__(config)
         self.handlers.update({"upgrade_parameters": self._handle_upgrade,
                               None: self._route_bit})
-        self._endpoint: ChannelEndpoint | None = None
-        self._stray_bits: list[BitMessage] = []
+        self._inboxes: dict[str, ChannelEndpoint] = {}  # by job id, oldest first
+        self._held = 0  # bits in the inboxes of parts not acked yet
 
     def _rerunnable(self, task: QuantumTask) -> bool:
-        return bool(task.param_slots)  # what upgrade_parameters reruns
+        return bool(task.circuit.param_slots())  # what upgrade_parameters reruns
 
     # -- receiver side --------------------------------------------------------
 
-    def _decode(self, frame: dict) -> Circuit:
-        config = frame.get("config", {})
+    def _decode(self, job_id: str, frame: dict, config: dict) -> QuantumTask:
         if config.get("params") is not None:
             _check_params(config["params"], "config.params")
         if config.get("plan") is not None:
             _check_plan(config["plan"])
         if "circuit" not in frame:
             raise SchemaViolation("circuit", "a vQPU's run needs one circuit")
-        return circuit_from_obj(frame["circuit"])
+        circuit = circuit_from_obj(frame["circuit"])
+        violations = validate(circuit, self.config.backend)
+        if circuit.has_link("quantum"):
+            violations.append(Violation(
+                "CommModeMismatch", "circuit uses a quantum link: its parts run "
+                "as one job on the family executor, not on a vQPU"))
+        elif circuit.has_link("classical") and self.config.comm_mode != "classical":
+            violations.append(Violation(
+                "CommModeMismatch", "circuit uses a classical link but vQPU "
+                f"comm_mode is {self.config.comm_mode!r}"))
+        elif circuit.has_link("classical") and not config.get("plan"):
+            violations.append("distributed circuit submitted without a channel plan")
+        if (slots := circuit.param_slots()) and config.get("params") is None:
+            violations.append(f"circuit declares parameters {slots} but none were bound")
+        if violations:
+            raise ValidationFailed(violations)
+        return QuantumTask(job_id=job_id, circuit=circuit, shots=config["shots"],
+                           seed=config.get("seed"), params=config.get("params"),
+                           plan=config.get("plan"))
 
-    def _take(self, job_id: str, circuit: Circuit, config: dict) -> dict:
-        return self._queue(QuantumTask(
-            job_id=job_id, circuit=circuit, shots=config["shots"],
-            seed=config.get("seed"), params=config.get("params"),
-            plan=config.get("plan")))
+    def _queue(self, task: QuantumTask) -> dict:
+        """Queue `task`; a channel-linked part gets the inbox of its job,
+        made now or by its first bit, which keeps at most the bits the part
+        reads: one per shot and `remote_c_if`. The caller holds the lock."""
+        reply = super()._queue(task)
+        circuit = task.circuit
+        if reply["type"] == "ack" and circuit.has_link("classical"):
+            inbox = self._inboxes.setdefault(
+                task.job_id, ChannelEndpoint(circuit.id, {}, None, job=task.job_id))
+            self._held -= inbox.taken
+            inbox.bind(circuit.id, task.plan, TcpBitTransport(), task.shots * sum(
+                ins.name == "remote_c_if" for ins in circuit.instructions))
+        return reply
 
     def _handle_upgrade(self, frame: dict):
         job_id = frame.get("job_id", "")
@@ -150,81 +180,58 @@ class VqpuServer(FramedService):
                 return error_frame("NoParamSlots",
                                    f"job {job_id!r} has no parameter slots",
                                    job_id=job_id)
-            if not isinstance(params, list) or len(params) != len(task.param_slots):
+            slots = task.circuit.param_slots()
+            if not isinstance(params, list) or len(params) != len(slots):
                 return error_frame(
                     "ArityMismatch",
-                    f"expected {len(task.param_slots)} values, got "
+                    f"expected {len(slots)} values, got "
                     f"{len(params) if isinstance(params, list) else type(params).__name__}",
                     job_id=job_id)
-            return self._queue(QuantumTask(
-                job_id=job_id, circuit=task.circuit, shots=task.shots,
-                seed=task.seed, params=list(params), plan=task.plan))
+            return self._queue(replace(task, params=list(params)))
 
     def _route_bit(self, frame: dict):
-        if not is_bit_frame(frame):
+        """Deliver a bit to the inbox of its job. A job the table holds
+        without an inbox has finished or reads no bits, and its bit is
+        dropped; any other job's first bit makes its inbox, which holds
+        bits until the part is acked, at most MAX_HELD_BITS over all jobs."""
+        if not {"src", "dst", "epoch", "seq", "bit"} <= frame.keys():
             return error_frame("SchemaViolation", "frame without type")
         msg = BitMessage.from_obj(frame)
         with self._lock:
-            ep = self._endpoint
-            if ep is not None and ep.local_circuit == msg.dst_circuit:
-                target = ep
-            else:
-                self._stray_bits.append(msg)
-                return None
-        target.deliver(msg)
+            inbox = self._inboxes.get(msg.job)
+            if inbox is None:
+                if msg.job in self._jobs:
+                    return None
+                inbox = self._inboxes[msg.job] = ChannelEndpoint(
+                    msg.dst_circuit, {}, None, job=msg.job)
+            inbox.deliver(msg)
+            if inbox.limit is None:
+                self._held += 1
+            while self._held > MAX_HELD_BITS:  # fail the job held longest
+                oldest = next(j for j, box in self._inboxes.items() if box.limit is None)
+                self._held -= self._inboxes.pop(oldest).taken
+                self._finish(oldest, failure=error_code(ChannelTimeout(
+                    f"more than {MAX_HELD_BITS} bits came for parts not acked yet; "
+                    f"those of job {oldest!r}, held longest, were dropped")))
         return None  # bit frames are one-way
 
     # -- simulation side ------------------------------------------------------
 
     def _execute(self, task: QuantumTask) -> ResultRecord:
-        config = self.config
-        circuit = task.circuit
-        violations = validate(circuit, config.backend)
-        if circuit.has_link("quantum"):
-            violations.append(Violation(
-                "CommModeMismatch", "circuit uses a quantum link: its parts run "
-                "as one job on the family executor, not on a vQPU"))
-        if circuit.has_link("classical") and config.comm_mode != "classical":
-            violations.append(Violation(
-                "CommModeMismatch", "circuit uses a classical link but vQPU "
-                f"comm_mode is {config.comm_mode!r}"))
-        if violations:
-            raise ValidationFailed(violations)
-
-        slots = circuit.param_slots()
-        task.param_slots = slots
-        if slots:
-            if task.params is None:
-                raise ValidationFailed(
-                    [f"circuit declares parameters {slots} but none were bound"])
-            circuit = circuit.bind_params(task.params)
-
-        endpoint = hooks = None
-        if circuit.has_link("classical"):
-            if not task.plan:
-                raise ValidationFailed(
-                    ["distributed circuit submitted without a channel plan"])
-            peers = {cid: addr for cid, addr in task.plan.items()
-                     if cid != circuit.id}
-            endpoint = ChannelEndpoint(circuit.id, peers, TcpBitTransport())
-            hooks = endpoint.hooks()
-            with self._lock:
-                self._endpoint = endpoint
-                strays = [m for m in self._stray_bits
-                          if m.dst_circuit == circuit.id]
-                self._stray_bits = [m for m in self._stray_bits
-                                    if m.dst_circuit != circuit.id]
-            for msg in strays:
-                endpoint.deliver(msg)
-
+        with self._lock:
+            inbox = self._inboxes.get(task.job_id)
         try:
-            record = run_job(task.job_id, circuit, task.shots, task.seed, hooks=hooks)
+            circuit = task.circuit
+            if circuit.param_slots():
+                circuit = circuit.bind_params(task.params)
+            record = run_job(task.job_id, circuit, task.shots, task.seed,
+                             hooks=None if inbox is None else inbox.hooks())
         finally:
-            if endpoint is not None:
+            if inbox is not None:
                 with self._lock:
-                    self._endpoint = None
-                endpoint.close()
-        record.metadata["vqpu_id"] = config.service_id
+                    del self._inboxes[task.job_id]
+                inbox.close()
+        record.metadata["vqpu_id"] = self.config.service_id
         return record
 
 

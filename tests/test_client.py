@@ -21,6 +21,7 @@ from dqcemu.client import (
 from dqcemu.errors import (
     CommModeMismatch,
     DistributedInstructionPresent,
+    DuplicateId,
     FamilyMismatch,
     InvalidState,
     JobFailed,
@@ -125,6 +126,19 @@ def test_run_distributed_argument_errors(cunqa_home):
         run_distributed([a, b], handles, shots=10)
 
 
+def test_run_distributed_refuses_a_vqpu_named_twice(cunqa_home):
+    """The parts of a program share its job id, so a second part on the
+    same vQPU would be acked as a resend and never run: it is refused
+    before any frame is sent."""
+    registry.add_entries([fake_entry("v-0", comm_mode="classical"),
+                          fake_entry("v-1", comm_mode="classical")])
+    handles = get_qpus()
+    chain = build_ipea_chain(QpeConfig(n_ancilla=2, theta=1.0))
+    with pytest.raises(DuplicateId, match="v-0"):
+        run_distributed(chain.circuits, [handles[0], handles[0]], shots=10)
+    assert all(h.connection.frame_log == [] for h in handles)
+
+
 def test_run_distributed_comm_mode_checks(cunqa_home):
     registry.add_entries([fake_entry("n-0"), fake_entry("n-1")])
     handles = get_qpus()
@@ -220,8 +234,8 @@ def test_job_failure_surfaces_with_diagnostic(raise_family):
     c = Circuit(1, 1, id="unbound")
     c.rz(Param("theta"), 0)
     c.measure(0, 0)
-    job = run(handle, c, shots=10)  # slots declared but no values bound
-    with pytest.raises(JobFailed, match="ValidationFailed"):
+    job = run(handle, c, shots=10, params=[0.1, 0.2])  # one slot, two values
+    with pytest.raises(JobFailed, match="ArityMismatch"):
         job.wait()
     assert job.state == "failed"
 
@@ -232,7 +246,8 @@ def test_gather_collects_before_raising(raise_family):
     bad = Circuit(1, 1, id="bad")
     bad.rz(Param("x"), 0)
     bad.measure(0, 0)
-    jobs = [run(qpus[0], bad, shots=5), run(qpus[1], bell(), shots=5, seed=1)]
+    jobs = [run(qpus[0], bad, shots=5, params=[0.1, 0.2]),  # fails binding
+            run(qpus[1], bell(), shots=5, seed=1)]
     with pytest.raises(JobFailed):
         gather(jobs)
     assert jobs[1].cached_result is not None  # others were still retrieved
@@ -318,6 +333,45 @@ def test_interleaved_programs_on_one_family_both_complete(raise_family):
         t.join(10.0)
     assert time.monotonic() - t0 < 10.0
     assert counts == {0: [alone[0]] * 2, 1: [alone[1]] * 2}
+
+
+def test_classical_programs_on_one_family_both_complete(raise_family):
+    """Two IPEA programs on one classical family, submitted back to back
+    and then from two threads at once, both complete within 10 s, with the
+    counts each gets alone: each program is one job, and a vQPU keeps the
+    bits of each job apart."""
+    fam = raise_family(3, classical_comm=True)
+    qpus = get_qpus(family=fam)
+    programs = [(build_ipea_chain(QpeConfig(n_ancilla=3, theta=theta)).circuits, seed)
+                for theta, seed in ((2.0, 11), (1.0, 12))]
+    alone = [[r.counts for r in gather(run_distributed(circuits, qpus, shots=500,
+                                                       seed=seed))]
+             for circuits, seed in programs]
+
+    t0 = time.monotonic()
+    jobs = [run_distributed(circuits, qpus, shots=500, seed=seed)
+            for circuits, seed in programs]
+    assert [[r.counts for r in gather(js)] for js in jobs] == alone
+    assert time.monotonic() - t0 < 10.0
+
+    counts = {}
+    together = threading.Barrier(len(programs))
+
+    def submit(index, circuits, seed):
+        handles = get_qpus(family=fam)
+        together.wait(10.0)
+        jobs = run_distributed(circuits, handles, shots=500, seed=seed)
+        counts[index] = [job.wait().counts for job in jobs]
+
+    threads = [threading.Thread(target=submit, args=(i, *program))
+               for i, program in enumerate(programs)]
+    t0 = time.monotonic()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10.0)
+    assert time.monotonic() - t0 < 10.0
+    assert counts == dict(enumerate(alone))
 
 
 def test_failed_quantum_job_reports_the_executors_code(raise_family):

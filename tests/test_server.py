@@ -8,7 +8,7 @@ import pytest
 from dqcemu import engine
 from dqcemu import protocol
 from dqcemu.algorithms import QpeConfig, build_ipea_chain
-from dqcemu.channel import BitMessage, ChannelEndpoint
+from dqcemu.channel import BitMessage, ChannelEndpoint, establish
 from dqcemu.circuit import Circuit, Param
 from dqcemu.client import QJob, QpuConnection
 from dqcemu.executor import ExecutorServer
@@ -21,7 +21,7 @@ from dqcemu.protocol import (
     request,
     send_frame,
 )
-from dqcemu.server import VqpuServer
+from dqcemu.server import MAX_HELD_BITS, VqpuServer
 from dqcemu.wire import circuit_to_obj
 
 from oracles import run_shot_loop_reference
@@ -54,6 +54,23 @@ def submit(sock, circuit, job_id="j1", **config) -> dict:
     return request(sock, {"type": "run", "job_id": job_id,
                           "circuit": circuit_to_obj(circuit),
                           "config": config})
+
+
+def refused(sock, circuit, job_id, **config) -> dict:
+    """The error a vQPU answers a `run` with at the frame; nothing is queued
+    and the job stays unknown."""
+    reply = submit(sock, circuit, job_id=job_id, **config)
+    assert reply["type"] == "error"
+    assert request(sock, {"type": "status"})["queued"] == 0
+    assert request(sock, {"type": "result", "job_id": job_id})["code"] == "UnknownJob"
+    return reply
+
+
+def one_slot() -> Circuit:
+    c = Circuit(1, 1, id="p")
+    c.rz(Param("a"), 0)
+    c.measure(0, 0)
+    return c
 
 
 def poll_result(sock, job_id, timeout=10.0) -> dict:
@@ -129,11 +146,13 @@ def test_unknown_job(conn):
 def test_failed_task_isolated(conn):
     bad = Circuit(1, 0, id="bad")
     bad.qsend(0, "peer")  # quantum link on a comm_mode=none vQPU
-    submit(conn, bad, job_id="bad")
-    reply = poll_result(conn, "bad")
-    assert reply["type"] == "error"
+    reply = refused(conn, bad, "bad")
     assert reply["code"] == "ValidationFailed"
     assert "CommModeMismatch" in reply["message"]
+    # two values for one slot: binding fails on the simulator thread
+    assert submit(conn, one_slot(), job_id="arity", params=[0.1, 0.2])["type"] == "ack"
+    reply = poll_result(conn, "arity")
+    assert (reply["type"], reply["code"]) == ("error", "ArityMismatch")
     # the server keeps serving
     submit(conn, bell(), job_id="good", shots=10)
     assert poll_result(conn, "good")["type"] == "result"
@@ -142,8 +161,7 @@ def test_failed_task_isolated(conn):
 def test_clbits_beyond_the_engines_cap_are_a_validation_failure(conn):
     wide = Circuit(1, engine.MAX_CLBITS + 1, id="wide")
     wide.measure(0, engine.MAX_CLBITS)
-    submit(conn, wide, job_id="wide")
-    reply = poll_result(conn, "wide")
+    reply = refused(conn, wide, "wide")
     assert (reply["type"], reply["code"]) == ("error", "ValidationFailed")
     assert "WidthExceeded" in reply["message"] and "clbits" in reply["message"]
 
@@ -158,8 +176,7 @@ def test_quantum_link_is_refused_in_every_comm_mode(comm_mode):
         sock.settimeout(10.0)
         part = Circuit(1, 0, id="part")
         part.qsend(0, "peer")
-        submit(sock, part, job_id="q")
-        reply = poll_result(sock, "q")
+        reply = refused(sock, part, "q")
         assert (reply["type"], reply["code"]) == ("error", "ValidationFailed")
         assert "CommModeMismatch" in reply["message"]
         assert "executor" in reply["message"]
@@ -171,8 +188,7 @@ def test_quantum_link_is_refused_in_every_comm_mode(comm_mode):
 def test_classical_circuit_needs_classical_mode(conn):
     c = Circuit(1, 1, id="cl")
     c.measure_and_send(0, "peer")
-    submit(conn, c, job_id="cl")
-    reply = poll_result(conn, "cl")
+    reply = refused(conn, c, "cl")
     assert reply["type"] == "error"
     assert "CommModeMismatch" in reply["message"]
 
@@ -274,13 +290,11 @@ def test_finished_jobs_are_evicted_oldest_first(server, conn, monkeypatch):
     param = Circuit(1, 1, id="p")
     param.rz(Param("a"), 0)
     param.measure(0, 0)
-    bad = Circuit(1, 0, id="bad")
-    bad.qsend(0, "peer")  # fails validation on a comm_mode=none vQPU
 
     submit(conn, param, job_id="p", shots=10, params=[0.1])
     assert poll_result(conn, "p")["type"] == "result"
-    submit(conn, bad, job_id="bad")
-    assert poll_result(conn, "bad")["code"] == "ValidationFailed"
+    submit(conn, param, job_id="bad", shots=10, params=[0.1, 0.2])  # fails binding
+    assert poll_result(conn, "bad")["code"] == "ArityMismatch"
     submit(conn, bell(), job_id="b1", shots=10)
     assert poll_result(conn, "b1")["type"] == "result"  # evicts p
     for frame in ({"type": "result", "job_id": "p"},
@@ -316,8 +330,7 @@ def test_unbound_params_rejected(conn):
     c = Circuit(1, 1, id="u")
     c.rz(Param("theta"), 0)
     c.measure(0, 0)
-    submit(conn, c, job_id="u", shots=10)
-    reply = poll_result(conn, "u")
+    reply = refused(conn, c, "u", shots=10)
     assert reply["type"] == "error"
     assert reply["code"] == "ValidationFailed"
 
@@ -341,17 +354,24 @@ def test_bit_frames_are_one_way(server):
     sock.close()
 
 
+def held_bits(srv) -> int:
+    """Bits the inboxes of a vQPU hold."""
+    with srv._lock:
+        return sum(len(q) for inbox in srv._inboxes.values()
+                   for q in inbox._queues.values())
+
+
 def test_bits_that_arrive_before_their_part_are_handed_over():
-    """Bits for a circuit that reach its vQPU before the circuit's `run`
-    wait there and reach the circuit's endpoint once it runs.
-    `run_distributed` submits a program's parts in circuit order, senders
-    first, so over TCP a receiver's vQPU can get bits before it has acked,
-    or started, the receiving part."""
+    """Bits for a job that reach its vQPU before the part's `run` wait in
+    the job's inbox and reach the part once it runs. `run_distributed`
+    submits a program's parts in circuit order, senders first, so over TCP
+    a receiver's vQPU can get bits before it has acked, or started, the
+    receiving part."""
     sender, receiver = build_ipea_chain(QpeConfig(n_ancilla=2, theta=2.0)).circuits
     shots, bits = 200, []
 
     def send(peer, epoch, seq, bit):
-        bits.append(BitMessage(sender.id, peer, epoch, seq, bit))
+        bits.append(BitMessage(sender.id, peer, epoch, seq, bit, "r"))
 
     run_shot_loop_reference(sender, shots, 1, hooks=engine.ChannelHooks(send, None))
     inbox = ChannelEndpoint(receiver.id, {}, transport=None)
@@ -366,16 +386,63 @@ def test_bits_that_arrive_before_their_part_are_handed_over():
         for msg in bits:
             send_frame(sock, msg.to_obj())
         assert request(sock, {"type": "status"})["type"] == "ack"  # after the bits
-        assert len(srv._stray_bits) == shots
+        assert held_bits(srv) == srv._held == shots
         plan = {sender.id: "127.0.0.1:1", receiver.id: f"{srv.host}:{srv.port}"}
         ack = submit(sock, receiver, job_id="r", shots=shots, seed=2, plan=plan)
         assert ack == {"type": "ack", "job_id": "r"}
         reply = poll_result(sock, "r")
         assert reply["type"] == "result" and reply["counts"] == expected
-        assert srv._stray_bits == []
+        assert held_bits(srv) == srv._held == 0 and srv._inboxes == {}
         sock.close()
     finally:
         srv.stop()
+
+
+def test_bits_no_part_reads_are_bounded():
+    """A vQPU flooded with bits for jobs it never runs holds at most
+    MAX_HELD_BITS of them, dropping the bits of the job held longest and
+    failing that job with ChannelTimeout; an acked part flooded past the
+    bits it reads drops them and ends in ChannelTimeout. The vQPU then runs
+    a classical program, one part of it fed from another vQPU, with the
+    counts the program gets alone."""
+    sender, receiver = build_ipea_chain(QpeConfig(n_ancilla=2, theta=2.0)).circuits
+    flooded = VqpuServer(ServiceConfig("flood-0", comm_mode="classical"))
+    peer = VqpuServer(ServiceConfig("flood-1", comm_mode="classical"))
+    flooded.start()
+    peer.start()
+    try:
+        sock = connect(flooded.host, flooded.port)
+        sock.settimeout(10.0)
+        plan = {sender.id: f"{peer.host}:{peer.port}",
+                receiver.id: f"{flooded.host}:{flooded.port}"}
+        # acked, it waits for its peer's bits; it reads 10 (one per shot)
+        assert submit(sock, receiver, job_id="acked", shots=10, plan=plan)["type"] == "ack"
+        for i in range(2 * MAX_HELD_BITS):
+            send_frame(sock, BitMessage("x", receiver.id, i, 0, 1, f"ghost-{i % 50}").to_obj())
+            if i < 100:
+                send_frame(sock, BitMessage("x", receiver.id, i, 0, 1, "acked").to_obj())
+        reply = poll_result(sock, "acked")  # after the bits
+        assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
+        assert held_bits(flooded) == flooded._held <= MAX_HELD_BITS
+        reply = request(sock, {"type": "result", "job_id": "ghost-0"})
+        assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
+
+        shots, seeds = 300, (11, 12)
+        hub = establish({c.id: c.id for c in (sender, receiver)})
+        alone = [engine.run_branched(c, shots, seed, hub[c.id].hooks())[0]
+                 for c, seed in zip((sender, receiver), seeds)]
+        other = connect(peer.host, peer.port)
+        other.settimeout(10.0)
+        submit(other, sender, job_id="prog", shots=shots, seed=seeds[0], plan=plan)
+        submit(sock, receiver, job_id="prog", shots=shots, seed=seeds[1], plan=plan)
+        assert [poll_result(other, "prog")["counts"],
+                poll_result(sock, "prog")["counts"]] == alone
+        assert held_bits(flooded) == flooded._held <= MAX_HELD_BITS
+        other.close()
+        sock.close()
+    finally:
+        flooded.stop()
+        peer.stop()
 
 
 def test_shutdown_frame(cunqa_home):
@@ -481,16 +548,17 @@ def test_unfinished_job_is_acked_after_wait_ms():
 
 def test_failed_and_unknown_jobs_answer_at_once():
     bad = Circuit(1, 0, id="bad")
-    bad.qsend(0, "peer")  # a vQPU refuses it; no part "peer" on the executor
-    codes = {"vqpu": "ValidationFailed", "executor": "DanglingProtocol"}
-    for kind in SERVICES:
+    bad.qsend(0, "peer")  # no part "peer" on the executor
+    runs = {"vqpu": (one_slot(), {"params": [0.1, 0.2]}, "ArityMismatch"),
+            "executor": (bad, {}, "DanglingProtocol")}
+    for kind, (circuit, config, code) in runs.items():
         with serving(kind) as server:
             conn = connect(server.host, server.port)
             conn.settimeout(10.0)
-            submit_job(conn, kind, "bad", bad)
+            submit_job(conn, kind, "bad", circuit, **config)
             reply, elapsed = timed(conn, {"type": "result", "job_id": "bad",
                                           "wait_ms": RESULT_WAIT_MAX_MS})
-            assert reply["type"] == "error" and reply["code"] == codes[kind]
+            assert reply["type"] == "error" and reply["code"] == code
             assert elapsed < 0.5, kind
             reply, elapsed = timed(conn, {"type": "result", "job_id": "ghost",
                                           "wait_ms": RESULT_WAIT_MAX_MS})
