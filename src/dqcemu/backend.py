@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .circuit import Circuit
+from .circuit import Circuit, Param
 from .engine import MAX_CLBITS
 from .errors import BackendFileInvalid, SchemaViolation
 from .gates import GATES, LINKS, arity_error
-from .wire import _check_fields, _is_int
+from .wire import _check_fields, _is_int, _is_number
 
 DEFAULT_BACKEND_QUBITS = 32
 
@@ -140,6 +140,10 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
 
     for idx, ins in enumerate(circuit.instructions):
         name = ins.name
+        for p in ins.params:
+            if not (isinstance(p, Param) or _is_number(p)):
+                out.append(Violation("SchemaViolation",
+                                     f"parameter {p!r} of {name} is not a finite number", idx))
         if in_region and name not in ("expose_begin", "expose_end"):
             # expose body marker: qubit indices are peer-relative
             if ins.remote is not None:

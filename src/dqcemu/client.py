@@ -50,10 +50,20 @@ _STATE_RANK = {"submitted": 0, "running": 1, "done": 2, "failed": 2}
 _WIRE_STATE = {"queued": "submitted", "running": "running"}
 
 
+#: seconds a server may take to answer beyond the `wait_ms` a request asks
+#: it to wait: the slowest reply measured, the ack of a `run` frame of
+#: MAX_FRAME_BYTES, came after about 18 s on a 2-vCPU host (extrapolated
+#: from 4.1 s at 14 MiB); a request not answered by then counts as a
+#: transport failure
+REPLY_TIMEOUT_S = 30.0
+
+
 class QpuConnection:
     """One lazily opened wire session per server; request/reply under a
     lock, with a single reconnect attempt on transport failure, after which
-    the server counts as gone (PeerUnreachable)."""
+    the server counts as gone (PeerUnreachable). A reply that does not come
+    within the request's `wait_ms` and REPLY_TIMEOUT_S is such a failure,
+    so a request to a frozen server ends within twice that."""
 
     def __init__(self, host: str, port: int, frame_log: list[str] | None = None):
         self.host = host
@@ -63,21 +73,22 @@ class QpuConnection:
         # frame types sent, for diagnostics
         self.frame_log: list[str] = [] if frame_log is None else frame_log
 
-    def _ensure(self):
+    def _ensure(self, timeout: float):
         if self._sock is None:
             self._sock = connect(self.host, self.port, timeout=10.0)
-            self._sock.settimeout(None)
+        self._sock.settimeout(timeout)
         return self._sock
 
     def request(self, frame: dict) -> dict:
+        timeout = frame.get("wait_ms", 0) / 1000 + REPLY_TIMEOUT_S
         with self._lock:
             self.frame_log.append(frame.get("type", "?"))
             try:
-                return request(self._ensure(), frame)
+                return request(self._ensure(timeout), frame)
             except (ConnectionClosed, OSError):
                 self.close_locked()
             try:
-                return request(self._ensure(), frame)
+                return request(self._ensure(timeout), frame)
             except (ConnectionClosed, OSError) as exc:
                 self.close_locked()
                 raise PeerUnreachable(f"{self.host}:{self.port}: {exc}") from exc

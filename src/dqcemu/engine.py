@@ -34,6 +34,7 @@ from .statevector import (
     compile_gate,
     compile_gates,
     move_to_zero,
+    sample_basis,
     sample_outcomes,
 )
 
@@ -44,7 +45,10 @@ RNG_ALGORITHM = "pcg64"
 #: bytes one chunk of shots may hold beyond its first state: at most half
 #: for its shots' uniforms, the rest for live states. A chunk starts with as
 #: many shots as half the budget holds and is cut when its branches would
-#: outgrow the rest, so a job holds at most this much more than one state
+#: outgrow the rest, and every step works inside the arrays of its states
+#: (a growth step too), with at most two pieces of `statevector.SLAB`
+#: amplitudes or a sweep's buffer beside them, so a job holds at most this
+#: much more than one state, and those buffers
 BRANCH_BUDGET_BYTES = 2 << 20
 #: qubits active from the start, the lowest ones (all of a narrower
 #: circuit): numpy multiplies a one-element array without the fused
@@ -365,12 +369,14 @@ def _at_shot(exc: EmulatorError, shots: np.ndarray, shot_ids: range) -> Emulator
     return type(exc)(f"shot {shot_ids[int(shots.min())]}: {exc}")
 
 
-def _root(prog: _Program, shots: int) -> _Branch:
+def _root(prog: _Program, shots: int, width: int | None = None) -> _Branch:
     """Every shot in one branch, in |0...0> on the START_WIDTH lowest
-    qubits, every other qubit folded at 0."""
-    amps = np.zeros(1 << min(prog.num_qubits, START_WIDTH), dtype=np.complex128)
-    amps[0] = 1.0
-    return _Branch(amps, 0, np.arange(shots))
+    qubits, every other qubit folded at 0. The state is the head of one
+    array of 2^width amplitudes (the job's widest state by default), in
+    which its growth steps spread it (`statevector.Grow`)."""
+    buf = np.zeros(1 << (prog.widest if width is None else width), dtype=np.complex128)
+    buf[0] = 1.0
+    return _Branch(buf[:1 << min(prog.num_qubits, START_WIDTH)], 0, np.arange(shots))
 
 
 def _walk(prog: _Program, ops: list[_Op], branches: list[_Branch],
@@ -402,7 +408,7 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
     instructions carrying a clbit are conditionals triggered on bit == 1.
     """
     prog = _compile(circuit, terminal=False)
-    (b,), _, _ = _walk(prog, prog.walked, [_root(prog, 1)],
+    (b,), _, _ = _walk(prog, prog.walked, [_root(prog, 1, circuit.num_qubits)],
                        iter(rng.random((prog.draws, 1))).__next__,
                        range(shot_index, shot_index + 1), hooks or null_hooks())
     return (StateVector(circuit.num_qubits, _unfold(prog.end)(b.amps) if prog.end.bits
@@ -412,19 +418,15 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
 
 def _sample_block(prog: _Program, branch: _Branch, seed) -> Callable[[int], np.ndarray]:
     """The terminal block's outcome of each qubit for a branch of every shot
-    of a job: one draw per shot over the full distribution from job_rng(seed).
-    Where qubits are still folded, the draw is over the active qubits'
-    distribution and a folded qubit reads its bit, unless the state is
-    unfolded first (`prog.expand`). The branch's state is dropped once its
-    weights are taken, its last use, so it is freed before `choice` builds
-    its cumulative table."""
-    probs, branch.amps = branch.amps, None
+    of a job: one draw per shot over the full distribution from job_rng(seed)
+    (`statevector.sample_basis`, the draws of `choice`), which takes the
+    branch's state, its last use. Where qubits are still folded, the draw is
+    over the active qubits' distribution and a folded qubit reads its bit,
+    unless the state is unfolded first (`prog.expand`), in its own array."""
+    amps, branch.amps = branch.amps, None
     if prog.expand:
-        probs = _unfold(prog.end)(probs)
-    probs = np.abs(probs)
-    np.square(probs, out=probs)
-    probs /= probs.sum()
-    outcomes = job_rng(seed).choice(len(probs), size=len(branch.shots), p=probs)
+        amps = _unfold(prog.end)(amps)
+    outcomes = sample_basis(amps, job_rng(seed), len(branch.shots))
     if not prog.expand:  # the active qubits are the lowest: set the folded bits
         outcomes += sum(bit << q for q, bit in prog.end.bits.items())
     return lambda q: (outcomes >> q) & 1

@@ -22,7 +22,13 @@ from dataclasses import dataclass, replace
 from .backend import Violation, validate
 from .channel import BitMessage, ChannelEndpoint
 from .circuit import Circuit
-from .errors import ChannelTimeout, PeerUnreachable, SchemaViolation, ValidationFailed
+from .errors import (
+    ArityMismatch,
+    ChannelTimeout,
+    PeerUnreachable,
+    SchemaViolation,
+    ValidationFailed,
+)
 from .protocol import (
     FramedService,
     ResultRecord,
@@ -45,7 +51,7 @@ MAX_HELD_BITS = 4096
 
 def _check_params(params, path: str) -> None:
     if not isinstance(params, list) or not all(_is_number(v) for v in params):
-        raise SchemaViolation(path, "expected a list of numbers")
+        raise SchemaViolation(path, "expected a list of finite numbers")
 
 
 def _check_plan(plan) -> None:
@@ -137,12 +143,15 @@ class VqpuServer(FramedService):
                 f"comm_mode is {self.config.comm_mode!r}"))
         elif circuit.has_link("classical") and not config.get("plan"):
             violations.append("distributed circuit submitted without a channel plan")
-        if (slots := circuit.param_slots()) and config.get("params") is None:
+        slots, params = circuit.param_slots(), config.get("params")
+        if slots and params is None:
             violations.append(f"circuit declares parameters {slots} but none were bound")
         if violations:
             raise ValidationFailed(violations)
+        if params is not None and len(params) != len(slots):
+            raise ArityMismatch(f"expected {len(slots)} values, got {len(params)}")
         return QuantumTask(job_id=job_id, circuit=circuit, shots=config["shots"],
-                           seed=config.get("seed"), params=config.get("params"),
+                           seed=config.get("seed"), params=params,
                            plan=config.get("plan"))
 
     def _queue(self, task: QuantumTask) -> dict:

@@ -40,6 +40,10 @@ PHASE_HIGH_QUBITS = 2
 #: wider than 2 * SWEEP_QUBITS take one pass over square transposed buffers
 #: of 2^SWEEP_QUBITS rows (`compile_gates`)
 SWEEP_QUBITS = 8
+#: the most amplitudes a kernel's temporary holds: a swap, a mix, a move to
+#: |0> and the terminal sampler work through pieces of at most this many
+#: (a power of two: every piece of a slice is the same size)
+SLAB = 1 << 14
 
 
 @dataclass
@@ -95,19 +99,51 @@ def _slices(num_qubits: int, qubits) -> tuple[tuple[int, ...], list[tuple]]:
                    for a in (0, 1) for b in (0, 1)]
 
 
+def _pieces(shape: tuple) -> tuple[tuple, list[tuple]]:
+    """Cut an array of `shape` (powers of two) into boxes of at most SLAB
+    elements: the shape of a box and the index of each, in memory order."""
+    inner, k = 1, len(shape)
+    while k and inner * shape[k - 1] <= SLAB:
+        k -= 1
+        inner *= shape[k]
+    if not k:
+        return shape, [()]
+    step = SLAB // inner
+    return ((1,) * (k - 1) + (step,) + shape[k:],
+            [tuple(slice(o, o + 1) for o in outer) + (slice(s, s + step),)
+             for outer in itertools.product(*map(range, shape[:k - 1]))
+             for s in range(0, shape[k - 1], step)])
+
+
 def _swap(view: np.ndarray, i, j) -> None:
-    t = view[i].copy()
-    view[i] = view[j]
-    view[j] = t
+    """Exchange two slices a piece at a time, each side through its own
+    buffer: numpy copies through a temporary as large as the source
+    whenever a copy's source and destination extents overlap, and the
+    pieces of two interleaved slices do."""
+    a, b = view[i], view[j]
+    shape, pieces = _pieces(a.shape)
+    ta, tb = np.empty(shape, a.dtype), np.empty(shape, a.dtype)
+    for p in pieces:
+        ta[...] = a[p]
+        tb[...] = b[p]
+        a[p] = tb
+        b[p] = ta
 
 
 def _mix(view: np.ndarray, i, j, mat: np.ndarray) -> None:
+    """(a, b) -> (m00 a + m01 b, m10 a + m11 b) a piece at a time, the
+    products `m10 * a` and `m01 * b` in two piece-sized buffers."""
     a, b = view[i], view[j]
-    t = mat[1, 0] * a
-    a *= mat[0, 0]
-    a += mat[0, 1] * b
-    b *= mat[1, 1]
-    b += t
+    shape, pieces = _pieces(a.shape)
+    t, u = np.empty(shape, a.dtype), np.empty(shape, a.dtype)
+    for p in pieces:
+        x, y = a[p], b[p]
+        np.multiply(mat[1, 0], x, out=t)
+        x *= mat[0, 0]
+        np.multiply(mat[0, 1], y, out=u)
+        x += u
+        y *= mat[1, 1]
+        y += t
 
 
 def _butterfly(view: np.ndarray, i, j, s: float) -> None:
@@ -208,18 +244,42 @@ class Fold:
 
 @dataclass(frozen=True)
 class Grow:
-    """A growth step: called on a state's amplitudes, returns those of the
-    state with `width` active qubits, the old amplitudes where the new
-    qubits hold their bits (`index` into the (2,) * width view) and zeros
-    elsewhere. The old array and the new one are both live until the caller
-    drops the old."""
+    """A growth step: called on a state's amplitudes, the head of the array
+    they view (`amps.base`), which has room for 2^width, it spreads them in
+    place into the state with `width` active qubits, the old amplitudes
+    where the new qubits hold their bits (`index` into the (2,) * width
+    view) and zeros elsewhere, and returns that state, the array's head.
+
+    The new qubits' bits never move an amplitude down, and the lowest new
+    qubit moves every row of the amplitudes below it to at least twice its
+    row index. So the rows move in halving pieces from the top, the piece
+    of rows R/2^(t+1) ... R/2^t - 1 to rows from R/2^t up, each piece's
+    source and destination disjoint (numpy would copy through a temporary
+    if they overlapped); row 0 moves only when a new bit is 1. Then every
+    amplitude where a new qubit does not hold its bit is zeroed."""
     width: int
     index: tuple
 
     def __call__(self, amps: np.ndarray) -> np.ndarray:
-        out = np.zeros(1 << self.width, dtype=amps.dtype)
-        view = out.reshape((2,) * self.width)[self.index + (...,)]
-        view[...] = amps.reshape(view.shape)
+        buf = amps.base
+        if (buf is None or buf.ndim != 1 or len(buf) < 1 << self.width
+                or buf.ctypes.data != amps.ctypes.data):
+            raise ValueError("a growth step needs the head of an array with room "
+                             f"for {1 << self.width} amplitudes")
+        out = buf[:1 << self.width]
+        view = out.reshape((2,) * self.width)
+        new = [a for a, i in enumerate(self.index) if i != slice(None)]
+        rows = new[-1] + 1 - len(new)  # the old axes above the lowest new one
+        src, dst = amps.reshape((2,) * (self.width - len(new))), view[self.index]
+        for t in range(rows):
+            dst[(0,) * t + (1,)] = src[(0,) * t + (1,)]
+        if any(self.index[a] for a in new):
+            dst[(0,) * rows] = src[(0,) * rows]
+        held = list(self.index)
+        for a in new:  # the amplitudes where qubit a is off its bit, and the
+            held[a] = 1 - self.index[a]  # qubits before it on theirs
+            view[tuple(held[:a + 1])] = 0
+            held[a] = self.index[a]
         return out
 
 
@@ -423,7 +483,7 @@ def sample_outcomes(amplitudes: np.ndarray, qubit: int, uniforms: np.ndarray
         lanes = lanes.transpose(2, 1, 0)
     w0, w1 = np.einsum("...i,...i->...", lanes, lanes).sum(axis=0)
     total = w0 + w1
-    if total <= _NORM_TOL:
+    if not total > _NORM_TOL:  # NaN too
         raise ZeroNorm(f"state norm collapsed to {total:.3e}")
     return uniforms < w1 / total, (w0, w1)
 
@@ -434,7 +494,7 @@ def collapse(amplitudes: np.ndarray, qubit: int, outcome: int,
     weights from `sample_outcomes`. When the other half weighs exactly 0
     the qubit is already in that basis state and nothing is written."""
     weight = weights[outcome]
-    if weight <= _NORM_TOL:
+    if not weight > _NORM_TOL:  # NaN too
         raise ZeroNorm(
             f"measurement of qubit {qubit} collapsed onto a branch of weight {weight:.3e}")
     if weights[1 - outcome] == 0.0:
@@ -445,10 +505,49 @@ def collapse(amplitudes: np.ndarray, qubit: int, outcome: int,
 
 
 def move_to_zero(amplitudes: np.ndarray, qubit: int) -> None:
-    """After a collapse onto 1, move the kept half into the |0> slot."""
+    """After a collapse onto 1, move the kept half into the |0> slot, a
+    piece at a time through one buffer (the halves interleave)."""
     view = amplitudes.reshape(-1, 2, 1 << qubit)
-    view[:, 0] = view[:, 1]
-    view[:, 1] = 0.0
+    zero, one = view[:, 0], view[:, 1]
+    shape, pieces = _pieces(zero.shape)
+    t = np.empty(shape, amplitudes.dtype)
+    for p in pieces:
+        t[...] = one[p]
+        zero[p] = t
+        one[p] = 0.0
+
+
+def sample_basis(amplitudes: np.ndarray, rng: np.random.Generator, shots: int
+                 ) -> np.ndarray:
+    """`shots` basis states drawn with probabilities |a|^2 / sum |a|^2, the
+    draws `rng.choice(len(amplitudes), shots, p=...)` makes: the table of
+    cumulative probabilities, divided by its last entry, searched
+    (side="right") for `rng.random(shots)`. The table is built in the
+    amplitudes' own array, which holds garbage after: |a|^2 of each piece
+    of SLAB amplitudes goes to floats that only amplitudes already read
+    used, and each piece's cumulative sum starts from the last one's total
+    added to its first entry, the order of one `cumsum`."""
+    n = len(amplitudes)
+    probs = amplitudes.view(np.float64)[:n]
+    buf = np.empty(min(n, SLAB))
+    for start in range(0, n, SLAB):
+        part = buf[:min(SLAB, n - start)]
+        np.abs(amplitudes[start:start + SLAB], out=part)
+        np.square(part, out=part)
+        probs[start:start + SLAB] = part
+    total = probs.sum()
+    if not total > _NORM_TOL:  # NaN too
+        raise ZeroNorm(f"state norm collapsed to {total:.3e}")
+    probs /= total
+    carry = 0.0
+    for start in range(0, n, SLAB):
+        part = probs[start:start + SLAB]
+        part[0] += carry
+        np.cumsum(part, out=buf[:len(part)])
+        part[...] = buf[:len(part)]
+        carry = part[-1]
+    probs /= probs[-1]
+    return probs.searchsorted(rng.random(shots), side="right")
 
 
 def measure_qubit(state: StateVector, qubit: int,

@@ -10,6 +10,8 @@
 from __future__ import annotations
 
 import json
+import math
+from numbers import Real
 
 from .circuit import Circuit, Instruction, Param, RemoteLink
 from .errors import SchemaViolation
@@ -20,7 +22,12 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A real number that is a finite float: JSON carries NaN, +-Infinity
+    and integers past a float's range too."""
+    try:
+        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _check_fields(obj, path: str, required: tuple, optional: tuple = ()) -> None:
@@ -55,7 +62,7 @@ def _param_from_obj(p, path: str):
         return Param(p["param"])
     if _is_number(p):
         return float(p)
-    raise SchemaViolation(path, "expected a number or a {'param': name} slot")
+    raise SchemaViolation(path, "expected a finite number or a {'param': name} slot")
 
 
 def _remote_to_obj(link: RemoteLink) -> dict:

@@ -12,6 +12,9 @@ the walk resolved terminal measurements. Both apply each run of
 consecutive unconditional gates through `compile_gates`, as the walk does,
 since a fused run of diagonal gates rounds differently from the gates one
 by one; `apply_by_index` checks that fusion against index arithmetic.
+The allocating forms at the end are the kernels that work in place
+through bounded pieces, written as they were before: whole-slice copies,
+a new array per growth step and `Generator.choice` for the terminal draw.
 """
 
 from __future__ import annotations
@@ -138,10 +141,7 @@ def run_sampled_reference(circuit: Circuit, shots: int, seed) -> dict[str, int]:
                 clbit_source[c] = q
     apply_run(state, run)
 
-    probs = np.abs(state.amplitudes)
-    np.square(probs, out=probs)
-    probs /= probs.sum()
-    outcomes = engine.job_rng(seed).choice(state.dim, size=shots, p=probs)
+    outcomes = sample_by_choice(state.amplitudes, engine.job_rng(seed), shots)
 
     codes = np.zeros(shots, dtype=np.int64)
     for c, q in clbit_source.items():
@@ -358,3 +358,44 @@ def chi2_pvalue(counts_a: dict[str, int], counts_b: dict[str, int]) -> float:
     if dof < 1:
         return 1.0
     return float(chi2.sf(stat, dof))
+
+
+# -- allocating forms of the in-place kernels ---------------------------------
+
+
+def grow_by_copy(grow, amps: np.ndarray) -> np.ndarray:
+    """`grow` (a `statevector.Grow`) into a new zeroed array."""
+    out = np.zeros(1 << grow.width, dtype=amps.dtype)
+    view = out.reshape((2,) * grow.width)[grow.index + (...,)]
+    view[...] = amps.reshape(view.shape)
+    return out
+
+
+def swap_by_copy(view: np.ndarray, i, j) -> None:
+    t = view[i].copy()
+    view[i] = view[j]
+    view[j] = t
+
+
+def mix_by_copy(view: np.ndarray, i, j, mat: np.ndarray) -> None:
+    a, b = view[i], view[j]
+    t = mat[1, 0] * a
+    a *= mat[0, 0]
+    a += mat[0, 1] * b
+    b *= mat[1, 1]
+    b += t
+
+
+def move_to_zero_by_copy(amplitudes: np.ndarray, qubit: int) -> None:
+    view = amplitudes.reshape(-1, 2, 1 << qubit)
+    view[:, 0] = view[:, 1]
+    view[:, 1] = 0.0
+
+
+def sample_by_choice(amplitudes: np.ndarray, rng: np.random.Generator,
+                     shots: int) -> np.ndarray:
+    """`shots` basis states from `choice` over |a|^2, normalized."""
+    probs = np.abs(amplitudes)
+    np.square(probs, out=probs)
+    probs /= probs.sum()
+    return rng.choice(len(probs), size=shots, p=probs)

@@ -1,11 +1,12 @@
 import math
 import os
+import signal
 import threading
 import time
 
 import pytest
 
-from dqcemu import registry
+from dqcemu import client, engine, registry
 from dqcemu.algorithms import QpeConfig, build_distributed_qpe, build_ipea_chain
 from dqcemu.circuit import Circuit, Param
 from dqcemu.client import (
@@ -37,6 +38,14 @@ from dqcemu.registry import RegistryEntry
 def bell() -> Circuit:
     c = Circuit(2, 2, id="bell")
     c.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+    return c
+
+
+def too_wide() -> Circuit:
+    """A circuit the backend takes and the engine refuses on the simulator
+    thread: one qubit past the engine's cap."""
+    c = Circuit(engine.MAX_QUBITS + 1, 1, id="wide")
+    c.h(0).measure(0, 0)
     return c
 
 
@@ -231,22 +240,54 @@ def test_link_free_parts_run_as_run_runs_them(raise_family):
 def test_job_failure_surfaces_with_diagnostic(raise_family):
     raise_family(1)
     handle = get_qpus()[0]
+    job = run(handle, too_wide(), shots=10)  # the engine refuses it at run time
+    with pytest.raises(JobFailed, match="WidthExceeded"):
+        job.wait()
+    assert job.state == "failed"
     c = Circuit(1, 1, id="unbound")
     c.rz(Param("theta"), 0)
     c.measure(0, 0)
-    job = run(handle, c, shots=10, params=[0.1, 0.2])  # one slot, two values
-    with pytest.raises(JobFailed, match="ArityMismatch"):
-        job.wait()
+    with pytest.raises(JobFailed, match="ArityMismatch"):  # refused at the frame
+        run(handle, c, shots=10, params=[0.1, 0.2])
+
+
+def test_non_finite_parameters_are_refused_before_sending(cunqa_home):
+    """validate reports NaN and +-inf parameters, so `run` refuses them
+    without a frame."""
+    registry.add_entries([fake_entry("q0")])
+    handle = get_qpus()[0]
+    for x in (math.nan, math.inf, -math.inf):
+        c = Circuit(2, 2, id="nan")
+        c.rx(x, 0).measure(0, 0).x(0).h(1).measure(1, 1)
+        with pytest.raises(ValidationFailed, match="SchemaViolation"):
+            run(handle, c, shots=10)
+    assert handle.connection.frame_log == []
+
+
+def test_a_frozen_vqpu_fails_the_job(raise_family, monkeypatch):
+    """A vQPU stopped after it acked a job: each `result` request gives up
+    after its wait_ms and REPLY_TIMEOUT_S, reconnects once, and the job
+    fails with PeerUnreachable instead of waiting forever."""
+    monkeypatch.setattr(client, "REPLY_TIMEOUT_S", 0.3)
+    raise_family(1)
+    handle = get_qpus()[0]
+    job = run(handle, bell(), shots=10, seed=1)
+    os.kill(handle.entry.pid, signal.SIGSTOP)
+    try:
+        start = time.monotonic()
+        with pytest.raises(JobFailed, match="PeerUnreachable"):
+            job.wait()
+        elapsed = time.monotonic() - start
+    finally:
+        os.kill(handle.entry.pid, signal.SIGCONT)
     assert job.state == "failed"
+    assert 2 * 1.3 <= elapsed < 2 * 1.3 + 2.0
 
 
 def test_gather_collects_before_raising(raise_family):
     raise_family(2)
     qpus = get_qpus()
-    bad = Circuit(1, 1, id="bad")
-    bad.rz(Param("x"), 0)
-    bad.measure(0, 0)
-    jobs = [run(qpus[0], bad, shots=5, params=[0.1, 0.2]),  # fails binding
+    jobs = [run(qpus[0], too_wide(), shots=5),  # fails on the simulator thread
             run(qpus[1], bell(), shots=5, seed=1)]
     with pytest.raises(JobFailed):
         gather(jobs)

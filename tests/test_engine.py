@@ -11,7 +11,7 @@ from dqcemu import engine, statevector
 from dqcemu.algorithms import QpeConfig, build_qpe
 from dqcemu.circuit import Circuit
 from dqcemu.engine import ChannelHooks
-from dqcemu.errors import ChannelTimeout, UnsupportedInstruction, WidthExceeded
+from dqcemu.errors import ChannelTimeout, UnsupportedInstruction, WidthExceeded, ZeroNorm
 from dqcemu.gates import GATES
 
 from oracles import (
@@ -580,3 +580,25 @@ def test_numpy_tally_gives_the_counters_dict(kind, outputs, monkeypatch):
     assert list(counts.items()) == [(engine.format_key(code, width), n)
                                     for code, n in sorted(tally.items())]
     assert len(counts) > 4
+
+
+@pytest.mark.parametrize("walked", [True, False], ids=["walked", "sampled"])
+def test_a_nan_state_ends_in_zero_norm(walked):
+    """A NaN amplitude weighs NaN, which is not above the norm tolerance:
+    a walked draw and the terminal sampler both end in ZeroNorm."""
+    c = Circuit(2, 2, id="nan")
+    c.rx(float("nan"), 0)
+    if walked:
+        c.measure(0, 0).x(0)
+    c.h(1).measure(1, 1)
+    if not walked:
+        c.measure(0, 0)
+    with pytest.raises(ZeroNorm):
+        engine.run_branched(c, 10, seed=1)
+
+
+def test_collapse_refuses_a_nan_weight():
+    """A NaN weight is not above the norm tolerance either."""
+    amps = np.array([1, 0], dtype=complex)
+    with pytest.raises(ZeroNorm):
+        statevector.collapse(amps, 0, 0, (float("nan"), 0.0))

@@ -1,12 +1,14 @@
 import socket
 import time
 from contextlib import contextmanager
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 from dqcemu import engine
 from dqcemu import protocol
+from dqcemu import server as server_module
 from dqcemu.algorithms import QpeConfig, build_ipea_chain
 from dqcemu.channel import BitMessage, ChannelEndpoint, establish
 from dqcemu.circuit import Circuit, Param
@@ -143,19 +145,73 @@ def test_unknown_job(conn):
     assert reply["type"] == "error" and reply["code"] == "UnknownJob"
 
 
-def test_failed_task_isolated(conn):
-    bad = Circuit(1, 0, id="bad")
-    bad.qsend(0, "peer")  # quantum link on a comm_mode=none vQPU
-    reply = refused(conn, bad, "bad")
-    assert reply["code"] == "ValidationFailed"
-    assert "CommModeMismatch" in reply["message"]
-    # two values for one slot: binding fails on the simulator thread
-    assert submit(conn, one_slot(), job_id="arity", params=[0.1, 0.2])["type"] == "ack"
-    reply = poll_result(conn, "arity")
-    assert (reply["type"], reply["code"]) == ("error", "ArityMismatch")
-    # the server keeps serving
-    submit(conn, bell(), job_id="good", shots=10)
-    assert poll_result(conn, "good")["type"] == "result"
+def test_failed_task_isolated(monkeypatch):
+    """A task that fails on the simulator thread fails alone: a classical
+    part whose peer never sends times out waiting for its bit (under a
+    recv timeout of 0.2 s), and the vQPU keeps serving."""
+    monkeypatch.setattr(server_module, "ChannelEndpoint",
+                        partial(ChannelEndpoint, recv_timeout_ms=200))
+    srv = VqpuServer(ServiceConfig("test-0", comm_mode="classical"))
+    srv.start()
+    try:
+        conn = connect(srv.host, srv.port)
+        conn.settimeout(10.0)
+        bad = Circuit(1, 0, id="bad")
+        bad.qsend(0, "peer")  # a quantum link never runs on a vQPU
+        reply = refused(conn, bad, "bad")
+        assert reply["code"] == "ValidationFailed"
+        assert "CommModeMismatch" in reply["message"]
+        lonely = Circuit(1, 1, id="lonely")
+        lonely.remote_c_if("x", [0], "peer").measure(0, 0)
+        plan = {"lonely": f"{srv.host}:{srv.port}", "peer": "127.0.0.1:9"}
+        assert submit(conn, lonely, job_id="lonely", shots=3, plan=plan)["type"] == "ack"
+        reply = poll_result(conn, "lonely")
+        assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
+        submit(conn, bell(), job_id="good", shots=10)
+        assert poll_result(conn, "good")["type"] == "result"
+        conn.close()
+    finally:
+        srv.stop()
+
+
+def test_params_of_the_wrong_count_are_refused_at_the_frame(conn):
+    """A `run` binding another number of values than the circuit has slots
+    is refused as `upgrade_parameters` refuses it; nothing is queued."""
+    for job_id, circuit, params in (("two", one_slot(), [0.1, 0.2]),
+                                    ("none", one_slot(), []),
+                                    ("slotless", bell(), [0.5])):
+        reply = refused(conn, circuit, job_id, params=params)
+        want = len(circuit.param_slots())
+        assert (reply["code"], reply["message"]) == (
+            "ArityMismatch", f"expected {want} values, got {len(params)}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_refused_at_the_frame(conn, value):
+    """NaN and +-Infinity, which JSON carries, are refused with
+    SchemaViolation as a circuit parameter, in `config.params` and in
+    `upgrade_parameters` values."""
+    x = float(value)
+    c = Circuit(2, 2, id="nan")
+    c.rx(x, 0).measure(0, 0).x(0).h(1).measure(1, 1)
+    reply = refused(conn, c, "circuit")
+    assert reply["code"] == "SchemaViolation" and "finite" in reply["message"]
+    reply = refused(conn, one_slot(), "config", params=[x])
+    assert (reply["code"], reply["message"]) == (
+        "SchemaViolation", "config.params: expected a list of finite numbers")
+    submit(conn, one_slot(), job_id="p", shots=10, params=[0.1])
+    assert poll_result(conn, "p")["type"] == "result"
+    reply = request(conn, {"type": "upgrade_parameters", "job_id": "p", "params": [x]})
+    assert (reply["code"], reply["message"]) == (
+        "SchemaViolation", "params: expected a list of finite numbers")
+
+
+def too_wide() -> Circuit:
+    """A circuit the backend takes and the engine refuses on the simulator
+    thread: one qubit past the engine's cap."""
+    c = Circuit(engine.MAX_QUBITS + 1, 1, id="wide")
+    c.h(0).measure(0, 0)
+    return c
 
 
 def test_clbits_beyond_the_engines_cap_are_a_validation_failure(conn):
@@ -293,8 +349,8 @@ def test_finished_jobs_are_evicted_oldest_first(server, conn, monkeypatch):
 
     submit(conn, param, job_id="p", shots=10, params=[0.1])
     assert poll_result(conn, "p")["type"] == "result"
-    submit(conn, param, job_id="bad", shots=10, params=[0.1, 0.2])  # fails binding
-    assert poll_result(conn, "bad")["code"] == "ArityMismatch"
+    submit(conn, too_wide(), job_id="bad", shots=10)  # fails on the simulator thread
+    assert poll_result(conn, "bad")["code"] == "WidthExceeded"
     submit(conn, bell(), job_id="b1", shots=10)
     assert poll_result(conn, "b1")["type"] == "result"  # evicts p
     for frame in ({"type": "result", "job_id": "p"},
@@ -549,7 +605,7 @@ def test_unfinished_job_is_acked_after_wait_ms():
 def test_failed_and_unknown_jobs_answer_at_once():
     bad = Circuit(1, 0, id="bad")
     bad.qsend(0, "peer")  # no part "peer" on the executor
-    runs = {"vqpu": (one_slot(), {"params": [0.1, 0.2]}, "ArityMismatch"),
+    runs = {"vqpu": (too_wide(), {}, "WidthExceeded"),
             "executor": (bad, {}, "DanglingProtocol")}
     for kind, (circuit, config, code) in runs.items():
         with serving(kind) as server:

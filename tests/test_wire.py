@@ -118,6 +118,18 @@ def test_bad_role_rejected():
     assert err.value.path.endswith("remote.role")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_non_finite_params_rejected(token):
+    """JSON's NaN and +-Infinity tokens, and an integer past a float's
+    range, are no parameter values."""
+    c = Circuit(1, 1, id="nan")
+    c.rx(0.5, 0).measure(0, 0)
+    data = to_wire(c).replace(b"[0.5]", b"[" + token.encode() + b"]")
+    with pytest.raises(SchemaViolation) as err:
+        from_wire(data)
+    assert err.value.path == "instructions[0].params[0]"
+
+
 def test_invalid_json():
     with pytest.raises(SchemaViolation):
         from_wire(b"{not json")
