@@ -205,9 +205,9 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
 
     if in_region:
         out.append(Violation("MalformedRemote", "unterminated expose region"))
-    for (peer, kind), tags in seq_tags.items():
-        if sorted(tags) != list(range(len(tags))):
+    for (peer, kind), tags in seq_tags.items():  # a peer reads them in this order
+        if tags != list(range(len(tags))):
             out.append(Violation(
                 "MalformedRemote",
-                f"sequence tags to {peer!r} ({kind}) not consecutive: {sorted(tags)}"))
+                f"sequence tags to {peer!r} ({kind}) not 0, 1, ... in order: {tags}"))
     return out

@@ -1,9 +1,11 @@
 """Runtime bit-exchange fabric between vQPUs for the classical model.
 
-Delivery is reliable and FIFO per ordered (src, dst) pair; receives block,
-sends do not. Every message is tagged with the sender's shot epoch so a
-desynchronized shot loop surfaces as a hard EpochMismatch instead of a
-silently reordered bit. Endpoints are job-scoped: every bit names its job.
+A message carries the bits of consecutive shots for one sequence tag. A
+receiver keeps, per (sender, seq), the bits of shots 0, 1, ... and reads
+them without popping, so a shot walked again reads its bits again and a
+bit sent again is kept once. Receives block, sends do not. A message that
+would leave a gap, or reach past an earlier seq of its sender, is a
+desynchronized sender: a hard EpochMismatch. Every message names its job.
 
 The transport is pluggable: an in-memory hub serves single-process runs and
 tests, a socket transport sends frames to peer vQPU servers (whose receiver
@@ -14,11 +16,13 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import ChannelHooks
-from .errors import ChannelTimeout, EpochMismatch, PeerUnreachable
+from .errors import ChannelTimeout, EpochMismatch, PeerUnreachable, SchemaViolation
+from .wire import _is_int
 
 DEFAULT_RECV_TIMEOUT_MS = 30_000
 
@@ -27,26 +31,44 @@ DEFAULT_RECV_TIMEOUT_MS = 30_000
 class BitMessage:
     src_circuit: str
     dst_circuit: str
-    shot_epoch: int
+    shot_epoch: int  # the first shot whose bit it carries
     seq: int
-    bit: int
+    bits: object  # an int is one bit, else one uint8 per shot
     job: str = ""  # the job id of the program both circuits are parts of
 
     def to_obj(self) -> dict:
+        bits = np.atleast_1d(np.asarray(self.bits, np.uint8))
         return {"src": self.src_circuit, "dst": self.dst_circuit,
-                "epoch": self.shot_epoch, "seq": self.seq, "bit": self.bit,
-                "job": self.job}
+                "epoch": self.shot_epoch, "seq": self.seq, "job": self.job,
+                "bits": np.packbits(bits).tobytes().hex(), "count": len(bits)}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "BitMessage":
-        return cls(obj["src"], obj["dst"], obj["epoch"], obj["seq"], obj["bit"],
-                   obj.get("job", ""))
+        """The message of a bit frame, input from outside the program; a
+        field that does not fit is a SchemaViolation."""
+        src, dst, job, epoch, seq, count, bits = (
+            obj.get(k) for k in ("src", "dst", "job", "epoch", "seq", "count", "bits"))
+        if not all(isinstance(v, str) for v in (src, dst, job)):
+            raise SchemaViolation("src, dst, job", "expected strings")
+        if not all(_is_int(v) and v >= 0 for v in (epoch, seq)):
+            raise SchemaViolation("epoch, seq", "expected integers >= 0")
+        if not _is_int(count) or count < 1:
+            raise SchemaViolation("count", "expected an integer >= 1")
+        try:
+            packed = bytes.fromhex(bits)
+        except (TypeError, ValueError):
+            packed = None
+        if packed is None or len(packed) != (count + 7) // 8:
+            raise SchemaViolation("bits", f"expected {count} bits packed in hex")
+        return cls(src, dst, epoch, seq,
+                   np.unpackbits(np.frombuffer(packed, np.uint8), count=count), job)
 
 
 class ChannelEndpoint:
     """One participant's view of the channel for a single distributed job,
-    which every bit it sends names. Once `bind` gives it a `limit`, the bits
-    that arrive past that many are dropped and `recv_bit` raises ChannelTimeout."""
+    which every message it sends names. Once `bind` gives it a `limit`, the
+    bits that arrive past that many are dropped and its receives raise
+    ChannelTimeout."""
 
     def __init__(self, local_circuit: str, peer_map: dict[str, object],
                  transport, recv_timeout_ms: int = DEFAULT_RECV_TIMEOUT_MS,
@@ -57,7 +79,8 @@ class ChannelEndpoint:
         self.job, self.limit, self.taken = job, None, 0  # taken: bits arrived
         self._transport = transport
         self._cond = threading.Condition()
-        self._queues: dict[str, deque[BitMessage]] = {}
+        self._bits: dict[tuple[str, int], bytearray] = {}  # by (sender, seq)
+        self._fault: str | None = None  # why every receive fails
 
     def bind(self, local_circuit: str, peer_map: dict, transport, limit: int) -> None:
         """Give an endpoint made by its first bits its part's circuit, peers and limit."""
@@ -65,12 +88,26 @@ class ChannelEndpoint:
         self._transport, self.limit = transport, limit
 
     # inbound path, fed by the transport reader
-    def deliver(self, msg: BitMessage) -> None:
+    def deliver(self, msg: BitMessage) -> int:
+        """Keep the bits of `msg` not held yet; returns how many. A message
+        that leaves a gap, or reaches past an earlier seq of its sender,
+        keeps none and fails every receive from then on."""
+        bits = np.atleast_1d(np.asarray(msg.bits, np.uint8))
+        src, seq, first = msg.src_circuit, msg.seq, msg.shot_epoch
         with self._cond:
-            self.taken += 1
+            self._cond.notify_all()  # the receives wake once this returns
+            held = self._bits.setdefault((src, seq), bytearray())
+            if first > len(held) or seq and first + len(bits) > len(
+                    self._bits.get((src, seq - 1), b"")):
+                self._fault = self._fault or (
+                    f"bits of shots {first}-{first + len(bits) - 1} (seq {seq}) from {src!r} "
+                    f"leave a gap after the {len(held)} held or reach past seq {seq - 1}")
+                return 0
+            new = bits[len(held) - first:]
+            self.taken += len(new)
             if self.limit is None or self.taken <= self.limit:
-                self._queues.setdefault(msg.src_circuit, deque()).append(msg)
-            self._cond.notify_all()
+                held += new.tobytes()
+            return len(new)
 
     def send_bit(self, msg: BitMessage) -> None:
         if msg.src_circuit != self.local_circuit:
@@ -80,7 +117,9 @@ class ChannelEndpoint:
             raise PeerUnreachable(f"no address for peer {msg.dst_circuit!r}")
         self._transport.send(self.peer_map[msg.dst_circuit], msg)
 
-    def recv_bit(self, from_circuit: str, shot_epoch: int, seq: int) -> int:
+    def recv(self, from_circuit: str, shot_epoch: int, seq: int, count: int) -> np.ndarray:
+        """The bits for `seq` from `from_circuit` of the first 1 to `count`
+        shots from `shot_epoch` on that have arrived, once the first has."""
         deadline = time.monotonic() + self.recv_timeout_ms / 1000.0
         with self._cond:
             while True:
@@ -88,15 +127,11 @@ class ChannelEndpoint:
                     raise ChannelTimeout(
                         f"{self.taken} bits came for {self.local_circuit!r} of job "
                         f"{self.job!r}, which reads {self.limit}; the rest were dropped")
-                q = self._queues.get(from_circuit)
-                if q:
-                    msg = q.popleft()
-                    if msg.shot_epoch != shot_epoch or msg.seq != seq:
-                        raise EpochMismatch(
-                            f"expected (epoch {shot_epoch}, seq {seq}) from "
-                            f"{from_circuit!r}, got (epoch {msg.shot_epoch}, "
-                            f"seq {msg.seq})")
-                    return msg.bit
+                if self._fault:
+                    raise EpochMismatch(self._fault)
+                held = self._bits.get((from_circuit, seq), b"")
+                if len(held) > shot_epoch:
+                    return np.frombuffer(held[shot_epoch:shot_epoch + count], np.uint8)
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ChannelTimeout(
@@ -104,17 +139,17 @@ class ChannelEndpoint:
                         f"seq {seq}) within {self.recv_timeout_ms} ms")
                 self._cond.wait(remaining)
 
+    def recv_bit(self, from_circuit: str, shot_epoch: int, seq: int) -> int:
+        return int(self.recv(from_circuit, shot_epoch, seq, 1)[0])
+
     def close(self) -> None:
-        close = getattr(self._transport, "close", None)
-        if close:
-            close()
+        getattr(self._transport, "close", lambda: None)()
+
+    def send(self, peer: str, epoch: int, seq: int, bits) -> None:
+        self.send_bit(BitMessage(self.local_circuit, peer, epoch, seq, bits, self.job))
 
     def hooks(self) -> ChannelHooks:
-        """Adapter for the engine's shot loop."""
-        def send(peer: str, epoch: int, seq: int, bit: int) -> None:
-            self.send_bit(BitMessage(self.local_circuit, peer, epoch, seq, bit,
-                                     self.job))
-        return ChannelHooks(send=send, recv=self.recv_bit)
+        return ChannelHooks(send=self.send, recv=self.recv)
 
 
 class InMemoryHub:

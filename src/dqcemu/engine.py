@@ -10,7 +10,7 @@ bits, out of the state (`statevector.Fold`).
 Randomness: one PCG64 stream per job, `job_rng(seed)`. Shot s of a walked
 job takes uniforms s*d ... s*d + d - 1, d being what a shot draws, so runs
 replay bit-identically whatever the chunking, and `shot_rng` positions the
-stream for one shot run alone; a job that draws nothing before its
+stream for one shot run by itself; a job that draws nothing before its
 terminal measurements samples them from the stream instead.
 """
 
@@ -80,13 +80,13 @@ def _ufunc_buffer():
 
 @dataclass
 class ChannelHooks:
-    """Callbacks wiring distributed classical instructions to a channel.
-
-    send(peer_id, shot_epoch, seq, bit) must not block on the receiver;
-    recv(peer_id, shot_epoch, seq) blocks until the matching bit arrives.
-    """
-    send: Callable[[str, int, int, int], None]
-    recv: Callable[[str, int, int], int]
+    """Callbacks wiring distributed classical instructions to a channel,
+    once per chunk of shots from shot `epoch` on. send(peer_id, epoch, seq,
+    bits) sends their bits (one uint8 each) and must not block on the
+    receiver; recv(peer_id, epoch, seq, count) blocks until shot `epoch`'s
+    bit arrives, then returns those of the first 1 to `count` shots."""
+    send: Callable[[str, int, int, np.ndarray], None]
+    recv: Callable[[str, int, int, int], np.ndarray]
 
 
 def null_hooks() -> ChannelHooks:
@@ -103,7 +103,7 @@ def job_rng(seed) -> np.random.Generator:
 
 def shot_rng(seed, shot_index: int, draws: int = 1) -> np.random.Generator:
     """job_rng(seed) positioned at shot `shot_index`'s first uniform, for
-    shots that draw `draws` each (PCG64's jump-ahead): one shot run alone."""
+    shots that draw `draws` each (PCG64's jump-ahead): one shot run by itself."""
     rng = job_rng(seed)
     rng.bit_generator.advance(shot_index * draws)
     return rng
@@ -132,8 +132,6 @@ class _Program:
     block: list[tuple[int, int]]  # (qubit, clbit) per draw of the terminal block
     draws: int  # uniforms each shot consumes, the block's last
     probe: np.ndarray  # fingerprint weights over the state's float view
-    solo: int  # the first channel op walked: from it on each shot walks alone
-    solo_draws: int  # uniforms the walked ops before `solo` consume
     end: Fold  # the qubits still folded after the walked ops
     expand: bool  # whether `_sample_block` unfolds them before it samples
     widest: int  # the most qubits a state of the job holds
@@ -231,9 +229,7 @@ def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Pro
                                   default=min(n, START_WIDTH))
     floats = 2 << n
     probe = np.random.default_rng(0).random(floats // min(64, floats))
-    solo = next((i for i, op in enumerate(ops) if op.kind in ("send", "recv")), len(ops))
-    return _Program(n, outputs, ops, block, draws, probe, solo,
-                    sum(len(op.targets) for op in ops[:solo]), fold, expand, widest)
+    return _Program(n, outputs, ops, block, draws, probe, fold, expand, widest)
 
 
 def _unfold(fold: Fold) -> Grow:
@@ -249,33 +245,25 @@ def _fork(branch: _Branch, take: np.ndarray) -> _Branch:
     return child
 
 
-def _split(branches: list[_Branch], qubit: int, uniforms: np.ndarray,
-           shot_ids: range, room: int | None):
-    """Test every branch's shots against P(1) of `qubit` before any state is
-    copied: (branch, outcome-1 mask, its count, weights) per branch, and
-    the shots kept. When the parts the branches split into would be more
-    than `room` live states, the chunk is cut first: it keeps its shots
-    below the first shot of the (room + 1)-th part, so exactly `room` parts
-    remain, and branches left without shots are freed."""
-    tests = []
-    for b in branches:
-        try:
-            ones, weights = sample_outcomes(b.amps, qubit, uniforms[b.shots])
-        except EmulatorError as exc:
-            raise _at_shot(exc, b.shots, shot_ids) from exc
-        tests.append((b, ones, np.count_nonzero(ones), weights))
-    if room is None or room >= sum(1 + (0 < n1 < len(ones)) for _, ones, n1, _ in tests):
+def _split(tests: list, shot_ids: range, room: int | None, stop: int):
+    """The cut of draws and receives, given a test (branch, mask of its
+    shots taking 1, their count, weights) per branch: the chunk keeps its
+    shots below row `stop`, and below the first shot of the (room + 1)-th
+    part where the parts would be more live states than `room`. Tests lose
+    the shots dropped, and branches left without any are freed."""
+    if room is not None and room < sum(1 + (0 < n1 < len(ones)) for _, ones, n1, _ in tests):
+        firsts = sorted(int(b.shots[side].min()) for b, ones, _, _ in tests
+                        for side in (ones, ~ones) if side.any())
+        stop = min(stop, firsts[room])
+    if stop >= len(shot_ids):
         return tests, shot_ids
-    firsts = sorted(int(b.shots[side].min()) for b, ones, _, _ in tests
-                    for side in (ones, ~ones) if side.any())
-    shot_ids = shot_ids[:firsts[room]]
     cut = []
     for b, ones, _, weights in tests:
-        keep = b.shots < len(shot_ids)
+        keep = b.shots < stop
         if keep.any():
             b.shots, ones = b.shots[keep], ones[keep]
             cut.append((b, ones, np.count_nonzero(ones), weights))
-    return cut, shot_ids
+    return cut, shot_ids[:stop]
 
 
 def _fingerprint(amps: np.ndarray, probe: np.ndarray) -> bytes:
@@ -305,8 +293,9 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
           shot_ids: range, hooks: ChannelHooks, room: int | None
           ) -> tuple[list[_Branch], range]:
     """Run one op on every branch; each of its draws takes `next_row()`,
-    every shot's next uniform, and may cut the chunk (`_split`). Returns
-    the branches after it and the shots kept."""
+    every shot's next uniform, and may cut the chunk (`_split`), as may a
+    receive, to the shots whose bits have come. A channel op makes one hook
+    call for the chunk. Returns the branches after it and the shots kept."""
     kind = op.kind
     if kind == "gate":
         for b in branches:
@@ -320,28 +309,37 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
             if b.bits >> bit & 1:
                 op.kernel(b.amps)
     elif kind == "recv":
-        remote, split = op.ins.remote, []
-        for b in branches:
-            try:
-                got = [hooks.recv(remote.peer_circuit_id, shot_ids[s], remote.sequence)
-                       for s in b.shots.tolist()]
-            except EmulatorError as exc:
-                raise _at_shot(exc, b.shots, shot_ids) from exc
-            n1 = got.count(1)
-            if n1 == len(got):
-                op.kernel(b.amps)
+        remote = op.ins.remote
+        try:
+            got = hooks.recv(remote.peer_circuit_id, shot_ids[0], remote.sequence,
+                             len(shot_ids))
+        except EmulatorError as exc:
+            raise _at_shot(exc, shot_ids[0]) from exc
+        ones = np.resize(got, len(shot_ids)) == 1  # the shots past `got` are cut
+        tests, shot_ids = _split([(b, mask := ones[b.shots], np.count_nonzero(mask), None)
+                                  for b in branches], shot_ids, room, len(got))
+        branches = []
+        for b, ones, n1, _ in tests:
+            if 0 < n1 < len(ones):
+                branches.append(_fork(b, ones))
+                op.kernel(branches[-1].amps)
             elif n1:
-                split.append(_fork(b, np.array(got) == 1))
-                op.kernel(split[-1].amps)
-            split.append(b)
-        return split, shot_ids
+                op.kernel(b.amps)
+            branches.append(b)
     elif kind == "unsupported":
         raise _at_shot(UnsupportedInstruction(
-            f"{op.ins.name} requires the quantum-communication executor"),
-            branches[0].shots, shot_ids)
+            f"{op.ins.name} requires the quantum-communication executor"), shot_ids[0])
     else:
         for qubit, clbit in op.targets:
-            tests, shot_ids = _split(branches, qubit, next_row(), shot_ids, room)
+            uniforms, tests = next_row(), []
+            for b in branches:  # each tested before any state is copied
+                try:
+                    ones, weights = sample_outcomes(b.amps, qubit, uniforms[b.shots])
+                except EmulatorError as exc:
+                    raise _at_shot(exc, shot_ids[int(b.shots.min())]) from exc
+                tests.append((b, ones, np.count_nonzero(ones), weights))
+            tests, shot_ids = _split(tests, shot_ids, room, len(shot_ids))
+            sent = np.zeros(len(shot_ids), np.uint8) if kind == "send" else None
             branches = []
             for b, ones, n1, weights in tests:
                 parts = (((0, b), (1, _fork(b, ones))) if 0 < n1 < len(ones)
@@ -353,20 +351,20 @@ def _step(op: _Op, branches: list[_Branch], next_row: Callable[[], np.ndarray],
                             part.bits = part.bits & ~(1 << clbit) | outcome << clbit
                         elif kind == "reset" and outcome:
                             move_to_zero(part.amps, qubit)
-                        elif kind == "send":
-                            remote = op.ins.remote
-                            for s in part.shots.tolist():
-                                hooks.send(remote.peer_circuit_id, shot_ids[s],
-                                           remote.sequence, outcome)
+                        elif kind == "send" and outcome:
+                            sent[part.shots] = 1
                 except EmulatorError as exc:
-                    raise _at_shot(exc, b.shots, shot_ids) from exc
+                    raise _at_shot(exc, shot_ids[int(b.shots.min())]) from exc
                 branches += [part for _, part in parts]
+            if kind == "send":  # a failed send is the peer's, not a shot's
+                hooks.send(op.ins.remote.peer_circuit_id, shot_ids[0], op.ins.remote.sequence,
+                           sent)
     return branches, shot_ids
 
 
-def _at_shot(exc: EmulatorError, shots: np.ndarray, shot_ids: range) -> EmulatorError:
-    """`exc` naming the first of the shots (rows of `shot_ids`) it hit."""
-    return type(exc)(f"shot {shot_ids[int(shots.min())]}: {exc}")
+def _at_shot(exc: EmulatorError, shot: int) -> EmulatorError:
+    """`exc` naming the first shot it hit."""
+    return type(exc)(f"shot {shot}: {exc}")
 
 
 def _root(prog: _Program, shots: int, width: int | None = None) -> _Branch:
@@ -385,8 +383,8 @@ def _walk(prog: _Program, ops: list[_Op], branches: list[_Branch],
           ) -> tuple[list[_Branch], int, range]:
     """Evolve the branches through `ops` together, op by op; each draw
     takes `next_row()`, the next uniform of every shot of `shot_ids`. With
-    a `room`, a draw that would leave more live states than that cuts the
-    chunk first (`_split`). Returns the branches at the end, the peak
+    a `room`, a draw or receive that would leave more live states than that
+    cuts the chunk first (`_split`). Returns the branches at the end, the peak
     number of live branches and the shots kept."""
     peak = len(branches)
     for op in ops:
@@ -453,7 +451,7 @@ def _descend_block(prog: _Program, branch: _Branch, uniforms: np.ndarray,
                 low = np.where(ones, w1, w0) <= _NORM_TOL * total
                 if low.any():
                     raise _at_shot(ZeroNorm(f"qubit {q} collapsed onto a weight <= 1e-12"),
-                                   branch.shots[low], shot_ids)
+                                   shot_ids[int(branch.shots[low].min())])
             outcome[q] = ones.astype(np.int64)
             node = 2 * node + outcome[q]
     return outcome.__getitem__
@@ -479,13 +477,14 @@ def run_branched(circuit, shots: int, seed=None,
     with at most as many shots as half the budget holds uniforms for, and
     a draw that would leave more live states than the rest holds cuts it;
     the dropped shots start the next chunk with their rows, the next in
-    stream order, so chunking never changes what a shot draws. A
-    chunk walks together up to the first instruction that talks to a
-    classical channel, and is cut only before it; from there each shot
-    walks alone, in shot order, as the channel's bits go out and are
-    awaited in that order. Each end branch resolves the terminal block
-    (`_descend_block`); a job that draws nothing before it is one branch,
-    sampled at once (`_sample_block`), unless it is channel-linked.
+    stream order, so chunking never changes what a shot draws. A channel
+    instruction is one hook call for the chunk: a send hands over its
+    shots' bits, and a receive gets those of a prefix of its shots, the
+    first one's at least, and cuts the chunk to that prefix as a draw's cut
+    does, so peers need not agree on chunk boundaries. Each end branch
+    resolves the terminal block (`_descend_block`); a job that draws
+    nothing before it is one branch, sampled at once (`_sample_block`),
+    unless it is channel-linked.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -499,7 +498,6 @@ def run_branched(circuit, shots: int, seed=None,
         seed = fresh_seed()
 
     prog, hooks = _compile(circuit, outputs), hooks or null_hooks()
-    linked = prog.solo < len(prog.walked)
     mask = (1 << prog.outputs) - 1
     writer = {c: q for q, c in prog.block}  # each block clbit's last-measured qubit
     tally: Counter[int] = Counter()
@@ -519,7 +517,8 @@ def run_branched(circuit, shots: int, seed=None,
             values, counts = np.unique(codes & mask, return_counts=True)
             tally.update(dict(zip(values.tolist(), counts.tolist())))
 
-    if not linked and prog.draws == len(prog.block):  # one branch of every shot
+    if prog.draws == len(prog.block) and not any(  # one branch of every shot
+            op.kind in ("send", "recv") for op in prog.walked):
         ends, peak, _ = _walk(prog, prog.walked, [_root(prog, shots)], None,
                               range(shots), hooks)
         count(ends, None, range(shots))
@@ -531,32 +530,9 @@ def run_branched(circuit, shots: int, seed=None,
     # hold a second state holds one shot
     shot_bytes = 8 * (prog.draws + 1)
     per = min(shots, max(1, BRANCH_BUDGET_BYTES // 2 // shot_bytes))
-    states = 1 + (BRANCH_BUDGET_BYTES - per * shot_bytes) // (16 << prog.num_qubits)
-    if states < 2:
+    room = 1 + (BRANCH_BUDGET_BYTES - per * shot_bytes) // (16 << prog.num_qubits)
+    if room < 2:
         per = 1
-    room = max(1, states - linked)  # a linked shot walking alone copies its state
-
-    def alone(branch: _Branch, rows: np.ndarray, ids: range) -> None:
-        """Walk one shot from the first channel instruction on and count it."""
-        ends, _, _ = _walk(prog, prog.walked[prog.solo:], [branch],
-                           iter(rows.T[prog.solo_draws:]).__next__, ids, hooks)
-        count(ends, rows, ids)
-
-    def walk(rows: np.ndarray, ids: range) -> tuple[int, range]:
-        """Count the shots of one chunk that it keeps; its states are freed
-        on return. Returns the peak of live branches and the shots kept."""
-        shared, peak, ids = _walk(prog, prog.walked[:prog.solo], [_root(prog, len(ids))],
-                                  iter(rows.T).__next__, ids, hooks, room)
-        if not linked:
-            count(shared, rows, ids)
-            return peak, ids
-        owner = {s: b for b in shared for s in b.shots.tolist()}
-        last = {int(b.shots.max()) for b in shared}  # takes the branch's state
-        for s in range(len(ids)):
-            b = owner[s]
-            alone(_Branch(b.amps if s in last else b.amps.copy(), b.bits, np.array([s])),
-                  rows, ids)
-        return max(peak, len(shared) + (1 if len(shared) < len(ids) else 0)), ids
 
     # rows[j] holds the uniforms of shot start + j for the first `drawn`
     # rows; the rows of shots a cut dropped move to the front, not drawn
@@ -568,7 +544,9 @@ def run_branched(circuit, shots: int, seed=None,
         ids = range(start, min(start + size, shots))
         stream.random(out=rows[drawn:len(ids)])
         drawn = max(drawn, len(ids))
-        chunk_peak, kept = walk(rows, ids)
+        ends, chunk_peak, kept = _walk(prog, prog.walked, [_root(prog, len(ids))],
+                                       iter(rows.T).__next__, ids, hooks, room)
+        count(ends, rows, kept)
         drawn -= len(kept)
         rows[:drawn] = rows[len(kept):len(kept) + drawn]
         # a cut shows how many shots fit: the next chunk starts with as many,

@@ -5,8 +5,8 @@ service skeleton, job table included.
 
 Frame = 4-byte big-endian payload length + UTF-8 JSON payload. Protocol
 messages carry a "type" field; classical-channel bit messages are bare
-{"src", "dst", "epoch", "seq", "bit", "job"} objects and are told apart by
-the absence of "type".
+{"src", "dst", "epoch", "seq", "bits", "count", "job"} objects and are told
+apart by the absence of "type".
 """
 
 from __future__ import annotations

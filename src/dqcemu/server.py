@@ -43,10 +43,10 @@ from .protocol import (
 )
 from .wire import _is_number, circuit_from_obj
 
-#: bits a vQPU holds for parts it has not acked yet, over all jobs; past it
-#: the job whose inbox was made first fails with ChannelTimeout and its bits
-#: are dropped
-MAX_HELD_BITS = 4096
+#: bits (a byte each) a vQPU holds for parts it has not acked yet, over all
+#: jobs; past it the job whose inbox was made first fails with ChannelTimeout
+#: and its bits are dropped. 1b at n=16, 10^4 shots, held up to 50,000 (README)
+MAX_HELD_BITS = 1 << 20
 
 
 def _check_params(params, path: str) -> None:
@@ -199,12 +199,11 @@ class VqpuServer(FramedService):
             return self._queue(replace(task, params=list(params)))
 
     def _route_bit(self, frame: dict):
-        """Deliver a bit to the inbox of its job. A job the table holds
-        without an inbox has finished or reads no bits, and its bit is
-        dropped; any other job's first bit makes its inbox, which holds
+        """Deliver a bit frame's bits to the inbox of its job, or nothing
+        where a field does not fit (`BitMessage.from_obj`). A job the table
+        holds without an inbox has finished or reads no bits, and its bits
+        are dropped; any other job's first bits make its inbox, which holds
         bits until the part is acked, at most MAX_HELD_BITS over all jobs."""
-        if not {"src", "dst", "epoch", "seq", "bit"} <= frame.keys():
-            return error_frame("SchemaViolation", "frame without type")
         msg = BitMessage.from_obj(frame)
         with self._lock:
             inbox = self._inboxes.get(msg.job)
@@ -213,9 +212,9 @@ class VqpuServer(FramedService):
                     return None
                 inbox = self._inboxes[msg.job] = ChannelEndpoint(
                     msg.dst_circuit, {}, None, job=msg.job)
-            inbox.deliver(msg)
+            taken = inbox.deliver(msg)
             if inbox.limit is None:
-                self._held += 1
+                self._held += taken
             while self._held > MAX_HELD_BITS:  # fail the job held longest
                 oldest = next(j for j, box in self._inboxes.items() if box.limit is None)
                 self._held -= self._inboxes.pop(oldest).taken

@@ -155,7 +155,8 @@ def run_once_reference(circuit: Circuit, rng: np.random.Generator,
                        hooks: engine.ChannelHooks, shot_index: int = 0):
     """The instruction list executed once on a fresh state, one shot at a
     time: the per-shot loop the engine's branch walk must reproduce bit for
-    bit. Returns the final state and the classical bit register."""
+    bit. Each channel instruction is a one-shot hook call. Returns the
+    final state and the classical bit register."""
     n = circuit.num_qubits
     state = StateVector.zero(n)
     bits = [0] * circuit.num_clbits
@@ -175,10 +176,10 @@ def run_once_reference(circuit: Circuit, rng: np.random.Generator,
         elif name == "measure_and_send":
             outcome, state = measure_qubit(state, ins.qubits[0], rng)
             hooks.send(ins.remote.peer_circuit_id, shot_index,
-                       ins.remote.sequence, outcome)
+                       ins.remote.sequence, np.array([outcome], np.uint8))
         elif name == "remote_c_if":
-            bit = hooks.recv(ins.remote.peer_circuit_id, shot_index,
-                             ins.remote.sequence)
+            (bit,) = hooks.recv(ins.remote.peer_circuit_id, shot_index,
+                                ins.remote.sequence, 1)
             if bit == 1:
                 compile_gate(n, ins.remote.gate_name, ins.qubits,
                              ins.params)(state.amplitudes)

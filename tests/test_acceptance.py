@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The n=16 classical run is
-slow-tagged (minutes) but part of the default suite; the n=16 quantum run
+Run with `pytest tests/test_acceptance.py -v -s`. The n=16 classical run
+must finish within 60 s (about a second on 2 cores); the n=16 quantum run
 is opt-in via `-m longrun` (hours of single-process simulation).
 """
 
@@ -84,7 +84,6 @@ def test_criterion_1b_classical_n8(raise_family):
            f"phi_hat={est.phi_hat} err={err:.6f} bound={2.0 ** -8:.6f}")
 
 
-@pytest.mark.slow
 def test_criterion_1b_classical_n16(raise_family):
     t0 = time.monotonic()
     fam = raise_family(16, classical_comm=True)
@@ -95,7 +94,7 @@ def test_criterion_1b_classical_n16(raise_family):
     bits = most_frequent_bits([r.counts for r in records])
     est = ipea_bits_to_phase(bits, n=16)
     wall = time.monotonic() - t0
-    report("1b-n16", est.phi_hat == TABLE_PHI_HAT and wall < 600,
+    report("1b-n16", est.phi_hat == TABLE_PHI_HAT and wall < 60,
            f"phi_hat={est.phi_hat!r} wall={wall:.0f}s")
 
 

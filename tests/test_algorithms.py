@@ -138,10 +138,14 @@ def test_ipea_message_volume():
         original(address, msg)
 
     hub.send = counting_send
-    n, shots = 5, 4
+    n, shots = 5, 400
     chain = build_ipea_chain(QpeConfig(n_ancilla=n, theta=1.3))
     run_ipea_loopback(chain, shots=shots, seed=3, hub=hub)
-    assert len(sends) == shots * n * (n - 1) // 2
+    # one bit per shot and pair of parts, each pair's sent in one frame:
+    # every part walks its shots in one chunk, and receives every bit it
+    # reads at once, since a sender hands over a whole chunk in one frame
+    assert sum(len(msg.bits) for msg in sends) == shots * n * (n - 1) // 2
+    assert len(sends) == n * (n - 1) // 2
 
 
 def test_ipea_equals_qpe_for_all_exact_phases():

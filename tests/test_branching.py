@@ -3,6 +3,7 @@ seed gives every shot the outcomes it gets when run alone, whatever the
 merges and the chunking."""
 
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -140,15 +141,18 @@ def test_run_once_matches_the_reference(circuit, seed):
     assert np.array_equal(state.amplitudes, ref_state.amplitudes)
 
 
-def logging_hooks(log: list) -> engine.ChannelHooks:
-    """Hooks that log every channel call; a received bit depends on the
-    shot and the sequence number."""
-    def send(peer, epoch, seq, bit):
-        log.append(("send", epoch, seq, bit))
+def logging_hooks(log: set) -> engine.ChannelHooks:
+    """Hooks that log every bit sent and read as (kind, peer, shot, seq,
+    bit). A read bit depends on the shot and the sequence number, and a
+    receive returns the bits of a prefix of its shots, of a length that
+    depends on them too, down to one shot, as when the rest have not come."""
+    def send(peer, epoch, seq, bits):
+        log.update(("send", peer, e, seq, int(b)) for e, b in enumerate(bits, epoch))
 
-    def recv(peer, epoch, seq):
-        log.append(("recv", epoch, seq))
-        return (3 * epoch + seq) % 5 % 2
+    def recv(peer, epoch, seq, count):
+        bits = [(3 * e + seq) % 5 % 2 for e in range(epoch, epoch + 1 + (epoch + seq) % count)]
+        log.update(("recv", peer, e, seq, b) for e, b in enumerate(bits, epoch))
+        return np.array(bits, np.uint8)
     return engine.ChannelHooks(send=send, recv=recv)
 
 
@@ -156,11 +160,11 @@ def logging_hooks(log: list) -> engine.ChannelHooks:
 @given(mid_circuit_programs(linked=True), st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
        BUDGETS)
 def test_channel_linked_walk_matches_the_shot_loop(circuit, seed, shots, budget):
-    """Same counts, and the same channel calls in the same order: shots
-    share the walk only up to the first channel instruction. A circuit
-    without channel instructions that draws nothing before its terminal
-    measurements is sampled, as in test_walk_matches_the_shot_loop."""
-    walked, looped = [], []
+    """Same counts, and the same bits sent and read for every shot, though
+    the walk makes one hook call per chunk and receives cut chunks. A
+    circuit without channel instructions that draws nothing before its
+    terminal measurements is sampled, as in test_walk_matches_the_shot_loop."""
+    walked, looped = set(), set()
     with mock.patch.object(engine, "BRANCH_BUDGET_BYTES", budget):
         counts = engine.run_shot_loop(circuit, shots, seed=seed,
                                       hooks=logging_hooks(walked))
@@ -300,10 +304,10 @@ def test_live_branch_bytes_stay_within_the_budget(monkeypatch):
     assert counts == run_shot_loop_reference(c, 300, 2)
 
 
-def test_channel_linked_chunks_are_cut_in_their_shared_prefix(monkeypatch):
-    """Histories diverge before the first channel instruction, so chunks are
-    cut there; bits still go out in shot order, call for call as the loop
-    makes them."""
+def test_channel_linked_chunks_are_cut_like_any_other(monkeypatch):
+    """Histories diverge before the channel instructions, so the budget
+    cuts chunks there, and receives that get a prefix cut them too; every
+    shot still sends and reads the bits the loop does."""
     c = Circuit(6, 3, id="src")
     for q in range(3):
         c.h(q).measure(q, q)
@@ -311,12 +315,13 @@ def test_channel_linked_chunks_are_cut_in_their_shared_prefix(monkeypatch):
     # room for every shot's 5 uniforms and row index, and for 3 more states
     shots = 40
     budget = shots * 8 * 6 + 3 * (16 << c.num_qubits)
-    walked, looped = [], []
+    walked, looped = set(), set()
+    cuts = spy_cuts(monkeypatch)
     counts, counters, most = budgeted_run(monkeypatch, c, shots, 8, budget,
                                           hooks=logging_hooks(walked))
-    assert most == shots and counters["chunks"] > 1  # every chunk past the first is a cut
+    assert most == shots and counters["chunks"] > 1 and cuts
     assert_within_budget(c, budget, counters, most)
-    assert [epoch for kind, epoch, *_ in walked if kind == "send"] == list(range(shots))
+    assert {shot for kind, _, shot, *_ in walked if kind == "send"} == set(range(shots))
     assert counts == run_shot_loop_reference(c, shots, 8, hooks=logging_hooks(looped))
     assert walked == looped
 
@@ -378,12 +383,12 @@ def test_one_shot_runs_alone_from_its_place_in_the_job_stream(circuit):
 
 
 def spy_cuts(monkeypatch) -> list[tuple[int, int]]:
-    """Log (shots, kept) of every cut `_split` makes; the rows of the shots
-    it drops are carried to the next chunk."""
+    """Log (shots, kept) of every cut `_split` makes, for a draw or a
+    receive; the rows of the shots it drops are carried to the next chunk."""
     cuts, split = [], engine._split
 
-    def spy(branches, qubit, uniforms, shot_ids, room):
-        tests, kept = split(branches, qubit, uniforms, shot_ids, room)
+    def spy(tests, shot_ids, room, stop):
+        tests, kept = split(tests, shot_ids, room, stop)
         if len(kept) < len(shot_ids):
             cuts.append((len(shot_ids), len(kept)))
         return tests, kept
@@ -409,24 +414,102 @@ def test_cut_telegate_chunks_keep_the_counts_of_one_chunk(monkeypatch):
 
 
 def test_cut_chunks_of_a_channel_linked_pair_keep_their_counts(monkeypatch):
-    """The IPEA sender measures before it sends, so at 200 bytes (4 shots'
-    uniforms, one state and the copy a lone shot takes) its two-way split
-    cuts its chunks; the receiver draws only after its remote_c_if and is
-    never cut, but walks 6 shots a chunk. Both parts count as they do in
-    one chunk at the default budget."""
-    chain = build_ipea_chain(QpeConfig(n_ancilla=2, theta=2.0)).circuits
+    """The later parts of the 3-part IPEA chain split on every bit they
+    receive and on their own measure, so at 200 bytes (a few shots'
+    uniforms and room for 2 states) the budget cuts their chunks, at
+    receives and at draws. Every part counts as it does in one chunk at
+    the default budget."""
+    chain = build_ipea_chain(QpeConfig(n_ancilla=3, theta=2.0)).circuits
 
     def run():
         eps = channel.establish({c.id: c.id for c in chain})
         return [engine.run_branched(c, 300, seed=21 + i, hooks=eps[c.id].hooks())
                 for i, c in enumerate(chain)]
     whole = run()
-    assert [counters["chunks"] for _, counters in whole] == [1, 1]
+    assert [counters["chunks"] for _, counters in whole] == [1, 1, 1]
     cuts = spy_cuts(monkeypatch)
     monkeypatch.setattr(engine, "BRANCH_BUDGET_BYTES", 200)
     chunked = run()
     assert cuts and all(counters["chunks"] >= 2 for _, counters in chunked)
     assert [counts for counts, _ in chunked] == [counts for counts, _ in whole]
+
+
+def run_linked(circuits, run) -> list:
+    """`run(circuit, hooks, seed)` for every circuit on a thread of its own,
+    linked by one in-memory channel whose receives time out after 2 s; the
+    results in circuit order."""
+    eps = channel.establish({c.id: c.id for c in circuits}, recv_timeout_ms=2000)
+    results, errors = {}, []
+
+    def worker(i, c):
+        try:
+            results[i] = run(c, eps[c.id].hooks(), 40 + i)
+        except Exception as exc:  # raised after the join
+            errors.append(exc)
+    threads = [threading.Thread(target=worker, args=pair) for pair in enumerate(circuits)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return [results[i] for i in range(len(circuits))]
+
+
+def cyclic_pair(width_a: int, width_b: int) -> list[Circuit]:
+    """Two circuits whose bits go a -> b -> a -> b, each splitting its
+    histories on every bit it draws or receives."""
+    a, b = Circuit(width_a, width_a, id="a"), Circuit(width_b, width_b, id="b")
+    for c in (a, b):
+        for q in range(c.num_qubits):
+            c.h(q)
+    a.measure_and_send(0, "b").remote_c_if("x", 1, "b").ry(0.4, 1).measure_and_send(1, "b")
+    b.remote_c_if("x", 0, "a").measure_and_send(0, "a").remote_c_if("h", 1, "a")
+    for c in (a, b):
+        c.cx(1, 2)
+        for q in range(c.num_qubits):
+            c.measure(q, q)
+    return [a, b]
+
+
+@pytest.mark.parametrize("widths", [(3, 12), (12, 3), (8, 8)])
+@pytest.mark.parametrize("budget", [16 << 10, 128 << 10, 2 << 20])
+def test_a_cyclic_pair_of_unequal_widths_matches_the_shot_loop(monkeypatch, widths, budget):
+    """Bits that go both ways between parts whose chunks are cut at
+    different shots: each receive waits only for the bit of its chunk's
+    first shot, so neither part waits on the other for long, and both
+    count as the reference loops do, run side by side."""
+    monkeypatch.setattr(engine, "BRANCH_BUDGET_BYTES", budget)
+    pair, shots = cyclic_pair(*widths), 300
+    expected = run_linked(pair, lambda c, hooks, seed:
+                          run_shot_loop_reference(c, shots, seed, hooks=hooks))
+    walked = run_linked(pair, lambda c, hooks, seed:
+                        engine.run_branched(c, shots, seed, hooks))
+    assert [counts for counts, _ in walked] == expected
+    for c, (_, counters) in zip(pair, walked):
+        if c.num_qubits == 12 and budget == 16 << 10:  # no room for a second state
+            assert counters["chunks"] == shots
+
+
+def test_a_receive_that_gets_a_prefix_cuts_the_chunk(monkeypatch):
+    """A receive that returns the bits of the first 7 shots only cuts the
+    chunk to those 7: the others, which drew before it, start the next
+    chunk with their uniforms, and every shot counts as in the loop."""
+    c = Circuit(2, 2, id="r")
+    c.h(0).h(1).measure(0, 0).remote_c_if("x", 1, "peer").h(1).measure(1, 1)
+    asked = []
+
+    def recv(peer, epoch, seq, count):
+        asked.append((epoch, count))
+        return (np.arange(epoch, epoch + min(count, 7)) % 3 == 0).astype(np.uint8)
+    hooks = engine.ChannelHooks(send=None, recv=recv)
+    cuts = spy_cuts(monkeypatch)
+    counts, counters = engine.run_branched(c, 50, seed=3, hooks=hooks)
+    assert [epoch for epoch, _ in asked] == list(range(0, 50, 7))
+    assert asked[:2] == [(0, 50), (7, 7)] and cuts[0] == (50, 7)
+    assert counters["chunks"] == 8
+    assert counts == run_shot_loop_reference(c, 50, 3, hooks=hooks)
 
 
 def test_executor_result_carries_the_walk_counters():
@@ -446,28 +529,32 @@ def test_results_carry_the_widest_state():
     assert executor.execute_merged(plan, 100, seed=1).metadata["state_qubits"] == 11
 
 
-def test_channel_linked_shots_share_the_walk_up_to_the_channel():
+def test_channel_linked_shots_share_the_walk_through_the_channel():
+    """A send is one hook call for the chunk, with the bits the loop sends
+    shot by shot."""
     c = Circuit(2, 2, id="src")
     c.h(0).h(1).measure(1, 1).measure_and_send(0, "dst").measure(0, 0)
     sent = []
-    hooks = engine.ChannelHooks(send=lambda *a: sent.append(a), recv=lambda *a: 0)
+    hooks = engine.ChannelHooks(send=lambda *a: sent.append(a), recv=None)
     counts, counters = engine.run_branched(c, 20, seed=8, hooks=hooks)
-    assert [epoch for _, epoch, _, _ in sent] == list(range(20))
-    # two branches from the shared measurement, plus the shot walking alone
-    assert counters == {"peak_branches": 3, "chunks": 1, "state_qubits": 2}
+    # the shared measurement's two branches, each split by the send
+    assert counters == {"peak_branches": 4, "chunks": 1, "state_qubits": 2}
     assert counts == run_shot_loop_reference(c, 20, 8, hooks=hooks)
+    (peer, epoch, seq, bits), *looped = sent
+    assert (peer, epoch, seq) == ("dst", 0, 0)
+    assert bits.tolist() == [b for *_, (b,) in looped] and len(looped) == 20
 
 
 def test_channel_linked_terminal_block_matches_the_shot_loop():
     """Measurements that commute past a remote_c_if on another qubit join
     the terminal block of a linked circuit; each shot still sends and
-    awaits its bits call for call as the reference loop does."""
+    reads the bits the reference loop does."""
     c = Circuit(3, 3, id="src")
     c.h(0).h(1).h(2).measure_and_send(0, "dst").measure(1, 1)
     c.remote_c_if("x", 2, "dst").cx(2, 0).measure(2, 2).measure(0, 0).measure(1, 2)
     assert len(engine._compile(c).block) == 4
     for seed in (1, 2, 3):
-        walked, looped = [], []
+        walked, looped = set(), set()
         counts = engine.run_shot_loop(c, 60, seed=seed, hooks=logging_hooks(walked))
         assert counts == run_shot_loop_reference(c, 60, seed, hooks=logging_hooks(looped))
         assert walked == looped

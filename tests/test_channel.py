@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -63,6 +64,91 @@ def test_seq_mismatch_is_a_protocol_error():
     a.send_bit(BitMessage("a", "b", 0, 1, 1))
     with pytest.raises(EpochMismatch):
         b.recv_bit("a", 0, 0)
+
+
+def test_a_receive_returns_the_prefix_that_has_come():
+    """A receive waits for its first shot's bit only, and returns the bits
+    held from there, up to `count`; bits are read, not popped."""
+    a, b = two_endpoints()
+    a.send_bit(BitMessage("a", "b", 0, 0, np.array([1, 0, 1], np.uint8)))
+    assert b.recv("a", 0, 0, 5).tolist() == [1, 0, 1]
+    assert b.recv("a", 1, 0, 1).tolist() == [0]
+    a.send_bit(BitMessage("a", "b", 3, 0, np.array([1, 1], np.uint8)))
+    assert b.recv("a", 2, 0, 8).tolist() == [1, 1, 1]
+    assert b.recv("a", 0, 0, 8).tolist() == [1, 0, 1, 1, 1]
+
+
+def test_an_overlapping_resend_is_kept_once():
+    """Shots walked again send their bits again: the bits held already are
+    skipped and do not count against the limit."""
+    a, b = two_endpoints()
+    b.limit = 6
+    a.send_bit(BitMessage("a", "b", 0, 0, np.array([1, 0, 1, 0], np.uint8)))
+    a.send_bit(BitMessage("a", "b", 2, 0, np.array([1, 0, 0, 1], np.uint8)))
+    a.send_bit(BitMessage("a", "b", 0, 0, np.array([1, 0, 1, 0, 0, 1], np.uint8)))
+    assert b.taken == 6
+    assert b.recv("a", 0, 0, 10).tolist() == [1, 0, 1, 0, 0, 1]
+    a.send_bit(BitMessage("a", "b", 6, 0, 1))  # one past the limit
+    with pytest.raises(ChannelTimeout, match="reads 6"):
+        b.recv("a", 0, 0, 1)
+
+
+def test_a_gap_after_the_bits_held_is_a_protocol_error():
+    a, b = two_endpoints()
+    a.send_bit(BitMessage("a", "b", 0, 0, np.array([1, 0], np.uint8)))
+    a.send_bit(BitMessage("a", "b", 3, 0, 1))  # shot 2's bit never came
+    with pytest.raises(EpochMismatch, match="seq 0"):
+        b.recv("a", 0, 0, 1)
+    assert b.taken == 2
+
+
+def test_a_seq_that_runs_ahead_of_an_earlier_one_is_a_protocol_error():
+    """A sender sends its seqs in order for every shot, so seq k never
+    holds bits of shots that seq k - 1 does not."""
+    a, b = two_endpoints()
+    a.send_bit(BitMessage("a", "b", 0, 0, np.array([1, 0, 1], np.uint8)))
+    a.send_bit(BitMessage("a", "b", 0, 1, np.array([1, 1], np.uint8)))
+    assert b.recv("a", 0, 1, 5).tolist() == [1, 1]
+    a.send_bit(BitMessage("a", "b", 2, 1, np.array([0, 1], np.uint8)))  # shot 3
+    with pytest.raises(EpochMismatch, match="seq 1"):
+        b.recv("a", 0, 0, 1)
+
+
+def test_overlapping_sends_from_many_threads_keep_each_bit_once():
+    """Six senders, more than the cores, each send their 600 bits in
+    overlapping chunks, as shots walked again send theirs again, while a
+    reader takes them by prefixes: every bit arrives once and in place."""
+    names = [f"s{i}" for i in range(6)]
+    eps = establish({n: n for n in names + ["r"]}, recv_timeout_ms=10_000)
+    bits = {n: np.random.default_rng(i).integers(0, 2, 600).astype(np.uint8)
+            for i, n in enumerate(names)}
+    read: dict[str, list[int]] = {}
+
+    def sender(src):
+        for start in range(0, 600, 40):  # chunks of 70 shots, 30 of them sent before
+            eps[src].send_bit(BitMessage(src, "r", start, 0, bits[src][start:start + 70]))
+
+    def reader():
+        for src in names:
+            got = read.setdefault(src, [])
+            while len(got) < 600:
+                got += eps["r"].recv(src, len(got), 0, 600 - len(got)).tolist()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sender, args=(n,)) for n in names]
+        threads.append(threading.Thread(target=reader))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert {n: np.array(read[n], np.uint8).tolist() for n in names} == {
+        n: b.tolist() for n, b in bits.items()}
+    assert eps["r"].taken == 6 * 600
 
 
 def test_unknown_peer():
@@ -136,8 +222,8 @@ def test_no_loss_or_duplication_under_delay_injection():
                 continue
             bits = [eps[dst].recv_bit(src, 0, seq) for seq in range(total)]
             assert bits == [seq % 2 for seq in range(total)]
-            # nothing left over
-            assert not eps[dst]._queues.get(src)
+        # each bit kept once: nothing lost, nothing held twice
+        assert eps[dst].taken == 2 * total
 
 
 def test_lockstep_bounded_skew_on_a_ring():

@@ -314,6 +314,12 @@ def test_validate_sequence_gaps():
     c.instructions[0].remote.sequence = 3
     codes = [v.code for v in validate(c, default_backend())]
     assert "MalformedRemote" in codes
+    # tags out of program order: a receiver's seq 1 would come before its seq 0
+    c = Circuit(2, 0, id="c")
+    c.measure_and_send(0, "dst").measure_and_send(1, "dst")
+    c.instructions[0].remote.sequence, c.instructions[1].remote.sequence = 1, 0
+    codes = [v.code for v in validate(c, default_backend())]
+    assert "MalformedRemote" in codes
 
 
 def test_validate_never_raises():

@@ -88,9 +88,11 @@ def test_remote_c_if_forced_bit_hook():
     c = Circuit(1, 1, id="rc")
     c.remote_c_if("x", [0], "peer")
     c.measure(0, 0)
-    hooks = ChannelHooks(send=lambda *a: None, recv=lambda *a: 1)
+    hooks = ChannelHooks(send=lambda *a: None,
+                         recv=lambda peer, epoch, seq, count: np.ones(count, np.uint8))
     assert engine.run_shot_loop(c, 20, seed=4, hooks=hooks) == {"1": 20}
-    hooks0 = ChannelHooks(send=lambda *a: None, recv=lambda *a: 0)
+    hooks0 = ChannelHooks(send=lambda *a: None,
+                          recv=lambda peer, epoch, seq, count: np.zeros(count, np.uint8))
     assert engine.run_shot_loop(c, 20, seed=4, hooks=hooks0) == {"0": 20}
 
 
@@ -98,12 +100,12 @@ def test_measure_and_send_reaches_hook():
     c = Circuit(1, 1, id="src")
     c.x(0).measure_and_send(0, "dst").measure(0, 0)
     sent = []
-    hooks = ChannelHooks(send=lambda peer, epoch, seq, bit:
-                         sent.append((peer, epoch, seq, bit)),
-                         recv=lambda *a: 0)
+    hooks = ChannelHooks(send=lambda peer, epoch, seq, bits:
+                         sent.append((peer, epoch, seq, bits.tolist())),
+                         recv=lambda *a: None)
     counts = engine.run_shot_loop(c, 3, seed=5, hooks=hooks)
     assert counts == {"1": 3}
-    assert sent == [("dst", 0, 0, 1), ("dst", 1, 0, 1), ("dst", 2, 0, 1)]
+    assert sent == [("dst", 0, 0, [1, 1, 1])]  # one call for the chunk
 
 
 def test_distributed_without_hooks_is_an_error():
@@ -124,13 +126,11 @@ def test_hook_errors_name_the_shot():
     c = Circuit(1, 1, id="c")
     c.remote_c_if("x", [0], "peer")
 
-    calls = []
-
-    def recv(peer, epoch, seq):
-        calls.append(epoch)
+    def recv(peer, epoch, seq, count):
+        """Bits up to shot 2's, which never arrives."""
         if epoch == 2:
             raise ChannelTimeout("no bit arrived")
-        return 0
+        return np.zeros(min(count, 2 - epoch), np.uint8)
 
     hooks = ChannelHooks(send=lambda *a: None, recv=recv)
     with pytest.raises(ChannelTimeout, match="shot 2"):
@@ -509,11 +509,13 @@ def test_run_branched_restores_the_callers_ufunc_buffer(caller):
     c.h(0).remote_c_if("x", [1], "peer").measure(1, 0)
     seen, fail = [], False
 
-    def recv(peer, epoch, seq):
+    def recv(peer, epoch, seq, count):
         seen.append(np.getbufsize())
-        if epoch == 3 and fail:
+        if fail and epoch == 3:
             raise ChannelTimeout("no bit arrived")
-        return epoch % 2
+        if fail and epoch < 3:
+            count = min(count, 3 - epoch)  # the bits up to shot 3's
+        return np.arange(epoch, epoch + count) % 2
 
     hooks = ChannelHooks(send=lambda *a: None, recv=recv)
     old = np.setbufsize(caller)

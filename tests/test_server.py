@@ -4,6 +4,7 @@ from contextlib import contextmanager
 from functools import partial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dqcemu import engine
@@ -401,7 +402,7 @@ def test_counts_always_sum_to_shots(conn):
 def test_bit_frames_are_one_way(server):
     sock = connect(server.host, server.port)
     sock.settimeout(0.3)
-    send_frame(sock, {"src": "a", "dst": "b", "epoch": 0, "seq": 0, "bit": 1})
+    send_frame(sock, BitMessage("a", "b", 0, 0, 1, "j").to_obj())
     send_frame(sock, {"type": "status"})
     reply = recv_frame(sock)  # only the status reply comes back
     assert reply["type"] == "ack"
@@ -413,8 +414,8 @@ def test_bit_frames_are_one_way(server):
 def held_bits(srv) -> int:
     """Bits the inboxes of a vQPU hold."""
     with srv._lock:
-        return sum(len(q) for inbox in srv._inboxes.values()
-                   for q in inbox._queues.values())
+        return sum(len(bits) for inbox in srv._inboxes.values()
+                   for bits in inbox._bits.values())
 
 
 def test_bits_that_arrive_before_their_part_are_handed_over():
@@ -426,8 +427,8 @@ def test_bits_that_arrive_before_their_part_are_handed_over():
     sender, receiver = build_ipea_chain(QpeConfig(n_ancilla=2, theta=2.0)).circuits
     shots, bits = 200, []
 
-    def send(peer, epoch, seq, bit):
-        bits.append(BitMessage(sender.id, peer, epoch, seq, bit, "r"))
+    def send(peer, epoch, seq, values):
+        bits.append(BitMessage(sender.id, peer, epoch, seq, values, "r"))
 
     run_shot_loop_reference(sender, shots, 1, hooks=engine.ChannelHooks(send, None))
     inbox = ChannelEndpoint(receiver.id, {}, transport=None)
@@ -455,12 +456,12 @@ def test_bits_that_arrive_before_their_part_are_handed_over():
 
 
 def test_bits_no_part_reads_are_bounded():
-    """A vQPU flooded with bits for jobs it never runs holds at most
-    MAX_HELD_BITS of them, dropping the bits of the job held longest and
-    failing that job with ChannelTimeout; an acked part flooded past the
-    bits it reads drops them and ends in ChannelTimeout. The vQPU then runs
-    a classical program, one part of it fed from another vQPU, with the
-    counts the program gets alone."""
+    """A vQPU flooded with bits for jobs it never runs, in frames of 8192
+    bits, holds at most MAX_HELD_BITS of them, dropping the bits of the job
+    held longest and failing that job with ChannelTimeout; an acked part
+    flooded past the bits it reads drops them and ends in ChannelTimeout.
+    The vQPU then runs a classical program, one part of it fed from
+    another vQPU, with the counts the program gets alone."""
     sender, receiver = build_ipea_chain(QpeConfig(n_ancilla=2, theta=2.0)).circuits
     flooded = VqpuServer(ServiceConfig("flood-0", comm_mode="classical"))
     peer = VqpuServer(ServiceConfig("flood-1", comm_mode="classical"))
@@ -473,10 +474,12 @@ def test_bits_no_part_reads_are_bounded():
                 receiver.id: f"{flooded.host}:{flooded.port}"}
         # acked, it waits for its peer's bits; it reads 10 (one per shot)
         assert submit(sock, receiver, job_id="acked", shots=10, plan=plan)["type"] == "ack"
-        for i in range(2 * MAX_HELD_BITS):
-            send_frame(sock, BitMessage("x", receiver.id, i, 0, 1, f"ghost-{i % 50}").to_obj())
-            if i < 100:
-                send_frame(sock, BitMessage("x", receiver.id, i, 0, 1, "acked").to_obj())
+        frame = np.ones(8192, np.uint8)
+        for i in range(2 * MAX_HELD_BITS // len(frame)):  # 50 jobs, each's shots in turn
+            send_frame(sock, BitMessage("x", receiver.id, i // 50 * len(frame), 0, frame,
+                                        f"ghost-{i % 50}").to_obj())
+        for i in range(100):
+            send_frame(sock, BitMessage("x", receiver.id, i, 0, 1, "acked").to_obj())
         reply = poll_result(sock, "acked")  # after the bits
         assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
         assert held_bits(flooded) == flooded._held <= MAX_HELD_BITS
@@ -498,6 +501,50 @@ def test_bits_no_part_reads_are_bounded():
         sock.close()
     finally:
         flooded.stop()
+        peer.stop()
+
+
+def test_malformed_bit_frames_are_refused_at_the_frame():
+    """Bit frames are input from outside the program. One with a bit that
+    is not 0 or 1, or a field that does not fit, is answered with
+    SchemaViolation and delivers nothing, over a live socket. The vQPU then
+    runs a classical program whose receiving part it holds, with the counts
+    the program gets alone."""
+    sender, receiver = build_ipea_chain(QpeConfig(n_ancilla=2, theta=2.0)).circuits
+    good = BitMessage(sender.id, receiver.id, 0, 0, 1, "prog").to_obj()
+    old_style = {k: v for k, v in good.items() if k not in ("bits", "count")}
+    bad = ([{**good, "bits": v} for v in ("1", 2, None, "zz", "0101", ["80"])]
+           + [{**good, "count": v} for v in (0, -1, "1", 9, True, None)]
+           + [{**good, k: v} for k in ("epoch", "seq") for v in (-1, 1.5, "0", True, None)]
+           + [{**good, k: v} for k in ("src", "dst", "job") for v in (3, None)]
+           + [{**old_style, "bit": v} for v in ("1", 2, None, 1)])
+    srv = VqpuServer(ServiceConfig("strict-0", comm_mode="classical"))
+    peer = VqpuServer(ServiceConfig("strict-1", comm_mode="classical"))
+    srv.start()
+    peer.start()
+    try:
+        sock = connect(srv.host, srv.port)
+        sock.settimeout(10.0)
+        for frame in bad:
+            reply = request(sock, frame)
+            assert (reply["type"], reply["code"]) == ("error", "SchemaViolation"), frame
+        assert held_bits(srv) == srv._held == 0 and srv._inboxes == {}
+
+        shots, seeds = 300, (11, 12)
+        hub = establish({c.id: c.id for c in (sender, receiver)})
+        alone = [engine.run_branched(c, shots, seed, hub[c.id].hooks())[0]
+                 for c, seed in zip((sender, receiver), seeds)]
+        plan = {sender.id: f"{peer.host}:{peer.port}", receiver.id: f"{srv.host}:{srv.port}"}
+        other = connect(peer.host, peer.port)
+        other.settimeout(10.0)
+        submit(sock, receiver, job_id="prog", shots=shots, seed=seeds[1], plan=plan)
+        submit(other, sender, job_id="prog", shots=shots, seed=seeds[0], plan=plan)
+        assert [poll_result(other, "prog")["counts"],
+                poll_result(sock, "prog")["counts"]] == alone
+        other.close()
+        sock.close()
+    finally:
+        srv.stop()
         peer.stop()
 
 
