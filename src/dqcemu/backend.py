@@ -205,8 +205,10 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
 
     if in_region:
         out.append(Violation("MalformedRemote", "unterminated expose region"))
-    for (peer, kind), tags in seq_tags.items():  # a peer reads them in this order
-        if tags != list(range(len(tags))):
+    for (peer, kind), tags in seq_tags.items():
+        if kind not in ("send_bit", "recv_bit"):  # the executor pairs these by tag
+            tags = sorted(tags)
+        if tags != list(range(len(tags))):  # a channel takes bits in tag order
             out.append(Violation(
                 "MalformedRemote",
                 f"sequence tags to {peer!r} ({kind}) not 0, 1, ... in order: {tags}"))

@@ -43,19 +43,19 @@ class BitMessage:
                 "bits": np.packbits(bits).tobytes().hex(), "count": len(bits)}
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "BitMessage":
-        """The message of a bit frame, input from outside the program; a
-        field that does not fit is a SchemaViolation."""
+    def from_obj(cls, obj: dict, most: int) -> "BitMessage":
+        """The message of a bit frame of at most `most` bits, input from
+        outside the program; a field that does not fit is a SchemaViolation."""
         src, dst, job, epoch, seq, count, bits = (
             obj.get(k) for k in ("src", "dst", "job", "epoch", "seq", "count", "bits"))
         if not all(isinstance(v, str) for v in (src, dst, job)):
             raise SchemaViolation("src, dst, job", "expected strings")
         if not all(_is_int(v) and v >= 0 for v in (epoch, seq)):
             raise SchemaViolation("epoch, seq", "expected integers >= 0")
-        if not _is_int(count) or count < 1:
-            raise SchemaViolation("count", "expected an integer >= 1")
-        try:
-            packed = bytes.fromhex(bits)
+        if not _is_int(count) or not 1 <= count <= most:
+            raise SchemaViolation("count", f"expected an integer from 1 to {most}")
+        try:  # the length first, so no more than `most` bits are decoded
+            packed = bytes.fromhex(bits) if len(bits) == (count + 7) // 8 * 2 else None
         except (TypeError, ValueError):
             packed = None
         if packed is None or len(packed) != (count + 7) // 8:
@@ -68,7 +68,10 @@ class ChannelEndpoint:
     """One participant's view of the channel for a single distributed job,
     which every message it sends names. Once `bind` gives it a `limit`, the
     bits that arrive past that many are dropped and its receives raise
-    ChannelTimeout."""
+    ChannelTimeout. `size` is about the bytes it holds (`tracemalloc`): SIZE,
+    KEY_SIZE per (sender, seq) kept, their names, and a byte a bit."""
+
+    SIZE, KEY_SIZE = 2048, 256
 
     def __init__(self, local_circuit: str, peer_map: dict[str, object],
                  transport, recv_timeout_ms: int = DEFAULT_RECV_TIMEOUT_MS,
@@ -77,6 +80,7 @@ class ChannelEndpoint:
         self.peer_map = dict(peer_map)
         self.recv_timeout_ms = recv_timeout_ms
         self.job, self.limit, self.taken = job, None, 0  # taken: bits arrived
+        self.size = self.SIZE + len(job) + len(local_circuit)
         self._transport = transport
         self._cond = threading.Condition()
         self._bits: dict[tuple[str, int], bytearray] = {}  # by (sender, seq)
@@ -89,25 +93,30 @@ class ChannelEndpoint:
 
     # inbound path, fed by the transport reader
     def deliver(self, msg: BitMessage) -> int:
-        """Keep the bits of `msg` not held yet; returns how many. A message
-        that leaves a gap, or reaches past an earlier seq of its sender,
-        keeps none and fails every receive from then on."""
+        """Keep the bits of `msg` not held yet; returns how much `size`
+        grew. A message that leaves a gap, or reaches past an earlier seq of
+        its sender, keeps none and fails every receive from then on; once
+        one has, no message keeps any."""
         bits = np.atleast_1d(np.asarray(msg.bits, np.uint8))
         src, seq, first = msg.src_circuit, msg.seq, msg.shot_epoch
         with self._cond:
             self._cond.notify_all()  # the receives wake once this returns
-            held = self._bits.setdefault((src, seq), bytearray())
-            if first > len(held) or seq and first + len(bits) > len(
+            held = self._bits.get((src, seq), b"")
+            if self._fault or first > len(held) or seq and first + len(bits) > len(
                     self._bits.get((src, seq - 1), b"")):
                 self._fault = self._fault or (
                     f"bits of shots {first}-{first + len(bits) - 1} (seq {seq}) from {src!r} "
                     f"leave a gap after the {len(held)} held or reach past seq {seq - 1}")
                 return 0
-            new = bits[len(held) - first:]
+            new, size = bits[len(held) - first:], self.size
             self.taken += len(new)
-            if self.limit is None or self.taken <= self.limit:
+            if len(new) and (self.limit is None or self.taken <= self.limit):
+                if not held:
+                    held = self._bits[src, seq] = bytearray()
+                    self.size += self.KEY_SIZE + len(src)
                 held += new.tobytes()
-            return len(new)
+                self.size += len(new)
+            return self.size - size
 
     def send_bit(self, msg: BitMessage) -> None:
         if msg.src_circuit != self.local_circuit:

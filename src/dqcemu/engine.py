@@ -549,8 +549,8 @@ def run_branched(circuit, shots: int, seed=None,
         count(ends, rows, kept)
         drawn -= len(kept)
         rows[:drawn] = rows[len(kept):len(kept) + drawn]
-        # a cut shows how many shots fit: the next chunk starts with as many,
-        # and doubles while no cut comes
+        # a cut shows how many shots fit, or had their bits at a receive: the
+        # next chunk starts with as many, and doubles while no cut comes
         size = len(kept) if len(kept) < len(ids) else min(per, 2 * size)
         start, peak, chunks = kept.stop, max(peak, chunk_peak), chunks + 1
     return ({format_key(c, prog.outputs): n for c, n in sorted(tally.items())},

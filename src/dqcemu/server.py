@@ -43,9 +43,10 @@ from .protocol import (
 )
 from .wire import _is_number, circuit_from_obj
 
-#: bits (a byte each) a vQPU holds for parts it has not acked yet, over all
-#: jobs; past it the job whose inbox was made first fails with ChannelTimeout
-#: and its bits are dropped. 1b at n=16, 10^4 shots, held up to 50,000 (README)
+#: bytes a vQPU holds for parts it has not acked yet (`ChannelEndpoint.size`),
+#: over all jobs, and the most bits a frame carries; past it the job whose inbox
+#: was made first fails with ChannelTimeout and its bits are dropped. 1b at
+#: n=16, 10^4 shots, held up to 50,000 bits (README)
 MAX_HELD_BITS = 1 << 20
 
 
@@ -117,7 +118,7 @@ class VqpuServer(FramedService):
         self.handlers.update({"upgrade_parameters": self._handle_upgrade,
                               None: self._route_bit})
         self._inboxes: dict[str, ChannelEndpoint] = {}  # by job id, oldest first
-        self._held = 0  # bits in the inboxes of parts not acked yet
+        self._held = 0  # the sizes of the inboxes of parts not acked yet
 
     def _rerunnable(self, task: QuantumTask) -> bool:
         return bool(task.circuit.param_slots())  # what upgrade_parameters reruns
@@ -161,9 +162,10 @@ class VqpuServer(FramedService):
         reply = super()._queue(task)
         circuit = task.circuit
         if reply["type"] == "ack" and circuit.has_link("classical"):
+            inbox = self._inboxes.get(task.job_id)
+            self._held -= inbox.size if inbox else 0
             inbox = self._inboxes.setdefault(
                 task.job_id, ChannelEndpoint(circuit.id, {}, None, job=task.job_id))
-            self._held -= inbox.taken
             inbox.bind(circuit.id, task.plan, TcpBitTransport(), task.shots * sum(
                 ins.name == "remote_c_if" for ins in circuit.instructions))
         return reply
@@ -203,8 +205,9 @@ class VqpuServer(FramedService):
         where a field does not fit (`BitMessage.from_obj`). A job the table
         holds without an inbox has finished or reads no bits, and its bits
         are dropped; any other job's first bits make its inbox, which holds
-        bits until the part is acked, at most MAX_HELD_BITS over all jobs."""
-        msg = BitMessage.from_obj(frame)
+        bits until the part is acked, at most MAX_HELD_BITS bytes over all
+        jobs, a frame that keeps none included."""
+        msg = BitMessage.from_obj(frame, MAX_HELD_BITS)
         with self._lock:
             inbox = self._inboxes.get(msg.job)
             if inbox is None:
@@ -212,15 +215,16 @@ class VqpuServer(FramedService):
                     return None
                 inbox = self._inboxes[msg.job] = ChannelEndpoint(
                     msg.dst_circuit, {}, None, job=msg.job)
-            taken = inbox.deliver(msg)
+                self._held += inbox.size
+            grown = inbox.deliver(msg)
             if inbox.limit is None:
-                self._held += taken
+                self._held += grown
             while self._held > MAX_HELD_BITS:  # fail the job held longest
                 oldest = next(j for j, box in self._inboxes.items() if box.limit is None)
-                self._held -= self._inboxes.pop(oldest).taken
+                self._held -= self._inboxes.pop(oldest).size
                 self._finish(oldest, failure=error_code(ChannelTimeout(
-                    f"more than {MAX_HELD_BITS} bits came for parts not acked yet; "
-                    f"those of job {oldest!r}, held longest, were dropped")))
+                    f"more than {MAX_HELD_BITS} bytes of bits came for parts not "
+                    f"acked yet; those of job {oldest!r}, held longest, were dropped")))
         return None  # bit frames are one-way
 
     # -- simulation side ------------------------------------------------------

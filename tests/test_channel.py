@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from dqcemu.channel import BitMessage, InMemoryHub, establish
+from dqcemu.channel import BitMessage, ChannelEndpoint, InMemoryHub, establish
 from dqcemu.errors import ChannelTimeout, EpochMismatch, PeerUnreachable
 
 
@@ -112,6 +112,21 @@ def test_a_seq_that_runs_ahead_of_an_earlier_one_is_a_protocol_error():
     a.send_bit(BitMessage("a", "b", 2, 1, np.array([0, 1], np.uint8)))  # shot 3
     with pytest.raises(EpochMismatch, match="seq 1"):
         b.recv("a", 0, 0, 1)
+
+
+def test_a_refused_message_keeps_nothing_and_neither_do_later_ones():
+    """A message that fails the checks makes no (sender, seq) entry, and
+    once one has, no message keeps a bit; `size` grows only by what is kept."""
+    a, b = two_endpoints()
+    empty = b.size
+    assert b.deliver(BitMessage("a", "b", 1, 0, 1)) == 0  # a gap
+    assert b._bits == {} and b.size == empty
+    assert b.deliver(BitMessage("a", "b", 0, 0, np.array([1, 0], np.uint8))) == 0
+    assert b._bits == {} and b.size == empty and b.taken == 0
+    _, c = two_endpoints()
+    grown = c.deliver(BitMessage("a", "b", 0, 0, np.array([1, 0, 1], np.uint8)))
+    assert grown == c.size - empty == ChannelEndpoint.KEY_SIZE + len("a") + 3
+    assert c.deliver(BitMessage("a", "b", 1, 0, np.array([0, 1, 1], np.uint8))) == 1
 
 
 def test_overlapping_sends_from_many_threads_keep_each_bit_once():

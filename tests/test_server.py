@@ -418,6 +418,12 @@ def held_bits(srv) -> int:
                    for bits in inbox._bits.values())
 
 
+def held_size(srv) -> int:
+    """The sizes of the inboxes of the parts a vQPU has not acked."""
+    with srv._lock:
+        return sum(inbox.size for inbox in srv._inboxes.values() if inbox.limit is None)
+
+
 def test_bits_that_arrive_before_their_part_are_handed_over():
     """Bits for a job that reach its vQPU before the part's `run` wait in
     the job's inbox and reach the part once it runs. `run_distributed`
@@ -443,7 +449,9 @@ def test_bits_that_arrive_before_their_part_are_handed_over():
         for msg in bits:
             send_frame(sock, msg.to_obj())
         assert request(sock, {"type": "status"})["type"] == "ack"  # after the bits
-        assert held_bits(srv) == srv._held == shots
+        assert held_bits(srv) == shots and held_size(srv) == srv._held == (
+            ChannelEndpoint.SIZE + len("r") + len(receiver.id)
+            + ChannelEndpoint.KEY_SIZE + len(sender.id) + shots)
         plan = {sender.id: "127.0.0.1:1", receiver.id: f"{srv.host}:{srv.port}"}
         ack = submit(sock, receiver, job_id="r", shots=shots, seed=2, plan=plan)
         assert ack == {"type": "ack", "job_id": "r"}
@@ -482,7 +490,7 @@ def test_bits_no_part_reads_are_bounded():
             send_frame(sock, BitMessage("x", receiver.id, i, 0, 1, "acked").to_obj())
         reply = poll_result(sock, "acked")  # after the bits
         assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
-        assert held_bits(flooded) == flooded._held <= MAX_HELD_BITS
+        assert held_size(flooded) == flooded._held <= MAX_HELD_BITS
         reply = request(sock, {"type": "result", "job_id": "ghost-0"})
         assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
 
@@ -496,12 +504,49 @@ def test_bits_no_part_reads_are_bounded():
         submit(sock, receiver, job_id="prog", shots=shots, seed=seeds[1], plan=plan)
         assert [poll_result(other, "prog")["counts"],
                 poll_result(sock, "prog")["counts"]] == alone
-        assert held_bits(flooded) == flooded._held <= MAX_HELD_BITS
+        assert held_size(flooded) == flooded._held <= MAX_HELD_BITS
         other.close()
         sock.close()
     finally:
         flooded.stop()
         peer.stop()
+
+
+def test_bit_frames_that_keep_nothing_are_bounded():
+    """Each new job's first frame makes its inbox and counts toward
+    MAX_HELD_BITS, even when it keeps no bit: a frame that leaves a gap or
+    runs ahead of its sender's earlier seq makes no (sender, seq) entry and
+    fails its inbox, which keeps no bit from then on. A flood of such frames
+    over many jobs, or of one-bit frames from many senders to one job,
+    holds at most MAX_HELD_BITS bytes and fails the jobs held longest."""
+    srv = VqpuServer(ServiceConfig("ghost-0", comm_mode="classical"))
+    srv.start()
+    try:
+        sock = connect(srv.host, srv.port)
+        sock.settimeout(10.0)
+        floods = MAX_HELD_BITS // ChannelEndpoint.SIZE // 2 + 50  # 100 inboxes too many
+        for i in range(floods):  # a gap, then a seq ahead of seq 0, on a new job
+            send_frame(sock, BitMessage("x", "r", 1, 0, 1, f"gap-{i}").to_obj())
+            send_frame(sock, BitMessage("x", "r", 0, 1, 1, f"ahead-{i}").to_obj())
+        for i in range(floods):  # more bits of a failed inbox keep none
+            send_frame(sock, BitMessage(f"x{i}", "r", 0, 0, 1, f"ahead-{floods - 1}").to_obj())
+        assert request(sock, {"type": "status"})["type"] == "ack"  # after the frames
+        assert held_bits(srv) == 0
+        assert held_size(srv) == srv._held <= MAX_HELD_BITS
+        assert len(srv._inboxes) <= MAX_HELD_BITS // ChannelEndpoint.SIZE
+        reply = request(sock, {"type": "result", "job_id": "gap-0"})
+        assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
+
+        for i in range(2 * MAX_HELD_BITS // ChannelEndpoint.KEY_SIZE):
+            send_frame(sock, BitMessage(f"x{i}", "r", 0, 0, 1, "senders").to_obj())
+        assert request(sock, {"type": "status"})["type"] == "ack"
+        assert held_size(srv) == srv._held <= MAX_HELD_BITS
+        assert len(srv._inboxes) <= MAX_HELD_BITS // ChannelEndpoint.SIZE
+        reply = request(sock, {"type": "result", "job_id": "senders"})
+        assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
+        sock.close()
+    finally:
+        srv.stop()
 
 
 def test_malformed_bit_frames_are_refused_at_the_frame():
@@ -515,6 +560,7 @@ def test_malformed_bit_frames_are_refused_at_the_frame():
     old_style = {k: v for k, v in good.items() if k not in ("bits", "count")}
     bad = ([{**good, "bits": v} for v in ("1", 2, None, "zz", "0101", ["80"])]
            + [{**good, "count": v} for v in (0, -1, "1", 9, True, None)]
+           + [{**good, "count": MAX_HELD_BITS + 1, "bits": "00" * (MAX_HELD_BITS // 8 + 1)}]
            + [{**good, k: v} for k in ("epoch", "seq") for v in (-1, 1.5, "0", True, None)]
            + [{**good, k: v} for k in ("src", "dst", "job") for v in (3, None)]
            + [{**old_style, "bit": v} for v in ("1", 2, None, 1)])
