@@ -44,7 +44,7 @@ def backend_to_obj(spec: BackendSpec) -> dict:
 
 
 def backend_from_obj(obj) -> BackendSpec:
-    _check_fields(obj, "", required=("name", "n_qubits", "basis_gates", "version"),
+    _check_fields(obj, (), required=("name", "n_qubits", "basis_gates", "version"),
                   optional=("coupling_map",))
     if not isinstance(obj["name"], str) or not obj["name"]:
         raise SchemaViolation("name", "expected a non-empty string")
@@ -141,7 +141,7 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
     for idx, ins in enumerate(circuit.instructions):
         name = ins.name
         for p in ins.params:
-            if not (isinstance(p, Param) or _is_number(p)):
+            if not (_is_number(p) or isinstance(p, Param)):
                 out.append(Violation("SchemaViolation",
                                      f"parameter {p!r} of {name} is not a finite number", idx))
         if in_region and name not in ("expose_begin", "expose_end"):
@@ -178,7 +178,7 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
                 out.append(Violation("QubitOutOfRange", f"qubit {q} in {name}", idx))
         if name in LINKS:
             continue
-        if len(set(ins.qubits)) != len(ins.qubits):
+        if len(ins.qubits) > 1 and len(set(ins.qubits)) != len(ins.qubits):
             out.append(Violation("QubitOutOfRange",
                                  f"duplicate qubits in {name}", idx))
         for c in ins.clbits:
@@ -195,8 +195,10 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
             if name not in basis:
                 out.append(Violation("UnsupportedGate",
                                      f"{name} not in backend basis", idx))
-            if error := arity_error(name, len(ins.qubits), len(ins.params)):
-                out.append(Violation("ArityMismatch", error, idx))
+            gate = GATES[name]
+            if len(ins.qubits) != gate.qubits or len(ins.params) != gate.params:
+                out.append(Violation("ArityMismatch", arity_error(
+                    name, len(ins.qubits), len(ins.params)), idx))
             if len(ins.clbits) > 1:
                 out.append(Violation("MalformedCondition",
                                      "conditional gate takes a single clbit", idx))

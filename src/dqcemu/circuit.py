@@ -88,9 +88,9 @@ class Circuit:
 
     @classmethod
     def _from_instructions(cls, num_qubits, num_clbits, instructions,
-                           id=None) -> "Circuit":
+                           id=None, copy: bool = True) -> "Circuit":
         c = cls(num_qubits, num_clbits, id=id)
-        c.instructions = [ins.copy() for ins in instructions]
+        c.instructions = [ins.copy() for ins in instructions] if copy else instructions
         for ins in c.instructions:
             kind = LINKS[ins.name].kind if ins.name in LINKS else None
             if ins.remote is not None and kind:

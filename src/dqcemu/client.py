@@ -256,21 +256,32 @@ def _submit(connection: QpuConnection, job_id: str, config: dict,
         raise JobFailed(job_id, f"{reply.get('code')}: {reply.get('message')}")
 
 
-def run(qpu: QpuHandle, circuit: Circuit, shots: int = 1024, seed=None,
-        params=None) -> QJob:
-    """Submit a non-distributed circuit; returns as soon as it is enqueued."""
+def _checked(circuit: Circuit, qpus: list[QpuHandle]) -> dict:
+    """The wire form of a circuit validated for each backend file of `qpus`."""
     if circuit.has_distributed():
         raise DistributedInstructionPresent(
             f"circuit {circuit.id!r} has distributed instructions; "
             "use run_distributed")
-    violations = validate(circuit, qpu.backend)
-    if violations:
-        raise ValidationFailed(violations)
+    for backend in {h.entry.backend_path: h.backend for h in qpus}.values():
+        violations = validate(circuit, backend)
+        if violations:
+            raise ValidationFailed(violations)
+    return circuit_to_obj(circuit)
+
+
+def _enqueue(qpu: QpuHandle, obj: dict, shots: int, seed, params=None) -> QJob:
+    """Submit a circuit's checked wire form as a job of its own."""
     config = {"shots": shots, "seed": seed,
               "params": None if params is None else list(params)}
     job_id = _new_job_id()
-    _submit(qpu.connection, job_id, config, circuit=circuit_to_obj(circuit))
+    _submit(qpu.connection, job_id, config, circuit=obj)
     return QJob(job_id, qpu)
+
+
+def run(qpu: QpuHandle, circuit: Circuit, shots: int = 1024, seed=None,
+        params=None) -> QJob:
+    """Submit a non-distributed circuit; returns as soon as it is enqueued."""
+    return _enqueue(qpu, _checked(circuit, [qpu]), shots, seed, params)
 
 
 def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
@@ -388,14 +399,13 @@ def split_shots(total: int, k: int) -> list[int]:
 def distribute_shots(total_shots: int, qpus: list[QpuHandle], circuit: Circuit,
                      seed=None) -> list[QJob]:
     """Shot-distribution helper: the same circuit on every handle, with the
-    total split evenly (remainder to the lowest-index handles)."""
+    total split evenly (remainder to the lowest-index handles). The circuit
+    is validated once per distinct backend and encoded once, before any
+    frame is sent."""
     shares = split_shots(total_shots, len(qpus))
-    jobs = []
-    for i, (handle, share) in enumerate(zip(qpus, shares)):
-        if share == 0:
-            continue
-        jobs.append(run(handle, circuit, shots=share, seed=_part_seed(seed, i)))
-    return jobs
+    obj = _checked(circuit, [h for h, share in zip(qpus, shares) if share])
+    return [_enqueue(handle, obj, share, _part_seed(seed, i))
+            for i, (handle, share) in enumerate(zip(qpus, shares)) if share]
 
 
 def aggregate_counts(records) -> dict[str, int]:

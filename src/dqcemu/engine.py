@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -131,10 +132,16 @@ class _Program:
     walked: list[_Op]  # every instruction in order but the terminal block's measures
     block: list[tuple[int, int]]  # (qubit, clbit) per draw of the terminal block
     draws: int  # uniforms each shot consumes, the block's last
-    probe: np.ndarray  # fingerprint weights over the state's float view
     end: Fold  # the qubits still folded after the walked ops
     expand: bool  # whether `_sample_block` unfolds them before it samples
     widest: int  # the most qubits a state of the job holds
+
+    @cached_property
+    def probe(self) -> np.ndarray:
+        """Fingerprint weights over a state's float view (`_merge`), made
+        when branches first merge."""
+        floats = 2 << self.num_qubits
+        return np.random.default_rng(0).random(floats // min(64, floats))
 
 
 @dataclass
@@ -161,7 +168,7 @@ def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Pro
     op that draws, reads or sends a bit; a grow op before it activates
     every qubit still folded, and from there on the state is full width."""
     n = circuit.num_qubits
-    ops, draws, run = [], 0, []
+    ops, draws, run, shared = [], 0, [], {}  # equal steps share a kernel
 
     def close_run() -> None:
         if run:
@@ -183,11 +190,12 @@ def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Pro
                            targets=targets))
         elif name == "remote_c_if":
             ops.append(_Op("recv", ins, qubits, compile_gate(
-                n, ins.remote.gate_name, qubits, ins.params)))
+                n, ins.remote.gate_name, qubits, ins.params, shared)))
         elif name in LINKS:
             ops.append(_Op("unsupported", ins, qubits))
         else:
-            ops.append(_Op("cond", ins, qubits, compile_gate(n, name, qubits, ins.params)))
+            ops.append(_Op("cond", ins, qubits,
+                           compile_gate(n, name, qubits, ins.params, shared)))
     close_run()
 
     outputs = circuit.num_clbits if outputs is None else outputs
@@ -216,7 +224,7 @@ def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Pro
     for op in walked:
         if op.kind == "run":
             ops.extend(_Op("grow" if isinstance(kernel, Grow) else "gate", None, qubits, kernel)
-                       for kernel, qubits in compile_gates(n, op.ins, fold))
+                       for kernel, qubits in compile_gates(n, op.ins, fold, shared))
             continue
         if fold.bits:
             ops.append(_Op("grow", None, tuple(fold.bits), fold.activate(list(fold.bits))))
@@ -227,9 +235,7 @@ def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Pro
     expand = bool(block and fold.bits) and min(fold.bits) < fold.width
     widest = n if expand else max((op.kernel.width for op in ops if op.kind == "grow"),
                                   default=min(n, START_WIDTH))
-    floats = 2 << n
-    probe = np.random.default_rng(0).random(floats // min(64, floats))
-    return _Program(n, outputs, ops, block, draws, probe, fold, expand, widest)
+    return _Program(n, outputs, ops, block, draws, fold, expand, widest)
 
 
 def _unfold(fold: Fold) -> Grow:
@@ -414,20 +420,21 @@ def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = Non
             [b.bits >> c & 1 for c in range(circuit.num_clbits)])
 
 
-def _sample_block(prog: _Program, branch: _Branch, seed) -> Callable[[int], np.ndarray]:
-    """The terminal block's outcome of each qubit for a branch of every shot
-    of a job: one draw per shot over the full distribution from job_rng(seed)
-    (`statevector.sample_basis`, the draws of `choice`), which takes the
-    branch's state, its last use. Where qubits are still folded, the draw is
-    over the active qubits' distribution and a folded qubit reads its bit,
-    unless the state is unfolded first (`prog.expand`), in its own array."""
+def _sample_block(prog: _Program, branch: _Branch, seed) -> np.ndarray:
+    """The basis state each shot of a job draws for the terminal block of a
+    branch of every shot: one draw per shot over the full distribution from
+    job_rng(seed) (`statevector.sample_basis`, the draws of `choice`), which
+    takes the branch's state, its last use. Where qubits are still folded,
+    the draw is over the active qubits' distribution and a folded qubit
+    reads its bit, unless the state is unfolded first (`prog.expand`), in
+    its own array."""
     amps, branch.amps = branch.amps, None
     if prog.expand:
         amps = _unfold(prog.end)(amps)
     outcomes = sample_basis(amps, job_rng(seed), len(branch.shots))
     if not prog.expand:  # the active qubits are the lowest: set the folded bits
         outcomes += sum(bit << q for q, bit in prog.end.bits.items())
-    return lambda q: (outcomes >> q) & 1
+    return outcomes
 
 
 def _descend_block(prog: _Program, branch: _Branch, uniforms: np.ndarray,
@@ -500,20 +507,31 @@ def run_branched(circuit, shots: int, seed=None,
     prog, hooks = _compile(circuit, outputs), hooks or null_hooks()
     mask = (1 << prog.outputs) - 1
     writer = {c: q for q, c in prog.block}  # each block clbit's last-measured qubit
+    written = sum(1 << c for c in writer)
+    in_place = all(c == q for c, q in writer.items())
     tally: Counter[int] = Counter()
 
     def count(ends: list[_Branch], rows: np.ndarray | None, ids: range) -> None:
         """Count the end branches' shots past the terminal block; `rows`
-        holds the chunk's uniforms, None where nothing is drawn."""
+        holds the chunk's uniforms, None where nothing is drawn. Where each
+        block clbit c reads qubit c, drawn basis states hold the block's
+        bits in place."""
         for b in ends:
             if not prog.block:
                 tally[b.bits & mask] += len(b.shots)
                 continue
-            outcome = (_sample_block(prog, b, seed) if rows is None else _descend_block(
-                prog, b, rows[b.shots, prog.draws - len(prog.block):].T, ids))
-            codes = b.bits & ~sum(1 << c for c in writer)
-            for c, q in writer.items():
-                codes = codes | outcome(q) << c
+            if rows is None:
+                drawn = _sample_block(prog, b, seed)
+                outcome = lambda q: (drawn >> q) & 1  # noqa: E731
+            else:
+                outcome = _descend_block(
+                    prog, b, rows[b.shots, prog.draws - len(prog.block):].T, ids)
+            if rows is None and in_place:
+                codes = drawn & written | b.bits & ~written
+            else:
+                codes = b.bits & ~written
+                for c, q in writer.items():
+                    codes = codes | outcome(q) << c
             values, counts = np.unique(codes & mask, return_counts=True)
             tally.update(dict(zip(values.tolist(), counts.tolist())))
 

@@ -35,9 +35,8 @@ def _ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _rz(lam: float) -> np.ndarray:
-    return np.array([[cmath.exp(-1j * lam / 2), 0],
-                     [0, cmath.exp(1j * lam / 2)]], dtype=complex)
+def _rz(lam: float) -> tuple:
+    return cmath.exp(-1j * lam / 2), cmath.exp(1j * lam / 2)
 
 
 def _u(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -48,17 +47,12 @@ def _u(theta: float, phi: float, lam: float) -> np.ndarray:
         dtype=complex)
 
 
-def _crz(lam: float) -> np.ndarray:
-    m = np.eye(4, dtype=complex)
-    m[2, 2] = cmath.exp(-1j * lam / 2)
-    m[3, 3] = cmath.exp(1j * lam / 2)
-    return m
+def _crz(lam: float) -> tuple:
+    return (1, 1) + _rz(lam)
 
 
-def _cp(lam: float) -> np.ndarray:
-    m = np.eye(4, dtype=complex)
-    m[3, 3] = cmath.exp(1j * lam)
-    return m
+def _cp(lam: float) -> tuple:
+    return 1, 1, 1, cmath.exp(1j * lam)
 
 
 def _m(*rows) -> np.ndarray:
@@ -76,27 +70,29 @@ class Gate:
                     low qubits of a wide state, on a transposed copy of rows,
                     one copy for a run of gates on those qubits
     `matrix` is the matrix itself for a gate without parameters, else the
-    function of the parameters that builds it. A `control` gate's first
+    function of the parameters that builds it; a diagonal gate's is its
+    diagonal, the entries the kernels read (`gate_matrix` makes the
+    matrix). A `control` gate's first
     qubit is a control, so it may sit in an expose body, where the
     communication qubit supplies that control."""
     qubits: int
     params: int
     kernel: str
-    matrix: np.ndarray | Callable[..., np.ndarray]
+    matrix: np.ndarray | tuple | Callable[..., np.ndarray | tuple]
     control: bool = False
     target: str | None = None
 
 
 GATES: dict[str, Gate] = {
-    "id": Gate(1, 0, "diagonal", np.eye(2, dtype=complex)),
+    "id": Gate(1, 0, "diagonal", (1, 1)),
     "x": Gate(1, 0, "permutation", _m([0, 1], [1, 0])),
     "y": Gate(1, 0, "dense", _m([0, -1j], [1j, 0])),
-    "z": Gate(1, 0, "diagonal", _m([1, 0], [0, -1])),
+    "z": Gate(1, 0, "diagonal", (1, -1)),
     "h": Gate(1, 0, "dense", _m([_SQ2, _SQ2], [_SQ2, -_SQ2])),
-    "s": Gate(1, 0, "diagonal", _m([1, 0], [0, 1j])),
-    "sdg": Gate(1, 0, "diagonal", _m([1, 0], [0, -1j])),
-    "t": Gate(1, 0, "diagonal", _m([1, 0], [0, cmath.exp(1j * math.pi / 4)])),
-    "tdg": Gate(1, 0, "diagonal", _m([1, 0], [0, cmath.exp(-1j * math.pi / 4)])),
+    "s": Gate(1, 0, "diagonal", (1, 1j)),
+    "sdg": Gate(1, 0, "diagonal", (1, -1j)),
+    "t": Gate(1, 0, "diagonal", (1, cmath.exp(1j * math.pi / 4))),
+    "tdg": Gate(1, 0, "diagonal", (1, cmath.exp(-1j * math.pi / 4))),
     "rx": Gate(1, 1, "dense", _rx),
     "ry": Gate(1, 1, "dense", _ry),
     "rz": Gate(1, 1, "diagonal", _rz),
@@ -105,7 +101,7 @@ GATES: dict[str, Gate] = {
                control=True, target="x"),
     "cy": Gate(2, 0, "controlled", _m([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1j], [0, 0, 1j, 0]),
                control=True, target="y"),
-    "cz": Gate(2, 0, "diagonal", np.diag([1, 1, 1, -1]).astype(complex), control=True),
+    "cz": Gate(2, 0, "diagonal", (1, 1, 1, -1), control=True),
     "crz": Gate(2, 1, "diagonal", _crz, control=True),
     "cp": Gate(2, 1, "diagonal", _cp, control=True),
     "swap": Gate(2, 0, "permutation", _m([1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1])),
@@ -155,4 +151,5 @@ def gate_matrix(name: str, params=()) -> np.ndarray:
         raise UnknownGate(f"unknown gate {name!r}")
     if len(params) != gate.params:
         raise ArityMismatch(arity_error(name, gate.qubits, len(params)))
-    return gate.matrix(*params) if gate.params else gate.matrix
+    mat = gate.matrix(*params) if gate.params else gate.matrix
+    return np.diag(np.array(mat, dtype=complex)) if gate.kernel == "diagonal" else mat

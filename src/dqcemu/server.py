@@ -30,7 +30,9 @@ from .errors import (
     ValidationFailed,
 )
 from .protocol import (
+    MAX_FINISHED_JOBS,
     FramedService,
+    Job,
     ResultRecord,
     ServiceConfig,
     _evicted,
@@ -119,6 +121,7 @@ class VqpuServer(FramedService):
                               None: self._route_bit})
         self._inboxes: dict[str, ChannelEndpoint] = {}  # by job id, oldest first
         self._held = 0  # the sizes of the inboxes of parts not acked yet
+        self._ghosts: dict[str, None] = {}  # jobs failed before their run, oldest first
 
     def _rerunnable(self, task: QuantumTask) -> bool:
         return bool(task.circuit.param_slots())  # what upgrade_parameters reruns
@@ -206,7 +209,9 @@ class VqpuServer(FramedService):
         holds without an inbox has finished or reads no bits, and its bits
         are dropped; any other job's first bits make its inbox, which holds
         bits until the part is acked, at most MAX_HELD_BITS bytes over all
-        jobs, a frame that keeps none included."""
+        jobs, a frame that keeps none included. A job failed so is kept as
+        failed among MAX_FINISHED_JOBS such jobs, apart from the jobs that
+        ran, so a flood of them forgets only each other."""
         msg = BitMessage.from_obj(frame, MAX_HELD_BITS)
         with self._lock:
             inbox = self._inboxes.get(msg.job)
@@ -222,9 +227,12 @@ class VqpuServer(FramedService):
             while self._held > MAX_HELD_BITS:  # fail the job held longest
                 oldest = next(j for j, box in self._inboxes.items() if box.limit is None)
                 self._held -= self._inboxes.pop(oldest).size
-                self._finish(oldest, failure=error_code(ChannelTimeout(
+                self._jobs[oldest] = Job("failed", failure=error_code(ChannelTimeout(
                     f"more than {MAX_HELD_BITS} bytes of bits came for parts not "
                     f"acked yet; those of job {oldest!r}, held longest, were dropped")))
+                self._ghosts[oldest] = None
+                if len(self._ghosts) > MAX_FINISHED_JOBS:
+                    del self._jobs[(gone := next(iter(self._ghosts)))], self._ghosts[gone]
         return None  # bit frames are one-way
 
     # -- simulation side ------------------------------------------------------

@@ -173,13 +173,17 @@ def _transposed(amps: np.ndarray, kernels: list[Callable[[np.ndarray], None]],
         part[...] = buf.T
 
 
-def _resolve(num_qubits: int, name: str, qubits, params) -> np.ndarray:
-    """The gate's matrix, its qubits checked against a state of `num_qubits`."""
+def _resolve(num_qubits: int, name: str, qubits, params):
+    """What the gate's row holds for `params`: its matrix, or a diagonal
+    gate's diagonal; its qubits checked against a state of `num_qubits`."""
+    gate = GATES.get(name)
+    if gate is None or len(params) != gate.params:
+        gate_matrix(name, params)  # raises UnknownGate or ArityMismatch
     for q in qubits:
         _check_qubit(num_qubits, q)
     if len(set(qubits)) != len(qubits):
         raise QubitOutOfRange(f"{name} applied to duplicate qubits {tuple(qubits)}")
-    return gate_matrix(name, params)
+    return gate.matrix(*params) if gate.params else gate.matrix
 
 
 def _body(num_qubits: int, name: str, qubits, mat: np.ndarray
@@ -192,7 +196,7 @@ def _body(num_qubits: int, name: str, qubits, mat: np.ndarray
     if kind == "controlled":  # the target's kernel on the control = 1 half
         kind, mat, index = GATES[GATES[name].target].kernel, mat[2:, 2:], index[2:]
     if kind == "permutation":  # the two basis states the matrix exchanges
-        fn, args = _swap, tuple(index[k] for k in np.flatnonzero(np.diag(mat) == 0))
+        fn, args = _swap, tuple(index[k] for k in range(len(mat)) if mat[k, k] == 0)
     elif name == "h":  # the butterfly on the float view
         fn, args, dtype = _butterfly, (index[0], index[1], mat[0, 0].real), np.float64
     else:  # dense, or the dense target of a controlled gate
@@ -230,7 +234,7 @@ class Fold:
         return self.num_qubits - len(self.bits)
 
     def rank(self, qubit: int) -> int:
-        return qubit - sum(q < qubit for q in self.bits)
+        return qubit - sum(q < qubit for q in self.bits) if self.bits else qubit
 
     def activate(self, qubits) -> "Grow":
         """Take the folded `qubits` into the state: returns the step that
@@ -294,24 +298,60 @@ def _axes(width: int, ranks, low: int = 0) -> list[int]:
     return shape + [1 << (edge - low), 1 << low]
 
 
-def _phase_pass(fold: Fold, run: list[tuple[tuple[int, ...], np.ndarray]]) -> tuple:
+def _phase_pass(fold: Fold, run: list[tuple[tuple[int, ...], tuple]]) -> tuple:
     """The step (`compile_gates`) of a run of diagonal gates ((qubits,
     diagonal) each): its qubits, the ranks of its active ones (highest
-    first) and its table, with one axis per rank. Their product is a
-    table with one axis per qubit of the run, built by broadcasting each
-    gate's 2 or 4 entries onto its axes in the run's order; a folded
-    qubit's axis is then fixed at its bit."""
+    first) and its table, with one axis per rank, whose entries are the
+    products of the gates' entries in the run's order. The table is built
+    flat, each active qubit a bit of the index in the order the gates
+    first name it (a gate's last qubit first), the latest highest. So the
+    entries filled so far, where the qubits not named yet are 0, are its
+    first block: the first gate's entries fill it, a later gate that names
+    a qubit copies it to the next block, and each entry of a gate other
+    than 1 multiplies the slice of it where the gate's qubits hold its
+    bits (none where a folded qubit holds the other bit)."""
     qubits = sorted({q for gate_qubits, _ in run for q in gate_qubits}, reverse=True)
-    axis = {q: i for i, q in enumerate(qubits)}
-    table = np.ones((2,) * len(qubits), dtype=complex)
-    for gate_qubits, diag in run:  # gate-matrix order: the first qubit leads
-        entries = diag.reshape((2,) * len(gate_qubits))
-        if len(gate_qubits) == 2 and axis[gate_qubits[0]] > axis[gate_qubits[1]]:
-            entries = entries.T
-        table *= entries.reshape([2 if q in gate_qubits else 1 for q in qubits])
-    table = table[tuple(fold.bits.get(q, slice(None)) for q in qubits) + (...,)]
-    ranks = [fold.rank(q) for q in qubits if q not in fold.bits]
-    return tuple(sorted(qubits)), ranks, None, table
+    active = [q for q in qubits if q not in fold.bits]
+    step = (tuple(reversed(qubits)), [fold.rank(q) for q in active], None)
+    first, diag = run[0]
+    entries = np.array(diag, dtype=complex).reshape((2,) * len(first))[
+        tuple(fold.bits.get(q, slice(None)) for q in first)]
+    if len(run) == 1:  # the table's axes go highest first
+        return step + (entries.T if entries.ndim == 2 and first[0] < first[1] else entries,)
+    named = [q for q in reversed(first) if q in active]  # bit k of the index: named[k]
+    # until three qubits are named, a lowest bit that is then dropped: every
+    # multiply spans two entries or more, which numpy rounds with the fused
+    # multiply-add of its vector loops, as it did the whole tables it
+    # multiplied before
+    pad = 1
+    flat = np.empty(max(1 << len(active), 16), dtype=complex)
+    flat.reshape(-1, 2)[:1 << len(named), :] = entries.reshape(-1, 1)
+    for gate_qubits, diag in run[1:]:
+        for q in reversed(gate_qubits):
+            if q in active and q not in named:
+                size = 1 << (pad + len(named))
+                flat[size:2 * size] = flat[:size]
+                named.append(q)
+                if pad and len(named) == 3:
+                    flat[:8] = flat[:16:2]
+                    pad = 0
+        for k, factor in enumerate(diag):
+            if factor == 1:
+                continue
+            bits = {}
+            for j, q in enumerate(gate_qubits):
+                bit = k >> (len(gate_qubits) - 1 - j) & 1
+                if q in fold.bits:
+                    if fold.bits[q] != bit:
+                        break
+                else:
+                    bits[pad + named.index(q)] = bit
+            else:
+                at = sorted(bits, reverse=True)
+                view = flat[:1 << (pad + len(named))].reshape(_axes(pad + len(named), at))
+                view[sum(((slice(None), bits[b]) for b in at), ())] *= factor
+    table = flat[:1 << (pad + len(named)):1 + pad].reshape((2,) * len(named))
+    return step + (table.transpose([len(named) - 1 - named.index(q) for q in active]),)
 
 
 def _spread(table: np.ndarray, ranks: list[int], low: int) -> np.ndarray:
@@ -332,12 +372,13 @@ def _phase_kernel(width: int, ranks: list[int], table: np.ndarray
     a state wider than PHASE_LOW_QUBITS, each row of the state's
     (-1, 2^low) view is multiplied by the table's row for that row's values
     of the run's qubits at or above it; a table row of ones is skipped, one
-    of a single repeated factor is a scalar. On a narrower state the table
+    of a single repeated factor is a scalar, and any other is spread over
+    2^low factors in an array of its own. On a narrower state the table
     is broadcast onto the state in one multiply, so a job keeps no row as
     large as its state."""
-    if (table == 1).all():
-        return lambda amps: None
     if width <= PHASE_LOW_QUBITS:
+        if (table == 1).all():
+            return lambda amps: None
         shape = _axes(width, ranks)
         factors = table.reshape([1, 2] * len(ranks) + [1, 1])
 
@@ -348,14 +389,16 @@ def _phase_kernel(width: int, ranks: list[int], table: np.ndarray
     low = PHASE_LOW_QUBITS
     high = [r for r in ranks if r >= low]
     shape = _axes(width, high, low)
-    index = [sum(((slice(None), bit) for bit in bits), ())
-             for bits in itertools.product((0, 1), repeat=len(high))]
-    rows = _spread(table, ranks, low).reshape(-1, 1 << low)
-    # each row kept is copied, so the table is freed; a row of one repeated
-    # factor is that factor: numpy multiplies by a scalar about twice as fast
-    same = (rows == rows[:, :1]).all(axis=1)
-    passes = [(index[r], row[0] if same[r] else row.copy())
-              for r, row in enumerate(rows) if not (same[r] and row[0] == 1)]
+    rows, passes = table.reshape(1 << len(high), -1), []
+    # numpy multiplies by a scalar about twice as fast as by a row
+    for bits, row, first in zip(itertools.product((0, 1), repeat=len(high)), rows,
+                                rows[:, 0].tolist()):
+        at = sum(((slice(None), bit) for bit in bits), ())
+        if len(row) > 1 and (row[-1] != first or not (row == first).all()):
+            passes.append((at, _spread(row.reshape([2] * (len(ranks) - len(high))),
+                                       ranks[len(high):], low).reshape(-1)))
+        elif first != 1:
+            passes.append((at, first))
 
     def kernel(amps: np.ndarray) -> None:
         view = amps.reshape(shape)
@@ -369,7 +412,7 @@ def _sweep_body(step: tuple) -> Callable[[np.ndarray], None]:
     gate's `_body`, or for a run each row multiplied by its table entry,
     as `_phase_kernel` multiplies each amplitude of a wide state (and, as
     there, a table of ones does nothing)."""
-    _, ranks, name, mat = step
+    _, ranks, name, mat = step[:4]
     if name is not None:
         return _body(SWEEP_QUBITS, name, ranks, mat)
     column = _spread(mat, ranks, SWEEP_QUBITS).reshape(-1, 1)
@@ -381,8 +424,8 @@ def _sweep_body(step: tuple) -> Callable[[np.ndarray], None]:
     return body
 
 
-def compile_gates(num_qubits: int, gates, fold: Fold | None = None
-                  ) -> list[tuple[Callable, tuple[int, ...]]]:
+def compile_gates(num_qubits: int, gates, fold: Fold | None = None,
+                  shared: dict | None = None) -> list[tuple[Callable, tuple[int, ...]]]:
     """Resolve consecutive unconditional gates ((name, qubits, params) each)
     once for states of `num_qubits`: each maximal run of diagonal gates is
     one phase pass (`_phase_pass`), cut before it would span more than
@@ -404,26 +447,33 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None
     cut where it would be with nothing folded and its table is taken at
     the folded bits, and any other gate on a folded qubit is preceded by a
     `Grow` step that activates it (listed with the qubits it activates).
-    Kernels act on the active qubits, numbered by rank."""
+    Kernels act on the active qubits, numbered by rank.
+
+    Equal steps (a gate with its qubits and params, or a run with its
+    gates, on equal folds) share one kernel in calls given one `shared`."""
     fold = Fold(num_qubits) if fold is None else fold
+    shared = {} if shared is None else shared
     low = min(num_qubits, PHASE_LOW_QUBITS)
-    # steps are (qubits, ranks, gate name or None for a run, matrix or table)
+    # steps are (qubits, ranks, gate name or None for a run, matrix or table, key)
     kernels, run, high, sweep = [], [], set(), []
 
     def add(step: tuple) -> None:
         if fold.width > 2 * SWEEP_QUBITS and all(r < SWEEP_QUBITS for r in step[1]):
             sweep.append(step)
         else:
-            flush()
+            if sweep:
+                flush()
             kernels.append(compiled(step))
 
     def compiled(step: tuple) -> tuple[Callable, tuple[int, ...]]:
-        qubits, ranks, name, mat = step
-        return (_phase_kernel(fold.width, ranks, mat) if name is None
-                else _kernel(fold.width, name, ranks, mat)), qubits
+        qubits, ranks, name, mat, key = step
+        if key not in shared:
+            shared[key] = (_phase_kernel(fold.width, ranks, mat) if name is None
+                           else _kernel(fold.width, name, ranks, mat))
+        return shared[key], qubits
 
     def flush() -> None:
-        if sum(name is not None for _, _, name, _ in sweep) >= 2:
+        if sum(step[2] is not None for step in sweep) >= 2:
             bodies = [_sweep_body(step) for step in sweep]
             kernels.append((partial(_transposed, kernels=bodies, low=SWEEP_QUBITS,
                                     rows=1 << SWEEP_QUBITS),
@@ -432,15 +482,20 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None
             kernels.extend(map(compiled, sweep))
         sweep.clear()
 
+    def close_run() -> None:
+        add(_phase_pass(fold, run) + ((fold.width, tuple(fold.bits.items()), tuple(run)),))
+        run.clear()
+        high.clear()
+
     for name, qubits, params in gates:
-        mat = _resolve(num_qubits, name, qubits, params)
-        diagonal, above = GATES[name].kernel == "diagonal", {q for q in qubits if q >= low}
+        mat, qubits = _resolve(num_qubits, name, qubits, params), tuple(qubits)
+        diagonal = GATES[name].kernel == "diagonal"
+        above = {q for q in qubits if q >= low} if diagonal else ()
         if run and not (diagonal and len(high | above) <= PHASE_HIGH_QUBITS):
-            add(_phase_pass(fold, run))
-            run, high = [], set()
+            close_run()
         folded = [q for q in qubits if q in fold.bits]
         if diagonal:
-            run.append((tuple(qubits), np.diag(mat)))
+            run.append((qubits, mat))
             high |= above
         elif name == "x" and folded:
             fold.bits[qubits[0]] ^= 1
@@ -448,19 +503,20 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None
             if folded:
                 flush()
                 kernels.append((fold.activate(folded), tuple(folded)))
-            add((tuple(qubits), [fold.rank(q) for q in qubits], name, mat))
+            ranks = [fold.rank(q) for q in qubits]
+            add((qubits, ranks, name, mat, (fold.width, name, tuple(ranks), tuple(params))))
     if run:
-        add(_phase_pass(fold, run))
+        close_run()
     flush()
     return kernels
 
 
-def compile_gate(num_qubits: int, name: str, qubits, params=()
-                 ) -> Callable[[np.ndarray], None]:
+def compile_gate(num_qubits: int, name: str, qubits, params=(),
+                 shared: dict | None = None) -> Callable[[np.ndarray], None]:
     """Resolve one gate once for states of `num_qubits`: the returned
     function applies it in place to such a state's amplitude array. A
     diagonal gate is a phase pass of one."""
-    return compile_gates(num_qubits, [(name, qubits, params)])[0][0]
+    return compile_gates(num_qubits, [(name, qubits, params)], shared=shared)[0][0]
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:

@@ -24,28 +24,42 @@ def _is_int(x) -> bool:
 def _is_number(x) -> bool:
     """A real number that is a finite float: JSON carries NaN, +-Infinity
     and integers past a float's range too."""
+    if type(x) is float:
+        return math.isfinite(x)
     try:
         return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:
         return False
 
 
-def _check_fields(obj, path: str, required: tuple, optional: tuple = ()) -> None:
+def _path(at: tuple) -> str:
+    """A field path from its parts, made only for an error: names joined
+    by dots, list indices in brackets, "<root>" for none."""
+    path = ""
+    for part in at:
+        path += f"[{part}]" if isinstance(part, int) else f".{part}" if path else part
+    return path or "<root>"
+
+
+def _check_fields(obj, at: tuple, required: tuple, optional: tuple = ()) -> None:
     if not isinstance(obj, dict):
-        raise SchemaViolation(path or "<root>", "expected an object")
-    prefix = path + "." if path else ""
+        raise SchemaViolation(_path(at), "expected an object")
     for key in obj:
         if key not in required and key not in optional:
-            raise SchemaViolation(f"{prefix}{key}", "unknown field")
+            raise SchemaViolation(_path(at + (key,)), "unknown field")
     for key in required:
         if key not in obj:
-            raise SchemaViolation(f"{prefix}{key}", "missing")
+            raise SchemaViolation(_path(at + (key,)), "missing")
 
 
-def _int_list(value, path: str) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
-        raise SchemaViolation(path, "expected a list of integers")
-    return list(value)
+def _int_list(value, at: tuple, field: str) -> list[int]:
+    if isinstance(value, list):
+        for x in value:  # a loop, not all(...): a generator costs 3x as much
+            if not (type(x) is int or _is_int(x)):
+                break
+        else:
+            return list(value)
+    raise SchemaViolation(_path(at + (field,)), "expected a list of integers")
 
 
 def _param_to_obj(p):
@@ -54,15 +68,17 @@ def _param_to_obj(p):
     return float(p)
 
 
-def _param_from_obj(p, path: str):
-    if isinstance(p, dict):
-        _check_fields(p, path, required=("param",))
-        if not isinstance(p["param"], str) or not p["param"]:
-            raise SchemaViolation(f"{path}.param", "expected a non-empty string")
-        return Param(p["param"])
+
+def _param_from_obj(p, obj_at: tuple, i: int):
     if _is_number(p):
         return float(p)
-    raise SchemaViolation(path, "expected a finite number or a {'param': name} slot")
+    at = obj_at + ("params", i)
+    if isinstance(p, dict):
+        _check_fields(p, at, required=("param",))
+        if not isinstance(p["param"], str) or not p["param"]:
+            raise SchemaViolation(_path(at + ("param",)), "expected a non-empty string")
+        return Param(p["param"])
+    raise SchemaViolation(_path(at), "expected a finite number or a {'param': name} slot")
 
 
 def _remote_to_obj(link: RemoteLink) -> dict:
@@ -72,17 +88,18 @@ def _remote_to_obj(link: RemoteLink) -> dict:
     return obj
 
 
-def _remote_from_obj(obj, path: str) -> RemoteLink:
-    _check_fields(obj, path, required=("peer", "role", "seq"), optional=("gate",))
+
+def _remote_from_obj(obj, at: tuple) -> RemoteLink:
+    _check_fields(obj, at, required=("peer", "role", "seq"), optional=("gate",))
     if not isinstance(obj["peer"], str) or not obj["peer"]:
-        raise SchemaViolation(f"{path}.peer", "expected a non-empty string")
+        raise SchemaViolation(_path(at + ("peer",)), "expected a non-empty string")
     if obj["role"] not in ("sender", "receiver"):
-        raise SchemaViolation(f"{path}.role", "expected 'sender' or 'receiver'")
+        raise SchemaViolation(_path(at + ("role",)), "expected 'sender' or 'receiver'")
     if not _is_int(obj["seq"]) or obj["seq"] < 0:
-        raise SchemaViolation(f"{path}.seq", "expected an integer >= 0")
+        raise SchemaViolation(_path(at + ("seq",)), "expected an integer >= 0")
     gate = obj.get("gate")
     if gate is not None and not isinstance(gate, str):
-        raise SchemaViolation(f"{path}.gate", "expected a string")
+        raise SchemaViolation(_path(at + ("gate",)), "expected a string")
     return RemoteLink(obj["peer"], obj["role"], gate, obj["seq"])
 
 
@@ -98,20 +115,18 @@ def instruction_to_obj(ins: Instruction) -> dict:
     return obj
 
 
-def instruction_from_obj(obj, path: str) -> Instruction:
-    _check_fields(obj, path, required=("name", "qubits", "clbits", "params"),
+def instruction_from_obj(obj, at: tuple) -> Instruction:
+    _check_fields(obj, at, required=("name", "qubits", "clbits", "params"),
                   optional=("remote",))
     if not isinstance(obj["name"], str) or not obj["name"]:
-        raise SchemaViolation(f"{path}.name", "expected a non-empty string")
-    qubits = _int_list(obj["qubits"], f"{path}.qubits")
-    clbits = _int_list(obj["clbits"], f"{path}.clbits")
+        raise SchemaViolation(_path(at + ("name",)), "expected a non-empty string")
+    qubits, clbits = _int_list(obj["qubits"], at, "qubits"), _int_list(obj["clbits"], at, "clbits")
     if not isinstance(obj["params"], list):
-        raise SchemaViolation(f"{path}.params", "expected a list")
-    params = [_param_from_obj(p, f"{path}.params[{i}]")
-              for i, p in enumerate(obj["params"])]
+        raise SchemaViolation(_path(at + ("params",)), "expected a list")
+    params = [_param_from_obj(p, at, i) for i, p in enumerate(obj["params"])]
     remote = None
     if "remote" in obj:
-        remote = _remote_from_obj(obj["remote"], f"{path}.remote")
+        remote = _remote_from_obj(obj["remote"], at + ("remote",))
     return Instruction(obj["name"], qubits, clbits, params, remote)
 
 
@@ -125,8 +140,7 @@ def circuit_to_obj(circuit: Circuit) -> dict:
 
 
 def circuit_from_obj(obj) -> Circuit:
-    _check_fields(obj, "", required=("id", "num_qubits", "num_clbits",
-                                     "instructions"))
+    _check_fields(obj, (), required=("id", "num_qubits", "num_clbits", "instructions"))
     if not isinstance(obj["id"], str) or not obj["id"]:
         raise SchemaViolation("id", "expected a non-empty string")
     if not _is_int(obj["num_qubits"]) or obj["num_qubits"] < 1:
@@ -135,10 +149,10 @@ def circuit_from_obj(obj) -> Circuit:
         raise SchemaViolation("num_clbits", "expected an integer >= 0")
     if not isinstance(obj["instructions"], list):
         raise SchemaViolation("instructions", "expected a list")
-    instructions = [instruction_from_obj(o, f"instructions[{i}]")
+    instructions = [instruction_from_obj(o, ("instructions", i))
                     for i, o in enumerate(obj["instructions"])]
     return Circuit._from_instructions(obj["num_qubits"], obj["num_clbits"],
-                                      instructions, id=obj["id"])
+                                      instructions, id=obj["id"], copy=False)
 
 
 def to_wire(circuit: Circuit) -> bytes:

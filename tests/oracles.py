@@ -19,16 +19,34 @@ a new array per growth step and `Generator.choice` for the terminal draw.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from dqcemu import engine
 from dqcemu.circuit import Circuit
-from dqcemu.errors import EmulatorError, UnsupportedInstruction
-from dqcemu.gates import DISTRIBUTED, GATES, gate_matrix
+from dqcemu.engine import START_WIDTH, _Op, _Program
+from dqcemu.errors import EmulatorError, QubitOutOfRange, UnsupportedInstruction
+from dqcemu.gates import DISTRIBUTED, GATES, LINKS, gate_matrix
 from dqcemu.statevector import (
+    BLOCK_QUBITS,
+    BLOCK_ROWS,
+    PHASE_HIGH_QUBITS,
+    PHASE_LOW_QUBITS,
+    SWEEP_QUBITS,
+    Fold,
+    Grow,
     StateVector,
+    _axes,
+    _butterfly,
+    _check_qubit,
+    _mix,
+    _slices,
+    _swap,
+    _transposed,
     compile_gate,
     compile_gates,
     measure_qubit,
@@ -400,3 +418,273 @@ def sample_by_choice(amplitudes: np.ndarray, rng: np.random.Generator,
     np.square(probs, out=probs)
     probs /= probs.sum()
     return rng.choice(len(probs), size=shots, p=probs)
+
+# -- the compile as it was before runs were built from their gates' rows ------
+#
+# `compile_gates` and `engine._compile` as they stood when a run's table
+# was the product of each gate's full broadcast diagonal, every gate built
+# its matrix, and no two ops shared a kernel: the new compile must give
+# kernels that leave every state bit for bit as these do.
+
+
+def frozen_resolve(num_qubits: int, name: str, qubits, params) -> np.ndarray:
+    for q in qubits:
+        _check_qubit(num_qubits, q)
+    if len(set(qubits)) != len(qubits):
+        raise QubitOutOfRange(f"{name} applied to duplicate qubits {tuple(qubits)}")
+    return gate_matrix(name, params)
+
+
+def frozen_body(num_qubits: int, name: str, qubits, mat: np.ndarray
+          ) -> Callable[[np.ndarray], None]:
+    shape, index = _slices(num_qubits, qubits)
+    split, dtype, kind = shape[:-1] + (-1,), complex, GATES[name].kernel
+    if kind == "controlled":  # the target's kernel on the control = 1 half
+        kind, mat, index = GATES[GATES[name].target].kernel, mat[2:, 2:], index[2:]
+    if kind == "permutation":  # the two basis states the matrix exchanges
+        fn, args = _swap, tuple(index[k] for k in np.flatnonzero(np.diag(mat) == 0))
+    elif name == "h":  # the butterfly on the float view
+        fn, args, dtype = _butterfly, (index[0], index[1], mat[0, 0].real), np.float64
+    else:  # dense, or the dense target of a controlled gate
+        fn, args = _mix, (index[0], index[1], mat)
+    return lambda amps: fn(amps.view(dtype).reshape(split), *args)
+
+
+def frozen_kernel(num_qubits: int, name: str, qubits, mat: np.ndarray
+            ) -> Callable[[np.ndarray], None]:
+    q = qubits[0]
+    if GATES[name].kernel == "dense" and q < BLOCK_QUBITS <= num_qubits:
+        body = frozen_body(BLOCK_QUBITS, name, qubits, mat)
+        return partial(_transposed, kernels=[body], low=BLOCK_QUBITS, rows=BLOCK_ROWS)
+    return frozen_body(num_qubits, name, qubits, mat)
+
+
+def frozen_phase_pass(fold: Fold, run: list[tuple[tuple[int, ...], np.ndarray]]) -> tuple:
+    qubits = sorted({q for gate_qubits, _ in run for q in gate_qubits}, reverse=True)
+    axis = {q: i for i, q in enumerate(qubits)}
+    table = np.ones((2,) * len(qubits), dtype=complex)
+    for gate_qubits, diag in run:  # gate-matrix order: the first qubit leads
+        entries = diag.reshape((2,) * len(gate_qubits))
+        if len(gate_qubits) == 2 and axis[gate_qubits[0]] > axis[gate_qubits[1]]:
+            entries = entries.T
+        table *= entries.reshape([2 if q in gate_qubits else 1 for q in qubits])
+    table = table[tuple(fold.bits.get(q, slice(None)) for q in qubits) + (...,)]
+    ranks = [fold.rank(q) for q in qubits if q not in fold.bits]
+    return tuple(sorted(qubits)), ranks, None, table
+
+
+def frozen_spread(table: np.ndarray, ranks: list[int], low: int) -> np.ndarray:
+    high = [r for r in ranks if r >= low]
+    full = np.empty((2,) * (len(high) + low), dtype=complex)
+    full[...] = table.reshape([2] * len(high) + [2 if r in ranks else 1
+                                                 for r in range(low - 1, -1, -1)])
+    return full
+
+
+def frozen_phase_kernel(width: int, ranks: list[int], table: np.ndarray
+                  ) -> Callable[[np.ndarray], None]:
+    if (table == 1).all():
+        return lambda amps: None
+    if width <= PHASE_LOW_QUBITS:
+        shape = _axes(width, ranks)
+        factors = table.reshape([1, 2] * len(ranks) + [1, 1])
+
+        def narrow(amps: np.ndarray) -> None:
+            view = amps.reshape(shape)
+            view *= factors
+        return narrow
+    low = PHASE_LOW_QUBITS
+    high = [r for r in ranks if r >= low]
+    shape = _axes(width, high, low)
+    index = [sum(((slice(None), bit) for bit in bits), ())
+             for bits in itertools.product((0, 1), repeat=len(high))]
+    rows = frozen_spread(table, ranks, low).reshape(-1, 1 << low)
+    # each row kept is copied, so the table is freed; a row of one repeated
+    # factor is that factor: numpy multiplies by a scalar about twice as fast
+    same = (rows == rows[:, :1]).all(axis=1)
+    passes = [(index[r], row[0] if same[r] else row.copy())
+              for r, row in enumerate(rows) if not (same[r] and row[0] == 1)]
+
+    def kernel(amps: np.ndarray) -> None:
+        view = amps.reshape(shape)
+        for at, row in passes:
+            view[at] *= row
+    return kernel
+
+
+def frozen_sweep_body(step: tuple) -> Callable[[np.ndarray], None]:
+    _, ranks, name, mat = step
+    if name is not None:
+        return frozen_body(SWEEP_QUBITS, name, ranks, mat)
+    column = frozen_spread(mat, ranks, SWEEP_QUBITS).reshape(-1, 1)
+    if (column == 1).all():
+        return lambda buf: None
+
+    def body(buf: np.ndarray) -> None:
+        buf *= column
+    return body
+
+
+def frozen_compile_gates(num_qubits: int, gates, fold: Fold | None = None
+                  ) -> list[tuple[Callable, tuple[int, ...]]]:
+    """Resolve consecutive unconditional gates ((name, qubits, params) each)
+    once for states of `num_qubits`: each maximal run of diagonal gates is
+    one phase pass (`frozen_phase_pass`), cut before it would span more than
+    PHASE_HIGH_QUBITS qubits at or above PHASE_LOW_QUBITS, and every other
+    gate its own kernel. Returns the kernels in order, each with the
+    qubits it acts on; a kernel applies its gates in place to the
+    amplitude array of such a state. A run rounds as its table's product,
+    not as the gates one after another.
+
+    On a state wider than one sweep buffer (2^SWEEP_QUBITS rows of
+    2^SWEEP_QUBITS amplitudes), each maximal sequence of these steps on
+    qubits below SWEEP_QUBITS that holds two or more gates that are not
+    diagonal is one kernel: it applies the steps in order to transposed
+    buffers (`_transposed`), where every amplitude takes the operations
+    the steps' own kernels would give it.
+
+    With a `fold`, the state leaves out its folded qubits, and `fold` is
+    updated as the gates go: `x` on a folded qubit flips its bit, a run is
+    cut where it would be with nothing folded and its table is taken at
+    the folded bits, and any other gate on a folded qubit is preceded by a
+    `Grow` step that activates it (listed with the qubits it activates).
+    Kernels act on the active qubits, numbered by rank."""
+    fold = Fold(num_qubits) if fold is None else fold
+    low = min(num_qubits, PHASE_LOW_QUBITS)
+    # steps are (qubits, ranks, gate name or None for a run, matrix or table)
+    kernels, run, high, sweep = [], [], set(), []
+
+    def add(step: tuple) -> None:
+        if fold.width > 2 * SWEEP_QUBITS and all(r < SWEEP_QUBITS for r in step[1]):
+            sweep.append(step)
+        else:
+            flush()
+            kernels.append(compiled(step))
+
+    def compiled(step: tuple) -> tuple[Callable, tuple[int, ...]]:
+        qubits, ranks, name, mat = step
+        return (frozen_phase_kernel(fold.width, ranks, mat) if name is None
+                else frozen_kernel(fold.width, name, ranks, mat)), qubits
+
+    def flush() -> None:
+        if sum(name is not None for _, _, name, _ in sweep) >= 2:
+            bodies = [frozen_sweep_body(step) for step in sweep]
+            kernels.append((partial(_transposed, kernels=bodies, low=SWEEP_QUBITS,
+                                    rows=1 << SWEEP_QUBITS),
+                            tuple(sorted({q for step in sweep for q in step[0]}))))
+        else:
+            kernels.extend(map(compiled, sweep))
+        sweep.clear()
+
+    for name, qubits, params in gates:
+        mat = frozen_resolve(num_qubits, name, qubits, params)
+        diagonal, above = GATES[name].kernel == "diagonal", {q for q in qubits if q >= low}
+        if run and not (diagonal and len(high | above) <= PHASE_HIGH_QUBITS):
+            add(frozen_phase_pass(fold, run))
+            run, high = [], set()
+        folded = [q for q in qubits if q in fold.bits]
+        if diagonal:
+            run.append((tuple(qubits), np.diag(mat)))
+            high |= above
+        elif name == "x" and folded:
+            fold.bits[qubits[0]] ^= 1
+        else:
+            if folded:
+                flush()
+                kernels.append((fold.activate(folded), tuple(folded)))
+            add((tuple(qubits), [fold.rank(q) for q in qubits], name, mat))
+    if run:
+        add(frozen_phase_pass(fold, run))
+    flush()
+    return kernels
+
+
+def frozen_compile_gate(num_qubits: int, name: str, qubits, params=()
+                 ) -> Callable[[np.ndarray], None]:
+    return frozen_compile_gates(num_qubits, [(name, qubits, params)])[0][0]
+
+
+def frozen_compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Program:
+    """Resolve every gate once per job, count the uniforms each shot draws,
+    mark where branches may merge (after every reset and wherever a clbit
+    dies) and find the terminal block (none unless `terminal`): the measures
+    after which only other block measures draw, no op but a measure touches
+    their qubits and none reads their clbits. The first `outputs` clbits
+    (all by default) are the result; any other clbit is dead after its last
+    conditional read.
+
+    Every qubit but the lowest START_WIDTH starts folded
+    (`statevector.Fold`): each run of consecutive
+    unconditional gates goes through `frozen_compile_gates` with the fold, which
+    emits gate ops (a run of diagonal ones is one, on the union of their
+    qubits) and the grow ops that activate qubits, until the first walked
+    op that draws, reads or sends a bit; a grow op before it activates
+    every qubit still folded, and from there on the state is full width."""
+    n = circuit.num_qubits
+    ops, draws, run = [], 0, []
+
+    def close_run() -> None:
+        if run:
+            ops.append(_Op("run", list(run), tuple({q for _, qs, _ in run for q in qs})))
+            run.clear()
+
+    for ins in circuit.instructions:
+        name, qubits = ins.name, tuple(ins.qubits)
+        if name in GATES and not ins.clbits:
+            run.append((name, qubits, ins.params))
+            continue
+        close_run()
+        if name in ("measure", "reset", "measure_and_send"):
+            qubits = qubits[:1] if name == "measure_and_send" else qubits
+            clbits = ins.clbits if name == "measure" else [None] * len(qubits)
+            targets = tuple(zip(qubits, clbits))
+            draws += len(targets)
+            ops.append(_Op("send" if name == "measure_and_send" else name, ins, qubits,
+                           targets=targets))
+        elif name == "remote_c_if":
+            ops.append(_Op("recv", ins, qubits, frozen_compile_gate(
+                n, ins.remote.gate_name, qubits, ins.params)))
+        elif name in LINKS:
+            ops.append(_Op("unsupported", ins, qubits))
+        else:
+            ops.append(_Op("cond", ins, qubits, frozen_compile_gate(n, name, qubits, ins.params)))
+    close_run()
+
+    outputs = circuit.num_clbits if outputs is None else outputs
+    live = (1 << outputs) - 1
+    touched, read, drawn, block, walked = set(), set(), False, [], []
+    for op in reversed(ops):
+        after, writes = live, 0
+        if op.kind == "measure":
+            for c in op.ins.clbits:
+                writes |= 1 << c
+        live &= ~writes
+        if op.kind == "cond":
+            live |= 1 << op.ins.clbits[0]
+        if op.kind == "reset" or (live | writes) & ~after:
+            op.live = after
+        if (terminal and op.kind == "measure" and not drawn
+                and touched.isdisjoint(op.qubits) and read.isdisjoint(op.ins.clbits)):
+            block[:0] = op.targets
+            continue
+        walked.insert(0, op)
+        drawn = drawn or bool(op.targets)
+        touched.update(op.qubits)
+        read.update(op.ins.clbits if op.kind == "cond" else ())
+
+    fold, ops = Fold(n, dict.fromkeys(range(START_WIDTH, n), 0)), []
+    for op in walked:
+        if op.kind == "run":
+            ops.extend(_Op("grow" if isinstance(kernel, Grow) else "gate", None, qubits, kernel)
+                       for kernel, qubits in frozen_compile_gates(n, op.ins, fold))
+            continue
+        if fold.bits:
+            ops.append(_Op("grow", None, tuple(fold.bits), fold.activate(list(fold.bits))))
+        ops.append(op)
+    # the folded layout is sampled as it is only where its active qubits are
+    # the lowest (START_WIDTH or more of them): then the nonzero amplitudes
+    # are one aligned block, which numpy sums as it sums the full state
+    expand = bool(block and fold.bits) and min(fold.bits) < fold.width
+    widest = n if expand else max((op.kernel.width for op in ops if op.kind == "grow"),
+                                  default=min(n, START_WIDTH))
+    return _Program(n, outputs, ops, block, draws, fold, expand, widest)

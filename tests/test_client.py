@@ -264,6 +264,34 @@ def test_non_finite_parameters_are_refused_before_sending(cunqa_home):
     assert handle.connection.frame_log == []
 
 
+def test_distribute_shots_validates_and_encodes_once(cunqa_home, monkeypatch):
+    """Four vQPUs on one backend file: one validate and one wire form for
+    all of them, and every frame carries that form."""
+    registry.add_entries([fake_entry(f"v-{i}") for i in range(4)])
+    handles = get_qpus()
+    validated, sent, real = [], [], client.validate
+    monkeypatch.setattr(client, "validate", lambda c, b: validated.append(b) or real(c, b))
+    monkeypatch.setattr(client, "_submit",
+                        lambda conn, job_id, config, circuit: sent.append((conn, circuit)))
+    jobs = distribute_shots(1000, handles, bell(), seed=3)
+    assert len(validated) == 1
+    assert len(jobs) == len(sent) == 4
+    assert {id(circuit) for _, circuit in sent} == {id(sent[0][1])}
+    assert [conn for conn, _ in sent] == [h.connection for h in handles]
+
+
+def test_distribute_shots_refuses_before_sending(cunqa_home):
+    """A circuit the backend refuses fails with ValidationFailed before
+    any vQPU gets a frame."""
+    registry.add_entries([fake_entry(f"v-{i}") for i in range(4)])
+    handles = get_qpus()
+    wide = Circuit(33, 0, id="wide")
+    wide.h(0)
+    with pytest.raises(ValidationFailed):
+        distribute_shots(1000, handles, wide)
+    assert all(h.connection.frame_log == [] for h in handles)
+
+
 def test_a_frozen_vqpu_fails_the_job(raise_family, monkeypatch):
     """A vQPU stopped after it acked a job: each `result` request gives up
     after its wait_ms and REPLY_TIMEOUT_S, reconnects once, and the job

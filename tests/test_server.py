@@ -549,6 +549,28 @@ def test_bit_frames_that_keep_nothing_are_bounded():
         srv.stop()
 
 
+def test_ghost_jobs_do_not_evict_real_results(conn, server):
+    """Jobs failed for bits no part of theirs was acked to read are kept
+    apart from the jobs that ran: a flood of more than MAX_FINISHED_JOBS of
+    them leaves a finished job's result in place, and a late `run` of the
+    last one still ends in ChannelTimeout without running."""
+    assert submit(conn, bell(), job_id="real", shots=50, seed=2)["type"] == "ack"
+    assert poll_result(conn, "real")["type"] == "result"
+    ghosts = (MAX_HELD_BITS // ChannelEndpoint.SIZE + 2 * protocol.MAX_FINISHED_JOBS)
+    for i in range(ghosts):
+        send_frame(conn, BitMessage("x", "r", 0, 0, 1, f"ghost-{i}").to_obj())
+    assert request(conn, {"type": "status"})["type"] == "ack"  # after the frames
+    assert len(server._ghosts) == protocol.MAX_FINISHED_JOBS
+    reply = request(conn, {"type": "result", "job_id": "real"})
+    assert reply["type"] == "result" and sum(reply["counts"].values()) == 50
+    last = next(reversed(server._ghosts))
+    assert submit(conn, bell(), job_id=last, shots=10)["type"] == "ack"
+    reply = request(conn, {"type": "result", "job_id": last})
+    assert (reply["type"], reply["code"]) == ("error", "ChannelTimeout")
+    reply = request(conn, {"type": "result", "job_id": "ghost-0"})  # pushed out
+    assert (reply["type"], reply["code"]) == ("error", "UnknownJob")
+
+
 def test_malformed_bit_frames_are_refused_at_the_frame():
     """Bit frames are input from outside the program. One with a bit that
     is not 0 or 1, or a field that does not fit, is answered with

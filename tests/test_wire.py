@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -164,3 +166,139 @@ def test_floats_survive_json_exactly():
                                                      for i in c.instructions]
     payload = json.loads(to_wire(c))
     assert payload["instructions"][0]["params"][0] == np.pi
+
+# -- every path and message a bad frame is refused with -------------------------
+
+BAD_FRAME_BASE = {"id": "dist", "num_qubits": 2, "num_clbits": 1, "instructions": [
+    {"name": "h", "qubits": [0], "clbits": [], "params": []},
+    {"name": "measure_and_send", "qubits": [0], "clbits": [], "params": [],
+     "remote": {"peer": "peer", "role": "sender", "seq": 0}},
+    {"name": "remote_c_if", "qubits": [1], "clbits": [], "params": [-0.5],
+     "remote": {"peer": "other", "role": "receiver", "gate": "rz", "seq": 0}},
+    {"name": "rz", "qubits": [0], "clbits": [], "params": [{"param": "theta"}]},
+    {"name": "measure", "qubits": [0], "clbits": [0], "params": []}]}
+
+
+def put(path, value):
+    """A mutation of a frame: the field at `path` set to `value`."""
+    def f(obj):
+        *head, last = path
+        for k in head:
+            obj = obj[k]
+        obj[last] = value
+    return f
+
+
+def drop(path):
+    """A mutation of a frame: the field at `path` removed."""
+    def f(obj):
+        *head, last = path
+        for k in head:
+            obj = obj[k]
+        del obj[last]
+    return f
+
+
+I = "instructions"
+# (case, mutation of BAD_FRAME_BASE; None: a frame that is no object)
+BAD_FRAMES = [
+    ("root-list", None),
+    ("root-unknown", put(["noise"], {})),
+    *[(f"root-missing-{k}", drop([k])) for k in ("id", "num_qubits", "num_clbits", "instructions")],
+    ("id-empty", put(["id"], "")), ("id-int", put(["id"], 5)),
+    ("nq-zero", put(["num_qubits"], 0)), ("nq-bool", put(["num_qubits"], True)),
+    ("nq-str", put(["num_qubits"], "2")), ("nc-neg", put(["num_clbits"], -1)),
+    ("ins-dict", put([I], {})),
+    ("ins-int", put([I, 0], 5)),
+    ("ins-unknown", put([I, 4, "cond"], 1)),
+    *[(f"ins-missing-{k}", drop([I, 3, k])) for k in ("name", "qubits", "clbits", "params")],
+    ("name-empty", put([I, 0, "name"], "")), ("name-int", put([I, 0, "name"], 3)),
+    ("qubits-str", put([I, 0, "qubits"], ["zero"])), ("qubits-int", put([I, 0, "qubits"], 5)),
+    ("qubits-bool", put([I, 4, "qubits"], [True])), ("clbits-float", put([I, 4, "clbits"], [1.5])),
+    ("params-str", put([I, 2, "params"], "x")),
+    ("param-nan", put([I, 2, "params", 0], math.nan)), ("param-inf", put([I, 2, "params", 0], -math.inf)),
+    ("param-huge", put([I, 2, "params", 0], 10 ** 400)), ("param-str", put([I, 2, "params", 0], "a")),
+    ("param-bool", put([I, 2, "params", 0], True)), ("param-none", put([I, 2, "params", 0], None)),
+    ("slot-empty", put([I, 3, "params", 0], {"param": ""})), ("slot-int", put([I, 3, "params", 0], {"param": 3})),
+    ("slot-unknown", put([I, 3, "params", 0], {"x": "a"})),
+    ("slot-extra", put([I, 3, "params", 0], {"param": "a", "y": 1})),
+    ("slot-missing", put([I, 3, "params", 0], {})),
+    ("remote-list", put([I, 1, "remote"], [])),
+    ("remote-unknown", put([I, 1, "remote", "tag"], 1)),
+    *[(f"remote-missing-{k}", drop([I, 2, "remote", k])) for k in ("peer", "role", "seq")],
+    ("peer-empty", put([I, 1, "remote", "peer"], "")), ("peer-int", put([I, 1, "remote", "peer"], 4)),
+    ("role-bad", put([I, 1, "remote", "role"], "observer")),
+    ("seq-neg", put([I, 1, "remote", "seq"], -1)), ("seq-bool", put([I, 1, "remote", "seq"], True)),
+    ("seq-float", put([I, 1, "remote", "seq"], 1.0)),
+    ("gate-int", put([I, 2, "remote", "gate"], 5)),
+]
+
+# the message of each bad frame, as the decoder gave it when every path was
+# formatted before its check
+BAD_FRAME_MESSAGES = dict([
+    ("root-list", '<root>: expected an object'),
+    ("root-unknown", 'noise: unknown field'),
+    ("root-missing-id", 'id: missing'),
+    ("root-missing-num_qubits", 'num_qubits: missing'),
+    ("root-missing-num_clbits", 'num_clbits: missing'),
+    ("root-missing-instructions", 'instructions: missing'),
+    ("id-empty", 'id: expected a non-empty string'),
+    ("id-int", 'id: expected a non-empty string'),
+    ("nq-zero", 'num_qubits: expected an integer >= 1'),
+    ("nq-bool", 'num_qubits: expected an integer >= 1'),
+    ("nq-str", 'num_qubits: expected an integer >= 1'),
+    ("nc-neg", 'num_clbits: expected an integer >= 0'),
+    ("ins-dict", 'instructions: expected a list'),
+    ("ins-int", 'instructions[0]: expected an object'),
+    ("ins-unknown", 'instructions[4].cond: unknown field'),
+    ("ins-missing-name", 'instructions[3].name: missing'),
+    ("ins-missing-qubits", 'instructions[3].qubits: missing'),
+    ("ins-missing-clbits", 'instructions[3].clbits: missing'),
+    ("ins-missing-params", 'instructions[3].params: missing'),
+    ("name-empty", 'instructions[0].name: expected a non-empty string'),
+    ("name-int", 'instructions[0].name: expected a non-empty string'),
+    ("qubits-str", 'instructions[0].qubits: expected a list of integers'),
+    ("qubits-int", 'instructions[0].qubits: expected a list of integers'),
+    ("qubits-bool", 'instructions[4].qubits: expected a list of integers'),
+    ("clbits-float", 'instructions[4].clbits: expected a list of integers'),
+    ("params-str", 'instructions[2].params: expected a list'),
+    ("param-nan", "instructions[2].params[0]: expected a finite number or a {'param': name} slot"),
+    ("param-inf", "instructions[2].params[0]: expected a finite number or a {'param': name} slot"),
+    ("param-huge", "instructions[2].params[0]: expected a finite number or a {'param': name} slot"),
+    ("param-str", "instructions[2].params[0]: expected a finite number or a {'param': name} slot"),
+    ("param-bool", "instructions[2].params[0]: expected a finite number or a {'param': name} slot"),
+    ("param-none", "instructions[2].params[0]: expected a finite number or a {'param': name} slot"),
+    ("slot-empty", 'instructions[3].params[0].param: expected a non-empty string'),
+    ("slot-int", 'instructions[3].params[0].param: expected a non-empty string'),
+    ("slot-unknown", 'instructions[3].params[0].x: unknown field'),
+    ("slot-extra", 'instructions[3].params[0].y: unknown field'),
+    ("slot-missing", 'instructions[3].params[0].param: missing'),
+    ("remote-list", 'instructions[1].remote: expected an object'),
+    ("remote-unknown", 'instructions[1].remote.tag: unknown field'),
+    ("remote-missing-peer", 'instructions[2].remote.peer: missing'),
+    ("remote-missing-role", 'instructions[2].remote.role: missing'),
+    ("remote-missing-seq", 'instructions[2].remote.seq: missing'),
+    ("peer-empty", 'instructions[1].remote.peer: expected a non-empty string'),
+    ("peer-int", 'instructions[1].remote.peer: expected a non-empty string'),
+    ("role-bad", "instructions[1].remote.role: expected 'sender' or 'receiver'"),
+    ("seq-neg", 'instructions[1].remote.seq: expected an integer >= 0'),
+    ("seq-bool", 'instructions[1].remote.seq: expected an integer >= 0'),
+    ("seq-float", 'instructions[1].remote.seq: expected an integer >= 0'),
+    ("gate-int", 'instructions[2].remote.gate: expected a string'),
+])
+
+
+@pytest.mark.parametrize("name, mutate", BAD_FRAMES, ids=[name for name, _ in BAD_FRAMES])
+def test_bad_frames_keep_their_paths_and_messages(name, mutate):
+    obj = []
+    if mutate is not None:
+        obj = copy.deepcopy(BAD_FRAME_BASE)
+        mutate(obj)
+    with pytest.raises(SchemaViolation) as err:
+        circuit_from_obj(obj)
+    assert str(err.value) == BAD_FRAME_MESSAGES[name]
+    assert str(err.value).startswith(err.value.path + ": ")
+
+
+def test_the_bad_frame_base_decodes():
+    assert circuit_from_obj(copy.deepcopy(BAD_FRAME_BASE)).param_slots() == ["theta"]
