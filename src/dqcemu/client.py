@@ -346,10 +346,6 @@ def run_distributed(circuits: list[Circuit], qpus: list[QpuHandle],
     return [QJob(job_id, handle) for handle in chosen]
 
 
-def result(job: QJob) -> ResultRecord:
-    return job.wait()
-
-
 def gather(jobs: list[QJob]) -> list[ResultRecord]:
     """Barrier over all jobs, preserving input order; one failure does not
     block the others (their results stay cached on the jobs)."""

@@ -30,7 +30,6 @@ from .statevector import (
     _NORM_TOL,
     Fold,
     Grow,
-    StateVector,
     collapse,
     compile_gate,
     compile_gates,
@@ -151,14 +150,13 @@ class _Branch:
     shots: np.ndarray  # rows of the chunk's shots that share this history
 
 
-def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Program:
+def _compile(circuit, outputs: int | None = None) -> _Program:
     """Resolve every gate once per job, count the uniforms each shot draws,
     mark where branches may merge (after every reset and wherever a clbit
-    dies) and find the terminal block (none unless `terminal`): the measures
-    after which only other block measures draw, no op but a measure touches
-    their qubits and none reads their clbits. The first `outputs` clbits
-    (all by default) are the result; any other clbit is dead after its last
-    conditional read.
+    dies) and find the terminal block: the measures after which only other
+    block measures draw, no op but a measure touches their qubits and none
+    reads their clbits. The first `outputs` clbits (all by default) are the
+    result; any other clbit is dead after its last conditional read.
 
     Every qubit but the lowest START_WIDTH starts folded
     (`statevector.Fold`): each run of consecutive
@@ -211,7 +209,7 @@ def _compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Pro
             live |= 1 << op.ins.clbits[0]
         if op.kind == "reset" or (live | writes) & ~after:
             op.live = after
-        if (terminal and op.kind == "measure" and not drawn
+        if (op.kind == "measure" and not drawn
                 and touched.isdisjoint(op.qubits) and read.isdisjoint(op.ins.clbits)):
             block[:0] = op.targets
             continue
@@ -373,12 +371,12 @@ def _at_shot(exc: EmulatorError, shot: int) -> EmulatorError:
     return type(exc)(f"shot {shot}: {exc}")
 
 
-def _root(prog: _Program, shots: int, width: int | None = None) -> _Branch:
+def _root(prog: _Program, shots: int) -> _Branch:
     """Every shot in one branch, in |0...0> on the START_WIDTH lowest
     qubits, every other qubit folded at 0. The state is the head of one
-    array of 2^width amplitudes (the job's widest state by default), in
-    which its growth steps spread it (`statevector.Grow`)."""
-    buf = np.zeros(1 << (prog.widest if width is None else width), dtype=np.complex128)
+    array of the job's widest state's amplitudes, in which its growth steps
+    spread it (`statevector.Grow`)."""
+    buf = np.zeros(1 << prog.widest, dtype=np.complex128)
     buf[0] = 1.0
     return _Branch(buf[:1 << min(prog.num_qubits, START_WIDTH)], 0, np.arange(shots))
 
@@ -401,23 +399,6 @@ def _walk(prog: _Program, ops: list[_Op], branches: list[_Branch],
                 b.bits &= op.live
             branches = _merge(branches, prog.probe)
     return branches, peak, shot_ids
-
-
-@_ufunc_buffer()
-def run_once(circuit, rng: np.random.Generator, hooks: ChannelHooks | None = None,
-             shot_index: int = 0) -> tuple[StateVector, list[int]]:
-    """Execute the instruction list once on a fresh state, drawing from `rng`.
-
-    Returns the final state and the classical bit register. Unitary
-    instructions carrying a clbit are conditionals triggered on bit == 1.
-    """
-    prog = _compile(circuit, terminal=False)
-    (b,), _, _ = _walk(prog, prog.walked, [_root(prog, 1, circuit.num_qubits)],
-                       iter(rng.random((prog.draws, 1))).__next__,
-                       range(shot_index, shot_index + 1), hooks or null_hooks())
-    return (StateVector(circuit.num_qubits, _unfold(prog.end)(b.amps) if prog.end.bits
-                        else b.amps),
-            [b.bits >> c & 1 for c in range(circuit.num_clbits)])
 
 
 def _sample_block(prog: _Program, branch: _Branch, seed) -> np.ndarray:

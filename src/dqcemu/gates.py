@@ -128,8 +128,6 @@ LINKS: dict[str, Link] = {
     "expose_end": Link(None, "sender", "quantum"),
 }
 
-DISTRIBUTED = tuple(LINKS)
-
 
 def arity_error(name: str, num_qubits: int, num_params: int,
                 body: bool = False) -> str | None:

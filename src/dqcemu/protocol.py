@@ -104,6 +104,14 @@ def error_code(exc: Exception) -> tuple[str, str]:
     return "InternalError", f"{type(exc).__name__}: {exc}"
 
 
+def job_id_of(frame: dict) -> str:
+    """The job a `run`, `result` or `upgrade_parameters` frame names."""
+    job_id = frame.get("job_id")
+    if not isinstance(job_id, str) or not job_id:
+        raise SchemaViolation("job_id", "expected a non-empty string")
+    return job_id
+
+
 def _evicted(job_id: str) -> dict:
     return error_frame(*error_code(Evicted(
         f"job {job_id!r} finished more than {MAX_FINISHED_JOBS} jobs ago and "
@@ -341,9 +349,7 @@ class FramedService:
             return error_frame(*error_code(exc))
 
     def _handle_run(self, frame: dict) -> dict:
-        job_id, config = frame.get("job_id"), frame.get("config", {})
-        if not isinstance(job_id, str) or not job_id:
-            raise SchemaViolation("job_id", "expected a non-empty string")
+        job_id, config = job_id_of(frame), frame.get("config", {})
         if not isinstance(config, dict):
             raise SchemaViolation("config", "expected an object")
         if not _is_int(config.get("shots")) or config["shots"] < 1:
@@ -372,8 +378,7 @@ class FramedService:
     def _handle_result(self, frame: dict) -> dict:
         """The job's result or error, or its state while it is pending; with
         `wait_ms`, a pending job is waited for up to that long."""
-        job_id = frame.get("job_id", "")
-        wait_ms = frame.get("wait_ms", 0)
+        job_id, wait_ms = job_id_of(frame), frame.get("wait_ms", 0)
         if (isinstance(wait_ms, bool) or not isinstance(wait_ms, int)
                 or not 0 <= wait_ms <= RESULT_WAIT_MAX_MS):
             return error_frame("SchemaViolation",

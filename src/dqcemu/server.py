@@ -39,6 +39,7 @@ from .protocol import (
     connect,
     error_code,
     error_frame,
+    job_id_of,
     parse_address,
     run_job,
     send_frame,
@@ -174,8 +175,7 @@ class VqpuServer(FramedService):
         return reply
 
     def _handle_upgrade(self, frame: dict):
-        job_id = frame.get("job_id", "")
-        params = frame.get("params")
+        job_id, params = job_id_of(frame), frame.get("params")
         if isinstance(params, list):  # anything else is an ArityMismatch
             _check_params(params, "params")
         with self._lock:

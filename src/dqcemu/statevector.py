@@ -67,14 +67,6 @@ class StateVector:
             self.amplitudes = np.zeros(1 << self.num_qubits, dtype=np.complex128)
             self.amplitudes[0] = 1.0
 
-    @classmethod
-    def zero(cls, num_qubits: int) -> "StateVector":
-        return cls(num_qubits)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
     def norm(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 

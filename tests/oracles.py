@@ -12,6 +12,8 @@ the walk resolved terminal measurements. Both apply each run of
 consecutive unconditional gates through `compile_gates`, as the walk does,
 since a fused run of diagonal gates rounds differently from the gates one
 by one; `apply_by_index` checks that fusion against index arithmetic.
+`end_branches` reads the walk's states where `run_branched` ends them, and
+`check_end_branches` holds each against the reference loop, shot by shot.
 The allocating forms at the end are the kernels that work in place
 through bounded pieces, written as they were before: whole-slice copies,
 a new array per growth step and `Generator.choice` for the terminal draw.
@@ -23,6 +25,7 @@ import itertools
 from collections import Counter
 from functools import partial
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from dqcemu import engine
 from dqcemu.circuit import Circuit
 from dqcemu.engine import START_WIDTH, _Op, _Program
 from dqcemu.errors import EmulatorError, QubitOutOfRange, UnsupportedInstruction
-from dqcemu.gates import DISTRIBUTED, GATES, LINKS, gate_matrix
+from dqcemu.gates import GATES, LINKS, gate_matrix
 from dqcemu.statevector import (
     BLOCK_QUBITS,
     BLOCK_ROWS,
@@ -117,7 +120,7 @@ def sampled_admissible(circuit: Circuit) -> bool:
     measured: set[int] = set()
     written: set[int] = set()
     for ins in circuit.instructions:
-        if ins.name in DISTRIBUTED or ins.name == "reset":
+        if ins.name in LINKS or ins.name == "reset":
             return False
         if ins.name == "measure":
             measured.update(ins.qubits)
@@ -146,7 +149,7 @@ def run_sampled_reference(circuit: Circuit, shots: int, seed) -> dict[str, int]:
     if not sampled_admissible(circuit):
         raise UnsupportedInstruction(
             "circuit has mid-circuit or distributed effects; use run_shot_loop_reference")
-    state = StateVector.zero(circuit.num_qubits)
+    state = StateVector(circuit.num_qubits)
     clbit_source: dict[int, int] = {}  # clbit -> measured qubit (last write wins)
     run: list = []
     for ins in circuit.instructions:
@@ -170,21 +173,26 @@ def run_sampled_reference(circuit: Circuit, shots: int, seed) -> dict[str, int]:
 
 
 def run_once_reference(circuit: Circuit, rng: np.random.Generator,
-                       hooks: engine.ChannelHooks, shot_index: int = 0):
+                       hooks: engine.ChannelHooks, shot_index: int = 0,
+                       skip=frozenset()):
     """The instruction list executed once on a fresh state, one shot at a
     time: the per-shot loop the engine's branch walk must reproduce bit for
-    bit. Each channel instruction is a one-shot hook call. Returns the
-    final state and the classical bit register."""
+    bit. Each channel instruction is a one-shot hook call. The measures at
+    the instruction indices in `skip` are left out, but each still ends a
+    run of gates, as every measure ends one in the engine's compile.
+    Returns the final state and the classical bit register."""
     n = circuit.num_qubits
-    state = StateVector.zero(n)
+    state = StateVector(n)
     bits = [0] * circuit.num_clbits
     run: list = []
-    for ins in circuit.instructions:
+    for i, ins in enumerate(circuit.instructions):
         name = ins.name
-        if name not in ("measure", "reset", *DISTRIBUTED) and not ins.clbits:
+        if name not in ("measure", "reset", *LINKS) and not ins.clbits:
             run.append((name, ins.qubits, ins.params))
             continue
         apply_run(state, run)
+        if i in skip:
+            continue
         if name == "measure":
             for q, c in zip(ins.qubits, ins.clbits):
                 bits[c], state = measure_qubit(state, q, rng)
@@ -201,13 +209,90 @@ def run_once_reference(circuit: Circuit, rng: np.random.Generator,
             if bit == 1:
                 compile_gate(n, ins.remote.gate_name, ins.qubits,
                              ins.params)(state.amplitudes)
-        elif name in DISTRIBUTED:
+        elif name in LINKS:
             raise UnsupportedInstruction(
                 f"{name} requires the quantum-communication executor")
         elif bits[ins.clbits[0]] == 1:
             compile_gate(n, ins.name, ins.qubits, ins.params)(state.amplitudes)
     apply_run(state, run)
     return state, bits
+
+
+def terminal_measures(circuit: Circuit) -> list[int]:
+    """The indices of the circuit's terminal measures, found from the
+    instruction list alone: walking it backwards, a measure is terminal
+    when no later instruction that is not does any of these: draws (a
+    measure, reset or measure_and_send), touches one of its qubits, or
+    reads one of its clbits as a condition."""
+    drawn, touched, read, terminal = False, set(), set(), []
+    for i in reversed(range(len(circuit.instructions))):
+        ins = circuit.instructions[i]
+        if ins.name == "measure":
+            if not drawn and touched.isdisjoint(ins.qubits) and read.isdisjoint(ins.clbits):
+                terminal.insert(0, i)
+                continue
+        elif ins.clbits:
+            read.update(ins.clbits)
+        drawn = drawn or ins.name in ("measure", "reset", "measure_and_send")
+        touched.update(ins.qubits)
+    return terminal
+
+
+def end_branches(circuit: Circuit, shots: int, seed, outputs: int | None = None):
+    """The end branches of one `engine.run_branched` call, chunk by chunk,
+    taken by a spy on `engine._walk`: (state, bits, shot ids) each, the
+    state copied before the terminal block is counted (the sampler consumes
+    it) and unfolded into all 2^n amplitudes. Returns the job's compiled
+    program with them."""
+    progs, ends, walk = [], [], engine._walk
+
+    def spy(prog, ops, branches, next_row, shot_ids, hooks, room=None):
+        out, peak, kept = walk(prog, ops, branches, next_row, shot_ids, hooks, room)
+        progs.append(prog)
+        for b in out:
+            amps = np.zeros(1 << prog.num_qubits, dtype=complex)[:len(b.amps)]
+            amps[:] = b.amps
+            ends.append((engine._unfold(prog.end)(amps) if prog.end.bits else amps,
+                         b.bits, [kept[row] for row in b.shots]))
+        return out, peak, kept
+
+    with mock.patch.object(engine, "_walk", spy):
+        engine.run_branched(circuit, shots, seed, outputs=outputs)
+    return progs[0], ends
+
+
+def check_end_branches(circuit: Circuit, shots: int, seed, outputs: int | None = None):
+    """Every end branch of a `run_branched` call (`end_branches`) against
+    the reference loop, shot by shot: the engine's terminal block is the
+    circuit's `terminal_measures`, every shot ends in one branch, and each
+    shot run alone from its place in the job stream, the terminal measures
+    left out, gives the branch's state bit for bit and its bits, those the
+    terminal block does not write (a merge may clear those). Returns the
+    end branches."""
+    prog, ends = end_branches(circuit, shots, seed, outputs)
+    skip = terminal_measures(circuit)
+    assert prog.block == [target for i in skip for target in zip(
+        circuit.instructions[i].qubits, circuit.instructions[i].clbits)]
+    assert sorted(s for _, _, ids in ends for s in ids) == list(range(shots))
+    outputs = circuit.num_clbits if outputs is None else outputs
+    kept = (1 << outputs) - 1 & ~sum(1 << c for _, c in prog.block)
+    for state, bits, ids in ends:
+        # where the walk draws nothing, every shot runs alike
+        for s in ids if prog.draws > len(prog.block) else ids[:1]:
+            ref, ref_bits = run_once_reference(circuit, engine.shot_rng(seed, s, prog.draws),
+                                               engine.null_hooks(), s, frozenset(skip))
+            assert bits & kept == sum(b << c for c, b in enumerate(ref_bits)) & kept, s
+            assert np.array_equal(state, ref.amplitudes), s
+    return ends
+
+
+def protocol_end_states(circuit: Circuit, seed: int = 0) -> list[np.ndarray]:
+    """The state of every end branch of one 64-shot run of a teledata or
+    telegate circuit: the protocol's two measurements are fair coins, so
+    the shots take all four corrections, which its two clbits tell apart."""
+    ends = end_branches(circuit, 64, seed)[1]
+    assert sorted(bits for _, bits, _ in ends) == [0, 1, 2, 3]
+    return [state for state, _, _ in ends]
 
 
 def run_shot_loop_reference(circuit: Circuit, shots: int, seed,
@@ -604,14 +689,13 @@ def frozen_compile_gate(num_qubits: int, name: str, qubits, params=()
     return frozen_compile_gates(num_qubits, [(name, qubits, params)])[0][0]
 
 
-def frozen_compile(circuit, outputs: int | None = None, terminal: bool = True) -> _Program:
+def frozen_compile(circuit, outputs: int | None = None) -> _Program:
     """Resolve every gate once per job, count the uniforms each shot draws,
     mark where branches may merge (after every reset and wherever a clbit
-    dies) and find the terminal block (none unless `terminal`): the measures
-    after which only other block measures draw, no op but a measure touches
-    their qubits and none reads their clbits. The first `outputs` clbits
-    (all by default) are the result; any other clbit is dead after its last
-    conditional read.
+    dies) and find the terminal block: the measures after which only other
+    block measures draw, no op but a measure touches their qubits and none
+    reads their clbits. The first `outputs` clbits (all by default) are the
+    result; any other clbit is dead after its last conditional read.
 
     Every qubit but the lowest START_WIDTH starts folded
     (`statevector.Fold`): each run of consecutive
@@ -663,7 +747,7 @@ def frozen_compile(circuit, outputs: int | None = None, terminal: bool = True) -
             live |= 1 << op.ins.clbits[0]
         if op.kind == "reset" or (live | writes) & ~after:
             op.live = after
-        if (terminal and op.kind == "measure" and not drawn
+        if (op.kind == "measure" and not drawn
                 and touched.isdisjoint(op.qubits) and read.isdisjoint(op.ins.clbits)):
             block[:0] = op.targets
             continue

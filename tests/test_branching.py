@@ -18,6 +18,8 @@ from dqcemu.errors import ZeroNorm
 from dqcemu.statevector import StateVector, collapse, sample_outcomes
 
 from oracles import (
+    check_end_branches,
+    end_branches,
     reference_shot_bits,
     run_once_reference,
     run_sampled_reference,
@@ -122,23 +124,25 @@ def sampled_width(circuit) -> int:
 @settings(max_examples=60, deadline=None)
 @given(terminal_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 200))
 def test_terminal_circuits_match_the_sampled_reference(circuit, seed, shots):
-    """Such circuits are one branch of every shot to the end, and sample
-    the terminal block as the old sampler did: the same counts."""
+    """Such circuits are one branch of every shot to the end, which holds
+    the reference loop's state, and sample the terminal block as the old
+    sampler did: the same counts."""
     assert sampled_admissible(circuit)
     counts, counters = engine.run_branched(circuit, shots, seed=seed)
     assert counts == run_sampled_reference(circuit, shots, seed)
     assert counters == {"peak_branches": 1, "chunks": 1,
                         "state_qubits": sampled_width(circuit)}
+    assert len(check_end_branches(circuit, shots, seed)) == 1
 
 
-@settings(max_examples=30, deadline=None)
-@given(mid_circuit_programs(), st.integers(0, 2 ** 32 - 1))
-def test_run_once_matches_the_reference(circuit, seed):
-    state, bits = engine.run_once(circuit, np.random.default_rng(seed))
-    ref_state, ref_bits = run_once_reference(
-        circuit, np.random.default_rng(seed), engine.null_hooks())
-    assert bits == ref_bits
-    assert np.array_equal(state.amplitudes, ref_state.amplitudes)
+@settings(max_examples=60, deadline=None)
+@given(mid_circuit_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 40), BUDGETS)
+def test_end_branches_match_the_reference(circuit, seed, shots, budget):
+    """Every end branch of a walk, through its forks, merges and chunk
+    cuts, holds the state and bits of each of its shots run alone in the
+    reference loop."""
+    with mock.patch.object(engine, "BRANCH_BUDGET_BYTES", budget):
+        check_end_branches(circuit, shots, seed)
 
 
 def logging_hooks(log: set) -> engine.ChannelHooks:
@@ -344,17 +348,15 @@ def test_telegate8_walks_in_one_chunk():
 
 def test_telegate_histories_reconverge():
     """Protocol bits die after their corrections and the comm pair is
-    reset, so the walk ends with at most one branch per output history."""
+    reset, so the walk ends with at most one branch per output history:
+    here one, since every output clbit is written by the terminal block."""
     n, shots = 4, 2000
-    program = engine._compile(telegate_plan(n).merged, outputs=n, terminal=False)
-    rows = engine.job_rng(9).random((shots, program.draws))
-    ends, peak, kept = engine._walk(program, program.walked, [engine._root(program, shots)],
-                                    iter(rows.T).__next__, range(shots),
-                                    engine.null_hooks())
-    assert kept == range(shots)
-    assert len(ends) <= 2 ** n
-    assert sum(len(b.shots) for b in ends) == shots
-    assert peak <= 2 ** n
+    merged = telegate_plan(n).merged
+    prog, ends = end_branches(merged, shots, 9, outputs=n)
+    assert len(prog.block) == n
+    assert [sorted(ids) for _, _, ids in ends] == [list(range(shots))]
+    counters = engine.run_branched(merged, shots, 9, outputs=n)[1]
+    assert counters["chunks"] == 1 and counters["peak_branches"] <= 2 ** n
 
 
 def mid_circuit_resets() -> Circuit:
@@ -366,20 +368,35 @@ def mid_circuit_resets() -> Circuit:
     return c
 
 
+@pytest.mark.parametrize("program, outputs, shots", [
+    pytest.param(lambda: telegate_plan(8).merged, 8, 300, id="telegate8"),
+    pytest.param(lambda: build_qpe(QpeConfig(n_ancilla=7, theta=2.0)), None, 100, id="qpe7"),
+    pytest.param(lambda: build_qpe(QpeConfig(n_ancilla=12, theta=2.0)), None, 100, id="qpe12"),
+])
+def test_paper_programs_end_branches_match_the_reference(program, outputs, shots):
+    """Telegate8 as the executor runs it (its outputs the ancillas), and
+    QPE-7 and QPE-12, which draw nothing before their terminal block."""
+    check_end_branches(program(), shots, 23, outputs=outputs)
+
+
 @pytest.mark.parametrize("circuit", [
     pytest.param(lambda: telegate_plan().merged, id="telegate"),
     pytest.param(mid_circuit_resets, id="resets"),
 ])
 def test_one_shot_runs_alone_from_its_place_in_the_job_stream(circuit):
     """shot_rng(seed, s, d) is the job stream positioned at shot s's first
-    uniform, so run_once on it gives shot s the bits it gets in the
-    reference loop, which runs shots 0 ... s in turn from one stream."""
+    uniform, so one shot run alone on it gets the bits it gets in the
+    reference loop, which runs shots 0 ... s in turn from one stream; the
+    walk's side of that contract is `check_end_branches`, which runs every
+    shot so, here through every end branch of 300 shots."""
     c = circuit()
     draws = engine._compile(c).draws
     looped = reference_shot_bits(c, 300, 13)
     for s in (0, 1, 2, 57, 299):
-        assert engine.run_once(c, engine.shot_rng(13, s, draws))[1] == looped[s]
+        alone = run_once_reference(c, engine.shot_rng(13, s, draws), engine.null_hooks(), s)
+        assert alone[1] == looped[s]
     assert engine.shot_rng(13, 5).random() == engine.job_rng(13).random(6)[5]
+    check_end_branches(c, 300, 13)
 
 
 def spy_cuts(monkeypatch) -> list[tuple[int, int]]:
@@ -576,7 +593,7 @@ def test_terminal_block_raises_zero_norm_where_a_collapse_would():
     outcome = engine._descend_block(prog, branch, uniforms, range(10, 13))
     assert outcome(1).tolist() == [1, 0, 0] and outcome(0).tolist() == [0, 0, 0]
 
-    state = StateVector.zero(2)
+    state = StateVector(2)
     engine.compile_gate(2, "ry", [0], [1e-7])(state.amplitudes)
     ones, weights = sample_outcomes(state.amplitudes, 0, np.array([0.0]))
     with pytest.raises(ZeroNorm):

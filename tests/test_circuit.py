@@ -16,7 +16,7 @@ from dqcemu.errors import (
     WidthMismatch,
 )
 
-from oracles import random_unitary_circuit
+from oracles import check_end_branches, random_unitary_circuit
 
 
 def bell() -> Circuit:
@@ -163,11 +163,9 @@ def test_tensor_union_statevector_is_kron():
         a = random_unitary_circuit(rng, 2, 5)
         b = random_unitary_circuit(rng, 2, 5)
         u = tensor_union(a, b)
-        sa, _ = engine.run_once(a, np.random.default_rng(0))
-        sb, _ = engine.run_once(b, np.random.default_rng(0))
-        su, _ = engine.run_once(u, np.random.default_rng(0))
-        assert np.allclose(su.amplitudes,
-                           np.kron(sb.amplitudes, sa.amplitudes), atol=1e-12)
+        (sa, _, _), (sb, _, _), (su, _, _) = (
+            end for c in (a, b, u) for end in check_end_branches(c, 1, 0))
+        assert np.allclose(su, np.kron(sb, sa), atol=1e-12)
 
 
 def test_union_does_not_offset_expose_body():

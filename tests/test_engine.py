@@ -15,9 +15,9 @@ from dqcemu.errors import ChannelTimeout, UnsupportedInstruction, WidthExceeded,
 from dqcemu.gates import GATES
 
 from oracles import (
+    check_end_branches,
     chi2_exact_pvalue,
     random_unitary_circuit,
-    run_once_reference,
     run_sampled_reference,
     run_shot_loop_reference,
     sampled_admissible,
@@ -168,9 +168,9 @@ def test_final_state_matches_matrix_oracle():
     for _ in range(100):
         n = int(rng.integers(1, 4))
         c = random_unitary_circuit(rng, n, int(rng.integers(1, 9)))
-        state, _ = engine.run_once(c, np.random.default_rng(0))
+        (state, _, _), = check_end_branches(c, 1, 0)
         oracle = statevector_by_matmul(c)
-        assert np.max(np.abs(state.amplitudes - oracle)) < 1e-10
+        assert np.max(np.abs(state - oracle)) < 1e-10
 
 
 def test_shots_must_be_positive():
@@ -188,9 +188,10 @@ def test_empty_clbits_key():
     assert engine.run_shot_loop(c, 4, seed=0) == {"": 4}
 
 
-def test_run_once_matches_the_reference_through_low_qubit_blocks():
+def test_end_branches_match_the_reference_through_low_qubit_blocks():
     """7 qubits: dense gates on the qubits below BLOCK_QUBITS take the
-    transposed buffer, between mid-circuit measures, conditionals and resets."""
+    transposed buffer, between mid-circuit measures, conditionals and
+    resets; every end branch of 40 shots against the reference loop."""
     rng = np.random.default_rng(17)
     dense = ["h", "rx", "ry", "y", "u"]
     c = Circuit(7, 3, id="blocks")
@@ -203,19 +204,15 @@ def test_run_once_matches_the_reference_through_low_qubit_blocks():
         c.c_if("h", [(layer + 1) % 5], layer % 3)
         if layer % 2:
             c.reset(layer % 4)
-    for seed in range(20):
-        state, bits = engine.run_once(c, np.random.default_rng(seed))
-        ref_state, ref_bits = run_once_reference(
-            c, np.random.default_rng(seed), engine.null_hooks())
-        assert bits == ref_bits
-        assert np.array_equal(state.amplitudes, ref_state.amplitudes)
+    check_end_branches(c, 40, 17)
 
 
 
-def test_run_once_matches_the_reference_through_diagonal_runs():
+def test_end_branches_match_the_reference_through_diagonal_runs():
     """13 qubits: long runs of diagonal gates on both sides of qubit
     PHASE_LOW_QUBITS, fused into phase passes, between mid-circuit
-    measures, conditionals and resets, and a conditional diagonal gate."""
+    measures, conditionals and resets, and a conditional diagonal gate;
+    every end branch of 40 shots against the reference loop."""
     rng = np.random.default_rng(19)
     n = 13
     c = Circuit(n, 4, id="phases")
@@ -235,12 +232,7 @@ def test_run_once_matches_the_reference_through_diagonal_runs():
         c.c_if("h", [layer + 2], (layer + 1) % 4)
         if layer % 2:
             c.reset(layer + 8)
-    for seed in range(20):
-        state, bits = engine.run_once(c, np.random.default_rng(seed))
-        ref_state, ref_bits = run_once_reference(
-            c, np.random.default_rng(seed), engine.null_hooks())
-        assert bits == ref_bits
-        assert np.array_equal(state.amplitudes, ref_state.amplitudes)
+    check_end_branches(c, 40, 19)
 
 
 @pytest.mark.parametrize("qubits", [[5, 1, 9], [0], [18, 0], [16, 17, 18], [3, 11, 4, 2]])
@@ -345,14 +337,6 @@ FOLDING_EXAMPLES = [
 ]
 
 
-def assert_run_once_matches(circuit: Circuit, seed: int) -> None:
-    state, bits = engine.run_once(circuit, np.random.default_rng(seed))
-    ref_state, ref_bits = run_once_reference(
-        circuit, np.random.default_rng(seed), engine.null_hooks())
-    assert bits == ref_bits
-    assert np.array_equal(state.amplitudes, ref_state.amplitudes)
-
-
 @settings(max_examples=60, deadline=None)
 @given(folding_programs(mid_circuit=False), st.integers(0, 2 ** 32 - 1), st.integers(1, 200))
 @example(FOLDING_EXAMPLES[0], 7, 200)
@@ -362,11 +346,11 @@ def assert_run_once_matches(circuit: Circuit, seed: int) -> None:
 @example(FOLDING_EXAMPLES[4], 0, 1)
 def test_folded_terminal_programs_match_the_references(circuit, seed, shots):
     """A job that draws nothing before its terminal block walks folded to
-    the end: its final state is the reference loop's, and its counts are
+    the end: its end state is the reference loop's, and its counts are
     the sampled reference's, whether the block samples the folded layout
     or unfolds first."""
     assert sampled_admissible(circuit)
-    assert_run_once_matches(circuit, seed)
+    check_end_branches(circuit, shots, seed)
     assert engine.run_sampled(circuit, shots, seed=seed) == run_sampled_reference(
         circuit, shots, seed)
 
@@ -375,20 +359,21 @@ def test_folded_terminal_programs_match_the_references(circuit, seed, shots):
 @given(folding_programs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
 def test_folded_mid_circuit_programs_match_the_references(circuit, seed, shots):
     """Folding ends before the first measure, reset or c_if: the state and
-    bits are the reference loop's, and so are the counts (the sampled
-    reference's where nothing draws before the terminal block)."""
-    assert_run_once_matches(circuit, seed)
+    bits of every end branch are the reference loop's, and so are the
+    counts (the sampled reference's where nothing draws before the
+    terminal block)."""
+    check_end_branches(circuit, shots, seed)
     reference = (run_sampled_reference if sampled_admissible(circuit)
                  else run_shot_loop_reference)
     assert engine.run_shot_loop(circuit, shots, seed=seed) == reference(circuit, shots, seed)
 
 
 @settings(max_examples=25, deadline=None)
-@given(folding_programs(widths=(12, 14)), st.integers(0, 2 ** 32 - 1))
-def test_folded_wide_programs_match_the_reference(circuit, seed):
+@given(folding_programs(widths=(12, 14)), st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+def test_folded_wide_programs_match_the_reference(circuit, seed, shots):
     """12 to 14 qubits: phase tables in rows of 2^11 on the active qubits,
     run cuts at qubits 11 and up where some of them are folded."""
-    assert_run_once_matches(circuit, seed)
+    check_end_branches(circuit, shots, seed)
 
 
 def test_folded_runs_are_cut_on_the_original_qubits():
@@ -407,7 +392,7 @@ def test_folded_runs_are_cut_on_the_original_qubits():
         c.cp(float(rng.uniform(-7, 7)), int(rng.integers(11, 14)), a)
     c.h(0).measure(0, 0).h(12).measure(12, 1)  # the terminal block unfolds 11 and 13
     for seed in range(5):
-        assert_run_once_matches(c, seed)
+        check_end_branches(c, 20, seed)
     counts, counters = engine.run_branched(c, 20, seed=1)
     assert counts == run_sampled_reference(c, 20, 1)
     assert counters["state_qubits"] == 14
@@ -525,8 +510,6 @@ def test_run_branched_restores_the_callers_ufunc_buffer(caller):
         fail = True
         with pytest.raises(ChannelTimeout, match="shot 3"):
             engine.run_shot_loop(c, 5, seed=0, hooks=hooks)
-        assert np.getbufsize() == caller
-        engine.run_once(c, np.random.default_rng(0), hooks)
         assert np.getbufsize() == caller
     finally:
         np.setbufsize(old)

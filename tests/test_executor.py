@@ -23,11 +23,7 @@ from dqcemu.executor import (
 )
 from dqcemu.statevector import GateOp, StateVector, apply_gate
 
-from oracles import haar_single_qubit, reduced_density, state_fidelity
-
-
-def run_merged_once(plan, seed):
-    return engine.run_once(plan.merged, np.random.default_rng(seed))
+from oracles import haar_single_qubit, protocol_end_states, reduced_density, state_fidelity
 
 
 # -- merge bookkeeping ---------------------------------------------------------
@@ -140,37 +136,33 @@ def teledata_circuit(state_params) -> Circuit:
 
 
 def test_teledata_deterministic_one():
-    for seed in range(5):
-        c = Circuit(4, 2, id="td")
-        c.x(0)
-        plan = fresh_plan([1, 1])
-        c.instructions.extend(expand_teledata(plan, 0, 1))
-        state, _ = engine.run_once(c, np.random.default_rng(seed))
-        rho = reduced_density(state.amplitudes, 4, [1])
+    c = Circuit(4, 2, id="td")
+    c.x(0)
+    plan = fresh_plan([1, 1])
+    c.instructions.extend(expand_teledata(plan, 0, 1))
+    for state in protocol_end_states(c):
+        rho = reduced_density(state, 4, [1])
         assert state_fidelity(np.array([0, 1.0]), rho) >= 1 - 1e-10
 
 
 def test_teledata_fidelity_random_states():
+    """Every end branch of each case's run, one per correction, all four
+    corrections in each (`protocol_end_states`)."""
     rng = np.random.default_rng(1717)
-    branches = set()
     for case in range(40):
         params = haar_single_qubit(rng)
         target = np.array([math.cos(params[0] / 2),
                            np.exp(1j * params[1]) * math.sin(params[0] / 2)])
-        for seed in (0, 1, 2):
-            c = teledata_circuit(params)
-            state, bits = engine.run_once(c, np.random.default_rng((case, seed)))
-            rho = reduced_density(state.amplitudes, 4, [1])
+        for state in protocol_end_states(teledata_circuit(params), seed=case):
+            rho = reduced_density(state, 4, [1])
             assert state_fidelity(target, rho) >= 1 - 1e-10
             # sender destroyed: left in a computational basis state
-            rho_s = reduced_density(state.amplitudes, 4, [0])
+            rho_s = reduced_density(state, 4, [0])
             assert max(abs(rho_s[0, 0]), abs(rho_s[1, 1])) >= 1 - 1e-10
             # comm qubits recycled to |0>
             for q in (2, 3):
-                rho_c = reduced_density(state.amplitudes, 4, [q])
+                rho_c = reduced_density(state, 4, [q])
                 assert abs(rho_c[0, 0] - 1) <= 1e-10
-            branches.add((bits[0], bits[1]))
-    assert branches == {(0, 0), (0, 1), (1, 0), (1, 1)}  # all corrections hit
 
 
 def test_teledata_overwrites_receiver():
@@ -179,9 +171,8 @@ def test_teledata_overwrites_receiver():
     c.h(1)  # receiver not |0>
     plan = fresh_plan([1, 1])
     c.instructions.extend(expand_teledata(plan, 0, 1))
-    for seed in range(4):
-        state, _ = engine.run_once(c, np.random.default_rng(seed))
-        rho = reduced_density(state.amplitudes, 4, [1])
+    for state in protocol_end_states(c):
+        rho = reduced_density(state, 4, [1])
         assert state_fidelity(np.array([0, 1.0]), rho) >= 1 - 1e-10
 
 
@@ -193,28 +184,27 @@ def test_teledata_comm_collision():
 
 # -- telegate ------------------------------------------------------------------
 
-def telegate_state(control_prep, body, seed, extra_qubits=2):
-    """Run prep + telegate on (control=0, targets=1..); return final state."""
+def telegate_states(control_prep, body, seed=0, extra_qubits=2):
+    """Run prep + telegate on (control=0, targets=1..); return the state of
+    every end branch (`protocol_end_states`)."""
     total = extra_qubits + 2
     c = Circuit(total, 2, id="tg")
     for name, qubits, params in control_prep:
         c.append(name, qubits, params=params)
     plan = fresh_plan([1] * extra_qubits)
     c.instructions.extend(expand_telegate(plan, 0, body))
-    state, _ = engine.run_once(c, np.random.default_rng(seed))
-    return state
+    return protocol_end_states(c, seed)
 
 
 def test_telegate_crz_matches_direct_gate():
     # control |1>, target |1>: crz(4) phase e^{2i} up to global phase
     prep = [("x", [0], []), ("x", [1], [])]
-    direct = StateVector.zero(2)
+    direct = StateVector(2)
     apply_gate(direct, GateOp("x", (0,)))
     apply_gate(direct, GateOp("x", (1,)))
     apply_gate(direct, GateOp("crz", (0, 1), (4.0,)))
-    for seed in range(4):
-        state = telegate_state(prep, [("crz", [1], [4.0])], seed)
-        rho = reduced_density(state.amplitudes, 4, [0, 1])
+    for state in telegate_states(prep, [("crz", [1], [4.0])]):
+        rho = reduced_density(state, 4, [0, 1])
         assert state_fidelity(direct.amplitudes, rho) >= 1 - 1e-10
 
 
@@ -222,9 +212,8 @@ def test_telegate_remote_cnot_builds_bell():
     prep = [("h", [0], [])]
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / math.sqrt(2)
-    for seed in range(5):
-        state = telegate_state(prep, [("cx", [1], [])], seed)
-        rho = reduced_density(state.amplitudes, 4, [0, 1])
+    for state in telegate_states(prep, [("cx", [1], [])]):
+        rho = reduced_density(state, 4, [0, 1])
         assert state_fidelity(bell, rho) >= 1 - 1e-10
 
 
@@ -235,25 +224,24 @@ def test_telegate_random_cases_match_direct():
         cp = haar_single_qubit(rng)
         tp = haar_single_qubit(rng)
         name, params = bodies[case % len(bodies)]
-        direct = StateVector.zero(2)
+        direct = StateVector(2)
         apply_gate(direct, GateOp("u", (0,), cp))
         apply_gate(direct, GateOp("u", (1,), tp))
         apply_gate(direct, GateOp(name, (0, 1), tuple(params)))
         prep = [("u", [0], list(cp)), ("u", [1], list(tp))]
-        state = telegate_state(prep, [(name, [1], list(params))], seed=case)
-        rho = reduced_density(state.amplitudes, 4, [0, 1])
-        assert state_fidelity(direct.amplitudes, rho) >= 1 - 1e-10
-        for q in (2, 3):
-            rho_c = reduced_density(state.amplitudes, 4, [q])
-            assert abs(rho_c[0, 0] - 1) <= 1e-10
+        for state in telegate_states(prep, [(name, [1], list(params))], seed=case):
+            rho = reduced_density(state, 4, [0, 1])
+            assert state_fidelity(direct.amplitudes, rho) >= 1 - 1e-10
+            for q in (2, 3):
+                rho_c = reduced_density(state, 4, [q])
+                assert abs(rho_c[0, 0] - 1) <= 1e-10
 
 
 def test_telegate_identity_body_preserves_control():
     prep = [("h", [0], [])]
     plus = np.array([1, 1]) / math.sqrt(2)
-    for seed in range(5):
-        state = telegate_state(prep, [("crz", [1], [0.0])], seed)
-        rho = reduced_density(state.amplitudes, 4, [0])
+    for state in telegate_states(prep, [("crz", [1], [0.0])]):
+        rho = reduced_density(state, 4, [0])
         assert state_fidelity(plus, rho) >= 1 - 1e-10
 
 

@@ -161,6 +161,21 @@ def test_non_object_frame_gets_schema_violation(service, payload):
     sock.close()
 
 
+@pytest.mark.parametrize("job_id", [[1], {"id": "j"}, 7, "", None, "absent"])
+@pytest.mark.parametrize("kind, name", [
+    ("run", "vqpu"), ("run", "executor"), ("result", "vqpu"), ("result", "executor"),
+    ("upgrade_parameters", "vqpu")])
+def test_a_malformed_job_id_is_a_schema_violation(kind, name, job_id):
+    """Every frame that names a job answers a job id that is not a
+    non-empty string with SchemaViolation at `job_id`, not InternalError."""
+    frame = {"type": kind, "config": {"shots": 1}, "params": []}
+    if job_id != "absent":
+        frame["job_id"] = job_id
+    reply = SERVICES[name]()._dispatch(frame)
+    assert (reply["code"], reply["message"]) == (
+        "SchemaViolation", "job_id: expected a non-empty string")
+
+
 def test_frame_cut_mid_payload(service):
     raw = socket.create_connection((service.host, service.port), timeout=1.0)
     raw.sendall(struct.pack(">I", 100) + b"x" * 10)

@@ -31,20 +31,20 @@ from oracles import (
 
 
 def bell_state() -> StateVector:
-    s = StateVector.zero(2)
+    s = StateVector(2)
     apply_gate(s, GateOp("h", (0,)))
     apply_gate(s, GateOp("cx", (0, 1)))
     return s
 
 
 def test_hadamard_on_zero():
-    s = StateVector.zero(1)
+    s = StateVector(1)
     apply_gate(s, GateOp("h", (0,)))
     assert np.allclose(s.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_x_is_little_endian():
-    s = StateVector.zero(2)
+    s = StateVector(2)
     apply_gate(s, GateOp("x", (0,)))
     expected = np.zeros(4)
     expected[1] = 1.0  # qubit 0 flips the least significant index bit
@@ -54,7 +54,7 @@ def test_x_is_little_endian():
 def test_little_endian_consistency_all_positions():
     for n in range(1, 11):
         for k in range(n):
-            s = StateVector.zero(n)
+            s = StateVector(n)
             apply_gate(s, GateOp("x", (k,)))
             assert abs(s.amplitudes[1 << k] - 1.0) < 1e-12
             assert abs(np.sum(np.abs(s.amplitudes)) - 1.0) < 1e-12
@@ -62,7 +62,7 @@ def test_little_endian_consistency_all_positions():
 
 def test_crz_phase_against_matrix_oracle():
     # crz(4) on |11> with control=1, target=0 -> e^{2i}|11>
-    s = StateVector.zero(2)
+    s = StateVector(2)
     apply_gate(s, GateOp("x", (0,)))
     apply_gate(s, GateOp("x", (1,)))
     apply_gate(s, GateOp("crz", (1, 0), (4.0,)))
@@ -221,7 +221,7 @@ def test_swept_gates_match_the_matrix_oracle():
     with mock.patch.object(statevector, "SWEEP_QUBITS", 3):
         kernels = compile_gates(n, gates)
     assert len(kernels) < len(compile_gates(n, gates))  # no sweep at 8 qubits
-    amps = StateVector.zero(n).amplitudes
+    amps = StateVector(n).amplitudes
     for kernel, _ in kernels:
         kernel(amps)
     assert np.allclose(amps, statevector_by_matmul(c), rtol=0, atol=1e-12)
@@ -352,7 +352,7 @@ def test_measure_and_reset_match_projector_oracle(n, data, seed):
 
 
 def test_measure_deterministic_basis_state():
-    s = StateVector.zero(1)
+    s = StateVector(1)
     apply_gate(s, GateOp("x", (0,)))
     outcome, s = measure_qubit(s, 0, np.random.default_rng(0))
     assert outcome == 1
@@ -373,7 +373,7 @@ def test_bell_collapse_matches_density_oracle():
 def test_measure_seed_determinism():
     results = set()
     for _ in range(5):
-        s = StateVector.zero(1)
+        s = StateVector(1)
         apply_gate(s, GateOp("h", (0,)))
         outcome, _ = measure_qubit(s, 0, np.random.default_rng(42))
         results.add(outcome)
@@ -381,7 +381,7 @@ def test_measure_seed_determinism():
 
 
 def test_reset_one_to_zero():
-    s = StateVector.zero(1)
+    s = StateVector(1)
     apply_gate(s, GateOp("x", (0,)))
     s = reset_qubit(s, 0, np.random.default_rng(1))
     assert np.allclose(s.amplitudes, [1, 0])
@@ -389,7 +389,7 @@ def test_reset_one_to_zero():
 
 def test_reset_superposition_any_seed():
     for seed in range(8):
-        s = StateVector.zero(1)
+        s = StateVector(1)
         apply_gate(s, GateOp("h", (0,)))
         s = reset_qubit(s, 0, np.random.default_rng(seed))
         assert np.allclose(s.amplitudes, [1, 0], atol=1e-12)
@@ -407,7 +407,7 @@ def test_reset_disentangles_bell_qubit():
 
 
 def test_qubit_out_of_range():
-    s = StateVector.zero(2)
+    s = StateVector(2)
     with pytest.raises(QubitOutOfRange):
         apply_gate(s, GateOp("x", (2,)))
     with pytest.raises(QubitOutOfRange):
@@ -428,7 +428,7 @@ def test_zero_norm_detected():
 def test_norm_preserved_by_random_gate_sequences(seed, n, gates):
     rng = np.random.default_rng(seed)
     circuit = random_unitary_circuit(rng, n, gates)
-    s = StateVector.zero(n)
+    s = StateVector(n)
     for ins in circuit.instructions:
         apply_gate(s, GateOp(ins.name, tuple(ins.qubits), tuple(ins.params)))
     assert abs(s.norm() - 1.0) <= 1e-12
