@@ -33,6 +33,7 @@ from .errors import (
     NotSupported,
     PeerUnreachable,
     UnknownPeerId,
+    UnreadableReply,
     ValidationFailed,
 )
 from .protocol import (
@@ -63,7 +64,9 @@ class QpuConnection:
     lock, with a single reconnect attempt on transport failure, after which
     the server counts as gone (PeerUnreachable). A reply that does not come
     within the request's `wait_ms` and REPLY_TIMEOUT_S is such a failure,
-    so a request to a frozen server ends within twice that."""
+    so a request to a frozen server ends within twice that. A reply that
+    `recv_frame` refuses closes the session, whose stream may hold its
+    unread payload, and raises UnreadableReply; the next request reconnects."""
 
     def __init__(self, host: str, port: int, frame_log: list[str] | None = None):
         self.host = host
@@ -83,15 +86,16 @@ class QpuConnection:
         timeout = frame.get("wait_ms", 0) / 1000 + REPLY_TIMEOUT_S
         with self._lock:
             self.frame_log.append(frame.get("type", "?"))
-            try:
-                return request(self._ensure(timeout), frame)
-            except (ConnectionClosed, OSError):
-                self.close_locked()
-            try:
-                return request(self._ensure(timeout), frame)
-            except (ConnectionClosed, OSError) as exc:
-                self.close_locked()
-                raise PeerUnreachable(f"{self.host}:{self.port}: {exc}") from exc
+            for attempt in (1, 2):
+                try:
+                    return request(self._ensure(timeout), frame)
+                except (ConnectionClosed, OSError) as exc:
+                    self.close_locked()
+                    if attempt == 2:
+                        raise PeerUnreachable(f"{self.host}:{self.port}: {exc}") from exc
+                except ValueError as exc:  # an oversized header or a payload not JSON
+                    self.close_locked()
+                    raise UnreadableReply(f"{self.host}:{self.port}: {exc}") from exc
 
     def close_locked(self):
         if self._sock is not None:
@@ -174,8 +178,8 @@ class QJob:
         try:
             reply = self.connection.request(
                 {"type": "result", "job_id": self.job_id, "wait_ms": wait_ms})
-        except PeerUnreachable as exc:
-            reply = {"type": "error", "code": "PeerUnreachable", "message": str(exc)}
+        except (PeerUnreachable, UnreadableReply) as exc:
+            reply = {"type": "error", "code": type(exc).__name__, "message": str(exc)}
         kind = reply.get("type")
         if kind == "result":
             self.cached_result = ResultRecord(
@@ -250,8 +254,8 @@ def _submit(connection: QpuConnection, job_id: str, config: dict,
     try:
         reply = connection.request({"type": "run", "job_id": job_id, **circuits,
                                     "config": config})
-    except PeerUnreachable as exc:
-        raise JobFailed(job_id, f"PeerUnreachable: {exc}") from exc
+    except (PeerUnreachable, UnreadableReply) as exc:
+        raise JobFailed(job_id, f"{type(exc).__name__}: {exc}") from exc
     if reply.get("type") != "ack":
         raise JobFailed(job_id, f"{reply.get('code')}: {reply.get('message')}")
 

@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -147,7 +147,7 @@ class _Program:
 class _Branch:
     amps: np.ndarray
     bits: int  # packed classical register; clbit c is bit c
-    shots: np.ndarray  # rows of the chunk's shots that share this history
+    shots: np.ndarray | range  # rows of the chunk's shots that share this history
 
 
 def _compile(circuit, outputs: int | None = None) -> _Program:
@@ -371,14 +371,15 @@ def _at_shot(exc: EmulatorError, shot: int) -> EmulatorError:
     return type(exc)(f"shot {shot}: {exc}")
 
 
-def _root(prog: _Program, shots: int) -> _Branch:
-    """Every shot in one branch, in |0...0> on the START_WIDTH lowest
-    qubits, every other qubit folded at 0. The state is the head of one
-    array of the job's widest state's amplitudes, in which its growth steps
-    spread it (`statevector.Grow`)."""
+def _root(prog: _Program, shots: np.ndarray | range) -> _Branch:
+    """The branch of every shot, `shots` its rows (a range where no row is
+    drawn), in |0...0> on the START_WIDTH lowest qubits, every other qubit
+    folded at 0. The state is the head of one array of the job's widest
+    state's amplitudes, in which its growth steps spread it
+    (`statevector.Grow`)."""
     buf = np.zeros(1 << prog.widest, dtype=np.complex128)
     buf[0] = 1.0
-    return _Branch(buf[:1 << min(prog.num_qubits, START_WIDTH)], 0, np.arange(shots))
+    return _Branch(buf[:1 << min(prog.num_qubits, START_WIDTH)], 0, shots)
 
 
 def _walk(prog: _Program, ops: list[_Op], branches: list[_Branch],
@@ -401,21 +402,22 @@ def _walk(prog: _Program, ops: list[_Op], branches: list[_Branch],
     return branches, peak, shot_ids
 
 
-def _sample_block(prog: _Program, branch: _Branch, seed) -> np.ndarray:
+def _sample_block(prog: _Program, branch: _Branch, seed) -> Iterator[np.ndarray]:
     """The basis state each shot of a job draws for the terminal block of a
-    branch of every shot: one draw per shot over the full distribution from
-    job_rng(seed) (`statevector.sample_basis`, the draws of `choice`), which
-    takes the branch's state, its last use. Where qubits are still folded,
-    the draw is over the active qubits' distribution and a folded qubit
-    reads its bit, unless the state is unfolded first (`prog.expand`), in
-    its own array."""
+    branch of every shot, a piece of shots at a time: one draw per shot over
+    the full distribution from job_rng(seed) (`statevector.sample_basis`,
+    the draws of `choice`), which takes the branch's state, its last use.
+    Where qubits are still folded, the draw is over the active qubits'
+    distribution and a folded qubit reads its bit, unless the state is
+    unfolded first (`prog.expand`), in its own array."""
     amps, branch.amps = branch.amps, None
     if prog.expand:
         amps = _unfold(prog.end)(amps)
-    outcomes = sample_basis(amps, job_rng(seed), len(branch.shots))
-    if not prog.expand:  # the active qubits are the lowest: set the folded bits
-        outcomes += sum(bit << q for q, bit in prog.end.bits.items())
-    return outcomes
+    # the active qubits are the lowest: set the folded bits
+    folded = 0 if prog.expand else sum(bit << q for q, bit in prog.end.bits.items())
+    for outcomes in sample_basis(amps, job_rng(seed), len(branch.shots)):
+        outcomes += folded
+        yield outcomes
 
 
 def _descend_block(prog: _Program, branch: _Branch, uniforms: np.ndarray,
@@ -471,8 +473,8 @@ def run_branched(circuit, shots: int, seed=None,
     first one's at least, and cuts the chunk to that prefix as a draw's cut
     does, so peers need not agree on chunk boundaries. Each end branch
     resolves the terminal block (`_descend_block`); a job that draws
-    nothing before it is one branch, sampled at once (`_sample_block`),
-    unless it is channel-linked.
+    nothing before it is one branch, sampled at once (`_sample_block`) and
+    tallied a piece of shots at a time, unless it is channel-linked.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -492,6 +494,18 @@ def run_branched(circuit, shots: int, seed=None,
     in_place = all(c == q for c, q in writer.items())
     tally: Counter[int] = Counter()
 
+    def codes(bits: int, outcome: Callable[[int], np.ndarray]) -> np.ndarray:
+        """Shots' clbits: `bits` but for each block clbit, the outcome of the
+        qubit measured into it last."""
+        out = bits & ~written
+        for c, q in writer.items():
+            out = out | outcome(q) << c
+        return out
+
+    def add(clbits: np.ndarray) -> None:
+        values, counts = np.unique(clbits & mask, return_counts=True)
+        tally.update(dict(zip(values.tolist(), counts.tolist())))
+
     def count(ends: list[_Branch], rows: np.ndarray | None, ids: range) -> None:
         """Count the end branches' shots past the terminal block; `rows`
         holds the chunk's uniforms, None where nothing is drawn. Where each
@@ -500,25 +514,17 @@ def run_branched(circuit, shots: int, seed=None,
         for b in ends:
             if not prog.block:
                 tally[b.bits & mask] += len(b.shots)
-                continue
-            if rows is None:
-                drawn = _sample_block(prog, b, seed)
-                outcome = lambda q: (drawn >> q) & 1  # noqa: E731
+            elif rows is not None:
+                add(codes(b.bits, _descend_block(
+                    prog, b, rows[b.shots, prog.draws - len(prog.block):].T, ids)))
             else:
-                outcome = _descend_block(
-                    prog, b, rows[b.shots, prog.draws - len(prog.block):].T, ids)
-            if rows is None and in_place:
-                codes = drawn & written | b.bits & ~written
-            else:
-                codes = b.bits & ~written
-                for c, q in writer.items():
-                    codes = codes | outcome(q) << c
-            values, counts = np.unique(codes & mask, return_counts=True)
-            tally.update(dict(zip(values.tolist(), counts.tolist())))
+                for drawn in _sample_block(prog, b, seed):
+                    add(drawn & written | b.bits & ~written if in_place
+                        else codes(b.bits, lambda q: (drawn >> q) & 1))  # noqa: B023
 
     if prog.draws == len(prog.block) and not any(  # one branch of every shot
             op.kind in ("send", "recv") for op in prog.walked):
-        ends, peak, _ = _walk(prog, prog.walked, [_root(prog, shots)], None,
+        ends, peak, _ = _walk(prog, prog.walked, [_root(prog, range(shots))], None,
                               range(shots), hooks)
         count(ends, None, range(shots))
         return ({format_key(c, prog.outputs): n for c, n in sorted(tally.items())},
@@ -543,7 +549,8 @@ def run_branched(circuit, shots: int, seed=None,
         ids = range(start, min(start + size, shots))
         stream.random(out=rows[drawn:len(ids)])
         drawn = max(drawn, len(ids))
-        ends, chunk_peak, kept = _walk(prog, prog.walked, [_root(prog, len(ids))],
+        ends, chunk_peak, kept = _walk(prog, prog.walked,
+                                       [_root(prog, np.arange(len(ids)))],
                                        iter(rows.T).__next__, ids, hooks, room)
         count(ends, rows, kept)
         drawn -= len(kept)

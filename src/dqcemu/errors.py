@@ -113,6 +113,10 @@ class Evicted(EmulatorError):
     """The job finished and its result was dropped to bound the vQPU's memory."""
 
 
+class ReplyTooLarge(EmulatorError):
+    """The job's result reply is larger than a frame, so no client could read it."""
+
+
 # --- quantum executor ---
 
 class DanglingProtocol(EmulatorError):
@@ -179,6 +183,11 @@ class InvalidState(EmulatorError):
     pass
 
 
+class UnreadableReply(EmulatorError):
+    """A server's reply frame was refused: its header is over the frame cap
+    or its payload is not JSON."""
+
+
 class JobFailed(EmulatorError):
     def __init__(self, job_id: str, cause: str):
         self.job_id = job_id
@@ -204,7 +213,7 @@ ERROR_CODES = {
         UnsupportedInstruction, WidthExceeded, WidthMismatch, StraddlingGate,
         IndexOutOfRange, SelfLink, EmptyBody, NotSupported,
         PeerUnreachable, ChannelTimeout, EpochMismatch,
-        BindFailure, QueueFull, UnknownJob, NoParamSlots, Evicted,
+        BindFailure, QueueFull, UnknownJob, NoParamSlots, Evicted, ReplyTooLarge,
         DanglingProtocol, MergeDeadlock, DuplicateId, CommQubitCollision,
         CommModeMismatch, InvalidState, NotEnoughQpus, UnknownPeerId,
     ]

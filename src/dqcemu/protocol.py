@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import engine, registry
 from .backend import BackendSpec, backend_from_obj, backend_to_obj, default_backend
-from .errors import BindFailure, EmulatorError, Evicted, SchemaViolation
+from .errors import BindFailure, EmulatorError, Evicted, ReplyTooLarge, SchemaViolation
 from .wire import _is_int
 
 _HEADER = struct.Struct(">I")
@@ -37,9 +37,10 @@ DRAIN_S = 10.0  # bound on the work a shutdown or TTL expiry waits for
 QUEUE_SIZE = 64  # tasks a service holds queued; past it `run` gets QueueFull
 #: cap on a `result` frame's wait_ms: how long it may wait for its job
 RESULT_WAIT_MAX_MS = 1000
-#: finished jobs whose result, error and kept task a service keeps; past it
-#: the one that finished first is evicted, its id kept as "evicted" (a
-#: `result` answers Evicted) for as many ids again, then forgotten (UnknownJob)
+#: finished jobs whose encoded reply and kept task a service keeps; past it,
+#: or past MAX_FRAME_BYTES of their replies, the one that finished first is
+#: evicted, its id kept as "evicted" (a `result` answers Evicted) for as many
+#: ids again, then forgotten (UnknownJob)
 MAX_FINISHED_JOBS = 256
 #: bound on the wait of a family's first member, once it stops, for the
 #: members it forked: a shutdown or TTL expiry drains each within DRAIN_S
@@ -60,8 +61,14 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-def send_frame(sock: socket.socket, obj: dict) -> None:
-    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+def encode(obj) -> bytes:
+    """A frame's payload: `obj` as compact UTF-8 JSON."""
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def send_frame(sock: socket.socket, obj: dict | bytes) -> None:
+    """Send `obj` as one frame; bytes are a payload encoded already."""
+    payload = obj if isinstance(obj, bytes) else encode(obj)
     sock.sendall(_HEADER.pack(len(payload)) + payload)
 
 
@@ -174,8 +181,7 @@ class Job:
     """A row of the job table."""
     state: str  # queued|running|done|failed|evicted
     task: object = None  # what `_execute` runs; kept once done if `_rerunnable`
-    record: object = None  # the result, once done
-    failure: tuple[str, str] | None = None  # (code, message), once failed
+    reply: bytes | None = None  # the encoded `result` reply, once done or failed
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -215,11 +221,13 @@ class FramedService:
     job id the table holds is acked again and runs nothing, any other task
     is queued with `_queue`. The `simulator` thread runs the
     queued tasks one at a time with `_execute` and adds to each result
-    record the time its task waited in the queue (`queue_wait`).
-    `result` answers a job's result or error, waiting up to `wait_ms` for a
-    pending one. Past MAX_FINISHED_JOBS finished jobs the one that finished
-    first is evicted, and past as many evicted ids the one evicted first is
-    forgotten, so the table holds at most 2 * MAX_FINISHED_JOBS finished jobs.
+    record the time its task waited in the queue (`queue_wait`). A finished
+    job keeps the reply `result` sends for it, its result or error encoded
+    once. `result` answers it, waiting up to `wait_ms` for a pending job.
+    Past MAX_FINISHED_JOBS finished jobs, or MAX_FRAME_BYTES bytes of their
+    replies, the one that finished first is evicted, and past as many
+    evicted ids the one evicted first is forgotten, so the table holds at
+    most 2 * MAX_FINISHED_JOBS finished jobs.
 
     Each frame is answered by `handlers[frame type]`, frames without a type
     by `handlers[None]` where there is one; a reply of None sends nothing. A
@@ -254,7 +262,8 @@ class FramedService:
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)  # a job done or failed
         self._jobs: dict[str, Job] = {}
-        self._finished: dict[str, None] = {}  # done or failed, first finished first
+        self._finished: dict[str, int] = {}  # reply bytes, first finished first
+        self._stored = 0  # bytes of the finished jobs' replies
         self._evicted: dict[str, None] = {}  # first evicted first
 
     def _decode(self, job_id: str, frame: dict, config: dict):
@@ -371,13 +380,13 @@ class FramedService:
             return error_frame("QueueFull", "task queue is full, retry later",
                                retriable=True)
         self._begin_work()
-        self._finished.pop(task.job_id, None)  # a job run again finishes anew
+        self._stored -= self._finished.pop(task.job_id, 0)  # a job run again finishes anew
         self._jobs[task.job_id] = Job("queued", task)
         return {"type": "ack", "job_id": task.job_id}
 
-    def _handle_result(self, frame: dict) -> dict:
-        """The job's result or error, or its state while it is pending; with
-        `wait_ms`, a pending job is waited for up to that long."""
+    def _handle_result(self, frame: dict) -> dict | bytes:
+        """The job's encoded result or error, or its state while it is
+        pending; with `wait_ms`, a pending job is waited for up to that long."""
         job_id, wait_ms = job_id_of(frame), frame.get("wait_ms", 0)
         if (isinstance(wait_ms, bool) or not isinstance(wait_ms, int)
                 or not 0 <= wait_ms <= RESULT_WAIT_MAX_MS):
@@ -392,10 +401,8 @@ class FramedService:
                 return error_frame("UnknownJob", f"no job {job_id!r}", job_id=job_id)
             if job.state == "evicted":
                 return _evicted(job_id)
-            if job.state == "failed":
-                return error_frame(*job.failure, job_id=job_id)
-            if job.state == "done":
-                return job.record.to_obj()
+            if job.reply is not None:
+                return job.reply
             return {"type": "ack", "job_id": job_id, "state": job.state}
 
     def _sim_worker(self) -> None:
@@ -408,34 +415,44 @@ class FramedService:
             try:
                 record = self._execute(task)
                 record.metadata["queue_wait"] = queue_wait
-                with self._settled:
-                    self._finish(task.job_id, record=record,
-                                 task=task if self._rerunnable(task) else None)
+                self._finish(task, record.to_obj())
             except Exception as exc:  # crash isolation
-                with self._settled:
-                    self._finish(task.job_id, failure=error_code(exc))
+                self._finish(task, failure=error_code(exc))
             finally:
                 with self._lock:
                     self._busy = False
                 self._end_work()
 
-    def _finish(self, job_id: str, record=None, failure=None, task=None) -> None:
-        """Record that `job_id` is done (with `record`) or failed (with
-        `failure`), evict the jobs that finished first beyond
-        MAX_FINISHED_JOBS, forget the ids evicted first beyond as many, and
-        wake the blocked `result`s; the caller holds the lock."""
-        self._jobs[job_id] = Job("failed" if failure else "done", task, record,
-                                 failure)
-        self._finished[job_id] = None
-        while len(self._finished) > MAX_FINISHED_JOBS:
-            old = next(iter(self._finished))
-            del self._finished[old]
-            self._jobs[old] = Job("evicted")
-            self._evicted[old] = None
-        while len(self._evicted) > MAX_FINISHED_JOBS:
-            old = next(iter(self._evicted))
-            del self._evicted[old], self._jobs[old]
-        self._settled.notify_all()
+    def _finish(self, task, result: dict | None = None, failure=None) -> None:
+        """Record that `task`'s job is done with `result` or failed with
+        `failure` (code, message), keeping the reply `result` sends for it,
+        encoded here, outside the lock; a result larger than a frame fails
+        the job with ReplyTooLarge, as no client could read it. Then evict
+        the jobs that finished first beyond MAX_FINISHED_JOBS jobs or
+        MAX_FRAME_BYTES bytes of replies, forget the ids evicted first
+        beyond MAX_FINISHED_JOBS, and wake the blocked `result`s."""
+        reply = None if result is None else encode(result)
+        if reply is not None and len(reply) > MAX_FRAME_BYTES:
+            reply, failure = None, error_code(ReplyTooLarge(
+                f"the result of {len(reply)} bytes exceeds the {MAX_FRAME_BYTES} "
+                "bytes a frame may carry"))
+        if reply is None:
+            reply = encode(error_frame(*failure, job_id=task.job_id))
+        kept = task if failure is None and self._rerunnable(task) else None
+        with self._settled:
+            self._jobs[task.job_id] = Job("failed" if failure else "done", kept, reply)
+            self._finished[task.job_id] = len(reply)
+            self._stored += len(reply)
+            while (len(self._finished) > MAX_FINISHED_JOBS
+                   or self._stored > MAX_FRAME_BYTES):
+                old = next(iter(self._finished))
+                self._stored -= self._finished.pop(old)
+                self._jobs[old] = Job("evicted")
+                self._evicted[old] = None
+            while len(self._evicted) > MAX_FINISHED_JOBS:
+                old = next(iter(self._evicted))
+                del self._evicted[old], self._jobs[old]
+            self._settled.notify_all()
 
     def _handle_status(self, frame: dict) -> dict:
         return {"type": "ack", "state": "busy" if self._busy else "idle",

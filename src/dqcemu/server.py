@@ -37,6 +37,7 @@ from .protocol import (
     ServiceConfig,
     _evicted,
     connect,
+    encode,
     error_code,
     error_frame,
     job_id_of,
@@ -227,9 +228,11 @@ class VqpuServer(FramedService):
             while self._held > MAX_HELD_BITS:  # fail the job held longest
                 oldest = next(j for j, box in self._inboxes.items() if box.limit is None)
                 self._held -= self._inboxes.pop(oldest).size
-                self._jobs[oldest] = Job("failed", failure=error_code(ChannelTimeout(
+                dropped = ChannelTimeout(
                     f"more than {MAX_HELD_BITS} bytes of bits came for parts not "
-                    f"acked yet; those of job {oldest!r}, held longest, were dropped")))
+                    f"acked yet; those of job {oldest!r}, held longest, were dropped")
+                self._jobs[oldest] = Job("failed", reply=encode(
+                    error_frame(*error_code(dropped), job_id=oldest)))
                 self._ghosts[oldest] = None
                 if len(self._ghosts) > MAX_FINISHED_JOBS:
                     del self._jobs[(gone := next(iter(self._ghosts)))], self._ghosts[gone]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -566,15 +566,17 @@ def move_to_zero(amplitudes: np.ndarray, qubit: int) -> None:
 
 
 def sample_basis(amplitudes: np.ndarray, rng: np.random.Generator, shots: int
-                 ) -> np.ndarray:
+                 ) -> Iterator[np.ndarray]:
     """`shots` basis states drawn with probabilities |a|^2 / sum |a|^2, the
-    draws `rng.choice(len(amplitudes), shots, p=...)` makes: the table of
-    cumulative probabilities, divided by its last entry, searched
-    (side="right") for `rng.random(shots)`. The table is built in the
-    amplitudes' own array, which holds garbage after: |a|^2 of each piece
-    of SLAB amplitudes goes to floats that only amplitudes already read
-    used, and each piece's cumulative sum starts from the last one's total
-    added to its first entry, the order of one `cumsum`."""
+    draws `rng.choice(len(amplitudes), shots, p=...)` makes, in pieces of
+    SLAB shots: the table of cumulative probabilities, divided by its last
+    entry, searched (side="right") for `rng.random(shots)`, drawn a piece at
+    a time (doubles drawn in pieces are those of one draw). The table is
+    built by the call, before any piece is drawn, in the amplitudes' own
+    array, which holds garbage after: |a|^2 of each piece of SLAB
+    amplitudes goes to floats that only amplitudes already read used, and
+    each piece's cumulative sum starts from the last one's total added to
+    its first entry, the order of one `cumsum`."""
     n = len(amplitudes)
     probs = amplitudes.view(np.float64)[:n]
     buf = np.empty(min(n, SLAB))
@@ -595,7 +597,8 @@ def sample_basis(amplitudes: np.ndarray, rng: np.random.Generator, shots: int
         part[...] = buf[:len(part)]
         carry = part[-1]
     probs /= probs[-1]
-    return probs.searchsorted(rng.random(shots), side="right")
+    return (probs.searchsorted(rng.random(min(SLAB, shots - start)), side="right")
+            for start in range(0, shots, SLAB))
 
 
 def measure_qubit(state: StateVector, qubit: int,

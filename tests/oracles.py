@@ -275,7 +275,7 @@ def check_end_branches(circuit: Circuit, shots: int, seed, outputs: int | None =
         circuit.instructions[i].qubits, circuit.instructions[i].clbits)]
     assert sorted(s for _, _, ids in ends for s in ids) == list(range(shots))
     outputs = circuit.num_clbits if outputs is None else outputs
-    kept = (1 << outputs) - 1 & ~sum(1 << c for _, c in prog.block)
+    kept = (1 << outputs) - 1 & ~sum(1 << c for c in {c for _, c in prog.block})
     for state, bits, ids in ends:
         # where the walk draws nothing, every shot runs alike
         for s in ids if prog.draws > len(prog.block) else ids[:1]:

@@ -255,7 +255,7 @@ def budgeted_run(monkeypatch, circuit, shots, seed, budget, **kw):
     monkeypatch.setattr(engine, "BRANCH_BUDGET_BYTES", budget)
     starts, root = [], engine._root
     monkeypatch.setattr(engine, "_root",
-                        lambda prog, shots: (starts.append(shots), root(prog, shots))[1])
+                        lambda prog, rows: (starts.append(len(rows)), root(prog, rows))[1])
     counts, counters = engine.run_branched(circuit, shots, seed=seed, **kw)
     return counts, counters, max(starts)
 
@@ -584,7 +584,7 @@ def test_terminal_block_raises_zero_norm_where_a_collapse_would():
     c.ry(1e-7, 0).h(1).measure(1, 1).measure(0, 0)  # P(qubit 0 = 1) ~ 2.5e-15
     prog = engine._compile(c)
     assert prog.block == [(1, 1), (0, 0)]
-    (branch,), _, _ = engine._walk(prog, prog.walked, [engine._root(prog, 3)], None,
+    (branch,), _, _ = engine._walk(prog, prog.walked, [engine._root(prog, np.arange(3))], None,
                                    range(10, 13), engine.null_hooks())
     uniforms = np.array([[0.2, 0.6, 0.9], [0.5, 0.0, 0.3]])  # shot 11 takes 1
     with pytest.raises(ZeroNorm, match="shot 11"):

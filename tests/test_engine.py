@@ -425,7 +425,7 @@ def walk_kernels(circuit: Circuit, bufsize: int) -> np.ndarray:
     size `bufsize`."""
     prog = engine._compile(circuit)
     assert {op.kind for op in prog.walked} == {"gate", "grow"}
-    amps = engine._root(prog, 1).amps
+    amps = engine._root(prog, range(1)).amps
     old = np.setbufsize(bufsize)
     try:
         for op in prog.walked:

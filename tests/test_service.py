@@ -1,8 +1,10 @@
 """The service skeleton both server processes share: dispatch and error
-mapping, the job table with its idempotent `run`, the drain path of
-`shutdown` and TTL expiry, and faults (a peer that dies, a frame cut off
-mid-payload)."""
+mapping, the job table with its idempotent `run` and its encoded replies,
+the drain path of `shutdown` and TTL expiry, and faults (a peer that dies,
+a frame cut off mid-payload, a reply the client cannot read)."""
 
+import contextlib
+import json
 import os
 import signal
 import socket
@@ -12,10 +14,10 @@ import time
 
 import pytest
 
-from dqcemu import registry
+from dqcemu import protocol, registry
 from dqcemu.circuit import Circuit
-from dqcemu.client import get_qpus, run, run_distributed
-from dqcemu.errors import JobFailed
+from dqcemu.client import QpuConnection, get_qpus, run, run_distributed
+from dqcemu.errors import JobFailed, UnreadableReply
 from dqcemu.executor import ExecutorServer
 from dqcemu.orchestrator import _probe_status
 from dqcemu.protocol import (
@@ -296,3 +298,124 @@ def test_killed_vqpu_fails_its_job_with_peer_unreachable(raise_family):
         job.wait()
     assert time.monotonic() - t0 < 2.0
     assert job.state == "failed" and job.poll() == "failed"
+
+
+# -- the reply table: a finished job keeps its encoded `result` reply -------
+
+
+def all_h_frame(service, job_id, shots, seed=1) -> dict:
+    """The `run` frame of a 12-qubit all-`h` job, whose reply lists about as
+    many counts as it has shots, up to 4,096: the circuit on a vQPU; on the
+    executor a program of it and an idle one-qubit peer."""
+    c = Circuit(12, 12, id="all-h")
+    for q in range(12):
+        c.h(q)
+    c.measure(list(range(12)), list(range(12)))
+    config = {"shots": shots, "seed": seed}
+    if isinstance(service, VqpuServer):
+        return run_frame(job_id, c, **config)
+    return {"type": "run", "job_id": job_id, "config": config,
+            "circuits": [circuit_to_obj(c), circuit_to_obj(Circuit(1, 0, id="idle"))]}
+
+
+def raw_reply(sock, frame) -> bytes:
+    """The payload of the reply to `frame`, as it came over the wire."""
+    send_frame(sock, frame)
+    (length,) = struct.unpack(">I", sock.recv(4, socket.MSG_WAITALL))
+    return sock.recv(length, socket.MSG_WAITALL)
+
+
+def test_a_done_job_keeps_the_reply_its_record_encodes_to(service):
+    """The stored reply of a done job is its ResultRecord's `to_obj()` as
+    compact JSON, byte for byte, and `result` sends those bytes."""
+    records = []
+    execute = service._execute
+    service._execute = lambda task: (records.append(execute(task)), records[-1])[1]
+    sock = open_conn(service)
+    assert request(sock, all_h_frame(service, "enc", 300))["type"] == "ack"
+    reply = wait_result(sock, "enc")
+    (record,) = records
+    want = json.dumps(record.to_obj(), separators=(",", ":")).encode("utf-8")
+    assert reply == record.to_obj() and "queue_wait" in reply["metadata"]
+    with service._lock:
+        assert service._jobs["enc"].reply == want
+    assert raw_reply(sock, {"type": "result", "job_id": "enc"}) == want
+    sock.close()
+
+
+def test_stored_replies_stay_under_a_frame_and_evict_oldest_first(service, monkeypatch):
+    """With a 64 KiB frame cap, 12-qubit all-`h` jobs of about 14 KiB of
+    reply each are kept only while their replies fit in one frame: past it
+    the job that finished first is evicted (`Evicted`), long before
+    MAX_FINISHED_JOBS jobs."""
+    cap = 64 << 10
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", cap)
+    sock = open_conn(service)
+    sizes = []
+    for i in range(10):
+        assert request(sock, all_h_frame(service, f"h{i}", 1000, seed=i))["type"] == "ack"
+        assert wait_result(sock, f"h{i}")["type"] == "result"
+        with service._lock:
+            sizes.append(len(service._jobs[f"h{i}"].reply))
+            stored = sum(len(job.reply) for job in service._jobs.values() if job.reply)
+            assert stored == service._stored <= cap
+    answers = [request(sock, {"type": "result", "job_id": f"h{i}"}) for i in range(10)]
+    kept = [a["type"] == "result" for a in answers]
+    assert kept == sorted(kept) and 1 < sum(kept) < 10  # an evicted prefix
+    assert {a["code"] for a in answers if a["type"] == "error"} == {"Evicted"}
+    assert sum(sizes[kept.index(True):]) <= cap < sum(sizes[kept.index(True) - 1:])
+    sock.close()
+
+
+def test_a_reply_larger_than_a_frame_fails_its_job(service, monkeypatch):
+    """A result whose reply alone is larger than MAX_FRAME_BYTES could never
+    be read: its job fails with ReplyTooLarge, which `result` answers, and
+    the service keeps running jobs."""
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 16 << 10)
+    sock = open_conn(service)
+    assert request(sock, all_h_frame(service, "huge", 4096))["type"] == "ack"
+    reply = wait_result(sock, "huge")
+    assert (reply["type"], reply["code"], reply["job_id"]) == ("error", "ReplyTooLarge", "huge")
+    assert "exceeds the 16384 bytes a frame may carry" in reply["message"]
+    assert request(sock, all_h_frame(service, "small", 10))["type"] == "ack"
+    assert wait_result(sock, "small")["type"] == "result"
+    with service._lock:
+        assert service._jobs["huge"].state == "failed"
+    sock.close()
+
+
+def test_an_unreadable_reply_closes_the_connection(monkeypatch):
+    """A reply `recv_frame` refuses, here a header over MAX_FRAME_BYTES
+    whose payload never comes, raises UnreadableReply and closes the
+    connection, so the next request reconnects instead of reading a stale
+    payload as its header, and gets its reply."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()[:2]
+
+    def stub():
+        for reply in (struct.pack(">I", protocol.MAX_FRAME_BYTES + 1),
+                      {"type": "ack", "state": "idle", "queued": 0}):
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)
+                if isinstance(reply, bytes):
+                    conn.sendall(reply + b"x" * 64)  # the start of a payload
+                else:
+                    send_frame(conn, reply)
+                with contextlib.suppress(OSError):  # a reset, unread bytes left
+                    conn.recv(1)  # until the client closes
+
+    server = threading.Thread(target=stub, daemon=True)
+    server.start()
+    connection = QpuConnection(host, port)
+    try:
+        with pytest.raises(UnreadableReply, match="exceeds"):
+            connection.request({"type": "status"})
+        assert connection._sock is None
+        assert connection.request({"type": "status"}) == {
+            "type": "ack", "state": "idle", "queued": 0}
+    finally:
+        connection.close()
+        server.join(5.0)
+        listener.close()
+    assert not server.is_alive()

@@ -162,12 +162,24 @@ def test_collapse_and_reset_stay_in_place(qubit, outcome):
 
 def test_terminal_sampler_draws_in_the_state():
     """The terminal draw of 18 qubits builds its table in the state's own
-    array: 20,000 draws hold the two pieces and the draws' uniforms and
-    outcomes."""
-    shots = 20_000
+    array and draws SLAB shots at a time: 100,000 draws, taken a piece at a
+    time, hold the two pieces and one piece of uniforms and outcomes (8
+    bytes each per shot), not the draws' 1.6 MB."""
+    shots = 100_000
     start = random_state(N, 3)
-    got, extra = held(sample_basis, start.copy(), np.random.default_rng(5), shots)
-    assert extra <= BOUND + 16 * shots
+    got = np.empty(shots, dtype=np.int64)
+
+    def draw(amps, rng):
+        at = 0
+        for piece in sample_basis(amps, rng, shots):
+            assert len(piece) <= statevector.SLAB
+            got[at:at + len(piece)] = piece
+            at += len(piece)
+        return at
+
+    drawn, extra = held(draw, start.copy(), np.random.default_rng(5))
+    assert drawn == shots
+    assert extra <= BOUND + SLAB_BYTES
     assert np.array_equal(got, sample_by_choice(start, np.random.default_rng(5), shots))
 
 
@@ -230,12 +242,15 @@ def weights(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(weights(), st.integers(0, 2**32 - 1), st.integers(1, 3000))
+@given(weights(), st.integers(0, 2**32 - 1),
+       st.one_of(st.integers(1, 3000), st.integers(statevector.SLAB - 2,
+                                                   2 * statevector.SLAB + 3)))
 def test_sampler_draws_what_choice_draws(amps, seed, shots):
-    """`sample_basis` returns the outcomes of `Generator.choice(p=...)`
-    from the same stream, and leaves the stream where `choice` does."""
+    """`sample_basis`'s pieces, one after another, are the outcomes of
+    `Generator.choice(p=...)` from the same stream, and leave the stream
+    where `choice` does."""
     mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert np.array_equal(sample_basis(amps.copy(), mine, shots),
+    assert np.array_equal(np.concatenate(list(sample_basis(amps.copy(), mine, shots))),
                           sample_by_choice(amps, theirs, shots))
     assert mine.random() == theirs.random()
 
