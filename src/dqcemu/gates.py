@@ -67,8 +67,8 @@ class Gate:
       permutation - exchange the two slices the matrix swaps
       controlled  - apply `target`'s kernel where the first qubit is 1
       dense       - mix a qubit's two slices (one-qubit gates only); on the
-                    low qubits of a wide state, on a transposed copy of rows,
-                    one copy for a run of gates on those qubits
+                    low qubits, in one sweep over transposed copies of rows
+                    with the gates beside it on those qubits
     `matrix` is the matrix itself for a gate without parameters, else the
     function of the parameters that builds it; a diagonal gate's is its
     diagonal, the entries the kernels read (`gate_matrix` makes the

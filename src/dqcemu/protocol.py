@@ -38,9 +38,9 @@ QUEUE_SIZE = 64  # tasks a service holds queued; past it `run` gets QueueFull
 #: cap on a `result` frame's wait_ms: how long it may wait for its job
 RESULT_WAIT_MAX_MS = 1000
 #: finished jobs whose encoded reply and kept task a service keeps; past it,
-#: or past MAX_FRAME_BYTES of their replies, the one that finished first is
-#: evicted, its id kept as "evicted" (a `result` answers Evicted) for as many
-#: ids again, then forgotten (UnknownJob)
+#: or past MAX_FRAME_BYTES of their replies and tasks, the one that finished
+#: first is evicted, its id kept as "evicted" (a `result` answers Evicted)
+#: for as many ids again, then forgotten (UnknownJob)
 MAX_FINISHED_JOBS = 256
 #: bound on the wait of a family's first member, once it stops, for the
 #: members it forked: a shutdown or TTL expiry drains each within DRAIN_S
@@ -180,8 +180,9 @@ def run_job(job_id: str, circuit, shots: int, seed=None, hooks=None,
 class Job:
     """A row of the job table."""
     state: str  # queued|running|done|failed|evicted
-    task: object = None  # what `_execute` runs; kept once done if `_rerunnable`
+    task: object = None  # what `_execute` runs; kept once done if `_kept_bytes` > 0
     reply: bytes | None = None  # the encoded `result` reply, once done or failed
+    dropped: bool = False  # done, its task too large to keep beside its reply
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -223,11 +224,12 @@ class FramedService:
     queued tasks one at a time with `_execute` and adds to each result
     record the time its task waited in the queue (`queue_wait`). A finished
     job keeps the reply `result` sends for it, its result or error encoded
-    once. `result` answers it, waiting up to `wait_ms` for a pending job.
-    Past MAX_FINISHED_JOBS finished jobs, or MAX_FRAME_BYTES bytes of their
-    replies, the one that finished first is evicted, and past as many
-    evicted ids the one evicted first is forgotten, so the table holds at
-    most 2 * MAX_FINISHED_JOBS finished jobs.
+    once, and a done job that can run again keeps its task (`_kept_bytes`).
+    `result` answers it, waiting up to `wait_ms` for a pending job. Past
+    MAX_FINISHED_JOBS finished jobs, or MAX_FRAME_BYTES bytes of their
+    replies and kept tasks, the one that finished first is evicted, and
+    past as many evicted ids the one evicted first is forgotten, so the
+    table holds at most 2 * MAX_FINISHED_JOBS finished jobs.
 
     Each frame is answered by `handlers[frame type]`, frames without a type
     by `handlers[None]` where there is one; a reply of None sends nothing. A
@@ -262,8 +264,8 @@ class FramedService:
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)  # a job done or failed
         self._jobs: dict[str, Job] = {}
-        self._finished: dict[str, int] = {}  # reply bytes, first finished first
-        self._stored = 0  # bytes of the finished jobs' replies
+        self._finished: dict[str, int] = {}  # bytes stored, first finished first
+        self._stored = 0  # bytes of the finished jobs' replies and kept tasks
         self._evicted: dict[str, None] = {}  # first evicted first
 
     def _decode(self, job_id: str, frame: dict, config: dict):
@@ -275,9 +277,10 @@ class FramedService:
         """Run `task` on the simulator thread; returns its result record."""
         raise NotImplementedError
 
-    def _rerunnable(self, task) -> bool:
-        """Whether a done job keeps its task to be run again."""
-        return False
+    def _kept_bytes(self, task) -> int:
+        """What a done job is charged for keeping its task to be run again,
+        in bytes; 0 where it keeps none."""
+        return 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -427,10 +430,13 @@ class FramedService:
         """Record that `task`'s job is done with `result` or failed with
         `failure` (code, message), keeping the reply `result` sends for it,
         encoded here, outside the lock; a result larger than a frame fails
-        the job with ReplyTooLarge, as no client could read it. Then evict
-        the jobs that finished first beyond MAX_FINISHED_JOBS jobs or
-        MAX_FRAME_BYTES bytes of replies, forget the ids evicted first
-        beyond MAX_FINISHED_JOBS, and wake the blocked `result`s."""
+        the job with ReplyTooLarge, as no client could read it. A done job
+        keeps its task if `_kept_bytes` charges it and the charge fits in a
+        frame beside the reply (else the task is `dropped`). Then evict the
+        jobs that finished first beyond MAX_FINISHED_JOBS jobs or
+        MAX_FRAME_BYTES bytes of replies and kept tasks, forget the ids
+        evicted first beyond MAX_FINISHED_JOBS, and wake the blocked
+        `result`s."""
         reply = None if result is None else encode(result)
         if reply is not None and len(reply) > MAX_FRAME_BYTES:
             reply, failure = None, error_code(ReplyTooLarge(
@@ -438,11 +444,14 @@ class FramedService:
                 "bytes a frame may carry"))
         if reply is None:
             reply = encode(error_frame(*failure, job_id=task.job_id))
-        kept = task if failure is None and self._rerunnable(task) else None
+        kept = 0 if failure else self._kept_bytes(task)
+        if dropped := len(reply) + kept > MAX_FRAME_BYTES:
+            kept = 0
         with self._settled:
-            self._jobs[task.job_id] = Job("failed" if failure else "done", kept, reply)
-            self._finished[task.job_id] = len(reply)
-            self._stored += len(reply)
+            self._jobs[task.job_id] = Job("failed" if failure else "done",
+                                          task if kept else None, reply, dropped)
+            self._finished[task.job_id] = len(reply) + kept
+            self._stored += len(reply) + kept
             while (len(self._finished) > MAX_FINISHED_JOBS
                    or self._stored > MAX_FRAME_BYTES):
                 old = next(iter(self._finished))
@@ -502,7 +511,10 @@ class FramedService:
         _close_all_but(listen_fds, listen_fds[0])
         print(*pids, flush=True)
         os.dup2(2, 1)
-        signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # no forked member stays a zombie
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # no forked member stays a zombie,
+        with contextlib.suppress(ChildProcessError):  # nor one that exited before this
+            while os.waitpid(-1, os.WNOHANG)[0]:
+                pass
         signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
         try:
             service.start()

@@ -45,7 +45,7 @@ from .protocol import (
     run_job,
     send_frame,
 )
-from .wire import _is_number, circuit_from_obj
+from .wire import _is_number, circuit_from_obj, to_wire
 
 #: bytes a vQPU holds for parts it has not acked yet (`ChannelEndpoint.size`),
 #: over all jobs, and the most bits a frame carries; past it the job whose inbox
@@ -125,8 +125,8 @@ class VqpuServer(FramedService):
         self._held = 0  # the sizes of the inboxes of parts not acked yet
         self._ghosts: dict[str, None] = {}  # jobs failed before their run, oldest first
 
-    def _rerunnable(self, task: QuantumTask) -> bool:
-        return bool(task.circuit.param_slots())  # what upgrade_parameters reruns
+    def _kept_bytes(self, task: QuantumTask) -> int:  # what upgrade_parameters reruns
+        return len(to_wire(task.circuit)) if task.circuit.param_slots() else 0
 
     # -- receiver side --------------------------------------------------------
 
@@ -184,7 +184,7 @@ class VqpuServer(FramedService):
             if job is None:
                 return error_frame("UnknownJob", f"no completed job {job_id!r}",
                                    job_id=job_id)
-            if job.state == "evicted":
+            if job.state == "evicted" or job.dropped:
                 return _evicted(job_id)
             if job.state != "done":
                 return error_frame("InvalidState",

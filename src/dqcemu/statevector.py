@@ -5,10 +5,10 @@ All mutating operations preserve the norm to within 1e-12.
 
 Gates act on reshape views of the amplitudes, never through index arrays,
 as their kernel class in ``gates.GATES`` says; a run of consecutive
-diagonal gates is one pass, and a run of gates on the low qubits of a wide
-state one sweep over transposed buffers (README: Simulation engine). A
-state may leave out qubits that are in known basis states (`Fold`, README:
-Folded qubits).
+diagonal gates is one pass, and a run of gates on the low qubits that
+holds a dense gate, or two gates that are not diagonal, one sweep over
+transposed buffers (README: Simulation engine). A state may leave out
+qubits that are in known basis states (`Fold`, README: Folded qubits).
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from .errors import QubitOutOfRange, ZeroNorm
 from .gates import GATES, gate_matrix
 
 _NORM_TOL = 1e-12
-#: a one-qubit dense gate on a qubit below BLOCK_QUBITS of a state at least
-#: that wide mixes the transpose of BLOCK_ROWS rows of 2^BLOCK_QUBITS
-#: contiguous amplitudes at a time (a power of two: the rows split evenly)
-BLOCK_QUBITS = 5
-BLOCK_ROWS = 1024
 #: a run of diagonal gates multiplies the state by one phase table: a row of
 #: 2^PHASE_LOW_QUBITS factors over the qubits below that (on a narrower
 #: state, a table over the run's qubits only), one row per value of the
@@ -36,9 +31,9 @@ BLOCK_ROWS = 1024
 #: (more if one gate alone does)
 PHASE_LOW_QUBITS = 11
 PHASE_HIGH_QUBITS = 2
-#: consecutive gates and runs on the qubits below SWEEP_QUBITS of a state
-#: wider than 2 * SWEEP_QUBITS take one pass over square transposed buffers
-#: of 2^SWEEP_QUBITS rows (`compile_gates`)
+#: consecutive gates and runs on the qubits below min(SWEEP_QUBITS, half
+#: the state's width) take one pass over transposed buffers, each the
+#: transpose of at most 2^SWEEP_QUBITS rows of the state (`compile_gates`)
 SWEEP_QUBITS = 8
 #: the most amplitudes a kernel's temporary holds: a swap, a mix, a move to
 #: |0> and the terminal sampler work through pieces of at most this many
@@ -194,18 +189,6 @@ def _body(num_qubits: int, name: str, qubits, mat: np.ndarray
     else:  # dense, or the dense target of a controlled gate
         fn, args = _mix, (index[0], index[1], mat)
     return lambda amps: fn(amps.view(dtype).reshape(split), *args)
-
-
-def _kernel(num_qubits: int, name: str, qubits, mat: np.ndarray
-            ) -> Callable[[np.ndarray], None]:
-    """The in-place kernel of one gate that is not diagonal: a dense gate
-    on a qubit below BLOCK_QUBITS of a state at least that wide runs on
-    transposed blocks of BLOCK_ROWS rows."""
-    q = qubits[0]
-    if GATES[name].kernel == "dense" and q < BLOCK_QUBITS <= num_qubits:
-        body = _body(BLOCK_QUBITS, name, qubits, mat)
-        return partial(_transposed, kernels=[body], low=BLOCK_QUBITS, rows=BLOCK_ROWS)
-    return _body(num_qubits, name, qubits, mat)
 
 
 class Fold:
@@ -399,15 +382,15 @@ def _phase_kernel(width: int, ranks: list[int], table: np.ndarray
     return kernel
 
 
-def _sweep_body(step: tuple) -> Callable[[np.ndarray], None]:
-    """A step's kernel on the sweep's buffer of 2^SWEEP_QUBITS rows: a
-    gate's `_body`, or for a run each row multiplied by its table entry,
-    as `_phase_kernel` multiplies each amplitude of a wide state (and, as
-    there, a table of ones does nothing)."""
+def _sweep_body(step: tuple, low: int) -> Callable[[np.ndarray], None]:
+    """A step's kernel on a sweep's buffer of 2^low rows: a gate's `_body`,
+    or for a run each row multiplied by its table entry, as `_phase_kernel`
+    multiplies each amplitude of a wide state (and, as there, a table of
+    ones does nothing)."""
     _, ranks, name, mat = step[:4]
     if name is not None:
-        return _body(SWEEP_QUBITS, name, ranks, mat)
-    column = _spread(mat, ranks, SWEEP_QUBITS).reshape(-1, 1)
+        return _body(low, name, ranks, mat)
+    column = _spread(mat, ranks, low).reshape(-1, 1)
     if (column == 1).all():
         return lambda buf: None
 
@@ -422,17 +405,19 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None,
     once for states of `num_qubits`: each maximal run of diagonal gates is
     one phase pass (`_phase_pass`), cut before it would span more than
     PHASE_HIGH_QUBITS qubits at or above PHASE_LOW_QUBITS, and every other
-    gate its own kernel. Returns the kernels in order, each with the
-    qubits it acts on; a kernel applies its gates in place to the
+    gate its own kernel (`_body`). Returns the kernels in order, each with
+    the qubits it acts on; a kernel applies its gates in place to the
     amplitude array of such a state. A run rounds as its table's product,
     not as the gates one after another.
 
-    On a state wider than one sweep buffer (2^SWEEP_QUBITS rows of
-    2^SWEEP_QUBITS amplitudes), each maximal sequence of these steps on
-    qubits below SWEEP_QUBITS that holds two or more gates that are not
-    diagonal is one kernel: it applies the steps in order to transposed
-    buffers (`_transposed`), where every amplitude takes the operations
-    the steps' own kernels would give it.
+    Each maximal sequence of these steps on the qubits below
+    low = min(SWEEP_QUBITS, width // 2) of a state of `width` active
+    qubits that holds a dense gate, or two gates that are not diagonal,
+    is one kernel: it applies the steps in order to the transpose of at
+    most 2^SWEEP_QUBITS rows of the state's (-1, 2^low) view at a time
+    (`_transposed`), where a qubit below `low` has longer slices than in
+    the state and every amplitude takes the operations the steps' own
+    kernels would give it. A one-qubit state (low 0) takes no sweep.
 
     With a `fold`, the state leaves out its folded qubits, and `fold` is
     updated as the gates go: `x` on a folded qubit flips its bit, a run is
@@ -450,7 +435,7 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None,
     kernels, run, high, sweep = [], [], set(), []
 
     def add(step: tuple) -> None:
-        if fold.width > 2 * SWEEP_QUBITS and all(r < SWEEP_QUBITS for r in step[1]):
+        if max(step[1], default=-1) < min(SWEEP_QUBITS, fold.width // 2):
             sweep.append(step)
         else:
             if sweep:
@@ -461,13 +446,15 @@ def compile_gates(num_qubits: int, gates, fold: Fold | None = None,
         qubits, ranks, name, mat, key = step
         if key not in shared:
             shared[key] = (_phase_kernel(fold.width, ranks, mat) if name is None
-                           else _kernel(fold.width, name, ranks, mat))
+                           else _body(fold.width, name, ranks, mat))
         return shared[key], qubits
 
     def flush() -> None:
-        if sum(step[2] is not None for step in sweep) >= 2:
-            bodies = [_sweep_body(step) for step in sweep]
-            kernels.append((partial(_transposed, kernels=bodies, low=SWEEP_QUBITS,
+        names = [step[2] for step in sweep if step[2] is not None]
+        if len(names) > 1 or names and GATES[names[0]].kernel == "dense":
+            swept = min(SWEEP_QUBITS, fold.width // 2)
+            bodies = [_sweep_body(step, swept) for step in sweep]
+            kernels.append((partial(_transposed, kernels=bodies, low=swept,
                                     rows=1 << SWEEP_QUBITS),
                             tuple(sorted({q for step in sweep for q in step[0]}))))
         else:

@@ -35,8 +35,6 @@ from dqcemu.engine import START_WIDTH, _Op, _Program
 from dqcemu.errors import EmulatorError, QubitOutOfRange, UnsupportedInstruction
 from dqcemu.gates import GATES, LINKS, gate_matrix
 from dqcemu.statevector import (
-    BLOCK_QUBITS,
-    BLOCK_ROWS,
     PHASE_HIGH_QUBITS,
     PHASE_LOW_QUBITS,
     SWEEP_QUBITS,
@@ -535,12 +533,20 @@ def frozen_body(num_qubits: int, name: str, qubits, mat: np.ndarray
     return lambda amps: fn(amps.view(dtype).reshape(split), *args)
 
 
+#: the lone-gate block: a one-qubit dense gate on a qubit below
+#: FROZEN_BLOCK_QUBITS of a state at least that wide ran on the transpose
+#: of FROZEN_BLOCK_ROWS rows of 2^FROZEN_BLOCK_QUBITS amplitudes at a time
+FROZEN_BLOCK_QUBITS = 5
+FROZEN_BLOCK_ROWS = 1024
+
+
 def frozen_kernel(num_qubits: int, name: str, qubits, mat: np.ndarray
             ) -> Callable[[np.ndarray], None]:
     q = qubits[0]
-    if GATES[name].kernel == "dense" and q < BLOCK_QUBITS <= num_qubits:
-        body = frozen_body(BLOCK_QUBITS, name, qubits, mat)
-        return partial(_transposed, kernels=[body], low=BLOCK_QUBITS, rows=BLOCK_ROWS)
+    if GATES[name].kernel == "dense" and q < FROZEN_BLOCK_QUBITS <= num_qubits:
+        body = frozen_body(FROZEN_BLOCK_QUBITS, name, qubits, mat)
+        return partial(_transposed, kernels=[body], low=FROZEN_BLOCK_QUBITS,
+                       rows=FROZEN_BLOCK_ROWS)
     return frozen_body(num_qubits, name, qubits, mat)
 
 

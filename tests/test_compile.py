@@ -22,7 +22,7 @@ def random_gates(rng: np.random.Generator, n: int, count: int, low: bool = False
     """`count` gates over every GATES row with random params; half the
     diagonal gates take their qubits from the top few, so runs span the
     qubits at or above PHASE_LOW_QUBITS on wide states, or with `low` every
-    gate acts below SWEEP_QUBITS, so wide states sweep."""
+    gate acts below SWEEP_QUBITS, where states sweep."""
     gates = []
     for _ in range(count):
         name = NAMES[rng.integers(len(NAMES))]
@@ -61,11 +61,25 @@ def run_kernels(kernels, n: int, width: int, state: np.ndarray) -> np.ndarray:
 @example(seed=2, n=17, folded=False, count=24, low=True)
 @example(seed=3, n=20, folded=False, count=24, low=False)
 @example(seed=4, n=20, folded=True, count=24, low=False)
+# both sides of where the frozen compile changed kernels (its lone-gate
+# block from 5 qubits, its sweep from 17) and of the sweep's buffers: (4, 4)
+# at 4 qubits, (16, 16) at 8, (32, 64) at 11, (64, 64) at 12, one
+# (256, 256) at 16 and from 17 more than one
+@example(seed=5, n=4, folded=False, count=24, low=True)
+@example(seed=6, n=5, folded=False, count=24, low=True)
+@example(seed=7, n=8, folded=False, count=24, low=True)
+@example(seed=8, n=11, folded=False, count=24, low=True)
+@example(seed=9, n=12, folded=False, count=24, low=True)
+@example(seed=10, n=16, folded=False, count=24, low=True)
+@example(seed=11, n=17, folded=True, count=24, low=True)
 def test_compile_gates_matches_the_frozen_compile(seed, n, folded, count, low):
     """Random gate sequences at 1-20 qubits, with and without a fold (the
     qubits from 3 up, each folded or not at a random bit), with sweeps on
-    states wider than 16 qubits and runs over high qubits: every kernel
-    leaves a random state np.array_equal to the frozen kernels' result."""
+    the low qubits and runs over high qubits: the kernels touch the qubits
+    the frozen kernels touch, and leave a random state np.array_equal to
+    the frozen kernels' result. Which steps share a kernel differs: the
+    frozen compile ran a lone dense gate on qubits 0-4 in a block of its
+    own and swept only states wider than 16 qubits."""
     rng = np.random.default_rng(seed)
     gates = random_gates(rng, n, count, low)
     bits = ({q: int(rng.integers(2)) for q in range(3, n) if rng.random() < 0.5}
@@ -75,7 +89,8 @@ def test_compile_gates_matches_the_frozen_compile(seed, n, folded, count, low):
     state = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
     kernels = compile_gates(n, gates, fold)
     frozen = frozen_compile_gates(n, gates, frozen_fold)
-    assert [q for _, q in kernels] == [q for _, q in frozen]
+    assert ({q for _, qubits in kernels for q in qubits}
+            == {q for _, qubits in frozen for q in qubits})
     assert fold.bits == frozen_fold.bits
     assert np.array_equal(run_kernels(kernels, n, width, state),
                           run_kernels(frozen, n, width, state))
@@ -88,10 +103,23 @@ def program_state(prog, n: int, state: np.ndarray) -> np.ndarray:
     return run_kernels(kernels, n, min(n, engine.START_WIDTH), state)
 
 
+def walked_ops(prog) -> list:
+    """The walked ops, each (kind, qubits, targets, live), with each stretch
+    of gate ops between the others as one entry of the qubits they touch:
+    which gates share a kernel is the compile's choice."""
+    ops = []
+    for op in prog.walked:
+        if op.kind == "gate" and ops and ops[-1][0] == "gate":
+            ops[-1] = ("gate", ops[-1][1] | set(op.qubits), (), None)
+        else:
+            ops.append((op.kind, set(op.qubits) if op.kind == "gate" else op.qubits,
+                        op.targets, op.live))
+    return ops
+
+
 def assert_same_program(circuit: Circuit, rng: np.random.Generator) -> None:
     prog, frozen = engine._compile(circuit), frozen_compile(circuit)
-    assert [(op.kind, op.qubits, op.targets, op.live) for op in prog.walked] == [
-        (op.kind, op.qubits, op.targets, op.live) for op in frozen.walked]
+    assert walked_ops(prog) == walked_ops(frozen)
     assert (prog.block, prog.draws, prog.end.bits, prog.expand, prog.widest) == (
         frozen.block, frozen.draws, frozen.end.bits, frozen.expand, frozen.widest)
     n, width = circuit.num_qubits, min(circuit.num_qubits, engine.START_WIDTH)
@@ -146,7 +174,7 @@ def test_equal_ops_share_a_kernel_within_a_compile_only():
         id(op.kernel) for op in second.walked if op.kernel is not None}
 
     shared: dict = {}
-    gates = [("h", (0,), ()), ("cp", (0, 1), (0.3,)), ("h", (0,), ()), ("cp", (0, 1), (0.3,))]
+    gates = [("h", (3,), ()), ("cp", (2, 3), (0.3,)), ("h", (3,), ()), ("cp", (2, 3), (0.3,))]
     (h1, _), (cp1, _), (h2, _), (cp2, _) = compile_gates(4, gates, shared=shared)
     assert h1 is h2 and cp1 is cp2
     (h3, _), = compile_gates(4, gates[:1])

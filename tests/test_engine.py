@@ -189,9 +189,10 @@ def test_empty_clbits_key():
 
 
 def test_end_branches_match_the_reference_through_low_qubit_blocks():
-    """7 qubits: dense gates on the qubits below BLOCK_QUBITS take the
-    transposed buffer, between mid-circuit measures, conditionals and
-    resets; every end branch of 40 shots against the reference loop."""
+    """7 qubits: dense gates on every qubit, those on the qubits below 3
+    (min(SWEEP_QUBITS, 7 // 2)) in sweeps over transposed buffers, between
+    mid-circuit measures, conditionals and resets; every end branch of 40
+    shots against the reference loop."""
     rng = np.random.default_rng(17)
     dense = ["h", "rx", "ry", "y", "u"]
     c = Circuit(7, 3, id="blocks")
@@ -439,11 +440,11 @@ def walk_kernels(circuit: Circuit, bufsize: int) -> np.ndarray:
 
 
 def kernel_classes_circuit(n: int, seed: int) -> Circuit:
-    """Every gate of GATES on low (below BLOCK_QUBITS), mid (up to 11) and
-    high qubits (the two highest at 12 qubits) in random order, after `x`
-    on every third qubit from START_WIDTH up, which the walk holds folded
-    until a gate activates it (a grow op), and a `cp` ladder over qubits
-    0-11, one phase pass."""
+    """Every gate of GATES on low (0-4: in sweeps on states of 10 qubits
+    or more), mid (up to 11) and high qubits (the two highest at 12
+    qubits) in random order, after `x` on every third qubit from
+    START_WIDTH up, which the walk holds folded until a gate activates it
+    (a grow op), and a `cp` ladder over qubits 0-11, one phase pass."""
     rng = np.random.default_rng(seed)
     high = min(12, n - 2)
     bands = [range(0, 5), range(5, high), range(high, n)]

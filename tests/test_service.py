@@ -15,7 +15,7 @@ import time
 import pytest
 
 from dqcemu import protocol, registry
-from dqcemu.circuit import Circuit
+from dqcemu.circuit import Circuit, Param
 from dqcemu.client import QpuConnection, get_qpus, run, run_distributed
 from dqcemu.errors import JobFailed, UnreadableReply
 from dqcemu.executor import ExecutorServer
@@ -30,7 +30,7 @@ from dqcemu.protocol import (
 )
 from dqcemu.registry import RegistryEntry
 from dqcemu.server import VqpuServer
-from dqcemu.wire import circuit_to_obj
+from dqcemu.wire import circuit_to_obj, to_wire
 
 SERVICES = {
     "vqpu": lambda **kw: VqpuServer(ServiceConfig("svc-0", **kw)),
@@ -382,6 +382,71 @@ def test_a_reply_larger_than_a_frame_fails_its_job(service, monkeypatch):
     with service._lock:
         assert service._jobs["huge"].state == "failed"
     sock.close()
+
+
+def parametric_circuit(gates: int) -> Circuit:
+    """12 qubits in `h`, `gates` `rz` on one parameter, all measured: the
+    circuit takes about 65 bytes on the wire per `rz`."""
+    c = Circuit(12, 12, id="param")
+    for q in range(12):
+        c.h(q)
+    for k in range(gates):
+        c.rz(Param("a"), k % 12)
+    c.measure(list(range(12)), list(range(12)))
+    return c
+
+
+def test_kept_tasks_stay_under_a_frame_and_evict_oldest_first(monkeypatch):
+    """A done job whose circuit has parameter slots keeps its task for
+    `upgrade_parameters`, charged its circuit's wire bytes beside its
+    reply. With a 64 KiB frame cap, done jobs of a circuit of about 12 KiB
+    keep the stored bytes under the cap, and past it the jobs that finished
+    first are evicted; a rerun gives its charge back until it finishes
+    anew. A job whose task and reply would not fit in one frame keeps its
+    reply, drops its task, and `upgrade_parameters` answers it Evicted."""
+    cap = 64 << 10
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", cap)
+    srv = VqpuServer(ServiceConfig("svc-0"))
+    srv.start()
+    sock = open_conn(srv)
+
+    def charged() -> int:  # what the table holds: replies, and kept tasks' circuits
+        with srv._lock:
+            stored = sum(len(job.reply) + (job.task and len(to_wire(job.task.circuit)) or 0)
+                         for job in srv._jobs.values() if job.reply)
+            assert stored == srv._stored <= cap
+            return stored
+
+    circuit = parametric_circuit(180)
+    assert 11 << 10 < len(to_wire(circuit)) < 13 << 10
+    for i in range(10):
+        frame = run_frame(f"p{i}", circuit, shots=10, seed=i, params=[0.1 * i])
+        assert request(sock, frame)["type"] == "ack"
+        assert wait_result(sock, f"p{i}")["type"] == "result"
+        charged()
+    answers = [request(sock, {"type": "result", "job_id": f"p{i}"}) for i in range(10)]
+    kept = [a["type"] == "result" for a in answers]
+    assert kept == sorted(kept) and 1 < sum(kept) < 10  # an evicted prefix
+    assert {a["code"] for a in answers if a["type"] == "error"} == {"Evicted"}
+    upgrade = {"type": "upgrade_parameters", "job_id": "p9", "params": [2.0]}
+    assert request(sock, upgrade)["type"] == "ack"
+    charged()
+    assert wait_result(sock, "p9")["type"] == "result"
+    charged()
+
+    big = parametric_circuit(620)
+    assert 38 << 10 < len(to_wire(big)) < 42 << 10
+    assert request(sock, run_frame("big", big, shots=4096, seed=1, params=[0.3]))["type"] == "ack"
+    assert wait_result(sock, "big")["type"] == "result"
+    reply = raw_reply(sock, {"type": "result", "job_id": "big"})
+    assert len(reply) + len(to_wire(big)) > cap
+    with srv._lock:
+        assert srv._jobs["big"].task is None and srv._jobs["big"].state == "done"
+    charged()
+    upgrade = {"type": "upgrade_parameters", "job_id": "big", "params": [0.5]}
+    assert request(sock, upgrade)["code"] == "Evicted"
+    sock.close()
+    srv.stop()
 
 
 def test_an_unreadable_reply_closes_the_connection(monkeypatch):

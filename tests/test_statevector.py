@@ -115,22 +115,24 @@ def test_every_gate_matches_dense_oracle(case):
 DENSE = sorted(g for g, gate in GATES.items() if gate.kernel == "dense")
 
 
-@pytest.mark.parametrize("rows, bound", [
-    pytest.param(statevector.BLOCK_ROWS, statevector.SWEEP_QUBITS, id=str(statevector.BLOCK_ROWS)),
-    pytest.param(2, 3, id="2")])
-@pytest.mark.parametrize("n", [4, 5, 6, 9])
+@pytest.mark.parametrize("rows", [1024, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9])
 @pytest.mark.parametrize("name", DENSE)
-def test_dense_kernels_on_every_qubit(name, n, rows, bound):
-    """Both sides of BLOCK_QUBITS: the transposed buffer on the low qubits
-    of a state at least that wide (and, with 2 rows a buffer, many buffers
-    a state), the whole-state views above it and on narrower states. The
-    gate followed by `u` on the same qubit takes one sweep where the qubit
-    is below SWEEP_QUBITS of a state wider than 2 * SWEEP_QUBITS (with 3,
-    at 9 qubits, 8 buffers a state), the gates' own kernels elsewhere."""
+def test_dense_kernels_on_every_qubit(name, n, rows):
+    """Both sides of each change of the sweep's geometry, with buffers of
+    at most `rows` rows (SWEEP_QUBITS patched to log2 rows): a dense gate
+    on a qubit below low = min(SWEEP_QUBITS, n // 2) runs on transposed
+    buffers of the state's (-1, 2^low) view. 1 qubit (low 0) takes none,
+    and every second width widens the buffer; with 1024 rows, as with
+    SWEEP_QUBITS itself below 17 qubits, a state is one buffer, and with
+    2 rows it is one square buffer at 2 qubits and more from 3. Above
+    `low` the gate runs on the whole state's views. The gate followed by
+    `u` on the same qubit is one sweep below `low` and the gates' own
+    kernels from it up."""
     assert DENSE == ["h", "rx", "ry", "u", "y"]
     rng, then_rng = np.random.default_rng(n * 101 + rows), np.random.default_rng(n)
-    with (mock.patch.object(statevector, "BLOCK_ROWS", rows),
-          mock.patch.object(statevector, "SWEEP_QUBITS", bound)):
+    bound = rows.bit_length() - 1
+    with mock.patch.object(statevector, "SWEEP_QUBITS", bound):
         for q in range(n):
             params = tuple(rng.uniform(-2 * np.pi, 2 * np.pi, GATES[name].params))
             start = random_state(rng, n)
@@ -141,7 +143,7 @@ def test_dense_kernels_on_every_qubit(name, n, rows, bound):
             assert abs(s.norm() - 1.0) <= 1e-12
             then = ("u", (q,), tuple(then_rng.uniform(-2 * np.pi, 2 * np.pi, 3)))
             kernels = compile_gates(n, [(name, (q,), params), then])
-            assert len(kernels) == (1 if q < bound and n > 2 * bound else 2)
+            assert len(kernels) == (1 if q < min(bound, n // 2) else 2)
             for kernel, _ in kernels:
                 kernel(s.amplitudes)
             oracle = full_gate_matrix(n, *then) @ (full_gate_matrix(n, name, (q,), params)
@@ -220,7 +222,8 @@ def test_swept_gates_match_the_matrix_oracle():
         c.append(name, list(qubits), params=list(params))
     with mock.patch.object(statevector, "SWEEP_QUBITS", 3):
         kernels = compile_gates(n, gates)
-    assert len(kernels) < len(compile_gates(n, gates))  # no sweep at 8 qubits
+    with mock.patch.object(statevector, "SWEEP_QUBITS", 0):
+        assert len(kernels) < len(compile_gates(n, gates))  # no sweep
     amps = StateVector(n).amplitudes
     for kernel, _ in kernels:
         kernel(amps)
@@ -315,7 +318,7 @@ def test_compile_gates_cuts_runs():
     cap = statevector.PHASE_HIGH_QUBITS
     low_run = [("cp", (q, q + 1), (0.3,)) for q in range(low - 1)]
     assert [q for _, q in compile_gates(n, low_run)] == [tuple(range(low))]
-    split = low_run[:3] + [("h", (0,), ())] + low_run[3:]
+    split = low_run[:3] + [("h", (n - 1,), ())] + low_run[3:]
     assert len(compile_gates(n, split)) == 3
     high_run = [("crz", (0, low + k), (0.5,)) for k in range(cap + 1)]
     kernels = compile_gates(n, high_run)

@@ -111,17 +111,21 @@ def test_kernels_hold_at_most_two_pieces(name, qubits, params, kernel):
 
 
 def test_low_qubit_mix_holds_its_block_and_two_pieces():
-    """A lone `u` below BLOCK_QUBITS runs on a transposed block of
-    BLOCK_ROWS rows, its mix a piece at a time."""
+    """A lone `u` below SWEEP_QUBITS of 18 qubits is a sweep of one: it
+    holds one buffer of 2^SWEEP_QUBITS rows of 2^SWEEP_QUBITS amplitudes,
+    and its mix two pieces. A lone `x` or `cx` there is no sweep and holds
+    only two pieces."""
     start = random_state(N, 8)
     got = start.copy()
     _, extra = held(compile_gate(N, "u", (2,), (0.4, 0.2, -0.7)), got)
-    block = 16 * statevector.BLOCK_ROWS << statevector.BLOCK_QUBITS
-    assert extra <= block + BOUND
+    assert extra <= SWEEP_BYTES + BOUND
     with mock.patch.object(statevector, "_mix", mix_by_copy):
         want = start.copy()
         compile_gate(N, "u", (2,), (0.4, 0.2, -0.7))(want)
     assert np.array_equal(got, want)
+    for name, qubits in (("x", (2,)), ("cx", (5, 1))):
+        _, extra = held(compile_gate(N, name, qubits), start.copy())
+        assert extra <= BOUND, name
 
 
 def test_sweep_holds_its_buffer_and_two_pieces():
