@@ -109,7 +109,7 @@ def build_ipea_chain(cfg: QpeConfig) -> IpeaChain:
 
 def build_distributed_qpe(cfg: QpeConfig) -> tuple[Circuit, Circuit]:
     """QPE split into an ancilla circuit and a target circuit; every
-    controlled rotation becomes an expose region resolved via telegate."""
+    controlled rotation becomes an expose resolved via telegate."""
     n, m = cfg.n_ancilla, cfg.target_qubits
     anc = Circuit(n, n, id="qpe-ancilla")
     tgt = Circuit(m, 0, id="qpe-target")

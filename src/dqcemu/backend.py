@@ -102,10 +102,6 @@ def _check_remote(ins, idx, circuit_id, out):
         out.append(Violation("MalformedRemote", "empty peer id", idx))
     elif link.peer_circuit_id == circuit_id:
         out.append(Violation("MalformedRemote", "circuit linked to itself", idx))
-    want_role = LINKS[ins.name].role
-    if link.role != want_role:
-        out.append(Violation("MalformedRemote",
-                             f"{ins.name} requires role {want_role!r}", idx))
     if link.sequence < 0:
         out.append(Violation("MalformedRemote", "negative sequence tag", idx))
     if ins.name == "remote_c_if":
@@ -119,6 +115,34 @@ def _check_remote(ins, idx, circuit_id, out):
     elif link.gate_name is not None:
         out.append(Violation("MalformedRemote",
                              f"{ins.name} does not take a gate name", idx))
+
+
+def _check_body(ins, idx, out):
+    """An expose's body: one or more controlled gates, each naming its
+    target qubit only (peer-relative), with finite-number parameters and no
+    remote, clbit or body. No other instruction carries a body."""
+    if ins.name != "expose":
+        if ins.body is not None:
+            out.append(Violation("MalformedRemote", f"{ins.name} cannot carry a body", idx))
+        return
+    if not ins.body:
+        out.append(Violation("EmptyBody", "expose needs at least one body gate", idx))
+    for gate in ins.body or ():
+        name = gate.name
+        if gate.remote is not None or gate.clbits or gate.body is not None:
+            out.append(Violation("MalformedRemote", f"expose body gate {name!r} "
+                                 "cannot carry a remote link, clbits or a body", idx))
+        if name not in GATES or not GATES[name].control:
+            out.append(Violation("UnknownGate", f"invalid expose body gate {name!r}", idx))
+        elif error := arity_error(name, len(gate.qubits), len(gate.params), body=True):
+            out.append(Violation("ArityMismatch", error, idx))
+        for p in gate.params:
+            if isinstance(p, Param):
+                out.append(Violation("NotSupported", f"parameter slot {p.name!r} in an "
+                                     "expose body: the executor binds no slot", idx))
+            elif not _is_number(p):
+                out.append(Violation("SchemaViolation", f"parameter {p!r} of expose "
+                                     f"body gate {name} is not a finite number", idx))
 
 
 def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
@@ -135,7 +159,6 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
         out.append(Violation(
             "WidthExceeded", f"{circuit.num_clbits} clbits exceed the engine's {MAX_CLBITS}"))
     basis = set(backend.basis_gates)
-    in_region = False
     seq_tags: dict[tuple[str, str], list[int]] = {}
 
     for idx, ins in enumerate(circuit.instructions):
@@ -144,31 +167,11 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
             if not (_is_number(p) or isinstance(p, Param)):
                 out.append(Violation("SchemaViolation",
                                      f"parameter {p!r} of {name} is not a finite number", idx))
-        if in_region and name not in ("expose_begin", "expose_end"):
-            # expose body marker: qubit indices are peer-relative
-            if ins.remote is not None:
-                out.append(Violation("MalformedRemote",
-                                     "distributed instruction inside expose", idx))
-            if name not in GATES or not GATES[name].control:
-                out.append(Violation("UnknownGate",
-                                     f"invalid expose body gate {name!r}", idx))
-            elif error := arity_error(name, len(ins.qubits), len(ins.params), body=True):
-                out.append(Violation("ArityMismatch", error, idx))
-            continue
-
+        _check_body(ins, idx, out)
         if name in LINKS:
-            if name == "expose_begin":
-                if in_region:
-                    out.append(Violation("MalformedRemote", "nested expose", idx))
-                in_region = True
-            elif name == "expose_end":
-                if not in_region:
-                    out.append(Violation("MalformedRemote",
-                                         "expose_end without begin", idx))
-                in_region = False
             _check_remote(ins, idx, circuit.id, out)
-            if ins.remote is not None and LINKS[name].kind:
-                key = (ins.remote.peer_circuit_id, LINKS[name].kind)
+            if ins.remote is not None:
+                key = (ins.remote.peer_circuit_id, name)
                 seq_tags.setdefault(key, []).append(ins.remote.sequence)
         elif ins.remote is not None:
             out.append(Violation("MalformedRemote",
@@ -205,13 +208,11 @@ def validate(circuit: Circuit, backend: BackendSpec) -> list[Violation]:
         else:
             out.append(Violation("UnknownGate", f"{name!r}", idx))
 
-    if in_region:
-        out.append(Violation("MalformedRemote", "unterminated expose region"))
-    for (peer, kind), tags in seq_tags.items():
-        if kind not in ("send_bit", "recv_bit"):  # the executor pairs these by tag
+    for (peer, name), tags in seq_tags.items():
+        if LINKS[name] == "quantum":  # the executor pairs these by tag
             tags = sorted(tags)
         if tags != list(range(len(tags))):  # a channel takes bits in tag order
             out.append(Violation(
                 "MalformedRemote",
-                f"sequence tags to {peer!r} ({kind}) not 0, 1, ... in order: {tags}"))
+                f"sequence tags to {peer!r} ({name}) not 0, 1, ... in order: {tags}"))
     return out

@@ -34,13 +34,11 @@ class Param:
 @dataclass
 class RemoteLink:
     peer_circuit_id: str
-    role: str  # "sender" | "receiver"
     gate_name: str | None = None  # remote_c_if only
     sequence: int = 0
 
     def copy(self) -> "RemoteLink":
-        return RemoteLink(self.peer_circuit_id, self.role, self.gate_name,
-                          self.sequence)
+        return RemoteLink(self.peer_circuit_id, self.gate_name, self.sequence)
 
 
 @dataclass
@@ -50,11 +48,15 @@ class Instruction:
     clbits: list[int] = field(default_factory=list)
     params: list = field(default_factory=list)
     remote: RemoteLink | None = None
+    # an expose's body: controlled gates on peer-relative qubits, each
+    # naming its target only (the communication qubit is the control)
+    body: list["Instruction"] | None = None
 
     def copy(self) -> "Instruction":
         return Instruction(self.name, list(self.qubits), list(self.clbits),
                            list(self.params),
-                           self.remote.copy() if self.remote else None)
+                           self.remote.copy() if self.remote else None,
+                           None if self.body is None else [b.copy() for b in self.body])
 
 
 def _new_id() -> str:
@@ -67,7 +69,7 @@ class Circuit:
 
     A unitary instruction carrying a clbit is a local conditional: the gate
     fires when that bit equals 1. Distributed instructions reference peer
-    circuits by id through a RemoteLink with per-(peer, kind) FIFO sequence
+    circuits by id through a RemoteLink with per-(peer, name) FIFO sequence
     tags.
     """
 
@@ -92,9 +94,8 @@ class Circuit:
         c = cls(num_qubits, num_clbits, id=id)
         c.instructions = [ins.copy() for ins in instructions] if copy else instructions
         for ins in c.instructions:
-            kind = LINKS[ins.name].kind if ins.name in LINKS else None
-            if ins.remote is not None and kind:
-                key = (ins.remote.peer_circuit_id, kind)
+            if ins.remote is not None and ins.name in LINKS:
+                key = (ins.remote.peer_circuit_id, ins.name)
                 c._seq[key] = max(c._seq.get(key, 0), ins.remote.sequence + 1)
         return c
 
@@ -189,16 +190,15 @@ class Circuit:
             raise SelfLink(f"circuit {self.id!r} cannot link to itself")
 
     def _append_link(self, name: str, qubits, peer: str, params=(),
-                     gate_name: str | None = None) -> "Circuit":
-        """Append a `name` instruction linked to `peer`, with the role LINKS
-        gives it and the next sequence tag of its kind."""
+                     gate_name: str | None = None, body=None) -> "Circuit":
+        """Append a `name` instruction linked to `peer` with the next
+        sequence tag of its name."""
         self._check_peer(peer)
-        link = LINKS[name]
-        key = (peer, link.kind)
+        key = (peer, name)
         self._seq[key] = self._seq.get(key, 0) + 1
-        remote = RemoteLink(peer, link.role, gate_name, self._seq[key] - 1)
+        remote = RemoteLink(peer, gate_name, self._seq[key] - 1)
         self.instructions.append(Instruction(name, list(qubits), params=list(params),
-                                             remote=remote))
+                                             remote=remote, body=body))
         return self
 
     def measure_and_send(self, control_qubit: int, target_circuit: str) -> "Circuit":
@@ -233,60 +233,36 @@ class Circuit:
         return self._append_link("qrecv", [recv_qubit], control_circuit)
 
     def expose(self, control_qubit: int, body, target_circuit: str) -> "Circuit":
-        """Bracketed remote-control region (telegate).
+        """Run `body` on the peer under the control of a local qubit
+        (telegate): one instruction on `control_qubit` that carries its body.
 
         `body` is a list of (gate, target_qubits, params) entries naming
         controlled gates (`gates.GATES` rows with `control`); their control
         is the exposed local qubit, their target indices refer to the *peer*
-        circuit. Regions cannot nest and cannot contain distributed
-        instructions.
+        circuit, and their parameters are numbers (the executor binds no
+        slot). A body holds no distributed instruction.
         """
         self._check_qubit(control_qubit)
-        self._check_peer(target_circuit)
-        entries = []
+        gates = []
         for item in body:
-            if len(item) == 2:
-                gate, qubits = item
-                params = []
-            else:
-                gate, qubits, params = item
+            gate, qubits, params = item if len(item) == 3 else (*item, [])
             qubits = [qubits] if isinstance(qubits, int) else list(qubits)
-            if gate in LINKS or gate == "expose":
-                raise NotSupported(
-                    "expose regions cannot contain distributed instructions")
+            if gate in LINKS:
+                raise NotSupported("an expose body cannot hold distributed instructions")
             if gate not in GATES or not GATES[gate].control:
                 raise UnknownGate(f"expose body gate must be controlled, got {gate!r}")
             error = arity_error(gate, len(qubits), len(params), body=True)
             if error:
                 raise ArityMismatch(error)
-            entries.append((gate, qubits, list(params)))
-        if not entries:
+            if any(isinstance(p, Param) for p in params):
+                raise NotSupported("expose body parameters are numbers: "
+                                   "the executor binds no slot")
+            gates.append(Instruction(gate, qubits, params=list(params)))
+        if not gates:
             raise EmptyBody("expose requires at least one body gate")
-        begin = self._append_link("expose_begin", [control_qubit], target_circuit
-                                  ).instructions[-1].remote
-        for gate, qubits, params in entries:
-            # body markers carry peer-relative qubit indices
-            self.instructions.append(Instruction(gate, qubits, params=params))
-        self.instructions.append(Instruction("expose_end", [control_qubit],
-                                             remote=begin.copy()))
-        return self
+        return self._append_link("expose", [control_qubit], target_circuit, body=gates)
 
     # -- introspection -----------------------------------------------------
-
-    def _iter_with_regions(self):
-        """Yield (instruction, in_expose_body, region_control)."""
-        ctrl = None
-        for ins in self.instructions:
-            if ins.name == "expose_begin":
-                ctrl = ins.qubits[0]
-                yield ins, False, ctrl
-            elif ins.name == "expose_end":
-                yield ins, False, ctrl
-                ctrl = None
-            elif ctrl is not None:
-                yield ins, True, ctrl
-            else:
-                yield ins, False, None
 
     def has_distributed(self) -> bool:
         return any(ins.name in LINKS for ins in self.instructions)
@@ -294,8 +270,7 @@ class Circuit:
     def has_link(self, model: str) -> bool:
         """True when an instruction needs the `model` ("classical" or
         "quantum") communication of `gates.LINKS`."""
-        return any(ins.name in LINKS and LINKS[ins.name].model == model
-                   for ins in self.instructions)
+        return any(LINKS.get(ins.name) == model for ins in self.instructions)
 
     def peer_ids(self) -> set[str]:
         return {ins.remote.peer_circuit_id for ins in self.instructions
@@ -325,13 +300,12 @@ class Circuit:
 
     def depth(self) -> int:
         """Layered schedule length: longest chain of instructions sharing
-        qubits. Expose regions count on their local control qubit."""
+        qubits. An expose counts once, on its local control qubit."""
         level: dict[int, int] = {}
         d = 0
-        for ins, in_body, ctrl in self._iter_with_regions():
-            qubits = [ctrl] if in_body else ins.qubits
-            nd = 1 + max((level.get(q, 0) for q in qubits), default=0)
-            for q in qubits:
+        for ins in self.instructions:
+            nd = 1 + max((level.get(q, 0) for q in ins.qubits), default=0)
+            for q in ins.qubits:
                 level[q] = nd
             d = max(d, nd)
         return d
@@ -382,13 +356,13 @@ def concat(a: Circuit, b: Circuit) -> Circuit:
 
 
 def tensor_union(a: Circuit, b: Circuit) -> Circuit:
-    """Stack b below a: b's qubit and clbit indices are offset by a's counts."""
+    """Stack b below a: b's qubit and clbit indices are offset by a's counts
+    (an expose's body stays peer-relative)."""
     moved = []
-    for ins, in_body, _ in b._iter_with_regions():
+    for ins in b.instructions:
         ins = ins.copy()
-        if not in_body:  # body markers stay peer-relative
-            ins.qubits = [q + a.num_qubits for q in ins.qubits]
-            ins.clbits = [c + a.num_clbits for c in ins.clbits]
+        ins.qubits = [q + a.num_qubits for q in ins.qubits]
+        ins.clbits = [c + a.num_clbits for c in ins.clbits]
         moved.append(ins)
     return Circuit._from_instructions(a.num_qubits + b.num_qubits,
                                       a.num_clbits + b.num_clbits, a.instructions + moved)
@@ -409,18 +383,12 @@ def hor_split(c: Circuit, after_qubit: int) -> tuple[Circuit, Circuit]:
     second_ins: list[Instruction] = []
     lo_clbits: set[int] = set()
     hi_clbits: set[int] = set()
-    side_of_region = None
-    for ins, in_body, _ in c._iter_with_regions():
-        if in_body:
-            (first_ins if side_of_region == 0 else second_ins).append(ins.copy())
-            continue
+    for ins in c.instructions:
         lo = any(q <= after_qubit for q in ins.qubits)
         hi = any(q > after_qubit for q in ins.qubits)
         if lo and hi:
             raise StraddlingGate(
                 f"{ins.name} on qubits {ins.qubits} straddles boundary {after_qubit}")
-        if ins.name == "expose_begin":
-            side_of_region = 0 if lo else 1
         moved = ins.copy()
         if lo:
             first_ins.append(moved)
@@ -445,14 +413,6 @@ def vert_split(c: Circuit, after_position: int) -> tuple[Circuit, Circuit]:
     if not 0 <= after_position <= len(c.instructions):
         raise IndexOutOfRange(
             f"position {after_position} invalid for {len(c.instructions)} instructions")
-    depth_in_region = 0
-    for ins in c.instructions[:after_position]:
-        if ins.name == "expose_begin":
-            depth_in_region = 1
-        elif ins.name == "expose_end":
-            depth_in_region = 0
-    if depth_in_region:
-        raise StraddlingGate("vert_split position falls inside an expose region")
     first = Circuit._from_instructions(
         c.num_qubits, c.num_clbits, c.instructions[:after_position])
     second = Circuit._from_instructions(

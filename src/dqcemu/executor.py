@@ -4,8 +4,8 @@ into one joint simulation.
 The merged space is Sum(n_i) + 2 qubits; the top two indices are the shared
 communication pair used by every protocol expansion and reset (recycled)
 after each use. qsend/qrecv pairs expand to teleportation (teledata);
-expose regions expand to a remotely controlled gate block (telegate:
-cat-entangler, body gates controlled by the communication qubit,
+an expose expands to a remotely controlled gate block (telegate:
+cat-entangler, its body gates controlled by the communication qubit,
 cat-disentangler). Protocol measurements land in scratch clbits that are
 stripped from the aggregated counts, so the result looks as if the whole
 circuit ran on a single vQPU.
@@ -17,7 +17,7 @@ serves (`protocol.FramedService.main`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backend import validate
 from .circuit import Circuit, Instruction
@@ -42,44 +42,12 @@ class MergePlan:
     comm_qubits: tuple[int, int]
     user_clbits: int
     scratch_clbits: int = 0
-    pairings: list[tuple] = field(default_factory=list)
-    origin_map: dict[int, tuple[str, int]] = field(default_factory=dict)
     merged: Circuit | None = None
 
     def alloc_scratch(self) -> int:
         bit = self.user_clbits + self.scratch_clbits
         self.scratch_clbits += 1
         return bit
-
-
-@dataclass
-class _Step:
-    kind: str  # local, or a sequence-tag kind of gates.LINKS
-    ins: Instruction | None = None
-    peer: str = ""
-    seq: int = 0
-    body: list = field(default_factory=list)  # (gate, peer-relative qubits, params)
-
-
-def _part_steps(circuit: Circuit) -> list[_Step]:
-    steps: list[_Step] = []
-    body = None  # the open expose region's body
-    for ins in circuit.instructions:
-        if body is not None:
-            if ins.name == "expose_end":
-                body = None
-            else:
-                body.append((ins.name, list(ins.qubits), list(ins.params)))
-        elif ins.name in LINKS and LINKS[ins.name].kind:
-            steps.append(_Step(LINKS[ins.name].kind, ins, ins.remote.peer_circuit_id,
-                               ins.remote.sequence))
-            if ins.name == "expose_begin":
-                body = steps[-1].body
-        else:
-            steps.append(_Step("local", ins))
-    if body is not None:
-        raise DanglingProtocol(f"circuit {circuit.id!r}: unterminated expose region")
-    return steps
 
 
 def expand_teledata(plan: MergePlan, send_qubit: int, recv_qubit: int) -> list[Instruction]:
@@ -157,7 +125,7 @@ def merge_circuits(parts: list[Circuit]) -> MergePlan:
     Offsets follow submission order. Instructions are emitted round-robin by
     part index; a part stalls at qsend/qrecv until its partner instruction
     is current, and at remote_c_if until the matching send was emitted.
-    Expose regions expand in place. Raises DanglingProtocol for unmatched
+    An expose expands in place. Raises DanglingProtocol for unmatched
     protocol instructions and MergeDeadlock when every part is stalled.
     """
     if len(parts) < 2:
@@ -184,11 +152,8 @@ def merge_circuits(parts: list[Circuit]) -> MergePlan:
         parts=[(c, qubit_offsets[i], clbit_offsets[i]) for i, c in enumerate(parts)],
         total_qubits=total, comm_qubits=(total - 2, total - 1),
         user_clbits=c_acc)
-    for i, c in enumerate(parts):
-        for local in range(c.num_clbits):
-            plan.origin_map[clbit_offsets[i] + local] = (c.id, local)
 
-    steps = [_part_steps(c) for c in parts]
+    steps = [c.instructions for c in parts]
     pos = [0] * len(parts)
     emitted: list[Instruction] = []
     sent_bits: dict[tuple[str, str, int], int] = {}
@@ -208,63 +173,53 @@ def merge_circuits(parts: list[Circuit]) -> MergePlan:
         for i in range(len(parts)):
             if pos[i] >= len(steps[i]):
                 continue
-            step = steps[i][pos[i]]
-            if step.kind == "local":
-                emitted.append(map_local(step.ins, i))
-            elif step.kind == "send_bit":
+            ins = steps[i][pos[i]]
+            name, link = ins.name, ins.remote
+            if name not in LINKS:
+                emitted.append(map_local(ins, i))
+            elif name == "measure_and_send":
                 sbit = plan.alloc_scratch()
-                emitted.append(Instruction("measure",
-                                           [q_of(i, step.ins.qubits[0])], [sbit]))
-                sent_bits[(ids[i], step.peer, step.seq)] = sbit
-            elif step.kind == "recv_bit":
-                key = (step.peer, ids[i], step.seq)
+                emitted.append(Instruction("measure", [q_of(i, ins.qubits[0])], [sbit]))
+                sent_bits[(ids[i], link.peer_circuit_id, link.sequence)] = sbit
+            elif name == "remote_c_if":
+                key = (link.peer_circuit_id, ids[i], link.sequence)
                 if key not in sent_bits:
                     continue  # stall until the matching send is emitted
-                sbit = sent_bits.pop(key)
                 emitted.append(Instruction(
-                    step.ins.remote.gate_name, [q_of(i, q) for q in step.ins.qubits],
-                    [sbit], list(step.ins.params)))
-                plan.pairings.append(("classical", step.peer, ids[i], step.seq))
-            elif step.kind in ("qsend", "qrecv"):
-                j = index_of[step.peer]
+                    link.gate_name, [q_of(i, q) for q in ins.qubits],
+                    [sent_bits.pop(key)], list(ins.params)))
+            elif name == "expose":
+                j = index_of[link.peer_circuit_id]
+                body = [(gate.name, [q_of(j, q) for q in gate.qubits], gate.params)
+                        for gate in ins.body or ()]
+                emitted.extend(expand_telegate(plan, q_of(i, ins.qubits[0]), body))
+            else:  # qsend or qrecv
+                j = index_of[link.peer_circuit_id]
                 if pos[j] >= len(steps[j]):
                     continue  # stall; dangling detection happens below
                 other = steps[j][pos[j]]
-                want = "qrecv" if step.kind == "qsend" else "qsend"
-                if (other.kind != want or other.peer != ids[i]
-                        or other.seq != step.seq):
+                want = "qrecv" if name == "qsend" else "qsend"
+                if (other.name != want or other.remote.peer_circuit_id != ids[i]
+                        or other.remote.sequence != link.sequence):
                     continue  # stall until the partner is current
-                if step.kind == "qsend":
-                    send_q = q_of(i, step.ins.qubits[0])
-                    recv_q = q_of(j, other.ins.qubits[0])
-                    src, dst = ids[i], ids[j]
+                if name == "qsend":
+                    send_q, recv_q = q_of(i, ins.qubits[0]), q_of(j, other.qubits[0])
                 else:
-                    send_q = q_of(j, other.ins.qubits[0])
-                    recv_q = q_of(i, step.ins.qubits[0])
-                    src, dst = ids[j], ids[i]
+                    send_q, recv_q = q_of(j, other.qubits[0]), q_of(i, ins.qubits[0])
                 emitted.extend(expand_teledata(plan, send_q, recv_q))
-                plan.pairings.append(("teledata", src, dst, step.seq))
                 pos[j] += 1
-            elif step.kind == "expose":
-                j = index_of[step.peer]
-                body = [(gate, [q_of(j, q) for q in qubits], params)
-                        for gate, qubits, params in step.body]
-                emitted.extend(expand_telegate(plan, q_of(i, step.ins.qubits[0]), body))
-                plan.pairings.append(("telegate", ids[i], step.peer, step.seq))
-            else:
-                raise AssertionError(step.kind)
             pos[i] += 1
             progressed = True
         if not progressed:
             for i in range(len(parts)):
                 if pos[i] >= len(steps[i]):
                     continue
-                step = steps[i][pos[i]]
-                j = index_of.get(step.peer)
-                if j is not None and pos[j] >= len(steps[j]):
+                ins = steps[i][pos[i]]
+                peer = ins.remote.peer_circuit_id
+                if pos[index_of[peer]] >= len(steps[index_of[peer]]):
                     raise DanglingProtocol(
-                        f"circuit {ids[i]!r}: unmatched {step.kind} "
-                        f"(seq {step.seq}) to {step.peer!r}")
+                        f"circuit {ids[i]!r}: unmatched {ins.name} "
+                        f"(seq {ins.remote.sequence}) to {peer!r}")
             stalled = [ids[i] for i in range(len(parts)) if pos[i] < len(steps[i])]
             raise MergeDeadlock(f"all remaining parts are stalled: {stalled}")
 

@@ -1,6 +1,8 @@
 """The instruction set: one row per gate (`GATES`) and one per distributed
-instruction (`LINKS`). The circuit builder, the validator, the kernels and
-the executor all read these two tables, so a new gate is one row.
+instruction (`LINKS`, its communication model). Each distributed
+instruction is one instruction; an `expose` carries its body gates. The
+circuit builder, the validator, the kernels and the executor all read
+these two tables, so a new gate is one row.
 
 Two-qubit matrices are written in the (q0, q1) sub-basis with q0 the most
 significant local bit, i.e. rows/columns ordered |q0 q1> = 00, 01, 10, 11.
@@ -108,24 +110,14 @@ GATES: dict[str, Gate] = {
 }
 
 
-@dataclass(frozen=True)
-class Link:
-    """One distributed instruction (resolved by channels or the executor):
-    its sequence-tag kind (tags count up per (peer, kind); None where the
-    instruction repeats its opener's tag), the role its RemoteLink must
-    carry, and the communication model it needs."""
-    kind: str | None
-    role: str  # "sender" | "receiver"
-    model: str  # "classical" | "quantum"
-
-
-LINKS: dict[str, Link] = {
-    "measure_and_send": Link("send_bit", "sender", "classical"),
-    "remote_c_if": Link("recv_bit", "receiver", "classical"),
-    "qsend": Link("qsend", "sender", "quantum"),
-    "qrecv": Link("qrecv", "receiver", "quantum"),
-    "expose_begin": Link("expose", "sender", "quantum"),
-    "expose_end": Link(None, "sender", "quantum"),
+# each distributed instruction (resolved by channels or the executor) and
+# the communication model it needs; sequence tags count up per (peer, name)
+LINKS: dict[str, str] = {
+    "measure_and_send": "classical",
+    "remote_c_if": "classical",
+    "qsend": "quantum",
+    "qrecv": "quantum",
+    "expose": "quantum",
 }
 
 

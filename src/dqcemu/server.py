@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import contextlib
 import socket
+import sys
 import threading
 from dataclasses import dataclass, replace
 
 from .backend import Violation, validate
 from .channel import BitMessage, ChannelEndpoint
-from .circuit import Circuit
+from .circuit import Circuit, Param
 from .errors import (
     ArityMismatch,
     ChannelTimeout,
@@ -45,7 +46,7 @@ from .protocol import (
     run_job,
     send_frame,
 )
-from .wire import _is_number, circuit_from_obj, to_wire
+from .wire import _is_number, circuit_from_obj
 
 #: bytes a vQPU holds for parts it has not acked yet (`ChannelEndpoint.size`),
 #: over all jobs, and the most bits a frame carries; past it the job whose inbox
@@ -116,6 +117,13 @@ class VqpuServer(FramedService):
     """In-process vQPU; `start()` binds it to a real listening port."""
 
     work_frames = ("run", "upgrade_parameters")
+    # What a kept task holds, in bytes, as `tracemalloc` traced tasks decoded
+    # from run frames: the task with its circuit and lists; an instruction
+    # with its lists and name, or the remote link it carries; a qubit or
+    # clbit entry; a parameter entry, a float or a slot. The strings a frame
+    # names freely (ids, peers, slot names) and the plan count at their
+    # `sys.getsizeof`.
+    TASK_BYTES, INSTRUCTION_BYTES, BIT_BYTES, PARAM_BYTES = 2048, 384, 16, 128
 
     def __init__(self, config: ServiceConfig):
         super().__init__(config)
@@ -126,7 +134,20 @@ class VqpuServer(FramedService):
         self._ghosts: dict[str, None] = {}  # jobs failed before their run, oldest first
 
     def _kept_bytes(self, task: QuantumTask) -> int:  # what upgrade_parameters reruns
-        return len(to_wire(task.circuit)) if task.circuit.param_slots() else 0
+        circuit = task.circuit
+        if not circuit.param_slots():
+            return 0
+        plan = task.plan or {}
+        strings = [task.job_id, circuit.id, *plan, *plan.values()]
+        kept = self.TASK_BYTES + sys.getsizeof(plan) + self.PARAM_BYTES * len(task.params or ())
+        for ins in circuit.instructions:
+            kept += (self.INSTRUCTION_BYTES * (1 + (ins.remote is not None))
+                     + self.BIT_BYTES * (len(ins.qubits) + len(ins.clbits))
+                     + self.PARAM_BYTES * len(ins.params))
+            strings += [p.name for p in ins.params if isinstance(p, Param)]
+            if ins.remote is not None:
+                strings.append(ins.remote.peer_circuit_id)
+        return kept + sum(map(sys.getsizeof, strings))
 
     # -- receiver side --------------------------------------------------------
 

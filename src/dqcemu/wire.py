@@ -3,8 +3,11 @@
     {"id": str, "num_qubits": int, "num_clbits": int,
      "instructions": [{"name": str, "qubits": [int], "clbits": [int],
                        "params": [float | {"param": str}],
-                       "remote": {"peer": str, "role": "sender"|"receiver",
-                                  "gate": str?, "seq": int}?}]}
+                       "remote": {"peer": str, "gate": str?, "seq": int}?,
+                       "body": [instruction without "body"]?}]}
+
+Every distributed instruction is one entry; an `expose` carries its body
+gates, on the peer's qubits, in `body`.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def _param_from_obj(p, obj_at: tuple, i: int):
 
 
 def _remote_to_obj(link: RemoteLink) -> dict:
-    obj = {"peer": link.peer_circuit_id, "role": link.role, "seq": link.sequence}
+    obj = {"peer": link.peer_circuit_id, "seq": link.sequence}
     if link.gate_name is not None:
         obj["gate"] = link.gate_name
     return obj
@@ -90,17 +93,15 @@ def _remote_to_obj(link: RemoteLink) -> dict:
 
 
 def _remote_from_obj(obj, at: tuple) -> RemoteLink:
-    _check_fields(obj, at, required=("peer", "role", "seq"), optional=("gate",))
+    _check_fields(obj, at, required=("peer", "seq"), optional=("gate",))
     if not isinstance(obj["peer"], str) or not obj["peer"]:
         raise SchemaViolation(_path(at + ("peer",)), "expected a non-empty string")
-    if obj["role"] not in ("sender", "receiver"):
-        raise SchemaViolation(_path(at + ("role",)), "expected 'sender' or 'receiver'")
     if not _is_int(obj["seq"]) or obj["seq"] < 0:
         raise SchemaViolation(_path(at + ("seq",)), "expected an integer >= 0")
     gate = obj.get("gate")
     if gate is not None and not isinstance(gate, str):
         raise SchemaViolation(_path(at + ("gate",)), "expected a string")
-    return RemoteLink(obj["peer"], obj["role"], gate, obj["seq"])
+    return RemoteLink(obj["peer"], gate, obj["seq"])
 
 
 def instruction_to_obj(ins: Instruction) -> dict:
@@ -112,22 +113,31 @@ def instruction_to_obj(ins: Instruction) -> dict:
     }
     if ins.remote is not None:
         obj["remote"] = _remote_to_obj(ins.remote)
+    if ins.body is not None:
+        obj["body"] = [instruction_to_obj(gate) for gate in ins.body]
     return obj
 
 
-def instruction_from_obj(obj, at: tuple) -> Instruction:
+def instruction_from_obj(obj, at: tuple, optional=("remote", "body")) -> Instruction:
+    """The instruction at `at`; the entries of its body are decoded with
+    no "body" field, so a body never holds one."""
     _check_fields(obj, at, required=("name", "qubits", "clbits", "params"),
-                  optional=("remote",))
+                  optional=optional)
     if not isinstance(obj["name"], str) or not obj["name"]:
         raise SchemaViolation(_path(at + ("name",)), "expected a non-empty string")
     qubits, clbits = _int_list(obj["qubits"], at, "qubits"), _int_list(obj["clbits"], at, "clbits")
     if not isinstance(obj["params"], list):
         raise SchemaViolation(_path(at + ("params",)), "expected a list")
     params = [_param_from_obj(p, at, i) for i, p in enumerate(obj["params"])]
-    remote = None
+    remote = body = None
     if "remote" in obj:
         remote = _remote_from_obj(obj["remote"], at + ("remote",))
-    return Instruction(obj["name"], qubits, clbits, params, remote)
+    if "body" in obj:
+        if not isinstance(obj["body"], list):
+            raise SchemaViolation(_path(at + ("body",)), "expected a list")
+        body = [instruction_from_obj(o, at + ("body", i), ("remote",))
+                for i, o in enumerate(obj["body"])]
+    return Instruction(obj["name"], qubits, clbits, params, remote, body)
 
 
 def circuit_to_obj(circuit: Circuit) -> dict:

@@ -192,16 +192,20 @@ def test_distributed_qpe_structure():
     assert (anc.num_qubits, anc.num_clbits) == (3, 3)
     assert (tgt.num_qubits, tgt.num_clbits) == (1, 0)
     assert tgt.instructions[0].name == "x"
-    begins = [i for i in anc.instructions if i.name == "expose_begin"]
-    assert [i.qubits[0] for i in begins] == [0, 1, 2]
+    exposes = [i for i in anc.instructions if i.name == "expose"]
+    assert [i.qubits for i in exposes] == [[0], [1], [2]]
+    assert [[(g.name, g.qubits) for g in i.body] for i in exposes] == [[("crz", [0])]] * 3
     plan = merge_circuits([anc, tgt])
     assert plan.total_qubits == 3 + 1 + 2
     # audit: each expose adds a 7-instruction entangler, the body gate and a
-    # 5-instruction disentangler to the merged stream
-    merged_names = [i.name for i in plan.merged.instructions]
-    assert merged_names.count("crz") == 3
-    assert merged_names.count("reset") == 3 * 4
-    assert len(plan.pairings) == 3
+    # 5-instruction disentangler to the merged stream; its body gate is
+    # controlled by the communication qubit and targets the target part's
+    # qubit, and the entangler reads the exposed qubit
+    c0, c1 = plan.comm_qubits
+    merged = plan.merged.instructions
+    assert [i.qubits for i in merged if i.name == "crz"] == [[c1, 3]] * 3
+    assert [i.qubits[0] for i in merged if i.qubits[1:] == [c0]] == [0, 1, 2]
+    assert [i.name for i in merged].count("reset") == 3 * 4
 
 
 def test_distributed_qpe_matches_monolithic_distribution():

@@ -3,7 +3,7 @@ import pytest
 
 from dqcemu import engine
 from dqcemu.backend import default_backend, validate
-from dqcemu.circuit import Circuit, Param, concat, tensor_union
+from dqcemu.circuit import Circuit, Instruction, Param, RemoteLink, concat, tensor_union
 from dqcemu.errors import (
     ArityMismatch,
     EmptyBody,
@@ -59,15 +59,16 @@ def test_param_slots_and_binding():
 # -- distributed builders ------------------------------------------------------
 
 def test_measure_and_send_sequencing():
+    """Sequence tags count up per (peer, instruction name)."""
     c = Circuit(1, 0, id="src")
     c.measure_and_send(0, "dst")
     c.measure_and_send(0, "dst")
     c.measure_and_send(0, "other")
+    c.remote_c_if("x", [0], "dst")
     seqs = [ins.remote.sequence for ins in c.instructions]
     peers = [ins.remote.peer_circuit_id for ins in c.instructions]
-    assert seqs == [0, 1, 0]
-    assert peers == ["dst", "dst", "other"]
-    assert all(ins.remote.role == "sender" for ins in c.instructions)
+    assert seqs == [0, 1, 0, 0]
+    assert peers == ["dst", "dst", "other", "dst"]
 
 
 def test_self_link_rejected():
@@ -82,8 +83,7 @@ def test_remote_c_if_arity_and_gate():
     c = Circuit(2, 0, id="rc")
     c.remote_c_if("rz", [0], "peer", params=[-np.pi / 2])
     ins = c.instructions[-1]
-    assert ins.remote.gate_name == "rz"
-    assert ins.remote.role == "receiver"
+    assert ins.remote == RemoteLink("peer", "rz", 0)
     assert ins.params == [-np.pi / 2]
     with pytest.raises(ArityMismatch):
         c.remote_c_if("cx", [0], "peer")
@@ -102,15 +102,20 @@ def test_qsend_qrecv_fifo_tags():
     assert a.instructions[1].remote.sequence == 1
 
 
-def test_expose_brackets_body():
-    c = Circuit(1, 0, id="anc")
+def test_expose_carries_its_body():
+    """An expose is one instruction on its control qubit; its body gates
+    name their peer-relative targets only. It counts once, on its control:
+    in depth and in the instruction list, and `in` does not see its body."""
+    c = Circuit(2, 0, id="anc")
     c.expose(0, [("crz", [0], [4.0])], "qpe_target")
-    names = [ins.name for ins in c.instructions]
-    assert names == ["expose_begin", "crz", "expose_end"]
-    begin, body, end = c.instructions
-    assert begin.remote.sequence == end.remote.sequence == 0
-    assert begin.remote.peer_circuit_id == "qpe_target"
-    assert body.remote is None and body.qubits == [0] and body.params == [4.0]
+    c.expose(1, [("cx", 2), ("cp", [1], [0.5])], "qpe_target")
+    first, second = c.instructions
+    assert (first.name, first.qubits, first.clbits, first.params) == ("expose", [0], [], [])
+    assert first.remote == RemoteLink("qpe_target", None, 0)
+    assert first.body == [Instruction("crz", [0], params=[4.0])]
+    assert second.remote.sequence == 1
+    assert second.body == [Instruction("cx", [2]), Instruction("cp", [1], params=[0.5])]
+    assert c.depth() == 1 and "crz" not in c and "expose" in c
 
 
 def test_expose_rejects_empty_and_nested():
@@ -119,6 +124,11 @@ def test_expose_rejects_empty_and_nested():
         c.expose(0, [], "t")
     with pytest.raises(NotSupported):
         c.expose(0, [("qsend", [0])], "t")
+    with pytest.raises(NotSupported):
+        c.expose(0, [("expose", [0])], "t")
+    with pytest.raises(NotSupported):  # the executor binds no slot
+        c.expose(0, [("crz", [0], [Param("a")])], "t")
+    assert c.instructions == []
     with pytest.raises(UnknownGate):
         c.expose(0, [("rz", [0], [1.0])], "t")  # body gates must be controlled
     with pytest.raises(ArityMismatch):
@@ -174,10 +184,25 @@ def test_union_does_not_offset_expose_body():
     b = Circuit(2, 0, id="b")
     b.expose(1, [("crz", [5], [0.3])], "peer")  # body qubit 5 is peer-relative
     u = a | b
-    begin, body, end = u.instructions[1:]
-    assert begin.qubits == [2]  # control offset by a's width
-    assert body.qubits == [5]  # body untouched
-    assert end.qubits == [2]
+    (exposed,) = u.instructions[1:]
+    assert exposed.qubits == [2]  # control offset by a's width
+    assert exposed.body == [Instruction("crz", [5], params=[0.3])]  # body untouched
+    assert b.instructions[0].body[0].qubits == [5]
+
+
+def test_splits_keep_an_expose_whole():
+    """hor_split moves an expose with its control qubit, body and all; a
+    vert_split position counts it once."""
+    a = Circuit(1, 0, id="a")
+    a.h(0)
+    b = Circuit(2, 0, id="b")
+    b.expose(1, [("crz", [0], [0.3]), ("cx", [1])], "peer").h(1)
+    first, second = (a | b).hor_split(0)
+    assert first.instructions == a.instructions
+    assert second.instructions == b.instructions
+    one, two = b.vert_split(1)
+    assert one.instructions == b.instructions[:1] and two.instructions == b.instructions[1:]
+    assert one.has_link("quantum") and not two.has_distributed()
 
 
 def test_splits_invert_union_and_concat():
@@ -227,9 +252,7 @@ def test_depth_layered_oracle():
     def oracle_depth(circuit):
         # longest path over the shares-a-qubit dependency DAG
         n = len(circuit.instructions)
-        qubit_sets = []
-        for ins, in_body, ctrl in circuit._iter_with_regions():
-            qubit_sets.append({ctrl} if in_body else set(ins.qubits))
+        qubit_sets = [set(ins.qubits) for ins in circuit.instructions]
         best = [1] * n
         for i in range(n):
             for j in range(i):
@@ -241,6 +264,8 @@ def test_depth_layered_oracle():
     for _ in range(30):
         c = random_unitary_circuit(rng, 3, int(rng.integers(1, 12)),
                                    measured=True)
+        for _ in range(int(rng.integers(3))):  # an expose counts on its control only
+            c.expose(int(rng.integers(3)), [("cz", [0])] * int(rng.integers(1, 4)), "peer")
         assert c.depth() == oracle_depth(c)
 
 
@@ -323,6 +348,32 @@ def test_validate_sequence_gaps():
     c.qsend(0, "dst").qsend(1, "dst")
     c.instructions[0].remote.sequence, c.instructions[1].remote.sequence = 1, 0
     assert validate(c, default_backend()) == []
+
+
+def test_validate_expose_bodies():
+    """An expose needs a body of controlled gates with finite numbers for
+    parameters and no remote, clbit or body of their own; no other
+    instruction carries a body."""
+    def codes(**changes):
+        c = Circuit(2, 1, id="c")
+        c.expose(0, [("crz", [0], [0.5])], "peer")
+        gate = c.instructions[0].body[0]
+        for key, value in changes.items():
+            target, _, field = key.rpartition("_")
+            setattr(gate if target == "gate" else c.instructions[0], field, value)
+        return [v.code for v in validate(c, default_backend())]
+
+    assert codes() == []
+    assert codes(expose_body=[]) == codes(expose_body=None) == ["EmptyBody"]
+    assert codes(gate_params=[Param("a")]) == ["NotSupported"]
+    assert codes(gate_params=[float("nan")]) == ["SchemaViolation"]
+    assert codes(gate_clbits=[0]) == codes(gate_body=[]) == ["MalformedRemote"]
+    assert codes(gate_remote=RemoteLink("peer")) == ["MalformedRemote"]
+    assert codes(gate_name="rz") == ["UnknownGate"]
+    assert codes(gate_qubits=[0, 1]) == ["ArityMismatch"]
+    c = bell()
+    c.instructions[0].body = [Instruction("cx", [1])]
+    assert [v.code for v in validate(c, default_backend())] == ["MalformedRemote"]
 
 
 def test_validate_never_raises():

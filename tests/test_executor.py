@@ -5,7 +5,7 @@ import pytest
 
 from dqcemu import engine
 from dqcemu.backend import default_backend, validate
-from dqcemu.circuit import Circuit
+from dqcemu.circuit import Circuit, Instruction
 from dqcemu.errors import (
     CommQubitCollision,
     DanglingProtocol,
@@ -36,7 +36,7 @@ def test_two_single_qubit_parts():
     plan = merge_circuits([a, b])
     assert plan.total_qubits == 4
     assert plan.comm_qubits == (2, 3)
-    assert plan.pairings == [("teledata", "a", "b", 0)]
+    assert plan.merged.instructions == expand_teledata(fresh_plan([1, 1]), 0, 1)
     assert not plan.merged.has_distributed()
 
 
@@ -44,13 +44,17 @@ def test_offsets_follow_submission_order():
     big = Circuit(16, 16, id="anc")
     big.h(0)
     big.expose(0, [("crz", [0], [1.0])], "tgt")
+    big.measure(3, 3)
     small = Circuit(1, 0, id="tgt")
     small.x(0)
     plan = merge_circuits([big, small])
     assert plan.total_qubits == 19
     assert [off for _, off, _ in plan.parts] == [0, 16]
     assert plan.user_clbits == 16
-    assert plan.origin_map[3] == ("anc", 3)
+    merged = plan.merged.instructions
+    assert Instruction("measure", [3], [3]) in merged  # anc's clbit 3 is clbit 3
+    assert Instruction("x", [16]) in merged
+    assert Instruction("crz", [18, 16], params=[1.0]) in merged
 
 
 def test_dangling_qsend():
@@ -101,7 +105,7 @@ def test_merge_determinism():
     first = merge_circuits(parts())
     second = merge_circuits(parts())
     assert first.merged.instructions == second.merged.instructions
-    assert first.pairings == second.pairings
+    assert first.scratch_clbits == second.scratch_clbits
 
 
 def test_classical_link_becomes_local_conditional():
@@ -114,7 +118,10 @@ def test_classical_link_becomes_local_conditional():
     plan = merge_circuits([a, b])
     rec = execute_merged(plan, 50, seed=2)
     assert rec.counts == {"1": 50}
-    assert plan.pairings == [("classical", "a", "b", 0)]
+    # a's send measures into scratch clbit 1, which b's x then reads
+    assert plan.merged.instructions == [
+        Instruction("x", [0]), Instruction("measure", [0], [1]),
+        Instruction("x", [1], [1]), Instruction("measure", [1], [0])]
 
 
 # -- teledata ------------------------------------------------------------------
@@ -329,4 +336,6 @@ def test_counts_key_layout_concatenates_parts():
     rec = execute_merged(plan, 20, seed=3)
     # part a's clbit is rightmost; a measured 1 before teleporting, b reads 1
     assert rec.counts == {"11": 20}
-    assert plan.origin_map == {0: ("a", 0), 1: ("b", 0)}
+    user = [(i.qubits, i.clbits) for i in plan.merged.instructions
+            if i.name == "measure" and i.clbits[0] < plan.user_clbits]
+    assert user == [([0], [0]), ([1], [1])]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dqcemu.backend import default_backend, validate
-from dqcemu.circuit import Circuit, Instruction, RemoteLink
+from dqcemu.circuit import Circuit, Instruction, Param, RemoteLink
 from dqcemu.errors import ArityMismatch, EmulatorError, UnknownGate
 from dqcemu.gates import GATES, arity_error, gate_matrix
 
@@ -107,11 +107,10 @@ def _validate_codes(kind, name, qubits, params):
         c.instructions = [Instruction(name, qubits, params=params)]
     elif kind == "remote_c_if":
         c.instructions = [Instruction("remote_c_if", qubits, params=params,
-                                      remote=RemoteLink("peer", "receiver", name))]
+                                      remote=RemoteLink("peer", name))]
     else:
-        c.instructions = [Instruction("expose_begin", [0], remote=RemoteLink("peer", "sender")),
-                          Instruction(name, qubits, params=params),
-                          Instruction("expose_end", [0], remote=RemoteLink("peer", "sender"))]
+        c.instructions = [Instruction("expose", [0], remote=RemoteLink("peer"),
+                                      body=[Instruction(name, qubits, params=params)])]
     return {v.code for v in validate(c, default_backend())}
 
 
@@ -131,3 +130,12 @@ def test_builder_and_validate_reject_the_same_instructions():
         code = _builder_code(*case)
         assert code in (None, "ArityMismatch", "UnknownGate"), case
         assert _validate_codes(*case) == ({code} if code else set()), case
+
+
+@pytest.mark.parametrize("gate", ["crz", "cp"])
+def test_builder_and_validate_refuse_a_slot_in_an_expose_body(gate):
+    """The executor binds no parameter slot, so an expose body takes
+    numbers only: the builder raises NotSupported, and validate finds it
+    in a body written without the builder."""
+    assert _builder_code("expose", gate, [0], [Param("a")]) == "NotSupported"
+    assert _validate_codes("expose", gate, [0], [Param("a")]) == {"NotSupported"}

@@ -4,6 +4,8 @@ the drain path of `shutdown` and TTL expiry, and faults (a peer that dies,
 a frame cut off mid-payload, a reply the client cannot read)."""
 
 import contextlib
+import copy
+import gc
 import json
 import os
 import signal
@@ -11,10 +13,12 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from dqcemu import protocol, registry
+from dqcemu.algorithms import inverse_qft
 from dqcemu.circuit import Circuit, Param
 from dqcemu.client import QpuConnection, get_qpus, run, run_distributed
 from dqcemu.errors import JobFailed, UnreadableReply
@@ -24,13 +28,14 @@ from dqcemu.protocol import (
     RESULT_WAIT_MAX_MS,
     ServiceConfig,
     connect,
+    encode,
     recv_frame,
     request,
     send_frame,
 )
 from dqcemu.registry import RegistryEntry
 from dqcemu.server import VqpuServer
-from dqcemu.wire import circuit_to_obj, to_wire
+from dqcemu.wire import circuit_to_obj
 
 SERVICES = {
     "vqpu": lambda **kw: VqpuServer(ServiceConfig("svc-0", **kw)),
@@ -385,8 +390,8 @@ def test_a_reply_larger_than_a_frame_fails_its_job(service, monkeypatch):
 
 
 def parametric_circuit(gates: int) -> Circuit:
-    """12 qubits in `h`, `gates` `rz` on one parameter, all measured: the
-    circuit takes about 65 bytes on the wire per `rz`."""
+    """12 qubits in `h`, `gates` `rz` on one parameter, all measured: a
+    kept task is charged about 580 bytes per `rz`."""
     c = Circuit(12, 12, id="param")
     for q in range(12):
         c.h(q)
@@ -396,11 +401,53 @@ def parametric_circuit(gates: int) -> Circuit:
     return c
 
 
+OLD_EXPOSE = [  # an expose as a region: a begin marker, the body, an end marker
+    {"name": "expose_begin", "qubits": [0], "clbits": [], "params": [],
+     "remote": {"peer": "tgt", "seq": 0}},
+    {"name": "crz", "qubits": [0], "clbits": [], "params": [0.5]},
+    {"name": "expose_end", "qubits": [0], "clbits": [], "params": [],
+     "remote": {"peer": "tgt", "seq": 0}}]
+
+
+@pytest.mark.parametrize("old", ["region", "region-with-roles", "send-with-role"])
+def test_frames_of_the_old_form_fail_typed(service, old):
+    """A part whose expose is a region of markers, or whose links carry a
+    role, is refused at its frame with SchemaViolation or ValidationFailed,
+    on a vQPU and on the executor, never with an InternalError; the
+    service serves the next job."""
+    instructions = copy.deepcopy(OLD_EXPOSE)
+    if old == "send-with-role":
+        instructions = [{"name": "measure_and_send", "qubits": [0], "clbits": [],
+                         "params": [], "remote": {"peer": "tgt", "seq": 0}}]
+    if old != "region":
+        for ins in instructions:
+            if "remote" in ins:
+                ins["remote"]["role"] = "sender"
+    part = {"id": "anc", "num_qubits": 1, "num_clbits": 0, "instructions": instructions}
+    frame = {"type": "run", "job_id": f"old-{old}", "config": {"shots": 10, "seed": 1}}
+    if isinstance(service, VqpuServer):
+        frame["circuit"] = part
+    else:
+        frame["circuits"] = [part, circuit_to_obj(Circuit(1, 0, id="tgt"))]
+    sock = open_conn(service)
+    reply = request(sock, frame)
+    expected = "ValidationFailed" if old == "region" else "SchemaViolation"
+    assert (reply["type"], reply["code"]) == ("error", expected), reply
+    assert request(sock, all_h_frame(service, "next", 10))["type"] == "ack"
+    assert wait_result(sock, "next")["type"] == "result"
+    sock.close()
+
+
+def charge(srv, frame) -> int:
+    """What `srv` charges a done job of the run `frame` for keeping its task."""
+    return srv._kept_bytes(srv._decode(frame["job_id"], frame, frame["config"]))
+
+
 def test_kept_tasks_stay_under_a_frame_and_evict_oldest_first(monkeypatch):
     """A done job whose circuit has parameter slots keeps its task for
-    `upgrade_parameters`, charged its circuit's wire bytes beside its
-    reply. With a 64 KiB frame cap, done jobs of a circuit of about 12 KiB
-    keep the stored bytes under the cap, and past it the jobs that finished
+    `upgrade_parameters`, charged what the task holds beside its reply.
+    With a 64 KiB frame cap, done jobs charged about 12 KiB keep the
+    replies plus charges under the cap, and past it the jobs that finished
     first are evicted; a rerun gives its charge back until it finishes
     anew. A job whose task and reply would not fit in one frame keeps its
     reply, drops its task, and `upgrade_parameters` answers it Evicted."""
@@ -410,15 +457,15 @@ def test_kept_tasks_stay_under_a_frame_and_evict_oldest_first(monkeypatch):
     srv.start()
     sock = open_conn(srv)
 
-    def charged() -> int:  # what the table holds: replies, and kept tasks' circuits
+    def charged() -> int:  # what the table holds: replies, and kept tasks' charges
         with srv._lock:
-            stored = sum(len(job.reply) + (job.task and len(to_wire(job.task.circuit)) or 0)
+            stored = sum(len(job.reply) + (job.task and srv._kept_bytes(job.task) or 0)
                          for job in srv._jobs.values() if job.reply)
             assert stored == srv._stored <= cap
             return stored
 
-    circuit = parametric_circuit(180)
-    assert 11 << 10 < len(to_wire(circuit)) < 13 << 10
+    circuit = parametric_circuit(8)
+    assert 11 << 10 < charge(srv, run_frame("p0", circuit, shots=10, params=[0.0])) < 13 << 10
     for i in range(10):
         frame = run_frame(f"p{i}", circuit, shots=10, seed=i, params=[0.1 * i])
         assert request(sock, frame)["type"] == "ack"
@@ -434,12 +481,12 @@ def test_kept_tasks_stay_under_a_frame_and_evict_oldest_first(monkeypatch):
     assert wait_result(sock, "p9")["type"] == "result"
     charged()
 
-    big = parametric_circuit(620)
-    assert 38 << 10 < len(to_wire(big)) < 42 << 10
-    assert request(sock, run_frame("big", big, shots=4096, seed=1, params=[0.3]))["type"] == "ack"
+    big = run_frame("big", parametric_circuit(56), shots=4096, seed=1, params=[0.3])
+    assert 38 << 10 < charge(srv, big) < 42 << 10
+    assert request(sock, big)["type"] == "ack"
     assert wait_result(sock, "big")["type"] == "result"
     reply = raw_reply(sock, {"type": "result", "job_id": "big"})
-    assert len(reply) + len(to_wire(big)) > cap
+    assert len(reply) + charge(srv, big) > cap
     with srv._lock:
         assert srv._jobs["big"].task is None and srv._jobs["big"].state == "done"
     charged()
@@ -447,6 +494,92 @@ def test_kept_tasks_stay_under_a_frame_and_evict_oldest_first(monkeypatch):
     assert request(sock, upgrade)["code"] == "Evicted"
     sock.close()
     srv.stop()
+
+
+def kept_task_frames(peers: dict[str, str]) -> list[dict]:
+    """Run frames of circuits with parameter slots, of several shapes: 5,000
+    `rz` on one slot; a 26-qubit `measure`; a 7-qubit QPE with a slot per
+    controlled rotation; `u` gates, slots with long and non-ASCII names;
+    and the two parts of a classical program (one job on two vQPUs) with
+    long peer ids, linked as `peers` (circuit id -> host:port) says."""
+    wide = Circuit(26, 26, id="wide")
+    wide.rz(Param("a"), 0).measure(list(range(26)), list(range(26)))
+    qpe = Circuit(7, 6, id="qpe-param")
+    for t in range(6):
+        qpe.h(t)
+    qpe.x(6)
+    for t in range(6):
+        qpe.crz(Param(f"a{t}"), t, 6)
+    inverse_qft(qpe, range(6))
+    for t in range(6):
+        qpe.measure(t, t)
+    names = Circuit(3, 3, id="names")
+    for k in range(300):
+        names.u(0.1 * k, Param("θ" * 40), Param(f"slot-{k % 7}" * 9), k % 3)
+    names.measure([0, 1, 2], [0, 1, 2])
+    sender_id, receiver_id = sorted(peers)
+    sender = Circuit(1, 1, id=sender_id)
+    receiver = Circuit(2, 1, id=receiver_id)
+    for k in range(200):
+        sender.rx(Param("a"), 0).measure_and_send(0, receiver_id)
+        receiver.remote_c_if("rz", [k % 2], sender_id, params=[0.5 + k]).rz(Param("b"), 1)
+    sender.measure(0, 0)
+    receiver.measure(1, 0)
+    return [run_frame("rz5000", parametric_circuit(5000), shots=10, seed=1, params=[0.2]),
+            run_frame("wide", wide, shots=100, seed=2, params=[0.3]),
+            run_frame("qpe", qpe, shots=1000, seed=3, params=[0.1 * t for t in range(6)]),
+            run_frame("names", names, shots=20, seed=4, params=[0.4] * 8),
+            run_frame("link", sender, shots=20, seed=5, params=[0.5], plan=peers),
+            run_frame("link", receiver, shots=20, seed=6, params=[0.6], plan=peers)]
+
+
+def traced_task(srv, frame) -> int:
+    """The bytes a task decoded from `frame`'s payload keeps, as the
+    receiver decodes it, traced with `tracemalloc`."""
+    payload = encode(frame)
+    charge(srv, frame)  # anything the first decode caches is no part of a task
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        obj = json.loads(payload.decode("utf-8"))
+        task = srv._decode(obj["job_id"], obj, obj["config"])
+        del obj
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        del task
+
+
+def test_a_kept_task_holds_no_more_than_its_charge():
+    """What a done job is charged in `_finished` for keeping its task, its
+    entry less its reply, is at least what the task holds: `tracemalloc`
+    traced over circuits of several shapes, among them 5,000 `rz` on one
+    slot and a 26-qubit `measure`. A charge of the circuit's wire bytes
+    fell short by 4-12 times."""
+    servers = [VqpuServer(ServiceConfig(f"kept-{i}", comm_mode="classical")) for i in (0, 1)]
+    for srv in servers:
+        srv.start()
+    try:
+        peers = {f"{'s' * 60}-{i}": f"{srv.host}:{srv.port}" for i, srv in enumerate(servers)}
+        frames = kept_task_frames(peers)
+        where = [servers[f["circuit"]["id"] == max(peers)] for f in frames]  # receiver: 1
+        socks = [open_conn(srv) for srv in where]
+        for sock, frame in zip(socks, frames):
+            assert request(sock, frame)["type"] == "ack"
+        for sock, frame in zip(socks, frames):  # no job runs while tasks are traced
+            assert wait_result(sock, frame["job_id"])["type"] == "result", frame["job_id"]
+            sock.close()
+        for frame, srv in zip(frames, where):
+            with srv._lock:
+                job = srv._jobs[frame["job_id"]]
+                kept = srv._finished[frame["job_id"]] - len(job.reply)
+            assert job.task is not None and kept == srv._kept_bytes(job.task)
+            assert traced_task(srv, frame) <= kept, frame["job_id"]
+    finally:
+        for srv in servers:
+            srv.stop()
 
 
 def test_an_unreadable_reply_closes_the_connection(monkeypatch):

@@ -113,11 +113,13 @@ def test_bool_is_not_an_int():
 
 
 def test_bad_role_rejected():
+    """A link's role is no field: the instruction's name says it."""
     obj = circuit_to_obj(distributed_sample())
-    obj["instructions"][1]["remote"]["role"] = "observer"
+    obj["instructions"][1]["remote"]["role"] = "sender"
     with pytest.raises(SchemaViolation) as err:
         circuit_from_obj(obj)
     assert err.value.path.endswith("remote.role")
+    assert str(err.value).endswith("unknown field")
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
@@ -172,11 +174,14 @@ def test_floats_survive_json_exactly():
 BAD_FRAME_BASE = {"id": "dist", "num_qubits": 2, "num_clbits": 1, "instructions": [
     {"name": "h", "qubits": [0], "clbits": [], "params": []},
     {"name": "measure_and_send", "qubits": [0], "clbits": [], "params": [],
-     "remote": {"peer": "peer", "role": "sender", "seq": 0}},
+     "remote": {"peer": "peer", "seq": 0}},
     {"name": "remote_c_if", "qubits": [1], "clbits": [], "params": [-0.5],
-     "remote": {"peer": "other", "role": "receiver", "gate": "rz", "seq": 0}},
+     "remote": {"peer": "other", "gate": "rz", "seq": 0}},
     {"name": "rz", "qubits": [0], "clbits": [], "params": [{"param": "theta"}]},
-    {"name": "measure", "qubits": [0], "clbits": [0], "params": []}]}
+    {"name": "measure", "qubits": [0], "clbits": [0], "params": []},
+    {"name": "expose", "qubits": [1], "clbits": [], "params": [],
+     "remote": {"peer": "peer", "seq": 0},
+     "body": [{"name": "crz", "qubits": [0], "clbits": [], "params": [0.5]}]}]}
 
 
 def put(path, value):
@@ -225,12 +230,15 @@ BAD_FRAMES = [
     ("slot-missing", put([I, 3, "params", 0], {})),
     ("remote-list", put([I, 1, "remote"], [])),
     ("remote-unknown", put([I, 1, "remote", "tag"], 1)),
-    *[(f"remote-missing-{k}", drop([I, 2, "remote", k])) for k in ("peer", "role", "seq")],
+    *[(f"remote-missing-{k}", drop([I, 2, "remote", k])) for k in ("peer", "seq")],
     ("peer-empty", put([I, 1, "remote", "peer"], "")), ("peer-int", put([I, 1, "remote", "peer"], 4)),
-    ("role-bad", put([I, 1, "remote", "role"], "observer")),
     ("seq-neg", put([I, 1, "remote", "seq"], -1)), ("seq-bool", put([I, 1, "remote", "seq"], True)),
     ("seq-float", put([I, 1, "remote", "seq"], 1.0)),
     ("gate-int", put([I, 2, "remote", "gate"], 5)),
+    ("body-int", put([I, 5, "body"], 5)), ("body-null", put([I, 5, "body"], None)),
+    ("body-in-body", put([I, 5, "body", 0, "body"], [])),
+    *[(f"body-missing-{k}", drop([I, 5, "body", 0, k])) for k in ("name", "qubits", "clbits", "params")],
+    ("body-param-nan", put([I, 5, "body", 0, "params", 0], math.nan)),
 ]
 
 # the message of each bad frame, as the decoder gave it when every path was
@@ -276,15 +284,21 @@ BAD_FRAME_MESSAGES = dict([
     ("remote-list", 'instructions[1].remote: expected an object'),
     ("remote-unknown", 'instructions[1].remote.tag: unknown field'),
     ("remote-missing-peer", 'instructions[2].remote.peer: missing'),
-    ("remote-missing-role", 'instructions[2].remote.role: missing'),
     ("remote-missing-seq", 'instructions[2].remote.seq: missing'),
     ("peer-empty", 'instructions[1].remote.peer: expected a non-empty string'),
     ("peer-int", 'instructions[1].remote.peer: expected a non-empty string'),
-    ("role-bad", "instructions[1].remote.role: expected 'sender' or 'receiver'"),
     ("seq-neg", 'instructions[1].remote.seq: expected an integer >= 0'),
     ("seq-bool", 'instructions[1].remote.seq: expected an integer >= 0'),
     ("seq-float", 'instructions[1].remote.seq: expected an integer >= 0'),
     ("gate-int", 'instructions[2].remote.gate: expected a string'),
+    ("body-int", 'instructions[5].body: expected a list'),
+    ("body-null", 'instructions[5].body: expected a list'),
+    ("body-in-body", 'instructions[5].body[0].body: unknown field'),
+    ("body-missing-name", 'instructions[5].body[0].name: missing'),
+    ("body-missing-qubits", 'instructions[5].body[0].qubits: missing'),
+    ("body-missing-clbits", 'instructions[5].body[0].clbits: missing'),
+    ("body-missing-params", 'instructions[5].body[0].params: missing'),
+    ("body-param-nan", "instructions[5].body[0].params[0]: expected a finite number or a {'param': name} slot"),
 ])
 
 
@@ -301,4 +315,6 @@ def test_bad_frames_keep_their_paths_and_messages(name, mutate):
 
 
 def test_the_bad_frame_base_decodes():
-    assert circuit_from_obj(copy.deepcopy(BAD_FRAME_BASE)).param_slots() == ["theta"]
+    circuit = circuit_from_obj(copy.deepcopy(BAD_FRAME_BASE))
+    assert circuit.param_slots() == ["theta"]
+    assert circuit_to_obj(circuit) == BAD_FRAME_BASE
